@@ -5,7 +5,8 @@ Three ingredients meet here: a slope :class:`SectorBound` for each coupling
 nonlinearity, an :class:`EdgeCertificate` ``(nu, gamma, beta)`` for each agent
 pair joined by an edge, and the graph statistics.  From them the module
 assembles the per-edge margin check, the network quadratic forms, and the
-``gain * ||disturbance||_T + offset`` bound on the relative outputs.
+``gain * ||disturbance||_T + offset`` bound on the relative outputs; a
+:class:`NetworkCertificate` computes each of them once, on first use.
 """
 
 from __future__ import annotations
@@ -17,7 +18,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import EdgeStats, Graph, build_graph, incidence, weight_matrices, edge_stats
+from .graphs import (
+    EdgeStats,
+    Graph,
+    assemble_pd_matrix,
+    build_graph,
+    edge_slacks,
+    edge_stats,
+    incidence,
+    weight_matrices,
+)
 from .linalg import jacobi_eigenvalues
 
 __all__ = [
@@ -35,7 +45,6 @@ __all__ = [
     "quadratic_forms",
     "gain_bound",
     "gain_bound_from_forms",
-    "dissipation_residual",
     "certificate_to_dict",
     "certificate_from_dict",
 ]
@@ -150,6 +159,35 @@ class NetworkCertificate:
     def alpha_hi(self) -> np.ndarray:
         return np.array([s.alpha_hi for s in self.sectors])
 
+    # The certification pass: every quantity below is derived once, on first
+    # use, and the later ones reuse the earlier ones through this object.
+
+    @cached_property
+    def stats(self) -> EdgeStats:
+        return edge_stats(self.graph)
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        """Per-edge weight of the margin form, see :func:`sync_margins`."""
+        return _margin_weights(self.stats, self)
+
+    @cached_property
+    def margins(self) -> MarginReport:
+        return _margin_report(self.graph, self.nu_node, self.sigma)
+
+    @cached_property
+    def matrices(self) -> DissipationMatrices:
+        return dissipation_matrices(self.graph, self)
+
+    @cached_property
+    def forms(self) -> CertificateForms:
+        return quadratic_forms(self.graph, self)
+
+    @cached_property
+    def bound(self) -> GainBound:
+        """Gain bound over the default slope samples of :func:`gain_bound`."""
+        return gain_bound(self.graph, self)
+
 
 @dataclass(frozen=True, eq=False)
 class MarginReport:
@@ -171,6 +209,22 @@ class MarginReport:
         ]
 
 
+def _margin_weights(stats: EdgeStats, cert: NetworkCertificate) -> np.ndarray:
+    common = np.asarray(stats.common, dtype=float)
+    exclusive = np.asarray(stats.exclusive, dtype=float)
+    lo = cert.alpha_lo
+    return ((2.0 + common) / cert.alpha_hi
+            - (1.0 + lo * lo) * exclusive / (2.0 * lo * lo)
+            + cert.gamma / (lo * lo))
+
+
+def _margin_report(g: Graph, nu_node: np.ndarray, sigma: np.ndarray) -> MarginReport:
+    slacks = edge_slacks(g, nu_node, sigma)
+    edge_ok = slacks > POSITIVITY_TOL
+    return MarginReport(graph=g, slacks=slacks, edge_ok=edge_ok,
+                        satisfied=g.is_connected and bool(np.all(edge_ok)))
+
+
 def sync_margins(stats: EdgeStats, sectors, certificates) -> MarginReport:
     """Distributed per-edge synchronisation margin.
 
@@ -183,41 +237,17 @@ def sync_margins(stats: EdgeStats, sectors, certificates) -> MarginReport:
         - r_i * |nu_node_i| - r_j * |nu_node_j|
 
     where ``nu_node_i`` sums ``nu`` over the edges incident to node ``i``.
-    Every quantity is local to the edge and its endpoints, so each agent pair
-    can evaluate its own slack.  All slacks strictly positive (beyond
-    ``POSITIVITY_TOL``) yield a satisfied report.
+    The first three terms are the edge weight ``sigma`` and the slack is the
+    :func:`~syncert.graphs.edge_slacks` margin of the margin form
+    ``D.T @ diag(nu_node) @ D + diag(sigma)`` (``nu_node <= 0``).  Every
+    quantity is local to the edge and its endpoints, so each agent pair can
+    evaluate its own slack.  The report is satisfied when the graph is
+    connected and every slack exceeds ``POSITIVITY_TOL``; on a disconnected
+    graph agreement of the relative outputs does not synchronise the agents.
     """
-    g = stats.graph
-    p = g.edge_count
-    sectors = tuple(sectors)
-    certificates = tuple(certificates)
-    if len(sectors) != p:
-        raise ValueError(f"{len(sectors)} sectors for {p} edges")
-    if len(certificates) != p:
-        raise ValueError(f"{len(certificates)} certificates for {p} edges")
-
-    nu = np.array([c.nu for c in certificates])
-    gamma = np.minimum(np.array([c.gamma for c in certificates]), 0.0)
-    nu_node = np.zeros(g.n)
-    for k, (i, j) in enumerate(g.edges):
-        nu_node[i - 1] += nu[k]
-        nu_node[j - 1] += nu[k]
-
-    slacks = np.empty(p)
-    for k, (i, j) in enumerate(g.edges):
-        lo = sectors[k].alpha_lo
-        hi = sectors[k].alpha_hi
-        r_i, r_j = stats.endpoint_degrees(k)
-        slacks[k] = (
-            (2.0 + stats.common[k]) / hi
-            - (1.0 + lo * lo) * stats.exclusive[k] / (2.0 * lo * lo)
-            + gamma[k] / (lo * lo)
-            - r_i * abs(nu_node[i - 1])
-            - r_j * abs(nu_node[j - 1])
-        )
-    edge_ok = slacks > POSITIVITY_TOL
-    return MarginReport(graph=g, slacks=slacks, edge_ok=edge_ok,
-                        satisfied=bool(np.all(edge_ok)))
+    cert = NetworkCertificate(graph=stats.graph, sectors=tuple(sectors),
+                              certificates=tuple(certificates))
+    return _margin_report(cert.graph, cert.nu_node, _margin_weights(stats, cert))
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,8 +288,7 @@ def dissipation_matrices(g: Graph, cert: NetworkCertificate) -> DissipationMatri
     """Assemble the matrices entering the network dissipation inequality."""
     if cert.graph != g:
         raise ValueError("certificate was assembled over a different graph")
-    stats = edge_stats(g)
-    weights = weight_matrices(stats)
+    weights = weight_matrices(cert.stats)
     d = incidence(g).astype(float)
     nu_node = np.diag(cert.nu_node)
     return DissipationMatrices(
@@ -283,34 +312,33 @@ class CertificateForms:
 
     coupling_form: np.ndarray
     margin_form: np.ndarray
-    margin_min_eig: float
+
+    @cached_property
+    def margin_min_eig(self) -> float:
+        """Smallest eigenvalue of ``margin_form`` (in-package eigenvalue
+        oracle), solved on first read."""
+        return float(jacobi_eigenvalues(self.margin_form)[0])
 
 
 def quadratic_forms(g: Graph, cert: NetworkCertificate) -> CertificateForms:
-    """Assemble the certificate quadratic forms and the smallest eigenvalue
-    of the margin form (via the in-package eigenvalue oracle).
+    """Assemble the certificate quadratic forms.
 
-    ``coupling_form = D.T @ nu_node @ D - exclusive_weight
-    + diag((2 + common) / alpha_hi)`` and
-    ``margin_form = coupling_form + diag((gamma - exclusive/2) / alpha_lo**2)``.
+    Both are ``D.T @ diag(nu_node) @ D + diag(w)``: the coupling form with
+    ``w = (2 + common)/alpha_hi - exclusive/2``, the margin form with the
+    margin weight ``sigma = w + (gamma - exclusive/2)/alpha_lo**2`` of
+    :func:`sync_margins`.
     """
-    mats = dissipation_matrices(g, cert)
-    p = g.edge_count
-    common_diag = np.diagonal(mats.common_weight)
-    exclusive_diag = np.diagonal(mats.exclusive_weight)
-    coupling_form = (
-        mats.edge_nu_form
-        - mats.exclusive_weight
-        + np.diag((2.0 + common_diag) / cert.alpha_hi)
-    )
-    margin_form = coupling_form + np.diag(
-        (cert.gamma - exclusive_diag) / (cert.alpha_lo ** 2)
-    )
-    if p == 0:
+    if cert.graph != g:
+        raise ValueError("certificate was assembled over a different graph")
+    if g.edge_count == 0:
         raise ValueError("graph has no edges, the certificate forms are empty")
-    min_eig = float(jacobi_eigenvalues(margin_form)[0])
-    return CertificateForms(coupling_form=coupling_form, margin_form=margin_form,
-                            margin_min_eig=min_eig)
+    stats = cert.stats
+    coupling_weights = ((2.0 + np.asarray(stats.common, dtype=float)) / cert.alpha_hi
+                        - 0.5 * np.asarray(stats.exclusive, dtype=float))
+    return CertificateForms(
+        coupling_form=assemble_pd_matrix(g, cert.nu_node, coupling_weights),
+        margin_form=assemble_pd_matrix(g, cert.nu_node, cert.sigma),
+    )
 
 
 @dataclass(frozen=True)
@@ -403,15 +431,14 @@ def gain_bound(g: Graph, cert: NetworkCertificate, slope_samples=None) -> GainBo
     sector box; omitted, it defaults to the single point for point sectors
     and to all box vertices plus the midpoint otherwise.  Samples outside the
     box are rejected.  For point sectors the scan is exact; otherwise the
-    reported extremes are sampled estimates and are labelled as such.
+    reported extremes are sampled estimates and are labelled as such.  The
+    coupling form, output form and neighbour counts are read from ``cert``,
+    which computes each once.
     """
     if cert.graph != g:
         raise ValueError("certificate was assembled over a different graph")
     if g.edge_count == 0:
         raise ValueError("graph has no edges, nothing to bound")
-    forms = quadratic_forms(g, cert)
-    mats = dissipation_matrices(g, cert)
-    stats = edge_stats(g)
     if slope_samples is None:
         samples = _default_slope_samples(cert)
     else:
@@ -427,34 +454,17 @@ def gain_bound(g: Graph, cert: NetworkCertificate, slope_samples=None) -> GainBo
                     f"slope sample leaves the sector box at edge {g.edge_label(k)}"
                 )
     estimate = "exact" if all(s.is_point for s in cert.sectors) else "sampled"
-    weight_max = float(2 + max(stats.common))
+    weight_max = float(2 + max(cert.stats.common))
     slope_max = float(np.max(cert.alpha_hi))
     return gain_bound_from_forms(
-        coupling_form=forms.coupling_form,
-        output_shift=mats.output_quadratic,
+        coupling_form=cert.forms.coupling_form,
+        output_shift=cert.matrices.output_quadratic,
         weight_max=weight_max,
         slope_max=slope_max,
         bias_total=cert.bias_total,
         slope_samples=samples,
         estimate=estimate,
     )
-
-
-def dissipation_residual(v_vs_rel: float, rel_quad: float, v_quad: float,
-                         bias_total: float) -> float:
-    """Residual of the network dissipation inequality at one horizon.
-
-    Arguments are finite-horizon inner products from a simulation trace:
-
-    - ``v_vs_rel``: coupling outputs against ``pair_weight @ relative outputs``
-    - ``rel_quad``: relative outputs against ``output_quadratic`` times itself
-    - ``v_quad``: coupling outputs against ``coupling_quadratic`` times itself
-
-    The certified inequality states ``-v_vs_rel >= rel_quad + v_quad +
-    bias_total``; the returned residual is the left side minus the right and
-    should be nonnegative up to discretisation error.
-    """
-    return -v_vs_rel - (rel_quad + v_quad + bias_total)
 
 
 def certificate_to_dict(cert: NetworkCertificate) -> dict:

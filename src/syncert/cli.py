@@ -19,14 +19,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .certificates import (
-    NetworkCertificate,
-    UncertifiedBoundError,
-    dissipation_matrices,
-    gain_bound,
-    quadratic_forms,
-    sync_margins,
-)
+from .certificates import NetworkCertificate, UncertifiedBoundError
 from .config import (
     ConfigError,
     NetworkConfig,
@@ -116,7 +109,8 @@ def main() -> None:
     """Certify and simulate output synchronisation of oscillator networks."""
 
 
-def _margin_csv_rows(cfg: NetworkConfig, cert: NetworkCertificate, report):
+def _margin_csv_rows(cfg: NetworkConfig, cert: NetworkCertificate):
+    report = cert.margins
     rows = []
     for k, (i, j) in enumerate(cfg.graph.edges):
         rows.append([
@@ -132,9 +126,9 @@ _MARGIN_CSV_HEADER = ["edge", "node_i", "node_j", "nu", "gamma", "beta",
                       "slack", "ok"]
 
 
-def _echo_certificate(cfg: NetworkConfig, cert: NetworkCertificate,
-                      report, forms, bound) -> None:
+def _echo_certificate(cfg: NetworkConfig, cert: NetworkCertificate) -> None:
     g = cfg.graph
+    report = cert.margins
     hill = cfg.agents[0].hill
     click.echo(f"nodes: {g.n}, edges: {g.edge_count}, mode: {cfg.mode}")
     click.echo(
@@ -151,7 +145,8 @@ def _echo_certificate(cfg: NetworkConfig, cert: NetworkCertificate,
     click.echo("per-node input-weight sums: "
                + ", ".join(_fmt4(v) for v in cert.nu_node))
     click.echo(f"min slack: {report.min_slack:.6g}")
-    click.echo(f"margin matrix min eigenvalue: {forms.margin_min_eig:.6g}")
+    click.echo(f"margin matrix min eigenvalue: {cert.forms.margin_min_eig:.6g}")
+    bound = cert.bound
     if bound.certified:
         click.echo(
             f"gain bound ({bound.estimate}, {bound.samples} slope sample(s)): "
@@ -160,7 +155,12 @@ def _echo_certificate(cfg: NetworkConfig, cert: NetworkCertificate,
         )
     else:
         click.echo(f"gain bound: not certified (n_min = {bound.n_min:.6g} <= 0)")
-    click.echo(f"verdict: {'certified' if report.satisfied else 'NOT certified'}")
+    if report.satisfied:
+        click.echo("verdict: certified")
+    elif not g.is_connected:
+        click.echo("verdict: NOT certified (graph is disconnected)")
+    else:
+        click.echo("verdict: NOT certified")
 
 
 @main.command()
@@ -173,14 +173,11 @@ def certify(config_file: Path, output: Path | None) -> int:
     """Evaluate the synchronisation certificate of a configured network."""
     cfg = parse_config(config_file)
     cert = cfg.certificate()
-    report = sync_margins(edge_stats(cfg.graph), cert.sectors, cert.certificates)
-    forms = quadratic_forms(cfg.graph, cert)
-    bound = gain_bound(cfg.graph, cert)
-    _echo_certificate(cfg, cert, report, forms, bound)
+    _echo_certificate(cfg, cert)
     if output is not None:
-        _write_csv(output, _MARGIN_CSV_HEADER, _margin_csv_rows(cfg, cert, report))
+        _write_csv(output, _MARGIN_CSV_HEADER, _margin_csv_rows(cfg, cert))
         click.echo(f"wrote {output}")
-    return 0 if report.satisfied else 1
+    return 0 if cert.margins.satisfied else 1
 
 
 def _trace_table(trace: SimulationTrace, margin_col, residual_col=None,
@@ -250,15 +247,16 @@ def simulate(config_file: Path, output_dir: Path, full: bool, check_bound: bool,
         raise ConfigError("/certification",
                           "certification block required for trace checks")
 
+    cert = bound = None
+    if cfg.certification is not None:
+        # certify before integrating: a bound that cannot be formed exits 2
+        # without spending the integration
+        cert = cfg.certificate()
+        bound = cert.bound
+
     trace = run(cfg.model(), cfg.horizon, dt=cfg.dt, stride=cfg.stride)
     click.echo(f"integrated {trace.steps} steps of dt = {cfg.dt:g} "
                f"(horizon {cfg.horizon:g}, seed {cfg.seed})")
-
-    cert = bound = mats = None
-    if cfg.certification is not None:
-        cert = cfg.certificate()
-        bound = gain_bound(cfg.graph, cert)
-        mats = dissipation_matrices(cfg.graph, cert)
 
     if bound is not None and bound.certified:
         margin_col = trace.margin_curve(bound)
@@ -277,7 +275,7 @@ def simulate(config_file: Path, output_dir: Path, full: bool, check_bound: bool,
 
     residual_col = None
     if check_residual:
-        residual_col, rhs = trace.dissipation_curves(mats)
+        residual_col, rhs = trace.dissipation_curves(cert.matrices)
         idx = trace.sample_indices
         slack = residual_col[idx] - _residual_floor(rhs[idx])
         ok = bool(np.all(slack >= 0.0))
@@ -422,10 +420,8 @@ def reproduce_paper(output_dir: Path | None, mode: str | None, dt: float | None,
     uniform = cfg.mode == "uniform"
 
     cert = cfg.certificate()
-    report = sync_margins(edge_stats(cfg.graph), cert.sectors, cert.certificates)
-    forms = quadratic_forms(cfg.graph, cert)
-    bound = gain_bound(cfg.graph, cert)
-    _echo_certificate(cfg, cert, report, forms, bound)
+    _echo_certificate(cfg, cert)
+    report, forms, bound = cert.margins, cert.forms, cert.bound
 
     checks: list[tuple[str, bool, str]] = []
 
@@ -509,8 +505,7 @@ def reproduce_paper(output_dir: Path | None, mode: str | None, dt: float | None,
     ))
 
     horizons = [t for t in HORIZON_GRID if t <= cfg.horizon + 1e-9]
-    mats = dissipation_matrices(cfg.graph, cert)
-    residual, rhs = trace_noisy.dissipation_curves(mats)
+    residual, rhs = trace_noisy.dissipation_curves(cert.matrices)
     grid_idx = [trace_noisy.index_at(t) for t in horizons]
     slack = residual[grid_idx] - _residual_floor(rhs[grid_idx])
     checks.append((
@@ -536,7 +531,7 @@ def reproduce_paper(output_dir: Path | None, mode: str | None, dt: float | None,
     if output_dir is not None:
         output_dir.mkdir(parents=True, exist_ok=True)
         _write_csv(output_dir / "margins.csv", _MARGIN_CSV_HEADER,
-                   _margin_csv_rows(cfg, cert, report))
+                   _margin_csv_rows(cfg, cert))
         for label, trace in (("noiseless", trace_zero), ("noisy", trace_noisy)):
             margin_col = trace.margin_curve(bound)
             header, rows = _trace_table(trace, margin_col)

@@ -199,6 +199,10 @@ def _pair_gamma(cp: CertParams, params: GoodwinParams) -> float:
     return params.a1 - cp.theta - 0.5 * theta1 - 0.5 * theta2
 
 
+def _pair_beta(x0_i: np.ndarray, x0_j: np.ndarray) -> float:
+    return -0.5 * float(np.sum((x0_i - x0_j) ** 2))
+
+
 def certify_edge(params_i: GoodwinParams, params_j: GoodwinParams, cp: CertParams,
                  x0_i, x0_j) -> EdgeCertificate:
     """Closed-form pairwise certificate for two oscillators sharing chain
@@ -221,9 +225,8 @@ def certify_edge(params_i: GoodwinParams, params_j: GoodwinParams, cp: CertParam
             f"initial states must have shape (3,), got {xi.shape} and {xj.shape}"
         )
     nu = _pair_nu(cp.theta, params_i.input_gain, params_j.input_gain)
-    gamma = _pair_gamma(cp, params_i)
-    beta = -0.5 * float(np.sum((xi - xj) ** 2))
-    return EdgeCertificate(nu=nu, gamma=gamma, beta=beta)
+    return EdgeCertificate(nu=nu, gamma=_pair_gamma(cp, params_i),
+                           beta=_pair_beta(xi, xj))
 
 
 def certify_network(agents, g: Graph, cp: CertParams, sectors,
@@ -256,20 +259,16 @@ def certify_network(agents, g: Graph, cp: CertParams, sectors,
                 f"initial states have shape {x0.shape}, expected ({g.n}, 3)"
             )
     gamma = _pair_gamma(cp, agents[0])
-    deviations = [
-        max(abs(agents[i - 1].input_gain - 1.0), abs(agents[j - 1].input_gain - 1.0))
-        for i, j in g.edges
-    ]
-    if mode == "uniform" and deviations:
-        worst = max(deviations)
-        deviations = [worst] * len(deviations)
-    certs = []
-    for k, (i, j) in enumerate(g.edges):
-        nu = -deviations[k] ** 2 / (2.0 * cp.theta)
-        beta = -0.5 * float(np.sum((x0[i - 1] - x0[j - 1]) ** 2))
-        certs.append(EdgeCertificate(nu=nu, gamma=gamma, beta=beta))
-    return NetworkCertificate(graph=g, sectors=tuple(sectors),
-                              certificates=tuple(certs))
+    nus = [_pair_nu(cp.theta, agents[i - 1].input_gain, agents[j - 1].input_gain)
+           for i, j in g.edges]
+    if mode == "uniform" and nus:
+        # nu falls with the gain deviation, so the worst edge has the least nu
+        nus = [min(nus)] * len(nus)
+    certs = tuple(
+        EdgeCertificate(nu=nus[k], gamma=gamma, beta=_pair_beta(x0[i - 1], x0[j - 1]))
+        for k, (i, j) in enumerate(g.edges)
+    )
+    return NetworkCertificate(graph=g, sectors=tuple(sectors), certificates=certs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,6 +28,7 @@ __all__ = [
     "incidence",
     "edge_stats",
     "weight_matrices",
+    "edge_slacks",
     "edge_pd_check",
     "assemble_pd_matrix",
     "pd_oracle",
@@ -234,20 +235,7 @@ class EdgePDResult:
     satisfied: bool | None
 
 
-def edge_pd_check(g: Graph, node_weights, edge_weights) -> EdgePDResult:
-    """Per-edge sufficient condition for positive definiteness of
-    ``D.T @ diag(node_weights) @ D + diag(edge_weights)``.
-
-    The slack of edge ``(i, j)`` is::
-
-        sigma_k + mu_i + mu_j - (r_i - 1)|mu_i| - (r_j - 1)|mu_j|
-
-    which is a Gershgorin diagonal-dominance margin of row ``k`` of the
-    assembled matrix: every other edge at ``i`` contributes ``|mu_i|`` off the
-    diagonal and likewise for ``j``.  All slacks strictly positive therefore
-    certify positive definiteness, and the smallest eigenvalue is bounded
-    below by the smallest slack.  The condition is sufficient only.
-    """
+def _pd_weights(g: Graph, node_weights, edge_weights) -> tuple[np.ndarray, np.ndarray]:
     mu = np.asarray(node_weights, dtype=float)
     sigma = np.asarray(edge_weights, dtype=float)
     if mu.shape != (g.n,):
@@ -256,16 +244,36 @@ def edge_pd_check(g: Graph, node_weights, edge_weights) -> EdgePDResult:
         raise ValueError(
             f"edge weights have shape {sigma.shape}, expected ({g.edge_count},)"
         )
+    return mu, sigma
+
+
+def edge_slacks(g: Graph, node_weights, edge_weights) -> np.ndarray:
+    """Per-edge Gershgorin margins of ``D.T @ diag(mu) @ D + diag(sigma)``.
+
+    The slack of edge ``(i, j)`` is::
+
+        sigma_k + mu_i + mu_j - (r_i - 1)|mu_i| - (r_j - 1)|mu_j|
+
+    the diagonal entry of row ``k`` minus its off-diagonal mass: every other
+    edge at ``i`` contributes ``|mu_i|`` off the diagonal and likewise for
+    ``j``.  The smallest eigenvalue is bounded below by the smallest slack.
+    """
+    mu, sigma = _pd_weights(g, node_weights, edge_weights)
     degrees = np.array([len(s) for s in g.neighbours], dtype=float)
-    slacks = np.empty(g.edge_count)
-    for k, (i, j) in enumerate(g.edges):
-        slacks[k] = (
-            sigma[k]
-            + mu[i - 1]
-            + mu[j - 1]
-            - (degrees[i - 1] - 1.0) * abs(mu[i - 1])
-            - (degrees[j - 1] - 1.0) * abs(mu[j - 1])
-        )
+    i, j = (np.array(g.edges, dtype=np.intp).reshape(-1, 2) - 1).T
+    return (sigma + mu[i] + mu[j]
+            - (degrees[i] - 1.0) * np.abs(mu[i])
+            - (degrees[j] - 1.0) * np.abs(mu[j]))
+
+
+def edge_pd_check(g: Graph, node_weights, edge_weights) -> EdgePDResult:
+    """Per-edge sufficient condition for positive definiteness of
+    ``D.T @ diag(node_weights) @ D + diag(edge_weights)``.
+
+    All :func:`edge_slacks` strictly positive certify positive definiteness
+    on a connected graph.  The condition is sufficient only.
+    """
+    slacks = edge_slacks(g, node_weights, edge_weights)
     connected = g.is_connected
     if not connected:
         warnings.warn(
@@ -282,14 +290,7 @@ def edge_pd_check(g: Graph, node_weights, edge_weights) -> EdgePDResult:
 
 def assemble_pd_matrix(g: Graph, node_weights, edge_weights) -> np.ndarray:
     """The edge-space matrix ``D.T @ diag(mu) @ D + diag(sigma)``."""
-    mu = np.asarray(node_weights, dtype=float)
-    sigma = np.asarray(edge_weights, dtype=float)
-    if mu.shape != (g.n,):
-        raise ValueError(f"node weights have shape {mu.shape}, expected ({g.n},)")
-    if sigma.shape != (g.edge_count,):
-        raise ValueError(
-            f"edge weights have shape {sigma.shape}, expected ({g.edge_count},)"
-        )
+    mu, sigma = _pd_weights(g, node_weights, edge_weights)
     d = incidence(g).astype(float)
     return d.T @ (mu[:, None] * d) + np.diag(sigma)
 

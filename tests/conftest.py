@@ -10,15 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from syncert import (
-    bundled_config,
-    bundled_expected,
-    dissipation_matrices,
-    edge_stats,
-    gain_bound,
-    run,
-    sync_margins,
-)
+from syncert import bundled_config, bundled_expected, run
 from syncert.simulation import DisturbanceSpec, NetworkModel
 
 # first entry is the master seed committed in the bundled configuration
@@ -36,25 +28,10 @@ def paper_expected():
 
 
 @pytest.fixture(scope="session")
-def paper_certificate(paper_config):
+def paper_certification(paper_config):
+    """The bundled network certificate; its margins, dissipation matrices,
+    forms and gain bound are computed once and shared by every test."""
     return paper_config.certificate()
-
-
-@pytest.fixture(scope="session")
-def paper_margins(paper_config, paper_certificate):
-    return sync_margins(edge_stats(paper_config.graph),
-                        paper_certificate.sectors,
-                        paper_certificate.certificates)
-
-
-@pytest.fixture(scope="session")
-def paper_bound(paper_config, paper_certificate):
-    return gain_bound(paper_config.graph, paper_certificate)
-
-
-@pytest.fixture(scope="session")
-def paper_matrices(paper_config, paper_certificate):
-    return dissipation_matrices(paper_config.graph, paper_certificate)
 
 
 @pytest.fixture(scope="session")

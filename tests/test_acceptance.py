@@ -45,18 +45,17 @@ SYNC_RATIO_MAX = 0.05
 RK4_RATIO_RANGE = (12.0, 20.0)
 
 
-def test_bundled_certificate_matches_frozen_values(paper_certificate,
-                                                   paper_margins):
-    cert = paper_certificate
+def test_bundled_certificate_matches_frozen_values(paper_certification):
+    cert = paper_certification
     assert np.max(np.abs(cert.nu - NU_TARGET)) <= NU_ATOL
     assert np.max(np.abs(cert.nu_node - NODE_SUM_TARGET)) <= NU_ATOL
     assert np.max(np.abs(cert.gamma - GAMMA_TARGET)) <= GAMMA_ATOL
-    assert np.max(np.abs(np.asarray(paper_margins.slacks) - SLACK_TARGET)) \
+    assert np.max(np.abs(np.asarray(cert.margins.slacks) - SLACK_TARGET)) \
         <= SLACK_ATOL
-    assert paper_margins.satisfied
+    assert cert.margins.satisfied
 
 
-def test_slope_constant_consistent_across_hill_exponents(paper_certificate):
+def test_slope_constant_consistent_across_hill_exponents(paper_certification):
     # independent route to the output weight: closed-form slope constant
     # fed through the derived-weight formulas at theta = 2, theta3 = 1.5
     delta = hill_slope(14)
@@ -65,8 +64,8 @@ def test_slope_constant_consistent_across_hill_exponents(paper_certificate):
     theta1 = delta**2 * theta3 / (2.0 * a3 * theta3 - b3**2)
     theta2 = b2**2 / (2.0 * a2 - theta3)
     gamma = a1 - theta - 0.5 * (theta1 + theta2)
-    assert gamma == np.max(paper_certificate.gamma)
-    assert gamma == np.min(paper_certificate.gamma)
+    assert gamma == np.max(paper_certification.gamma)
+    assert gamma == np.min(paper_certification.gamma)
     assert abs(gamma - GAMMA_TARGET) <= GAMMA_ATOL
     # the closed form never exceeds a brute-force scan of the true slope
     xs = np.linspace(1e-6, 2.0, 400001)
@@ -100,18 +99,18 @@ def test_edge_dominance_check_is_sound_on_random_graphs():
     assert passes > 0, "scan never exercised the passing branch"
 
 
-def test_certified_bound_holds_on_noisy_traces(noisy_traces, paper_bound):
+def test_certified_bound_holds_on_noisy_traces(noisy_traces, paper_certification):
     for seed, trace in noisy_traces.items():
-        check = bound_check(trace, paper_bound)
+        check = bound_check(trace, paper_certification.bound)
         assert check.satisfied, (
             f"seed {seed}: worst sampled margin {check.worst_margin:.6g}")
         assert check.times[-1] == 100.0
 
 
 def test_network_dissipation_inequality_on_noisy_traces(noisy_traces,
-                                                        paper_matrices):
+                                                        paper_certification):
     for seed, trace in noisy_traces.items():
-        residual, rhs = trace.dissipation_curves(paper_matrices)
+        residual, rhs = trace.dissipation_curves(paper_certification.matrices)
         for horizon in CHECK_HORIZONS:
             idx = trace.index_at(horizon)
             floor = -RESIDUAL_RTOL * (1.0 + abs(rhs[idx]))
@@ -121,9 +120,9 @@ def test_network_dissipation_inequality_on_noisy_traces(noisy_traces,
 
 
 def test_pairwise_dissipation_inequality_on_noisy_traces(noisy_traces,
-                                                         paper_certificate):
-    certs = paper_certificate.certificates
-    edges = paper_certificate.graph.edges
+                                                         paper_certification):
+    certs = paper_certification.certificates
+    edges = paper_certification.graph.edges
     for seed, trace in noisy_traces.items():
         for k, edge in enumerate(edges):
             residual, rhs = trace.pair_residual_curves(k, certs[k])

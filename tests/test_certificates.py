@@ -17,7 +17,6 @@ from syncert.certificates import (
     certificate_from_dict,
     certificate_to_dict,
     dissipation_matrices,
-    dissipation_residual,
     gain_bound,
     quadratic_forms,
     sync_margins,
@@ -84,6 +83,12 @@ def test_single_edge_margin_formula():
     report = sync_margins(edge_stats(g), cert.sectors, cert.certificates)
     assert np.isclose(report.slacks[0], 2.0 / 4.0 + (-0.8) / 4.0, atol=1e-15)
     assert report.satisfied
+    # two disjoint copies keep every slack but no longer synchronise
+    g2 = build_graph(4, [(1, 2), (3, 4)])
+    report2 = sync_margins(edge_stats(g2), cert.sectors * 2, cert.certificates * 2)
+    assert np.array_equal(report2.slacks, np.repeat(report.slacks, 2))
+    assert report2.edge_ok.all()
+    assert not report2.satisfied
 
 
 def test_path_margins_hand_computed():
@@ -182,9 +187,9 @@ def test_dissipation_matrices_structure():
         dissipation_matrices(complete_graph(3), cert)
 
 
-def test_gain_bound_point_sectors_is_exact(paper_config, paper_certificate,
+def test_gain_bound_point_sectors_is_exact(paper_config, paper_certification,
                                            paper_expected):
-    bound = gain_bound(paper_config.graph, paper_certificate)
+    bound = gain_bound(paper_config.graph, paper_certification)
     assert bound.certified
     assert bound.estimate == "exact"
     assert bound.samples == 1
@@ -230,10 +235,6 @@ def test_gain_bound_uncertified_yields_nan():
     assert not bound.certified
     assert bound.n_min < 0.0
     assert math.isnan(bound.gain) and math.isnan(bound.offset)
-
-
-def test_dissipation_residual_arithmetic():
-    assert dissipation_residual(1.0, 2.0, 3.0, -4.0) == -1.0 - (2.0 + 3.0 - 4.0)
 
 
 def test_certificate_json_round_trip():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from syncert import certificates
 from syncert.certificates import sync_margins
 from syncert.cli import main
 from syncert.config import (
@@ -239,6 +240,38 @@ def test_certify_reports_failed_verdict(tmp_path):
     assert "NOT certified" in result.output
 
 
+def test_certify_rejects_disconnected_graph(tmp_path):
+    payload = json.loads(_bundled_path(tmp_path).read_text(encoding="utf-8"))
+    edges = payload["graph"]["edges"]
+    payload["graph"] = {"n": 10, "edges": edges + [[i + 5, j + 5] for i, j in edges]}
+    for key in ("input_gains", "initial_outputs"):
+        payload["agents"][key] = payload["agents"][key] * 2
+    result = CliRunner().invoke(main, ["certify", str(_write(tmp_path, payload))])
+    assert result.exit_code == 1, result.output
+    assert "verdict: NOT certified (graph is disconnected)" in result.output
+
+
+def test_certify_solves_each_quantity_once(tmp_path, monkeypatch):
+    calls = {"jacobi": 0, "edge_stats": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(certificates, "jacobi_eigenvalues",
+                        counted("jacobi", certificates.jacobi_eigenvalues))
+    stats_fn = counted("edge_stats", certificates.edge_stats)
+    for module in ("syncert.certificates", "syncert.cli", "syncert.goodwin"):
+        monkeypatch.setattr(f"{module}.edge_stats", stats_fn)
+    result = CliRunner().invoke(main, ["certify", str(_bundled_path(tmp_path))])
+    assert result.exit_code == 0, result.output
+    # margin eigenvalue once, then the smallest and largest response
+    # eigenvalues of the single slope sample
+    assert calls == {"jacobi": 3, "edge_stats": 1}
+
+
 def test_certify_rejects_bad_config(tmp_path):
     runner = CliRunner()
     path = _write(tmp_path, _payload(bogus=1))
@@ -311,6 +344,29 @@ def test_simulate_checks_require_certification_block(tmp_path):
                                   "-o", str(tmp_path / "x"), "--check-bound"])
     assert result.exit_code == 2
     assert "certification block required" in result.output
+
+
+def test_simulate_rejects_unboundable_certificate_before_integrating(
+        tmp_path, monkeypatch):
+    n = 6
+    payload = _payload(
+        graph={"n": n, "edges": [[i, j] for i in range(1, n + 1)
+                                 for j in range(i + 1, n + 1)]},
+        agents=dict(TRIANGLE["agents"], input_gains=[0.95, 1.0, 1.05] * 2,
+                    initial_outputs=[1.0, -0.5, 0.3] * 2),
+        couplings={"kind": "affine_sinusoid", "gain": 5.0, "amplitude": 0.3,
+                   "sector": {"alpha_lo": 4.7, "alpha_hi": 5.3}},
+    )
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("integrated before the certificate was checked")
+
+    monkeypatch.setattr("syncert.cli.run", no_run)
+    result = CliRunner().invoke(main, ["simulate", str(_write(tmp_path, payload)),
+                                       "-o", str(tmp_path / "x")])
+    assert result.exit_code == 2, result.output
+    assert "15 edges with non-point sectors" in result.output
+    assert "integrated" not in result.output
 
 
 def test_simulate_blowup_exit_code(tmp_path):

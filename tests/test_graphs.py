@@ -157,6 +157,13 @@ def test_edge_pd_check_passes_imply_positive_definite():
         mu = rng.uniform(-2.0, 2.0, size=n)
         sigma = rng.uniform(0.0, 3.0, size=g.edge_count)
         result = edge_pd_check(g, mu, sigma)
+        # scalar reference: the same arithmetic edge by edge, bit for bit
+        deg = [len(s) for s in g.neighbours]
+        reference = [sigma[k] + mu[i - 1] + mu[j - 1]
+                     - (deg[i - 1] - 1.0) * abs(mu[i - 1])
+                     - (deg[j - 1] - 1.0) * abs(mu[j - 1])
+                     for k, (i, j) in enumerate(g.edges)]
+        assert result.slacks.tolist() == reference
         if result.satisfied:
             passes += 1
             assert pd_oracle(g, mu, sigma) > PD_EIG_FLOOR

@@ -375,15 +375,16 @@ def test_uncertified_bound_is_rejected():
         bound_check(trace, bad)
 
 
-def test_bound_check_on_quiet_network(noiseless_trace, paper_bound):
-    check = bound_check(noiseless_trace, paper_bound)
+def test_bound_check_on_quiet_network(noiseless_trace, paper_certification):
+    bound = paper_certification.bound
+    check = bound_check(noiseless_trace, bound)
     assert check.satisfied
     assert check.worst_margin > 0.0
     assert check.times[0] == 0.0 and check.times[-1] == pytest.approx(
         noiseless_trace.times[-1])
     assert np.array_equal(check.thresholds, np.zeros_like(check.margins))
     # no disturbance: the margin is offset minus the growing output norm
-    margins = paper_bound.offset - np.sqrt(
+    margins = bound.offset - np.sqrt(
         noiseless_trace.norm_rel_sq[noiseless_trace.sample_indices])
     assert np.allclose(check.margins, margins, rtol=1e-12)
 
