@@ -25,8 +25,6 @@ from .graphs import (
     build_graph,
     edge_slacks,
     edge_stats,
-    incidence,
-    weight_matrices,
 )
 from .linalg import jacobi_eigenvalues
 
@@ -252,51 +250,44 @@ def sync_margins(stats: EdgeStats, sectors, certificates) -> MarginReport:
 
 @dataclass(frozen=True, eq=False)
 class DissipationMatrices:
-    """Constant matrices of the network dissipation inequality.
+    """Diagonal weights of the network dissipation inequality, stored as
+    vectors.
 
-    ``gamma`` and the weight matrices are diagonal in edge space;
-    ``nu_node`` is diagonal in node space and ``edge_nu_form`` is its
-    incidence conjugation ``D.T @ nu_node @ D``.
+    ``gamma`` (clamped), ``common_weight`` (common-neighbour counts) and
+    ``exclusive_weight`` (half the exclusive-neighbour counts) are per edge;
+    ``nu_node`` is per node and weights the node inputs ``u = -D v``, which
+    is the edge-space form ``D.T @ diag(nu_node) @ D`` on the coupling
+    outputs ``v``.
     """
 
     gamma: np.ndarray
     nu_node: np.ndarray
-    edge_nu_form: np.ndarray
     common_weight: np.ndarray
     exclusive_weight: np.ndarray
     bias_total: float
 
     @property
     def pair_weight(self) -> np.ndarray:
-        """Weight ``2 I + common_weight`` applied between coupling outputs
+        """Per-edge weight ``2 + common_weight`` between coupling outputs
         and relative outputs."""
-        return 2.0 * np.eye(self.common_weight.shape[0]) + self.common_weight
+        return 2.0 + self.common_weight
 
     @property
     def output_quadratic(self) -> np.ndarray:
-        """Form ``gamma - exclusive_weight`` acting on the relative outputs."""
+        """Per-edge weight ``gamma - exclusive_weight`` on the squared
+        relative outputs."""
         return self.gamma - self.exclusive_weight
-
-    @property
-    def coupling_quadratic(self) -> np.ndarray:
-        """Form ``edge_nu_form - exclusive_weight`` acting on the coupling
-        outputs."""
-        return self.edge_nu_form - self.exclusive_weight
 
 
 def dissipation_matrices(g: Graph, cert: NetworkCertificate) -> DissipationMatrices:
-    """Assemble the matrices entering the network dissipation inequality."""
+    """Collect the weights entering the network dissipation inequality."""
     if cert.graph != g:
         raise ValueError("certificate was assembled over a different graph")
-    weights = weight_matrices(cert.stats)
-    d = incidence(g).astype(float)
-    nu_node = np.diag(cert.nu_node)
     return DissipationMatrices(
-        gamma=np.diag(cert.gamma),
-        nu_node=nu_node,
-        edge_nu_form=d.T @ nu_node @ d,
-        common_weight=weights.common,
-        exclusive_weight=weights.exclusive_half,
+        gamma=cert.gamma,
+        nu_node=cert.nu_node,
+        common_weight=np.asarray(cert.stats.common, dtype=float),
+        exclusive_weight=0.5 * np.asarray(cert.stats.exclusive, dtype=float),
         bias_total=cert.bias_total,
     )
 
@@ -458,7 +449,7 @@ def gain_bound(g: Graph, cert: NetworkCertificate, slope_samples=None) -> GainBo
     slope_max = float(np.max(cert.alpha_hi))
     return gain_bound_from_forms(
         coupling_form=cert.forms.coupling_form,
-        output_shift=cert.matrices.output_quadratic,
+        output_shift=np.diag(cert.matrices.output_quadratic),
         weight_max=weight_max,
         slope_max=slope_max,
         bias_total=cert.bias_total,

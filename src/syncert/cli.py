@@ -249,10 +249,14 @@ def simulate(config_file: Path, output_dir: Path, full: bool, check_bound: bool,
 
     cert = bound = None
     if cfg.certification is not None:
-        # certify before integrating: a bound that cannot be formed exits 2
-        # without spending the integration
+        # certify before integrating: a bound that cannot be formed, or an
+        # uncertified one that --check-bound needs, exits 2 without spending
+        # the integration
         cert = cfg.certificate()
         bound = cert.bound
+        if check_bound and not bound.certified:
+            raise UncertifiedBoundError(
+                "gain bound is not certified (n_min <= 0); nothing to check")
 
     trace = run(cfg.model(), cfg.horizon, dt=cfg.dt, stride=cfg.stride)
     click.echo(f"integrated {trace.steps} steps of dt = {cfg.dt:g} "

@@ -20,14 +20,12 @@ from .linalg import jacobi_eigenvalues
 __all__ = [
     "Graph",
     "EdgeStats",
-    "GraphWeightMatrices",
     "EdgePDResult",
     "build_graph",
     "complete_graph",
     "erdos_renyi_graph",
     "incidence",
     "edge_stats",
-    "weight_matrices",
     "edge_slacks",
     "edge_pd_check",
     "assemble_pd_matrix",
@@ -199,25 +197,6 @@ def edge_stats(g: Graph) -> EdgeStats:
         exclusive.append(enumerated)
     return EdgeStats(graph=g, degrees=degrees, common=tuple(common),
                      exclusive=tuple(exclusive))
-
-
-@dataclass(frozen=True, eq=False)
-class GraphWeightMatrices:
-    """Diagonal edge-weight matrices derived from neighbour counts.
-
-    ``common`` holds the common-neighbour count per edge; ``exclusive_half``
-    holds half the exclusive-neighbour count, the weighting in which the
-    exclusive counts enter every certificate expression.
-    """
-
-    common: np.ndarray
-    exclusive_half: np.ndarray
-
-
-def weight_matrices(stats: EdgeStats) -> GraphWeightMatrices:
-    common = np.diag(np.asarray(stats.common, dtype=float))
-    exclusive_half = 0.5 * np.diag(np.asarray(stats.exclusive, dtype=float))
-    return GraphWeightMatrices(common=common, exclusive_half=exclusive_half)
 
 
 @dataclass(frozen=True, eq=False)

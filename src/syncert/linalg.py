@@ -14,8 +14,6 @@ import numpy as np
 __all__ = [
     "JacobiConvergenceError",
     "jacobi_eigenvalues",
-    "smallest_eigenvalue",
-    "largest_eigenvalue",
 ]
 
 
@@ -86,11 +84,3 @@ def jacobi_eigenvalues(matrix, tol: float = 1e-10, max_sweeps: int = 50) -> np.n
         f"off-diagonal norm {off:.3e} still above {tol * scale:.3e} "
         f"after {max_sweeps} sweeps"
     )
-
-
-def smallest_eigenvalue(matrix, tol: float = 1e-10) -> float:
-    return float(jacobi_eigenvalues(matrix, tol=tol)[0])
-
-
-def largest_eigenvalue(matrix, tol: float = 1e-10) -> float:
-    return float(jacobi_eigenvalues(matrix, tol=tol)[-1])

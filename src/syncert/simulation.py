@@ -35,14 +35,12 @@ __all__ = [
     "SectorCheck",
     "DisturbanceSpec",
     "NetworkModel",
-    "CouplingSignals",
     "SimulationTrace",
     "BoundCheck",
     "linear_coupling",
     "affine_sinusoid_coupling",
     "piecewise_linear_coupling",
     "verify_sector",
-    "coupling_input",
     "rk4_step",
     "step",
     "run",
@@ -101,20 +99,26 @@ class CouplingSpec:
                     )
                 prev_x = x
 
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Knot abscissae and ordinates from the origin, and the final
+        segment slope, of a ``piecewise_linear`` spec."""
+        xs = np.concatenate(([0.0], [k[0] for k in self.knots]))
+        ys = np.concatenate(([0.0], [k[1] for k in self.knots]))
+        return xs, ys, (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+
     def __call__(self, x):
         """Evaluate elementwise on scalars or arrays."""
         if self.kind == "linear":
             return self.gain * x
         if self.kind == "affine_sinusoid":
             return self.gain * x + self.amplitude * np.sin(x)
-        xs = np.concatenate(([0.0], [k[0] for k in self.knots]))
-        ys = np.concatenate(([0.0], [k[1] for k in self.knots]))
+        xs, ys, last_slope = self._table
         arg = np.asarray(x, dtype=float)
         mag = np.abs(arg)
         val = np.interp(mag, xs, ys)
         # continue with the final segment slope instead of clamping, so the
         # ratio to x stays inside a positive sector at large arguments
-        last_slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
         beyond = mag > xs[-1]
         val = np.where(beyond, ys[-1] + last_slope * (mag - xs[-1]), val)
         out = np.sign(arg) * val
@@ -200,16 +204,12 @@ class DisturbanceSpec:
         return np.zeros(count)
 
 
-def _apply_couplings(couplings, x):
-    """Evaluate per-edge nonlinearities on the last axis of ``x``."""
-    if not couplings:
-        return np.zeros_like(x)
-    first = couplings[0]
-    if all(c == first for c in couplings[1:]):
-        return first(x)
-    out = np.empty_like(np.asarray(x, dtype=float))
-    for k, coupling in enumerate(couplings):
-        out[..., k] = coupling(x[..., k])
+def _apply_couplings(groups, x):
+    """Evaluate the per-edge nonlinearities on the last axis of ``x``, one
+    call per group of :attr:`NetworkModel.coupling_groups`."""
+    out = np.empty_like(x)
+    for coupling, edges in groups:
+        out[..., edges] = coupling(x[..., edges])
     return out
 
 
@@ -255,6 +255,22 @@ class NetworkModel:
     def sectors(self) -> tuple[SectorBound, ...]:
         return tuple(c.sector for c in self.couplings)
 
+    @cached_property
+    def coupling_groups(self) -> tuple[tuple[CouplingSpec, int | slice | np.ndarray], ...]:
+        """Edges grouped by equal coupling, in order of first appearance.
+
+        Each group pairs a coupling with the last-axis index of its edges: a
+        plain ``int`` for a single edge, ``slice(None)`` when one coupling
+        serves every edge, and an index array otherwise.
+        """
+        members: dict[CouplingSpec, list[int]] = {}
+        for k, coupling in enumerate(self.couplings):
+            members.setdefault(coupling, []).append(k)
+        if len(members) == 1 and len(self.couplings) > 1:
+            return ((self.couplings[0], slice(None)),)
+        return tuple((c, ks[0] if len(ks) == 1 else np.array(ks))
+                     for c, ks in members.items())
+
     def derivative(self, state: np.ndarray, w_row: np.ndarray) -> np.ndarray:
         """Right-hand side of the coupled network at one time instant.
 
@@ -267,45 +283,14 @@ class NetworkModel:
         x3 = state[:, 2]
         with np.errstate(over="ignore", invalid="ignore"):
             repression = -1.0 / (x3 ** chain.hill + 1.0)
-            v = _apply_couplings(self.couplings, x1 @ self.incidence_matrix + w_row)
+            v = _apply_couplings(self.coupling_groups,
+                                 x1 @ self.incidence_matrix + w_row)
             u = self.incidence_matrix @ v  # the physical input is -u
             out = np.empty_like(state)
             out[:, 0] = -chain.a1 * x1 - repression - self.input_gains * u
             out[:, 1] = chain.b2 * x1 - chain.a2 * x2
             out[:, 2] = chain.b3 * x2 - chain.a3 * x3
         return out
-
-
-@dataclass(frozen=True, eq=False)
-class CouplingSignals:
-    """Stacked coupling argument, coupling output and node inputs."""
-
-    arguments: np.ndarray
-    outputs: np.ndarray
-    inputs: np.ndarray
-
-
-def coupling_input(outputs, disturbance, g: Graph, couplings) -> CouplingSignals:
-    """Coupling signals for node outputs ``y`` and edge disturbances ``w``.
-
-    Returns ``x = D.T y + w``, ``v = theta(x)`` and ``u = -D v``; the inputs
-    always sum to zero over the network because each incidence column does.
-    """
-    y = np.asarray(outputs, dtype=float)
-    w = np.asarray(disturbance, dtype=float)
-    if y.shape != (g.n,):
-        raise ValueError(f"outputs have shape {y.shape}, expected ({g.n},)")
-    if w.shape != (g.edge_count,):
-        raise ValueError(
-            f"disturbance has shape {w.shape}, expected ({g.edge_count},)"
-        )
-    couplings = tuple(couplings)
-    if len(couplings) != g.edge_count:
-        raise ValueError(f"{len(couplings)} couplings for {g.edge_count} edges")
-    d = incidence(g).astype(float)
-    x = y @ d + w
-    v = _apply_couplings(couplings, x)
-    return CouplingSignals(arguments=x, outputs=v, inputs=-(d @ v))
 
 
 def rk4_step(field, t: float, state, dt: float):
@@ -322,7 +307,9 @@ def step(model: NetworkModel, state: np.ndarray, t: float, dt: float,
          w_row: np.ndarray) -> np.ndarray:
     """Advance the network one RK4 step with the disturbance row held
     constant; raises :class:`SimulationDiverged` on non-finite results."""
-    nxt = rk4_step(lambda _t, s: model.derivative(s, w_row), t, state, dt)
+    # non-finite intermediates must not warn; the isfinite check raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        nxt = rk4_step(lambda _t, s: model.derivative(s, w_row), t, state, dt)
     if not np.isfinite(nxt).all():
         raise SimulationDiverged(t + dt)
     return nxt
@@ -336,11 +323,6 @@ def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
 
 def _cumtrapz_norm_sq(signal: np.ndarray, dt: float) -> np.ndarray:
     return _cumtrapz(np.einsum("ti,ti->t", signal, signal), dt)
-
-
-def _cumtrapz_bilinear(left: np.ndarray, form: np.ndarray, right: np.ndarray,
-                       dt: float) -> np.ndarray:
-    return _cumtrapz(np.einsum("ti,ij,tj->t", left, form, right), dt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,7 +363,7 @@ class SimulationTrace:
 
     @cached_property
     def coupling_outputs(self) -> np.ndarray:
-        return _apply_couplings(self.model.couplings, self.coupling_arguments)
+        return _apply_couplings(self.model.coupling_groups, self.coupling_arguments)
 
     @cached_property
     def inputs(self) -> np.ndarray:
@@ -437,13 +419,19 @@ class SimulationTrace:
 
     def dissipation_curves(self, mats: DissipationMatrices) -> tuple[np.ndarray, np.ndarray]:
         """Residual and right-hand side of the network dissipation
-        inequality at every grid time."""
+        inequality at every grid time.
+
+        The input-energy term ``v.T D.T diag(nu_node) D v`` is taken in node
+        space as ``sum_i nu_node_i u_i**2``, since ``u = -D v``.
+        """
         v = self.coupling_outputs
         rel = self.relative_outputs
-        lhs = -_cumtrapz_bilinear(v, mats.pair_weight, rel, self.dt)
+        u = self.inputs
+        lhs = -_cumtrapz((v * rel) @ mats.pair_weight, self.dt)
         rhs = (
-            _cumtrapz_bilinear(rel, mats.output_quadratic, rel, self.dt)
-            + _cumtrapz_bilinear(v, mats.coupling_quadratic, v, self.dt)
+            _cumtrapz((rel * rel) @ mats.output_quadratic, self.dt)
+            + _cumtrapz((u * u) @ mats.nu_node
+                        - (v * v) @ mats.exclusive_weight, self.dt)
             + mats.bias_total
         )
         return lhs - rhs, rhs
@@ -502,22 +490,8 @@ def run(model: NetworkModel, horizon: float, dt: float = 1e-3,
         held = np.zeros((steps + 1, 0))
     states = np.empty((steps + 1, n, 3))
     states[0] = model.initial_states
-    state = model.initial_states.copy()
-    deriv = model.derivative
-    sixth = dt / 6.0
-    half = 0.5 * dt
-    # non-finite intermediates must not warn; the isfinite check raises
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(steps):
-            w_row = held[m]
-            k1 = deriv(state, w_row)
-            k2 = deriv(state + half * k1, w_row)
-            k3 = deriv(state + half * k2, w_row)
-            k4 = deriv(state + dt * k3, w_row)
-            state = state + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            if not np.isfinite(state).all():
-                raise SimulationDiverged((m + 1) * dt)
-            states[m + 1] = state
+    for m in range(steps):
+        states[m + 1] = step(model, states[m], m * dt, dt, held[m])
     return SimulationTrace(model=model, dt=dt, stride=int(stride), states=states,
                            held_disturbance=held)
 

@@ -175,14 +175,16 @@ def test_dissipation_matrices_structure():
     cert = _certificate(g, nus=(-0.1, -0.2), gammas=(-1.0, 2.0),
                         betas=(-0.5, -0.5), sectors=((1.0, 1.0), (1.0, 1.0)))
     mats = dissipation_matrices(g, cert)
-    assert np.allclose(np.diag(mats.nu_node), [-0.1, -0.3, -0.2], atol=0.0)
+    # per-node and per-edge vectors, no p x p or n x n arrays
+    assert np.allclose(mats.nu_node, [-0.1, -0.3, -0.2], rtol=1e-15, atol=0.0)
     assert mats.bias_total == -1.0
-    # pair weight is 2I plus the common-neighbour diagonal (zero on a path)
-    assert np.allclose(mats.pair_weight, 2.0 * np.eye(2), atol=0.0)
-    assert np.allclose(mats.output_quadratic,
-                       np.diag([-1.0, 0.0]) - mats.exclusive_weight, atol=0.0)
-    d = incidence(g).astype(float)
-    assert np.allclose(mats.edge_nu_form, d.T @ mats.nu_node @ d, atol=FORM_ATOL)
+    # gamma is clamped; each end of the path sees one exclusive neighbour
+    assert np.array_equal(mats.gamma, [-1.0, 0.0])
+    assert np.array_equal(mats.common_weight, [0.0, 0.0])
+    assert np.array_equal(mats.exclusive_weight, [0.5, 0.5])
+    # pair weight is 2 plus the common-neighbour count (zero on a path)
+    assert np.array_equal(mats.pair_weight, [2.0, 2.0])
+    assert np.array_equal(mats.output_quadratic, [-1.5, -0.5])
     with pytest.raises(ValueError, match="different graph"):
         dissipation_matrices(complete_graph(3), cert)
 

@@ -346,26 +346,32 @@ def test_simulate_checks_require_certification_block(tmp_path):
     assert "certification block required" in result.output
 
 
-def test_simulate_rejects_unboundable_certificate_before_integrating(
-        tmp_path, monkeypatch):
-    n = 6
-    payload = _payload(
-        graph={"n": n, "edges": [[i, j] for i in range(1, n + 1)
-                                 for j in range(i + 1, n + 1)]},
-        agents=dict(TRIANGLE["agents"], input_gains=[0.95, 1.0, 1.05] * 2,
-                    initial_outputs=[1.0, -0.5, 0.3] * 2),
-        couplings={"kind": "affine_sinusoid", "gain": 5.0, "amplitude": 0.3,
-                   "sector": {"alpha_lo": 4.7, "alpha_hi": 5.3}},
-    )
+_K6_SINUSOID = _payload(
+    graph={"n": 6, "edges": [[i, j] for i in range(1, 7) for j in range(i + 1, 7)]},
+    agents=dict(TRIANGLE["agents"], input_gains=[0.95, 1.0, 1.05] * 2,
+                initial_outputs=[1.0, -0.5, 0.3] * 2),
+    couplings={"kind": "affine_sinusoid", "gain": 5.0, "amplitude": 0.3,
+               "sector": {"alpha_lo": 4.7, "alpha_hi": 5.3}},
+)
 
+
+@pytest.mark.parametrize("payload, flags, message", [
+    # the gain bound cannot be formed: too many non-point edges to scan
+    (_K6_SINUSOID, [], "15 edges with non-point sectors"),
+    # the gain bound is formed but not certified (n_min <= 0)
+    (_payload(couplings={"kind": "linear", "gain": 0.5}), ["--check-bound"],
+     "gain bound is not certified"),
+], ids=["non_point_sectors", "uncertified_bound"])
+def test_simulate_rejects_unboundable_certificate_before_integrating(
+        tmp_path, monkeypatch, payload, flags, message):
     def no_run(*args, **kwargs):
         raise AssertionError("integrated before the certificate was checked")
 
     monkeypatch.setattr("syncert.cli.run", no_run)
     result = CliRunner().invoke(main, ["simulate", str(_write(tmp_path, payload)),
-                                       "-o", str(tmp_path / "x")])
+                                       "-o", str(tmp_path / "x"), *flags])
     assert result.exit_code == 2, result.output
-    assert "15 edges with non-point sectors" in result.output
+    assert message in result.output
     assert "integrated" not in result.output
 
 

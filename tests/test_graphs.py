@@ -16,7 +16,6 @@ from syncert.graphs import (
     erdos_renyi_graph,
     incidence,
     pd_oracle,
-    weight_matrices,
 )
 from syncert.graphs import assemble_pd_matrix
 
@@ -112,14 +111,6 @@ def test_edge_stats_match_set_enumeration(seed, n, prob):
         nj = set(g.neighbours[j - 1])
         assert stats.common[k] == len(ni & nj)
         assert stats.exclusive[k] == len((ni | nj) - {i, j}) - len(ni & nj)
-
-
-def test_weight_matrices_diagonals():
-    g = build_graph(4, [(1, 2), (2, 3), (3, 4)])
-    weights = weight_matrices(edge_stats(g))
-    assert np.all(np.diag(weights.common) == [0, 0, 0])
-    assert np.allclose(np.diag(weights.exclusive_half), [0.5, 1.0, 0.5])
-    assert np.count_nonzero(weights.common - np.diag(np.diag(weights.common))) == 0
 
 
 def test_assemble_pd_matrix_matches_definition():

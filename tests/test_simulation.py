@@ -27,8 +27,8 @@ from syncert.simulation import (
     NetworkModel,
     SimulationDiverged,
     affine_sinusoid_coupling,
+    _apply_couplings,
     bound_check,
-    coupling_input,
     linear_coupling,
     piecewise_linear_coupling,
     rk4_step,
@@ -43,6 +43,9 @@ RK4_STEP_ATOL = 1e-7
 RATIO_RTOL = 1e-12
 # node inputs cancel pairwise up to accumulated rounding
 ZERO_SUM_ATOL = 1e-12
+# node-space dissipation curves against the dense edge-space forms, relative
+# to 1 + |rhs|: the two sum the same products in a different order
+DISSIPATION_RTOL = 1e-12
 # permuted initial states must give permuted trajectories up to roundoff
 SYMMETRY_ATOL = 1e-9
 
@@ -179,30 +182,48 @@ def test_model_validation():
     assert model.sectors == (SectorBound(1.0, 1.0),)
 
 
-def test_coupling_input_signals():
-    g = complete_graph(4)
-    rng = np.random.default_rng(5)
-    y = rng.normal(size=4)
-    w = rng.normal(size=g.edge_count)
-    couplings = (linear_coupling(5.0),) * g.edge_count
-    sig = coupling_input(y, w, g, couplings)
-    d = incidence(g).astype(float)
-    assert np.allclose(sig.arguments, y @ d + w, rtol=1e-15)
-    assert np.allclose(sig.outputs, 5.0 * sig.arguments, rtol=1e-15)
-    assert np.allclose(sig.inputs, -(d @ sig.outputs), rtol=1e-15)
-    # diffusive inputs redistribute, never inject: they sum to zero
-    assert abs(sig.inputs.sum()) < ZERO_SUM_ATOL
+def _per_edge(couplings, x):
+    """Reference evaluation: one coupling call per edge."""
+    out = np.empty_like(x)
+    for k, coupling in enumerate(couplings):
+        out[..., k] = coupling(x[..., k])
+    return out
 
 
-def test_coupling_input_validation():
-    g = build_graph(2, [(1, 2)])
-    couplings = (linear_coupling(1.0),)
-    with pytest.raises(ValueError, match="outputs have shape"):
-        coupling_input(np.zeros(3), np.zeros(1), g, couplings)
-    with pytest.raises(ValueError, match="disturbance has shape"):
-        coupling_input(np.zeros(2), np.zeros(2), g, couplings)
-    with pytest.raises(ValueError, match="couplings for"):
-        coupling_input(np.zeros(2), np.zeros(1), g, couplings * 2)
+_SIN = affine_sinusoid_coupling(5.0, 0.3, SectorBound(4.7, 5.31))
+_PWL = piecewise_linear_coupling([(1.0, 5.0), (2.0, 9.0)], SectorBound(4.5, 5.0))
+_LIN = linear_coupling(4.0)
+_COUPLING_LISTS = {
+    "all_equal": (_SIN,) * 6,
+    "all_distinct": (_SIN, _PWL, _LIN, linear_coupling(4.5),
+                     affine_sinusoid_coupling(5.0, 0.2, SectorBound(4.7, 5.21)),
+                     piecewise_linear_coupling([(1.0, 4.0)], SectorBound(4.0, 4.0))),
+    "mixed": (_SIN, _PWL, _SIN, _LIN, _PWL, linear_coupling(4.5)),
+    "empty": (),
+}
+
+
+@pytest.mark.parametrize("case", list(_COUPLING_LISTS))
+def test_coupling_groups_match_per_edge_loop(case):
+    couplings = _COUPLING_LISTS[case]
+    g = complete_graph(4) if couplings else build_graph(1, [])
+    model = NetworkModel(g, (_agent(1.0),) * g.n, couplings,
+                         (DisturbanceSpec(),) * g.edge_count, np.zeros((g.n, 3)))
+    groups = model.coupling_groups
+    edges = np.arange(len(couplings))
+    covered = []
+    for coupling, index in groups:
+        members = np.atleast_1d(edges[index])
+        assert all(couplings[k] == coupling for k in members)
+        # a single edge is indexed by a plain int, not a one-element array
+        assert isinstance(index, int) == (members.size == 1)
+        covered += members.tolist()
+    assert sorted(covered) == edges.tolist()
+    rng = np.random.default_rng(3)
+    for shape in ((len(couplings),), (7, len(couplings))):
+        # arguments past the last knot exercise the extrapolated segment
+        x = rng.normal(scale=3.0, size=shape)
+        assert np.array_equal(_apply_couplings(groups, x), _per_edge(couplings, x))
 
 
 def test_rk4_single_step_accuracy():
@@ -270,6 +291,8 @@ def test_trace_signal_identities():
                        rtol=1e-15)
     assert np.allclose(trace.inputs, -(trace.coupling_outputs @ d.T),
                        rtol=1e-15)
+    # diffusive inputs redistribute, never inject: they sum to zero
+    assert np.max(np.abs(trace.inputs.sum(axis=1))) < ZERO_SUM_ATOL
     # held rows replay the per-edge streams
     assert np.array_equal(trace.held_disturbance[:, 1],
                           0.2 * normals(12, 2001))
@@ -362,6 +385,47 @@ def test_dissipation_residual_starts_at_minus_total_bias():
     residual, rhs = trace.dissipation_curves(mats)
     assert rhs[0] == mats.bias_total == -1.0
     assert residual[0] == 1.0
+
+
+def test_dissipation_curves_match_dense_forms():
+    # a triangle with a pendant edge: nonzero common and exclusive counts
+    g = build_graph(4, [(1, 2), (1, 3), (2, 3), (3, 4)])
+    model = NetworkModel(
+        graph=g,
+        agents=tuple(_agent(b) for b in (0.9, 1.0, 1.1, 0.95)),
+        couplings=(_SIN, _LIN, _SIN, _PWL),
+        disturbances=tuple(DisturbanceSpec(kind="gaussian", scale=0.3, seed=s)
+                           for s in (1, 2, 3, 4)),
+        initial_states=np.array([[1.0, 0.0, 0.5], [-0.5, 0.2, 0.0],
+                                 [0.3, -0.1, 0.4], [0.8, 0.1, 0.2]]),
+    )
+    certs = tuple(EdgeCertificate(nu=nu, gamma=gam, beta=-0.25)
+                  for nu, gam in ((-0.01, -2.0), (-0.02, 1.0),
+                                  (-0.03, -1.5), (-0.04, -0.5)))
+    cert = NetworkCertificate(graph=g, sectors=model.sectors, certificates=certs)
+    mats = dissipation_matrices(g, cert)
+    trace = run(model, horizon=0.5, dt=1e-3)
+
+    d = incidence(g).astype(float)
+    stats = cert.stats
+    exclusive_half = 0.5 * np.diag(np.array(stats.exclusive, dtype=float))
+    pair = 2.0 * np.eye(4) + np.diag(np.array(stats.common, dtype=float))
+    output_form = np.diag(cert.gamma) - exclusive_half
+    coupling_form = d.T @ np.diag(cert.nu_node) @ d - exclusive_half
+    v, rel = trace.coupling_outputs, trace.relative_outputs
+
+    def integral(values):
+        return 1e-3 * (np.cumsum(values) - 0.5 * (values[0] + values))
+
+    rhs_ref = (integral(np.einsum("ti,ij,tj->t", rel, output_form, rel))
+               + integral(np.einsum("ti,ij,tj->t", v, coupling_form, v))
+               + cert.bias_total)
+    residual_ref = -integral(np.einsum("ti,ij,tj->t", v, pair, rel)) - rhs_ref
+    residual, rhs = trace.dissipation_curves(mats)
+    scale = DISSIPATION_RTOL * (1.0 + np.abs(rhs_ref))
+    assert np.all(np.abs(rhs - rhs_ref) <= scale)
+    assert np.all(np.abs(residual - residual_ref) <= scale)
+    assert np.ptp(rhs) > 0.1  # the curves are not trivially constant
 
 
 def test_uncertified_bound_is_rejected():
