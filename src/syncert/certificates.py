@@ -26,7 +26,9 @@ from .graphs import (
     edge_slacks,
     edge_stats,
 )
-from .linalg import jacobi_eigenvalues
+# bench/workloads.py reads and rebinds this name; kept so that lookup resolves.
+from .linalg import jacobi_eigenvalues  # noqa: F401
+from .linalg import symmetric_eigenvalues
 
 __all__ = [
     "POSITIVITY_TOL",
@@ -83,7 +85,7 @@ class SectorBound:
 class EdgeCertificate:
     """Relative-dissipativity parameters of one agent pair.
 
-    ``nu <= 0`` weights the pair's input energy, ``gamma`` the
+    A finite ``nu <= 0`` weights the pair's input energy, ``gamma`` the
     relative-output energy, and ``beta`` is the trajectory-independent bias
     (typically built from initial conditions).  ``gamma`` may be positive
     here; every consumer clamps it to ``min(gamma, 0)`` first, which only
@@ -95,8 +97,8 @@ class EdgeCertificate:
     beta: float
 
     def __post_init__(self) -> None:
-        if not (self.nu <= 0.0):  # also rejects nan
-            raise ValueError(f"nu must be <= 0, got {self.nu}")
+        if not (-math.inf < self.nu <= 0.0):  # also rejects nan
+            raise ValueError(f"nu must be finite and <= 0, got {self.nu}")
         if not (math.isfinite(self.gamma) and math.isfinite(self.beta)):
             raise ValueError(
                 f"gamma and beta must be finite, got ({self.gamma}, {self.beta})"
@@ -306,9 +308,9 @@ class CertificateForms:
 
     @cached_property
     def margin_min_eig(self) -> float:
-        """Smallest eigenvalue of ``margin_form`` (in-package eigenvalue
-        oracle), solved on first read."""
-        return float(jacobi_eigenvalues(self.margin_form)[0])
+        """Smallest eigenvalue of ``margin_form``, solved on first read by
+        :func:`~syncert.linalg.symmetric_eigenvalues`."""
+        return float(symmetric_eigenvalues(self.margin_form)[0])
 
 
 def quadratic_forms(g: Graph, cert: NetworkCertificate) -> CertificateForms:
@@ -377,8 +379,8 @@ def gain_bound_from_forms(coupling_form: np.ndarray, output_shift: np.ndarray,
         if h.shape != (p,):
             raise ValueError(f"slope sample has shape {h.shape}, expected ({p},)")
         m_form = coupling_form * np.outer(h, h)
-        n_min = min(n_min, float(jacobi_eigenvalues(m_form + output_shift)[0]))
-        m_max = max(m_max, float(jacobi_eigenvalues(m_form)[-1]))
+        n_min = min(n_min, float(symmetric_eigenvalues(m_form + output_shift)[0]))
+        m_max = max(m_max, float(symmetric_eigenvalues(m_form)[-1]))
     certified = n_min > 0.0
     if certified:
         gain = math.sqrt(

@@ -57,6 +57,8 @@ def test_edge_certificate_validation():
         EdgeCertificate(nu=0.1, gamma=0.0, beta=0.0)
     with pytest.raises(ValueError):
         EdgeCertificate(nu=math.nan, gamma=0.0, beta=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        EdgeCertificate(nu=-math.inf, gamma=0.0, beta=0.0)
     with pytest.raises(ValueError):
         EdgeCertificate(nu=-1.0, gamma=math.inf, beta=0.0)
 

@@ -252,7 +252,7 @@ def test_certify_rejects_disconnected_graph(tmp_path):
 
 
 def test_certify_solves_each_quantity_once(tmp_path, monkeypatch):
-    calls = {"jacobi": 0, "edge_stats": 0}
+    calls = {"eigvalsh": 0, "jacobi": 0, "edge_stats": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -260,16 +260,19 @@ def test_certify_solves_each_quantity_once(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(certificates, "jacobi_eigenvalues",
-                        counted("jacobi", certificates.jacobi_eigenvalues))
+    monkeypatch.setattr(certificates, "symmetric_eigenvalues",
+                        counted("eigvalsh", certificates.symmetric_eigenvalues))
+    jacobi_fn = counted("jacobi", certificates.jacobi_eigenvalues)
+    for module in ("syncert.certificates", "syncert.graphs"):
+        monkeypatch.setattr(f"{module}.jacobi_eigenvalues", jacobi_fn)
     stats_fn = counted("edge_stats", certificates.edge_stats)
     for module in ("syncert.certificates", "syncert.cli", "syncert.goodwin"):
         monkeypatch.setattr(f"{module}.edge_stats", stats_fn)
     result = CliRunner().invoke(main, ["certify", str(_bundled_path(tmp_path))])
     assert result.exit_code == 0, result.output
     # margin eigenvalue once, then the smallest and largest response
-    # eigenvalues of the single slope sample
-    assert calls == {"jacobi": 3, "edge_stats": 1}
+    # eigenvalues of the single slope sample; Jacobi is only the test oracle
+    assert calls == {"eigvalsh": 3, "jacobi": 0, "edge_stats": 1}
 
 
 def test_certify_rejects_bad_config(tmp_path):

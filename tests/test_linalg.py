@@ -1,4 +1,5 @@
-"""Jacobi eigenvalue solver against known spectra and numpy's LAPACK route."""
+"""Jacobi eigenvalue solver against known spectra and numpy's LAPACK route,
+and the LAPACK-backed certificate solver against the Jacobi oracle."""
 
 from __future__ import annotations
 
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syncert.graphs import assemble_pd_matrix, complete_graph
 from syncert.linalg import (
     JacobiConvergenceError,
     jacobi_eigenvalues,
+    symmetric_eigenvalues,
 )
 
 # agreement with the independent LAPACK route, relative to the spectral scale
@@ -18,6 +21,13 @@ CROSS_CHECK_RTOL = 1e-9
 
 def _spread(values: np.ndarray) -> float:
     return max(1.0, float(np.max(np.abs(values))))
+
+
+def _assert_matches_oracle(a: np.ndarray) -> None:
+    ours = symmetric_eigenvalues(a)
+    ref = jacobi_eigenvalues(a)
+    assert np.all(np.diff(ours) >= 0.0)
+    assert np.max(np.abs(ours - ref)) <= CROSS_CHECK_RTOL * _spread(ref)
 
 
 def test_diagonal_matrix_is_sorted_passthrough():
@@ -54,16 +64,13 @@ def test_matches_lapack_on_random_symmetric(n):
     assert np.max(np.abs(ours - ref)) <= CROSS_CHECK_RTOL * _spread(ref)
 
 
-@given(n=st.integers(min_value=2, max_value=7),
+@given(n=st.integers(min_value=1, max_value=12),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=50, deadline=None)
 def test_property_matches_lapack(n, seed):
     rng = np.random.default_rng(seed)
     a = rng.uniform(-5.0, 5.0, size=(n, n))
-    a = 0.5 * (a + a.T)
-    ours = jacobi_eigenvalues(a)
-    ref = np.linalg.eigvalsh(a)
-    assert np.max(np.abs(ours - ref)) <= CROSS_CHECK_RTOL * _spread(ref)
+    _assert_matches_oracle(0.5 * (a + a.T))
 
 
 def test_positive_definite_gram_matrix_stays_positive():
@@ -75,19 +82,53 @@ def test_positive_definite_gram_matrix_stays_positive():
     assert eigs[-1] >= eigs[0]
 
 
+def test_symmetric_eigenvalues_match_jacobi_on_k15_form():
+    rng = np.random.default_rng(15)
+    g = complete_graph(15)
+    a = assemble_pd_matrix(g, rng.uniform(-0.2, 0.0, size=g.n),
+                           rng.uniform(0.5, 5.0, size=g.edge_count))
+    assert a.shape == (105, 105)
+    _assert_matches_oracle(a)
+
+
+def _rejected_alike(matrix, match: str) -> None:
+    """Both solvers raise ``ValueError`` with one and the same message."""
+    messages = []
+    for solve in (jacobi_eigenvalues, symmetric_eigenvalues):
+        with pytest.raises(ValueError, match=match) as info:
+            solve(matrix)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
 def test_rejects_nonsquare():
-    with pytest.raises(ValueError, match="square"):
-        jacobi_eigenvalues(np.zeros((2, 3)))
+    _rejected_alike(np.zeros((2, 3)), "square")
 
 
 def test_rejects_asymmetric():
-    with pytest.raises(ValueError, match="symmetric"):
-        jacobi_eigenvalues(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    _rejected_alike(np.array([[0.0, 1.0], [2.0, 0.0]]), "symmetric")
 
 
-def test_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        jacobi_eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_symmetry_tolerance_is_relative_to_the_largest_entry(scale):
+    def pair(skew):
+        return scale * np.array([[1.0, 0.5], [0.5 + skew, 0.25]])
+
+    symmetric_eigenvalues(pair(0.5e-12))  # folded, not rejected
+    _rejected_alike(pair(2e-12), "symmetric")
+
+
+def test_rejects_empty():
+    _rejected_alike(np.zeros((0, 0)), "empty")
+
+
+@pytest.mark.parametrize("matrix", [
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+    [[1.0, np.inf], [np.inf, 1.0]],
+], ids=["nan", "inf_diagonal", "inf_offdiagonal_pair"])
+def test_rejects_nonfinite(matrix):
+    _rejected_alike(np.array(matrix), "non-finite")
 
 
 def test_convergence_failure_reports_residual():
