@@ -18,14 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import (
-    EdgeStats,
-    Graph,
-    assemble_pd_matrix,
-    build_graph,
-    edge_slacks,
-    edge_stats,
-)
+from .graphs import Graph, assemble_pd_matrix, build_graph, edge_slacks
 # bench/workloads.py reads and rebinds this name; kept so that lookup resolves.
 from .linalg import jacobi_eigenvalues  # noqa: F401
 from .linalg import symmetric_eigenvalues
@@ -36,12 +29,9 @@ __all__ = [
     "EdgeCertificate",
     "NetworkCertificate",
     "MarginReport",
-    "DissipationMatrices",
     "CertificateForms",
     "GainBound",
     "UncertifiedBoundError",
-    "sync_margins",
-    "dissipation_matrices",
     "quadratic_forms",
     "gain_bound",
     "gain_bound_from_forms",
@@ -144,11 +134,13 @@ class NetworkCertificate:
 
     @cached_property
     def nu_node(self) -> np.ndarray:
-        """Per-node sum of ``nu`` over incident edges."""
+        """Per-node sum of ``nu`` over incident edges, in edge order: in the
+        lexicographic indexing every edge where a node is the upper endpoint
+        comes before every edge where it is the lower one."""
         acc = np.zeros(self.graph.n)
-        for k, (i, j) in enumerate(self.graph.edges):
-            acc[i - 1] += self.nu[k]
-            acc[j - 1] += self.nu[k]
+        lower, upper = self.graph.endpoints
+        np.add.at(acc, upper, self.nu)
+        np.add.at(acc, lower, self.nu)
         return acc
 
     @cached_property
@@ -163,21 +155,58 @@ class NetworkCertificate:
     # use, and the later ones reuse the earlier ones through this object.
 
     @cached_property
-    def stats(self) -> EdgeStats:
-        return edge_stats(self.graph)
+    def common(self) -> np.ndarray:
+        """Common-neighbour count per edge, from :attr:`Graph.stats`."""
+        return np.asarray(self.graph.stats.common, dtype=float)
+
+    @cached_property
+    def exclusive(self) -> np.ndarray:
+        """Exclusive-neighbour count per edge, from :attr:`Graph.stats`."""
+        return np.asarray(self.graph.stats.exclusive, dtype=float)
+
+    @cached_property
+    def pair_weight(self) -> np.ndarray:
+        """Per-edge weight ``2 + common`` between coupling outputs and
+        relative outputs in the network dissipation inequality."""
+        return 2.0 + self.common
+
+    @cached_property
+    def output_quadratic(self) -> np.ndarray:
+        """Per-edge weight ``gamma - exclusive/2`` on the squared relative
+        outputs in the network dissipation inequality."""
+        return self.gamma - 0.5 * self.exclusive
 
     @cached_property
     def sigma(self) -> np.ndarray:
-        """Per-edge weight of the margin form, see :func:`sync_margins`."""
-        return _margin_weights(self.stats, self)
+        """Per-edge weight of the margin form ``D.T @ diag(nu_node) @ D +
+        diag(sigma)``::
+
+            sigma = (2 + c)/alpha_hi
+                    - (1 + alpha_lo**2) * e / (2 * alpha_lo**2)
+                    + min(gamma, 0) / alpha_lo**2
+
+        with ``c`` and ``e`` the edge's common and exclusive neighbour
+        counts.
+        """
+        lo = self.alpha_lo
+        return (self.pair_weight / self.alpha_hi
+                - (1.0 + lo * lo) * self.exclusive / (2.0 * lo * lo)
+                + self.gamma / (lo * lo))
 
     @cached_property
     def margins(self) -> MarginReport:
-        return _margin_report(self.graph, self.nu_node, self.sigma)
+        """Distributed per-edge synchronisation margin.
 
-    @cached_property
-    def matrices(self) -> DissipationMatrices:
-        return dissipation_matrices(self.graph, self)
+        The slack of edge ``(i, j)`` with degrees ``r`` is the
+        :func:`~syncert.graphs.edge_slacks` margin of the margin form::
+
+            sigma_k - r_i * |nu_node_i| - r_j * |nu_node_j|
+
+        (``nu_node <= 0``), where ``nu_node_i`` sums ``nu`` over the edges
+        incident to node ``i``.  Every quantity is local to the edge and its
+        endpoints, so each agent pair can evaluate its own slack.
+        """
+        return MarginReport.from_weights(self.graph, self.nu_node, self.sigma)
 
     @cached_property
     def forms(self) -> CertificateForms:
@@ -198,6 +227,20 @@ class MarginReport:
     edge_ok: np.ndarray
     satisfied: bool
 
+    @classmethod
+    def from_weights(cls, g: Graph, node_weights, edge_weights) -> MarginReport:
+        """Verdict on ``D.T @ diag(node_weights) @ D + diag(edge_weights)``
+        from its per-edge :func:`~syncert.graphs.edge_slacks`.
+
+        Satisfied when the graph is connected and every slack exceeds
+        ``POSITIVITY_TOL`` (exact zeros fail); on a disconnected graph
+        agreement of the relative outputs does not synchronise the agents.
+        """
+        slacks = edge_slacks(g, node_weights, edge_weights)
+        edge_ok = slacks > POSITIVITY_TOL
+        return cls(graph=g, slacks=slacks, edge_ok=edge_ok,
+                   satisfied=g.is_connected and bool(np.all(edge_ok)))
+
     @property
     def min_slack(self) -> float:
         return float(np.min(self.slacks))
@@ -207,91 +250,6 @@ class MarginReport:
             (self.graph.edge_label(k), float(self.slacks[k]), bool(self.edge_ok[k]))
             for k in range(self.graph.edge_count)
         ]
-
-
-def _margin_weights(stats: EdgeStats, cert: NetworkCertificate) -> np.ndarray:
-    common = np.asarray(stats.common, dtype=float)
-    exclusive = np.asarray(stats.exclusive, dtype=float)
-    lo = cert.alpha_lo
-    return ((2.0 + common) / cert.alpha_hi
-            - (1.0 + lo * lo) * exclusive / (2.0 * lo * lo)
-            + cert.gamma / (lo * lo))
-
-
-def _margin_report(g: Graph, nu_node: np.ndarray, sigma: np.ndarray) -> MarginReport:
-    slacks = edge_slacks(g, nu_node, sigma)
-    edge_ok = slacks > POSITIVITY_TOL
-    return MarginReport(graph=g, slacks=slacks, edge_ok=edge_ok,
-                        satisfied=g.is_connected and bool(np.all(edge_ok)))
-
-
-def sync_margins(stats: EdgeStats, sectors, certificates) -> MarginReport:
-    """Distributed per-edge synchronisation margin.
-
-    For edge ``(i, j)`` with degree ``r``, common count ``c`` and exclusive
-    count ``e`` the slack is::
-
-        (2 + c)/alpha_hi
-        - (1 + alpha_lo**2) * e / (2 * alpha_lo**2)
-        + min(gamma, 0) / alpha_lo**2
-        - r_i * |nu_node_i| - r_j * |nu_node_j|
-
-    where ``nu_node_i`` sums ``nu`` over the edges incident to node ``i``.
-    The first three terms are the edge weight ``sigma`` and the slack is the
-    :func:`~syncert.graphs.edge_slacks` margin of the margin form
-    ``D.T @ diag(nu_node) @ D + diag(sigma)`` (``nu_node <= 0``).  Every
-    quantity is local to the edge and its endpoints, so each agent pair can
-    evaluate its own slack.  The report is satisfied when the graph is
-    connected and every slack exceeds ``POSITIVITY_TOL``; on a disconnected
-    graph agreement of the relative outputs does not synchronise the agents.
-    """
-    cert = NetworkCertificate(graph=stats.graph, sectors=tuple(sectors),
-                              certificates=tuple(certificates))
-    return _margin_report(cert.graph, cert.nu_node, _margin_weights(stats, cert))
-
-
-@dataclass(frozen=True, eq=False)
-class DissipationMatrices:
-    """Diagonal weights of the network dissipation inequality, stored as
-    vectors.
-
-    ``gamma`` (clamped), ``common_weight`` (common-neighbour counts) and
-    ``exclusive_weight`` (half the exclusive-neighbour counts) are per edge;
-    ``nu_node`` is per node and weights the node inputs ``u = -D v``, which
-    is the edge-space form ``D.T @ diag(nu_node) @ D`` on the coupling
-    outputs ``v``.
-    """
-
-    gamma: np.ndarray
-    nu_node: np.ndarray
-    common_weight: np.ndarray
-    exclusive_weight: np.ndarray
-    bias_total: float
-
-    @property
-    def pair_weight(self) -> np.ndarray:
-        """Per-edge weight ``2 + common_weight`` between coupling outputs
-        and relative outputs."""
-        return 2.0 + self.common_weight
-
-    @property
-    def output_quadratic(self) -> np.ndarray:
-        """Per-edge weight ``gamma - exclusive_weight`` on the squared
-        relative outputs."""
-        return self.gamma - self.exclusive_weight
-
-
-def dissipation_matrices(g: Graph, cert: NetworkCertificate) -> DissipationMatrices:
-    """Collect the weights entering the network dissipation inequality."""
-    if cert.graph != g:
-        raise ValueError("certificate was assembled over a different graph")
-    return DissipationMatrices(
-        gamma=cert.gamma,
-        nu_node=cert.nu_node,
-        common_weight=np.asarray(cert.stats.common, dtype=float),
-        exclusive_weight=0.5 * np.asarray(cert.stats.exclusive, dtype=float),
-        bias_total=cert.bias_total,
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,15 +277,13 @@ def quadratic_forms(g: Graph, cert: NetworkCertificate) -> CertificateForms:
     Both are ``D.T @ diag(nu_node) @ D + diag(w)``: the coupling form with
     ``w = (2 + common)/alpha_hi - exclusive/2``, the margin form with the
     margin weight ``sigma = w + (gamma - exclusive/2)/alpha_lo**2`` of
-    :func:`sync_margins`.
+    :attr:`NetworkCertificate.sigma`.
     """
     if cert.graph != g:
         raise ValueError("certificate was assembled over a different graph")
     if g.edge_count == 0:
         raise ValueError("graph has no edges, the certificate forms are empty")
-    stats = cert.stats
-    coupling_weights = ((2.0 + np.asarray(stats.common, dtype=float)) / cert.alpha_hi
-                        - 0.5 * np.asarray(stats.exclusive, dtype=float))
+    coupling_weights = cert.pair_weight / cert.alpha_hi - 0.5 * cert.exclusive
     return CertificateForms(
         coupling_form=assemble_pd_matrix(g, cert.nu_node, coupling_weights),
         margin_form=assemble_pd_matrix(g, cert.nu_node, cert.sigma),
@@ -447,11 +403,11 @@ def gain_bound(g: Graph, cert: NetworkCertificate, slope_samples=None) -> GainBo
                     f"slope sample leaves the sector box at edge {g.edge_label(k)}"
                 )
     estimate = "exact" if all(s.is_point for s in cert.sectors) else "sampled"
-    weight_max = float(2 + max(cert.stats.common))
+    weight_max = float(np.max(cert.pair_weight))
     slope_max = float(np.max(cert.alpha_hi))
     return gain_bound_from_forms(
         coupling_form=cert.forms.coupling_form,
-        output_shift=np.diag(cert.matrices.output_quadratic),
+        output_shift=np.diag(cert.output_quadratic),
         weight_max=weight_max,
         slope_max=slope_max,
         bias_total=cert.bias_total,
@@ -477,12 +433,16 @@ def certificate_to_dict(cert: NetworkCertificate) -> dict:
     }
 
 
+_ENTRY_KEYS = ("edge", "nu", "gamma", "beta", "alpha_lo", "alpha_hi")
+
+
 def certificate_from_dict(payload: dict, n: int | None = None) -> NetworkCertificate:
     """Rebuild a :class:`NetworkCertificate` from its JSON payload.
 
     ``n`` defaults to the largest node index appearing in the edge list.
     Entries may arrive in any order; they are matched to the canonical edge
-    indexing of the reconstructed graph.
+    indexing of the reconstructed graph.  A malformed entry is rejected with
+    a ``ValueError`` that names its position in the list.
     """
     try:
         entries = payload["edges"]
@@ -490,26 +450,35 @@ def certificate_from_dict(payload: dict, n: int | None = None) -> NetworkCertifi
         raise ValueError("certificate payload must be a dict with an 'edges' list") from None
     if not entries:
         raise ValueError("certificate payload has no edges")
-    pairs = []
-    for entry in entries:
-        i, j = entry["edge"]
-        pairs.append((int(i), int(j)))
-    if n is None:
-        n = max(max(i, j) for i, j in pairs)
-    g = build_graph(n, pairs)
     by_edge = {}
-    for entry in entries:
-        i, j = entry["edge"]
-        key = (min(int(i), int(j)), max(int(i), int(j)))
-        by_edge[key] = entry
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"certificate entry {k} must be a dict, got {entry!r}")
+        missing = [key for key in _ENTRY_KEYS if key not in entry]
+        if missing:
+            raise ValueError(f"certificate entry {k} is missing key {missing[0]!r}")
+        pair = entry["edge"]
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                        for v in pair)):
+            raise ValueError(
+                f"certificate entry {k}: edge {pair!r} must be a pair of "
+                "integer node indices")
+        by_edge[(min(pair), max(pair))] = (k, entry)
+    if n is None:
+        n = int(max(j for _, j in by_edge))
+    g = build_graph(n, [entry["edge"] for entry in entries])
     sectors = []
     certs = []
     for key in g.edges:
-        entry = by_edge[key]
-        sectors.append(SectorBound(alpha_lo=float(entry["alpha_lo"]),
-                                   alpha_hi=float(entry["alpha_hi"])))
-        certs.append(EdgeCertificate(nu=float(entry["nu"]),
-                                     gamma=float(entry["gamma"]),
-                                     beta=float(entry["beta"])))
+        k, entry = by_edge[key]
+        try:
+            sectors.append(SectorBound(alpha_lo=float(entry["alpha_lo"]),
+                                       alpha_hi=float(entry["alpha_hi"])))
+            certs.append(EdgeCertificate(nu=float(entry["nu"]),
+                                         gamma=float(entry["gamma"]),
+                                         beta=float(entry["beta"])))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"certificate entry {k}: {exc}") from None
     return NetworkCertificate(graph=g, sectors=tuple(sectors),
                               certificates=tuple(certs))

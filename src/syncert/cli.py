@@ -29,7 +29,7 @@ from .config import (
     seed_override,
 )
 from .goodwin import InadmissibleParams, hill_slope, hill_slope_max, search_params
-from .graphs import edge_stats, incidence
+from .graphs import incidence
 from .simulation import (
     DisturbanceSpec,
     NetworkModel,
@@ -279,7 +279,7 @@ def simulate(config_file: Path, output_dir: Path, full: bool, check_bound: bool,
 
     residual_col = None
     if check_residual:
-        residual_col, rhs = trace.dissipation_curves(cert.matrices)
+        residual_col, rhs = trace.dissipation_curves(cert)
         idx = trace.sample_indices
         slack = residual_col[idx] - _residual_floor(rhs[idx])
         ok = bool(np.all(slack >= 0.0))
@@ -356,7 +356,7 @@ def graph_stats(config_file: Path, output: Path | None,
     """Report degrees and shared/exclusive neighbour counts per edge."""
     cfg = parse_config(config_file)
     g = cfg.graph
-    stats = edge_stats(g)
+    stats = g.stats
     click.echo(f"nodes: {g.n}, edges: {g.edge_count}, "
                f"connected: {'yes' if g.is_connected else 'no'}")
     table = []
@@ -509,7 +509,7 @@ def reproduce_paper(output_dir: Path | None, mode: str | None, dt: float | None,
     ))
 
     horizons = [t for t in HORIZON_GRID if t <= cfg.horizon + 1e-9]
-    residual, rhs = trace_noisy.dissipation_curves(cert.matrices)
+    residual, rhs = trace_noisy.dissipation_curves(cert)
     grid_idx = [trace_noisy.index_at(t) for t in horizons]
     slack = residual[grid_idx] - _residual_floor(rhs[grid_idx])
     checks.append((

@@ -64,9 +64,6 @@ DEFAULT_HORIZON = 100.0
 DEFAULT_STRIDE = 100
 DEFAULT_MODE = "uniform"
 
-# grid size for the parse-time check of each declared coupling sector
-SECTOR_CHECK_SAMPLES = 512
-
 _MODES = ("uniform", "per_edge")
 _MISSING = object()
 
@@ -310,15 +307,13 @@ def _parse_coupling_entry(value, pointer: str) -> CouplingSpec:
     except ValueError as exc:
         raise ConfigError(pointer, str(exc)) from exc
 
-    check = verify_sector(spec, samples=SECTOR_CHECK_SAMPLES)
+    check = verify_sector(spec)
     if not check.passed:
         raise ConfigError(
             pointer,
             "declared sector [{:g}, {:g}] is violated: slope ratios span "
-            "[{:.6g}, {:.6g}] (worst arguments {:.6g}, {:.6g})".format(
-                spec.sector.alpha_lo, spec.sector.alpha_hi,
-                check.ratio_min, check.ratio_max,
-                check.arg_at_min, check.arg_at_max))
+            "[{:.6g}, {:.6g}]".format(spec.sector.alpha_lo, spec.sector.alpha_hi,
+                                      check.ratio_min, check.ratio_max))
     return spec
 
 

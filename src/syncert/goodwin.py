@@ -22,14 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .certificates import (
-    EdgeCertificate,
-    MarginReport,
-    NetworkCertificate,
-    SectorBound,
-    sync_margins,
-)
-from .graphs import Graph, edge_stats
+from .certificates import EdgeCertificate, NetworkCertificate
+from .graphs import Graph
 
 __all__ = [
     "InadmissibleParams",
@@ -305,11 +299,12 @@ def search_params(agents, g: Graph, sectors, theta_range, theta3_range,
 
     Ranges are ``(lo, hi, count)`` with ``count >= 1``; ties prefer smaller
     ``theta`` and then smaller ``theta3``.  Margins do not involve the bias
-    term, so no initial states are needed.  Raises
+    term, so no initial states are needed.  Every grid point reads
+    :attr:`NetworkCertificate.margins`; the edge statistics are computed
+    once for ``g`` and shared across the grid.  Raises
     :class:`InadmissibleParams` when no grid point is admissible.
     """
     agents = tuple(agents)
-    stats = edge_stats(g)
     sectors = tuple(sectors)
     thetas = _parse_range(theta_range, "theta")
     theta3s = _parse_range(theta3_range, "theta3")
@@ -323,8 +318,7 @@ def search_params(agents, g: Graph, sectors, theta_range, theta3_range,
             except InadmissibleParams:
                 rows.append((float(theta), float(theta3), math.nan, False))
                 continue
-            report = sync_margins(stats, sectors, cert.certificates)
-            min_slack = report.min_slack
+            min_slack = cert.margins.min_slack
             rows.append((float(theta), float(theta3), min_slack, True))
             if best is None or min_slack > best[2]:
                 best = (float(theta), float(theta3), min_slack)

@@ -9,7 +9,6 @@ oracle.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,14 +19,12 @@ from .linalg import jacobi_eigenvalues
 __all__ = [
     "Graph",
     "EdgeStats",
-    "EdgePDResult",
     "build_graph",
     "complete_graph",
     "erdos_renyi_graph",
     "incidence",
     "edge_stats",
     "edge_slacks",
-    "edge_pd_check",
     "assemble_pd_matrix",
     "pd_oracle",
 ]
@@ -41,6 +38,8 @@ class Graph:
     Each edge is stored as ``(i, j)`` with ``i < j``; the lower endpoint is
     the positive end of the canonical orientation used by :func:`incidence`.
     Per-edge quantities throughout the package follow this edge indexing.
+    The endpoint index arrays, the degree vector and the neighbour
+    statistics are derived once per graph and shared by every consumer.
     """
 
     n: int
@@ -72,6 +71,26 @@ class Graph:
                     seen.add(j)
                     stack.append(j)
         return len(seen) == self.n
+
+    @cached_property
+    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Zero-based lower and upper endpoint index per edge."""
+        ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2) - 1
+        lower, upper = ends[:, 0].copy(), ends[:, 1].copy()
+        lower.flags.writeable = False
+        upper.flags.writeable = False
+        return lower, upper
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Node degrees; index 0 holds node 1."""
+        deg = np.array([len(s) for s in self.neighbours], dtype=np.int64)
+        deg.flags.writeable = False
+        return deg
+
+    @cached_property
+    def stats(self) -> EdgeStats:
+        return edge_stats(self)
 
     def edge_label(self, k: int) -> str:
         i, j = self.edges[k]
@@ -150,15 +169,16 @@ def incidence(g: Graph) -> np.ndarray:
     sign of any column leaves every quadratic form built from it unchanged.
     """
     d = np.zeros((g.n, g.edge_count), dtype=np.int64)
-    for k, (i, j) in enumerate(g.edges):
-        d[i - 1, k] = 1
-        d[j - 1, k] = -1
+    lower, upper = g.endpoints
+    columns = np.arange(g.edge_count)
+    d[lower, columns] = 1
+    d[upper, columns] = -1
     return d
 
 
 @dataclass(frozen=True)
 class EdgeStats:
-    """Node degrees plus common/exclusive neighbour counts per edge.
+    """Common/exclusive neighbour counts per edge.
 
     For edge ``(i, j)``: ``common`` counts the nodes adjacent to both
     endpoints, ``exclusive`` the nodes adjacent to exactly one endpoint
@@ -166,52 +186,25 @@ class EdgeStats:
     """
 
     graph: Graph
-    degrees: tuple[int, ...]
     common: tuple[int, ...]
     exclusive: tuple[int, ...]
 
     def endpoint_degrees(self, k: int) -> tuple[int, int]:
         i, j = self.graph.edges[k]
-        return self.degrees[i - 1], self.degrees[j - 1]
+        return int(self.graph.degrees[i - 1]), int(self.graph.degrees[j - 1])
 
 
 def edge_stats(g: Graph) -> EdgeStats:
-    """Compute :class:`EdgeStats` both by set enumeration and by the closed
-    form ``r_i + r_j - 2*common - 2``; the two must agree on simple graphs."""
+    """Compute :class:`EdgeStats`; the exclusive count is the closed form
+    ``r_i + r_j - 2*common - 2``, which holds on simple graphs.  Read
+    :attr:`Graph.stats` to share one computation per graph."""
     nbrs = g.neighbours
-    degrees = tuple(len(s) for s in nbrs)
-    common: list[int] = []
-    exclusive: list[int] = []
-    for i, j in g.edges:
-        shared = nbrs[i - 1] & nbrs[j - 1]
-        only_i = {v for v in nbrs[i - 1] if v not in shared and v != j}
-        only_j = {v for v in nbrs[j - 1] if v not in shared and v != i}
-        enumerated = len(only_i) + len(only_j)
-        closed = degrees[i - 1] + degrees[j - 1] - 2 * len(shared) - 2
-        if closed != enumerated:  # simple-graph identity; unreachable for valid input
-            raise AssertionError(
-                f"exclusive-neighbour mismatch on edge ({i}, {j}): "
-                f"enumeration {enumerated}, closed form {closed}"
-            )
-        common.append(len(shared))
-        exclusive.append(enumerated)
-    return EdgeStats(graph=g, degrees=degrees, common=tuple(common),
-                     exclusive=tuple(exclusive))
-
-
-@dataclass(frozen=True, eq=False)
-class EdgePDResult:
-    """Outcome of the per-edge positive-definiteness condition.
-
-    ``satisfied`` is ``None`` when the graph is disconnected (the condition
-    presumes connectedness, so the verdict is not applicable even though the
-    per-edge slacks are still reported).
-    """
-
-    slacks: np.ndarray
-    edge_ok: np.ndarray
-    connected: bool
-    satisfied: bool | None
+    common = np.array([len(nbrs[i - 1] & nbrs[j - 1]) for i, j in g.edges],
+                      dtype=np.int64)
+    lower, upper = g.endpoints
+    exclusive = g.degrees[lower] + g.degrees[upper] - 2 * common - 2
+    return EdgeStats(graph=g, common=tuple(common.tolist()),
+                     exclusive=tuple(exclusive.tolist()))
 
 
 def _pd_weights(g: Graph, node_weights, edge_weights) -> tuple[np.ndarray, np.ndarray]:
@@ -238,33 +231,10 @@ def edge_slacks(g: Graph, node_weights, edge_weights) -> np.ndarray:
     ``j``.  The smallest eigenvalue is bounded below by the smallest slack.
     """
     mu, sigma = _pd_weights(g, node_weights, edge_weights)
-    degrees = np.array([len(s) for s in g.neighbours], dtype=float)
-    i, j = (np.array(g.edges, dtype=np.intp).reshape(-1, 2) - 1).T
+    i, j = g.endpoints
     return (sigma + mu[i] + mu[j]
-            - (degrees[i] - 1.0) * np.abs(mu[i])
-            - (degrees[j] - 1.0) * np.abs(mu[j]))
-
-
-def edge_pd_check(g: Graph, node_weights, edge_weights) -> EdgePDResult:
-    """Per-edge sufficient condition for positive definiteness of
-    ``D.T @ diag(node_weights) @ D + diag(edge_weights)``.
-
-    All :func:`edge_slacks` strictly positive certify positive definiteness
-    on a connected graph.  The condition is sufficient only.
-    """
-    slacks = edge_slacks(g, node_weights, edge_weights)
-    connected = g.is_connected
-    if not connected:
-        warnings.warn(
-            "graph is disconnected; the per-edge condition presumes "
-            "connectedness, verdict reported as not applicable",
-            UserWarning,
-            stacklevel=2,
-        )
-    edge_ok = slacks > 0.0
-    satisfied = bool(np.all(edge_ok)) if connected else None
-    return EdgePDResult(slacks=slacks, edge_ok=edge_ok, connected=connected,
-                        satisfied=satisfied)
+            - (g.degrees[i] - 1.0) * np.abs(mu[i])
+            - (g.degrees[j] - 1.0) * np.abs(mu[j]))
 
 
 def assemble_pd_matrix(g: Graph, node_weights, edge_weights) -> np.ndarray:
@@ -277,8 +247,9 @@ def assemble_pd_matrix(g: Graph, node_weights, edge_weights) -> np.ndarray:
 def pd_oracle(g: Graph, node_weights, edge_weights, tol: float = 1e-10) -> float:
     """Smallest eigenvalue of ``D.T @ diag(mu) @ D + diag(sigma)``.
 
-    Independent spectral route against which :func:`edge_pd_check` is
-    validated; uses the in-package Jacobi solver, never an external one.
+    Independent spectral route against which the :func:`edge_slacks`
+    verdict is validated; uses the in-package Jacobi solver, never an
+    external one.
     """
     if g.edge_count == 0:
         raise ValueError("graph has no edges, the edge-space matrix is empty")

@@ -18,9 +18,9 @@ from functools import cached_property
 import numpy as np
 
 from .certificates import (
-    DissipationMatrices,
     EdgeCertificate,
     GainBound,
+    NetworkCertificate,
     SectorBound,
     UncertifiedBoundError,
 )
@@ -143,38 +143,44 @@ def piecewise_linear_coupling(knots, sector: SectorBound) -> CouplingSpec:
 
 @dataclass(frozen=True, eq=False)
 class SectorCheck:
-    """Worst slope ratios of a sampled sector verification."""
+    """Exact extremes of the slope ratio ``spec(x)/x`` over ``x != 0``,
+    against the declared sector."""
 
     passed: bool
     ratio_min: float
     ratio_max: float
-    arg_at_min: float
-    arg_at_max: float
 
 
-def verify_sector(spec: CouplingSpec, samples: int = 2000,
-                  tol: float = 1e-9) -> SectorCheck:
-    """Check the declared sector on a log-spaced grid of arguments.
+# min of sin(x)/x, reached at the first positive root x* of tan(x) = x
+SINC_MIN = math.sin(4.493409457909064) / 4.493409457909064
 
-    Magnitudes cover ``[1e-6, 1e6]`` on both signs; the spec passes when
-    every ratio ``spec(x)/x`` stays within ``[alpha_lo - tol, alpha_hi +
-    tol]``.  A sampled check, so it can only ever refute the declaration.
+
+def _slope_ratio_range(spec: CouplingSpec) -> tuple[float, float]:
+    if spec.kind == "linear":
+        return spec.gain, spec.gain
+    if spec.kind == "affine_sinusoid":
+        # gain + amplitude * sin(x)/x with sin(x)/x in [SINC_MIN, 1]
+        ends = (spec.gain + spec.amplitude * SINC_MIN, spec.gain + spec.amplitude)
+        return min(ends), max(ends)
+    # y/x is monotone on every segment, so its extremes sit at the knots,
+    # next to the origin (the first slope) or at infinity (the last slope)
+    xs, ys, last_slope = spec._table
+    ratios = np.append(ys[1:] / xs[1:], last_slope)
+    return float(np.min(ratios)), float(np.max(ratios))
+
+
+def verify_sector(spec: CouplingSpec, tol: float = 1e-9) -> SectorCheck:
+    """Check the declared sector against the closed-form slope-ratio range.
+
+    The spec passes when ``[ratio_min, ratio_max]`` lies within
+    ``[alpha_lo - tol, alpha_hi + tol]``.  The range is exact for every
+    coupling kind (an extreme may be a limit at zero or infinity), so a pass
+    proves the declaration.
     """
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    mags = np.logspace(-6.0, 6.0, samples // 2)
-    args = np.concatenate((mags, -mags))
-    ratios = np.asarray(spec(args)) / args
-    k_min = int(np.argmin(ratios))
-    k_max = int(np.argmax(ratios))
-    passed = bool(
-        ratios[k_min] >= spec.sector.alpha_lo - tol
-        and ratios[k_max] <= spec.sector.alpha_hi + tol
-    )
-    return SectorCheck(passed=passed, ratio_min=float(ratios[k_min]),
-                       ratio_max=float(ratios[k_max]),
-                       arg_at_min=float(args[k_min]),
-                       arg_at_max=float(args[k_max]))
+    ratio_min, ratio_max = _slope_ratio_range(spec)
+    passed = bool(ratio_min >= spec.sector.alpha_lo - tol
+                  and ratio_max <= spec.sector.alpha_hi + tol)
+    return SectorCheck(passed=passed, ratio_min=ratio_min, ratio_max=ratio_max)
 
 
 @dataclass(frozen=True)
@@ -417,22 +423,24 @@ class SimulationTrace:
         np.divide(v, x, out=eta, where=usable)
         return eta
 
-    def dissipation_curves(self, mats: DissipationMatrices) -> tuple[np.ndarray, np.ndarray]:
+    def dissipation_curves(self, cert: NetworkCertificate) -> tuple[np.ndarray, np.ndarray]:
         """Residual and right-hand side of the network dissipation
-        inequality at every grid time.
+        inequality of ``cert`` at every grid time.
 
         The input-energy term ``v.T D.T diag(nu_node) D v`` is taken in node
         space as ``sum_i nu_node_i u_i**2``, since ``u = -D v``.
         """
+        if cert.graph != self.model.graph:
+            raise ValueError("certificate was assembled over a different graph")
         v = self.coupling_outputs
         rel = self.relative_outputs
         u = self.inputs
-        lhs = -_cumtrapz((v * rel) @ mats.pair_weight, self.dt)
+        lhs = -_cumtrapz((v * rel) @ cert.pair_weight, self.dt)
         rhs = (
-            _cumtrapz((rel * rel) @ mats.output_quadratic, self.dt)
-            + _cumtrapz((u * u) @ mats.nu_node
-                        - (v * v) @ mats.exclusive_weight, self.dt)
-            + mats.bias_total
+            _cumtrapz((rel * rel) @ cert.output_quadratic, self.dt)
+            + _cumtrapz((u * u) @ cert.nu_node
+                        - (v * v) @ (0.5 * cert.exclusive), self.dt)
+            + cert.bias_total
         )
         return lhs - rhs, rhs
 

@@ -13,8 +13,9 @@ import numpy as np
 from click.testing import CliRunner
 
 from syncert.cli import main
+from syncert.certificates import MarginReport
 from syncert.goodwin import hill_slope
-from syncert.graphs import edge_pd_check, erdos_renyi_graph, pd_oracle
+from syncert.graphs import erdos_renyi_graph, pd_oracle
 from syncert.simulation import bound_check
 
 # frozen targets and tolerances for the bundled case study
@@ -90,8 +91,7 @@ def test_edge_dominance_check_is_sound_on_random_graphs():
                               require_connected=True)
         mu = rng.uniform(-2.0, 2.0, size=n)
         sigma = rng.uniform(0.0, 3.0, size=g.edge_count)
-        result = edge_pd_check(g, mu, sigma)
-        if result.satisfied:
+        if MarginReport.from_weights(g, mu, sigma).satisfied:
             passes += 1
             if pd_oracle(g, mu, sigma) <= PD_EIG_FLOOR:
                 violations += 1
@@ -110,7 +110,7 @@ def test_certified_bound_holds_on_noisy_traces(noisy_traces, paper_certification
 def test_network_dissipation_inequality_on_noisy_traces(noisy_traces,
                                                         paper_certification):
     for seed, trace in noisy_traces.items():
-        residual, rhs = trace.dissipation_curves(paper_certification.matrices)
+        residual, rhs = trace.dissipation_curves(paper_certification)
         for horizon in CHECK_HORIZONS:
             idx = trace.index_at(horizon)
             floor = -RESIDUAL_RTOL * (1.0 + abs(rhs[idx]))

@@ -16,18 +16,10 @@ from syncert.certificates import (
     SectorBound,
     certificate_from_dict,
     certificate_to_dict,
-    dissipation_matrices,
     gain_bound,
     quadratic_forms,
-    sync_margins,
 )
-from syncert.graphs import (
-    build_graph,
-    complete_graph,
-    edge_stats,
-    erdos_renyi_graph,
-    incidence,
-)
+from syncert.graphs import build_graph, complete_graph, erdos_renyi_graph, incidence
 
 # matrix routes recomputed in-test must agree to this tolerance
 FORM_ATOL = 1e-12
@@ -77,17 +69,40 @@ def test_network_certificate_aggregates():
                      betas=(0.0, 0.0), sectors=((1.0, 2.0),))
 
 
+def _nu_node_loop(cert):
+    acc = [0.0] * cert.graph.n
+    for k, (i, j) in enumerate(cert.graph.edges):
+        acc[i - 1] += cert.nu[k]
+        acc[j - 1] += cert.nu[k]
+    return acc
+
+
+def test_nu_node_matches_edge_loop_bit_for_bit():
+    # the scatter-add must keep the per-node summation order of a plain
+    # loop over the edges, so that every downstream figure is unchanged
+    rng = np.random.default_rng(404)
+    for _ in range(300):
+        g = erdos_renyi_graph(int(rng.integers(2, 12)), float(rng.uniform(0.2, 1.0)),
+                              rng)
+        p = g.edge_count
+        cert = _certificate(g, nus=-rng.uniform(0.0, 1.0, size=p) ** 3,
+                            gammas=np.zeros(p), betas=np.zeros(p),
+                            sectors=((1.0, 1.0),) * p)
+        assert cert.nu_node.tolist() == _nu_node_loop(cert)
+
+
 def test_single_edge_margin_formula():
     # isolated homogeneous pair with zero nu: slack = 2/alpha_hi + gamma/alpha_lo^2
     g = build_graph(2, [(1, 2)])
     cert = _certificate(g, nus=(0.0,), gammas=(-0.8,), betas=(0.0,),
                         sectors=((2.0, 4.0),))
-    report = sync_margins(edge_stats(g), cert.sectors, cert.certificates)
+    report = cert.margins
     assert np.isclose(report.slacks[0], 2.0 / 4.0 + (-0.8) / 4.0, atol=1e-15)
     assert report.satisfied
     # two disjoint copies keep every slack but no longer synchronise
     g2 = build_graph(4, [(1, 2), (3, 4)])
-    report2 = sync_margins(edge_stats(g2), cert.sectors * 2, cert.certificates * 2)
+    report2 = NetworkCertificate(graph=g2, sectors=cert.sectors * 2,
+                                 certificates=cert.certificates * 2).margins
     assert np.array_equal(report2.slacks, np.repeat(report.slacks, 2))
     assert report2.edge_ok.all()
     assert not report2.satisfied
@@ -97,7 +112,7 @@ def test_path_margins_hand_computed():
     g = build_graph(3, [(1, 2), (2, 3)])
     cert = _certificate(g, nus=(-0.02, -0.03), gammas=(-1.0, -0.5),
                         betas=(0.0, 0.0), sectors=((2.0, 3.0), (1.0, 4.0)))
-    report = sync_margins(edge_stats(g), cert.sectors, cert.certificates)
+    report = cert.margins
     # edge (1,2): degrees 1,2; no common, one exclusive neighbour
     slack_12 = (2.0 / 3.0 - (1 + 4.0) * 1 / (2 * 4.0) + (-1.0) / 4.0
                 - 1 * 0.02 - 2 * 0.05)
@@ -113,7 +128,7 @@ def test_margin_rows_use_edge_labels():
     g = build_graph(3, [(1, 2), (2, 3)])
     cert = _certificate(g, nus=(0.0, 0.0), gammas=(0.0, 0.0), betas=(0.0, 0.0),
                         sectors=((1.0, 1.0), (1.0, 1.0)))
-    rows = sync_margins(edge_stats(g), cert.sectors, cert.certificates).rows()
+    rows = cert.margins.rows()
     assert [r[0] for r in rows] == ["1-2", "2-3"]
 
 
@@ -141,7 +156,7 @@ def test_margin_slack_lower_bounds_form_eigenvalue(seed):
     if g.edge_count == 0:
         return
     cert = _random_certificate(rng, g)
-    report = sync_margins(edge_stats(g), cert.sectors, cert.certificates)
+    report = cert.margins
     forms = quadratic_forms(g, cert)
     assert forms.margin_min_eig >= report.min_slack - 1e-10
 
@@ -150,7 +165,7 @@ def test_quadratic_forms_match_direct_assembly():
     rng = np.random.default_rng(31)
     g = complete_graph(4)
     cert = _random_certificate(rng, g)
-    stats = edge_stats(g)
+    stats = g.stats
     d = incidence(g).astype(float)
 
     common = np.array(stats.common, dtype=float)
@@ -170,25 +185,24 @@ def test_quadratic_forms_match_direct_assembly():
     ref = float(np.linalg.eigvalsh(margin_direct)[0])
     assert np.isclose(forms.margin_min_eig, ref, rtol=EIG_RTOL, atol=1e-12)
     assert np.count_nonzero(common - common.T) == 0
+    with pytest.raises(ValueError, match="different graph"):
+        quadratic_forms(complete_graph(5), cert)
 
 
-def test_dissipation_matrices_structure():
+def test_certificate_dissipation_weights():
     g = build_graph(3, [(1, 2), (2, 3)])
     cert = _certificate(g, nus=(-0.1, -0.2), gammas=(-1.0, 2.0),
                         betas=(-0.5, -0.5), sectors=((1.0, 1.0), (1.0, 1.0)))
-    mats = dissipation_matrices(g, cert)
     # per-node and per-edge vectors, no p x p or n x n arrays
-    assert np.allclose(mats.nu_node, [-0.1, -0.3, -0.2], rtol=1e-15, atol=0.0)
-    assert mats.bias_total == -1.0
+    assert np.allclose(cert.nu_node, [-0.1, -0.3, -0.2], rtol=1e-15, atol=0.0)
+    assert cert.bias_total == -1.0
     # gamma is clamped; each end of the path sees one exclusive neighbour
-    assert np.array_equal(mats.gamma, [-1.0, 0.0])
-    assert np.array_equal(mats.common_weight, [0.0, 0.0])
-    assert np.array_equal(mats.exclusive_weight, [0.5, 0.5])
+    assert np.array_equal(cert.gamma, [-1.0, 0.0])
+    assert np.array_equal(cert.common, [0.0, 0.0])
+    assert np.array_equal(cert.exclusive, [1.0, 1.0])
     # pair weight is 2 plus the common-neighbour count (zero on a path)
-    assert np.array_equal(mats.pair_weight, [2.0, 2.0])
-    assert np.array_equal(mats.output_quadratic, [-1.5, -0.5])
-    with pytest.raises(ValueError, match="different graph"):
-        dissipation_matrices(complete_graph(3), cert)
+    assert np.array_equal(cert.pair_weight, [2.0, 2.0])
+    assert np.array_equal(cert.output_quadratic, [-1.5, -0.5])
 
 
 def test_gain_bound_point_sectors_is_exact(paper_config, paper_certification,
@@ -268,3 +282,38 @@ def test_certificate_from_dict_reorders_entries_and_pads_nodes():
     assert cert.nu.tolist() == [-0.25, -0.5]
     with pytest.raises(ValueError, match="edges"):
         certificate_from_dict({"edges": []})
+
+
+def _entry(edge, **overrides):
+    entry = {"edge": edge, "nu": -0.25, "gamma": 0.0, "beta": 0.0,
+             "alpha_lo": 1.0, "alpha_hi": 1.0}
+    entry.update(overrides)
+    return entry
+
+
+def test_certificate_from_dict_rejects_non_integer_node():
+    # 1.7 must not be truncated to node 1
+    payload = {"edges": [_entry([2, 3]), _entry([1.7, 2])]}
+    with pytest.raises(ValueError, match=r"entry 1: edge \[1\.7, 2\]"):
+        certificate_from_dict(payload)
+    with pytest.raises(ValueError, match="entry 0"):
+        certificate_from_dict({"edges": [_entry([True, 2])]})
+    with pytest.raises(ValueError, match="entry 0"):
+        certificate_from_dict({"edges": [_entry([1, 2, 3])]})
+
+
+@pytest.mark.parametrize("key", ["edge", "nu", "gamma", "beta", "alpha_lo", "alpha_hi"])
+def test_certificate_from_dict_names_missing_key(key):
+    entry = _entry([2, 3])
+    del entry[key]
+    payload = {"edges": [_entry([1, 2]), entry]}
+    with pytest.raises(ValueError, match=f"entry 1 is missing key '{key}'"):
+        certificate_from_dict(payload)
+
+
+def test_certificate_from_dict_names_invalid_value():
+    payload = {"edges": [_entry([1, 2]), _entry([3, 2], nu=0.5)]}
+    with pytest.raises(ValueError, match="entry 1: nu must be finite and <= 0"):
+        certificate_from_dict(payload)
+    with pytest.raises(ValueError, match="entry 0 must be a dict"):
+        certificate_from_dict({"edges": [[1, 2]]})

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from syncert import certificates
-from syncert.certificates import sync_margins
+from syncert import certificates, graphs
 from syncert.cli import main
 from syncert.config import (
     SEED_ENV_VAR,
@@ -23,8 +22,7 @@ from syncert.config import (
     parse_config,
     seed_override,
 )
-from syncert.goodwin import CertParams
-from syncert.graphs import edge_stats
+from syncert.goodwin import CertParams, certify_network
 from syncert.noise import edge_seed_sequence
 
 TRIANGLE = {
@@ -133,6 +131,19 @@ def test_rejections_carry_pointers(mutate, pointer, fragment):
     assert err.value.pointer == pointer
 
 
+def test_overstated_sinusoid_sector_exits_2_with_pointer(tmp_path):
+    # gain 1, amplitude 2: the slope ratio's infimum is 0.565533; a declared
+    # alpha_lo 0.0068 above it passed the sampled check
+    sinusoid = {"kind": "affine_sinusoid", "gain": 1.0, "amplitude": 2.0,
+                "sector": {"alpha_lo": 0.565533 + 0.0068, "alpha_hi": 3.0}}
+    linear = {"kind": "linear", "gain": 10.0}
+    path = _write(tmp_path, _payload(couplings=[linear, sinusoid, linear]))
+    result = CliRunner().invoke(main, ["certify", str(path)])
+    assert result.exit_code == 2
+    assert "error: /couplings/1: declared sector" in result.output
+    assert "[0.565533, 3]" in result.output
+
+
 def test_coupling_dict_replicates_and_list_is_positional():
     cfg = config_from_dict(_payload())
     assert len(set(cfg.couplings)) == 1
@@ -219,8 +230,7 @@ def test_certify_writes_full_precision_csv(tmp_path):
 
     cfg = parse_config(path)
     cert = cfg.certificate()
-    report = sync_margins(edge_stats(cfg.graph), cert.sectors,
-                          cert.certificates)
+    report = cert.margins
     with open(out, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["edge"] for r in rows] == ["1-2", "1-3", "2-3"]
@@ -251,7 +261,9 @@ def test_certify_rejects_disconnected_graph(tmp_path):
     assert "verdict: NOT certified (graph is disconnected)" in result.output
 
 
-def test_certify_solves_each_quantity_once(tmp_path, monkeypatch):
+def _count_certificate_work(monkeypatch):
+    """Count eigen solves (LAPACK and the Jacobi oracle) and edge-statistics
+    computations from here on."""
     calls = {"eigvalsh": 0, "jacobi": 0, "edge_stats": 0}
 
     def counted(name, fn):
@@ -262,17 +274,38 @@ def test_certify_solves_each_quantity_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(certificates, "symmetric_eigenvalues",
                         counted("eigvalsh", certificates.symmetric_eigenvalues))
-    jacobi_fn = counted("jacobi", certificates.jacobi_eigenvalues)
-    for module in ("syncert.certificates", "syncert.graphs"):
-        monkeypatch.setattr(f"{module}.jacobi_eigenvalues", jacobi_fn)
-    stats_fn = counted("edge_stats", certificates.edge_stats)
-    for module in ("syncert.certificates", "syncert.cli", "syncert.goodwin"):
-        monkeypatch.setattr(f"{module}.edge_stats", stats_fn)
+    jacobi_fn = counted("jacobi", graphs.jacobi_eigenvalues)
+    for module in (certificates, graphs):
+        monkeypatch.setattr(module, "jacobi_eigenvalues", jacobi_fn)
+    monkeypatch.setattr(graphs, "edge_stats", counted("edge_stats", graphs.edge_stats))
+    return calls
+
+
+def test_certify_solves_each_quantity_once(tmp_path, monkeypatch):
+    calls = _count_certificate_work(monkeypatch)
     result = CliRunner().invoke(main, ["certify", str(_bundled_path(tmp_path))])
     assert result.exit_code == 0, result.output
     # margin eigenvalue once, then the smallest and largest response
     # eigenvalues of the single slope sample; Jacobi is only the test oracle
     assert calls == {"eigvalsh": 3, "jacobi": 0, "edge_stats": 1}
+
+
+def test_search_computes_edge_stats_once_for_the_grid(tmp_path, monkeypatch):
+    path = _write(tmp_path, _payload())
+    out = tmp_path / "grid.csv"
+    calls = _count_certificate_work(monkeypatch)
+    result = CliRunner().invoke(main, ["search", str(path), "--theta", "0.5:4:4",
+                                       "--theta3", "1.2:1.95:3", "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    assert calls == {"eigvalsh": 0, "jacobi": 0, "edge_stats": 1}
+    cfg = parse_config(path)
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 12 and all(r["feasible"] == "true" for r in rows)
+    for row in rows:
+        cp = CertParams(theta=float(row["theta"]), theta3=float(row["theta3"]))
+        cert = certify_network(cfg.agents, cfg.graph, cp, cfg.sectors, mode=cfg.mode)
+        assert float(row["min_slack"]) == cert.margins.min_slack
 
 
 def test_certify_rejects_bad_config(tmp_path):
@@ -416,8 +449,7 @@ def test_search_single_point_matches_certify(tmp_path):
     assert result.exit_code == 0, result.output
     cfg = parse_config(path)
     cert = cfg.certificate()
-    report = sync_margins(edge_stats(cfg.graph), cert.sectors,
-                          cert.certificates)
+    report = cert.margins
     with open(out, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from syncert.certificates import SectorBound, sync_margins
+from syncert.certificates import SectorBound
 from syncert.goodwin import (
     CertParams,
     GoodwinParams,
@@ -25,7 +25,7 @@ from syncert.goodwin import (
     resolve_weights,
     search_params,
 )
-from syncert.graphs import complete_graph, edge_stats
+from syncert.graphs import complete_graph
 
 # closed-form slope constant and numerical maximum at hill = 14, frozen
 HILL14_SLOPE = 3.5178120744028827
@@ -197,9 +197,8 @@ def test_certify_network_uniform_versus_per_edge():
     # canonical edge order puts (3, 4) at index 7; gains 1.0 and 1.1
     assert g.edges[7] == (3, 4)
     assert per_edge.certificates[7].nu == pytest.approx(-0.0025, rel=EXACT_RTOL)
-    stats = edge_stats(g)
-    slack_u = sync_margins(stats, sectors, uniform.certificates).slacks
-    slack_pe = sync_margins(stats, sectors, per_edge.certificates).slacks
+    slack_u = uniform.margins.slacks
+    slack_pe = per_edge.margins.slacks
     assert all(pe >= u - 1e-15 for pe, u in zip(slack_pe, slack_u))
 
 
@@ -228,7 +227,7 @@ def test_search_single_point_matches_direct_certification():
     g, agents, sectors = _k5_setup()
     result = search_params(agents, g, sectors, (2.0, 2.0, 1), (1.5, 1.5, 1))
     cert = certify_network(agents, g, CertParams(theta=2.0, theta3=1.5), sectors)
-    report = sync_margins(edge_stats(g), sectors, cert.certificates)
+    report = cert.margins
     assert result.best_theta == 2.0
     assert result.best_theta3 == 1.5
     assert result.best_min_slack == pytest.approx(report.min_slack, rel=1e-12)

@@ -1,5 +1,5 @@
 """Graph construction, incidence algebra, per-edge statistics, and the
-positive-definiteness check with its eigenvalue oracle."""
+per-edge positive-definiteness slacks with their eigenvalue oracle."""
 
 from __future__ import annotations
 
@@ -8,16 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syncert.certificates import MarginReport
 from syncert.graphs import (
+    assemble_pd_matrix,
     build_graph,
     complete_graph,
-    edge_pd_check,
+    edge_slacks,
     edge_stats,
     erdos_renyi_graph,
     incidence,
     pd_oracle,
 )
-from syncert.graphs import assemble_pd_matrix
 
 # the strict-positivity check must never best the eigenvalue oracle by more
 # than this floor (soundness margin of the acceptance gate)
@@ -73,6 +74,12 @@ def test_incidence_gives_laplacian():
     adjacency = -(laplacian - np.diag(degrees))
     for i, j in g.edges:
         assert adjacency[i - 1, j - 1] == 1
+    # the cached endpoint and degree arrays agree with the edge list
+    lower, upper = g.endpoints
+    assert [(i + 1, j + 1) for i, j in zip(lower, upper)] == list(g.edges)
+    assert np.array_equal(g.degrees, degrees)
+    with pytest.raises(ValueError):
+        g.degrees[0] = 7  # the shared caches are read-only
 
 
 @pytest.mark.parametrize(
@@ -106,6 +113,7 @@ def test_edge_stats_match_set_enumeration(seed, n, prob):
     rng = np.random.default_rng(seed)
     g = erdos_renyi_graph(n, prob, rng)
     stats = edge_stats(g)
+    assert g.stats == stats
     for k, (i, j) in enumerate(g.edges):
         ni = set(g.neighbours[i - 1])
         nj = set(g.neighbours[j - 1])
@@ -122,23 +130,25 @@ def test_assemble_pd_matrix_matches_definition():
     assert np.allclose(assemble_pd_matrix(g, mu, sigma), direct, atol=0.0)
 
 
-def test_edge_pd_check_slack_formula():
+def test_edge_slacks_formula():
     g = build_graph(3, [(1, 2), (2, 3), (1, 3)])
     mu = np.array([0.5, -0.25, 1.0])
     sigma = np.array([2.0, 1.5, 0.25])  # canonical edge order (1,2), (1,3), (2,3)
-    result = edge_pd_check(g, mu, sigma)
+    slacks = edge_slacks(g, mu, sigma)
     # degree 2 everywhere: slack_k = sigma_k + mu_i + mu_j - |mu_i| - |mu_j|
     expected = [
         2.0 + 0.5 - 0.25 - 0.5 - 0.25,
         1.5 + 0.5 + 1.0 - 0.5 - 1.0,
         0.25 - 0.25 + 1.0 - 0.25 - 1.0,
     ]
-    assert np.allclose(result.slacks, expected, atol=1e-15)
-    assert result.edge_ok.tolist() == [True, True, False]
-    assert result.satisfied is False
+    assert np.allclose(slacks, expected, atol=1e-15)
+    report = MarginReport.from_weights(g, mu, sigma)
+    assert report.slacks.tolist() == slacks.tolist()
+    assert report.edge_ok.tolist() == [True, True, False]
+    assert report.satisfied is False
 
 
-def test_edge_pd_check_passes_imply_positive_definite():
+def test_margin_report_passes_imply_positive_definite():
     rng = np.random.default_rng(202)
     passes = 0
     for _ in range(200):
@@ -147,34 +157,27 @@ def test_edge_pd_check_passes_imply_positive_definite():
                               require_connected=True)
         mu = rng.uniform(-2.0, 2.0, size=n)
         sigma = rng.uniform(0.0, 3.0, size=g.edge_count)
-        result = edge_pd_check(g, mu, sigma)
+        report = MarginReport.from_weights(g, mu, sigma)
         # scalar reference: the same arithmetic edge by edge, bit for bit
         deg = [len(s) for s in g.neighbours]
         reference = [sigma[k] + mu[i - 1] + mu[j - 1]
                      - (deg[i - 1] - 1.0) * abs(mu[i - 1])
                      - (deg[j - 1] - 1.0) * abs(mu[j - 1])
                      for k, (i, j) in enumerate(g.edges)]
-        assert result.slacks.tolist() == reference
-        if result.satisfied:
+        assert report.slacks.tolist() == reference
+        if report.satisfied:
             passes += 1
             assert pd_oracle(g, mu, sigma) > PD_EIG_FLOOR
     assert passes > 0  # the scan must actually exercise the passing branch
 
 
-def test_edge_pd_check_disconnected_warns_and_abstains():
-    g = build_graph(4, [(1, 2), (3, 4)])
-    with pytest.warns(UserWarning, match="disconnected"):
-        result = edge_pd_check(g, np.ones(4), np.ones(2))
-    assert result.satisfied is None
-    assert result.connected is False
-    assert result.slacks.shape == (2,)
-
-
-def test_edge_pd_check_zero_slack_fails():
+def test_margin_report_zero_slack_fails():
     # mu = 0, sigma = 0 gives slack exactly 0, which must not count as a pass
     g = build_graph(2, [(1, 2)])
-    result = edge_pd_check(g, np.zeros(2), np.zeros(1))
-    assert result.satisfied is False
+    report = MarginReport.from_weights(g, np.zeros(2), np.zeros(1))
+    assert report.slacks.tolist() == [0.0]
+    assert not report.edge_ok[0]
+    assert report.satisfied is False
 
 
 def test_pd_oracle_matches_lapack():

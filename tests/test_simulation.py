@@ -16,12 +16,12 @@ from syncert.certificates import (
     NetworkCertificate,
     SectorBound,
     UncertifiedBoundError,
-    dissipation_matrices,
 )
 from syncert.goodwin import GoodwinParams
 from syncert.graphs import build_graph, complete_graph, incidence
 from syncert.noise import normals
 from syncert.simulation import (
+    SINC_MIN,
     CouplingSpec,
     DisturbanceSpec,
     NetworkModel,
@@ -127,21 +127,69 @@ def test_verify_sector_refutes_wrong_declaration():
     spec = CouplingSpec(kind="linear", sector=SectorBound(5.5, 6.0), gain=5.0)
     check = verify_sector(spec)
     assert not check.passed
-    assert check.ratio_max == pytest.approx(5.0, rel=1e-9)
-    assert 1e-6 <= abs(check.arg_at_min) <= 1e6
+    assert check.ratio_min == check.ratio_max == 5.0
 
 
 def test_verify_sector_reports_extremes():
     spec = affine_sinusoid_coupling(5.0, 0.5, SectorBound(4.5, 5.5))
-    check = verify_sector(spec, samples=4000)
-    # ratio is 5 + sin(x)/(2x): max near 5.5 at small x, min about 4.89
-    assert check.ratio_max == pytest.approx(5.5, abs=1e-3)
-    assert check.ratio_min == pytest.approx(5.0 - 0.5 * 0.217234, abs=1e-3)
+    check = verify_sector(spec)
+    # ratio is 5 + sin(x)/(2x): supremum 5.5 as x -> 0, minimum at tan x = x
+    assert check.passed
+    assert check.ratio_max == 5.5
+    assert check.ratio_min == pytest.approx(5.0 - 0.5 * 0.21723362821122166,
+                                            rel=1e-15)
+    flipped = verify_sector(affine_sinusoid_coupling(5.0, -0.5, SectorBound(4.5, 5.5)))
+    assert (flipped.ratio_min, flipped.ratio_max) == (4.5, 5.0 - 0.5 * SINC_MIN)
+    polyline = verify_sector(piecewise_linear_coupling(
+        [(1.0, 3.0), (2.0, 4.0), (3.0, 7.5)], SectorBound(1.0, 3.5)))
+    # first slope 3, knot ratios 3, 2 and 2.5, last slope 3.5 at infinity
+    assert (polyline.ratio_min, polyline.ratio_max) == (2.0, 3.5)
 
 
-def test_verify_sector_needs_two_samples():
-    with pytest.raises(ValueError, match="at least 2 samples"):
-        verify_sector(linear_coupling(1.0), samples=1)
+def _log_grid_ratios(spec, samples, extra=()):
+    """The sampled check the exact range replaced: slope ratios on a log
+    grid of magnitudes in [1e-6, 1e6], both signs."""
+    mags = np.concatenate((np.logspace(-6.0, 6.0, samples // 2), extra))
+    args = np.concatenate((mags, -mags))
+    return np.asarray(spec(args)) / args
+
+
+def test_verify_sector_rejects_overstatement_the_grid_missed():
+    # true infimum 1 + 2 * SINC_MIN = 0.565533; 0.0068 above it slips
+    # through the old 512-point grid but not the exact range
+    lo = 1.0 + 2.0 * SINC_MIN + 0.0068
+    spec = affine_sinusoid_coupling(1.0, 2.0, SectorBound(lo, 3.0))
+    assert _log_grid_ratios(spec, 512).min() >= lo - 1e-9
+    check = verify_sector(spec)
+    assert not check.passed
+    assert check.ratio_min == pytest.approx(0.565533, abs=1e-6)
+
+
+_SPECS = st.one_of(
+    st.builds(linear_coupling, st.floats(0.01, 100.0)),
+    st.builds(lambda g, a: affine_sinusoid_coupling(g, a, SectorBound(1.0, 1.0)),
+              st.floats(0.01, 100.0), st.floats(-50.0, 50.0)),
+    st.builds(lambda steps: piecewise_linear_coupling(
+                  [(float(x), y) for x, (_, y) in
+                   zip(np.cumsum([dx for dx, _ in steps]), steps)],
+                  SectorBound(1.0, 1.0)),
+              st.lists(st.tuples(st.floats(0.05, 5.0), st.floats(-10.0, 10.0)),
+                       min_size=1, max_size=5)),
+)
+
+
+@given(spec=_SPECS)
+def test_verify_sector_range_contains_sampled_ratios(spec):
+    """The sampler survives as a falsifier: no sampled ratio may leave the
+    exact range, and with the knots added the sampled extremes reach it."""
+    check = verify_sector(spec)
+    scale = 1.0 + max(abs(check.ratio_min), abs(check.ratio_max))
+    knots = [x for x, _ in spec.knots]
+    ratios = _log_grid_ratios(spec, 4000, knots)
+    assert ratios.min() >= check.ratio_min - 1e-9 * scale
+    assert ratios.max() <= check.ratio_max + 1e-9 * scale
+    assert ratios.min() <= check.ratio_min + 1e-3 * scale
+    assert ratios.max() >= check.ratio_max - 1e-3 * scale
 
 
 def test_disturbance_held_values():
@@ -380,11 +428,15 @@ def test_dissipation_residual_starts_at_minus_total_bias():
     network_cert = NetworkCertificate(graph=model.graph,
                                       sectors=model.sectors,
                                       certificates=certs)
-    mats = dissipation_matrices(model.graph, network_cert)
     trace = run(model, horizon=0.01, dt=1e-3)
-    residual, rhs = trace.dissipation_curves(mats)
-    assert rhs[0] == mats.bias_total == -1.0
+    residual, rhs = trace.dissipation_curves(network_cert)
+    assert rhs[0] == network_cert.bias_total == -1.0
     assert residual[0] == 1.0
+    path = build_graph(3, [(1, 2), (2, 3)])
+    other = NetworkCertificate(graph=path, sectors=model.sectors[:2],
+                               certificates=certs[:2])
+    with pytest.raises(ValueError, match="different graph"):
+        trace.dissipation_curves(other)
 
 
 def test_dissipation_curves_match_dense_forms():
@@ -403,11 +455,10 @@ def test_dissipation_curves_match_dense_forms():
                   for nu, gam in ((-0.01, -2.0), (-0.02, 1.0),
                                   (-0.03, -1.5), (-0.04, -0.5)))
     cert = NetworkCertificate(graph=g, sectors=model.sectors, certificates=certs)
-    mats = dissipation_matrices(g, cert)
     trace = run(model, horizon=0.5, dt=1e-3)
 
     d = incidence(g).astype(float)
-    stats = cert.stats
+    stats = g.stats
     exclusive_half = 0.5 * np.diag(np.array(stats.exclusive, dtype=float))
     pair = 2.0 * np.eye(4) + np.diag(np.array(stats.common, dtype=float))
     output_form = np.diag(cert.gamma) - exclusive_half
@@ -421,7 +472,7 @@ def test_dissipation_curves_match_dense_forms():
                + integral(np.einsum("ti,ij,tj->t", v, coupling_form, v))
                + cert.bias_total)
     residual_ref = -integral(np.einsum("ti,ij,tj->t", v, pair, rel)) - rhs_ref
-    residual, rhs = trace.dissipation_curves(mats)
+    residual, rhs = trace.dissipation_curves(cert)
     scale = DISSIPATION_RTOL * (1.0 + np.abs(rhs_ref))
     assert np.all(np.abs(rhs - rhs_ref) <= scale)
     assert np.all(np.abs(residual - residual_ref) <= scale)
