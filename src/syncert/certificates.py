@@ -11,7 +11,6 @@ assembles the per-edge margin check, the network quadratic forms, and the
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -106,6 +105,8 @@ class NetworkCertificate:
 
     def __post_init__(self) -> None:
         p = self.graph.edge_count
+        if p == 0:
+            raise ValueError("graph has no edges, nothing to certify")
         if len(self.sectors) != p:
             raise ValueError(f"{len(self.sectors)} sectors for {p} edges")
         if len(self.certificates) != p:
@@ -214,7 +215,9 @@ class NetworkCertificate:
 
     @cached_property
     def bound(self) -> GainBound:
-        """Gain bound over the default slope samples of :func:`gain_bound`."""
+        """Gain bound of :func:`gain_bound`: exact for point sectors, else an
+        interval bound over the whole sector box, widened by ``4 p eps ||.||``
+        against rounding."""
         return gain_bound(self.graph, self)
 
 
@@ -281,8 +284,6 @@ def quadratic_forms(g: Graph, cert: NetworkCertificate) -> CertificateForms:
     """
     if cert.graph != g:
         raise ValueError("certificate was assembled over a different graph")
-    if g.edge_count == 0:
-        raise ValueError("graph has no edges, the certificate forms are empty")
     coupling_weights = cert.pair_weight / cert.alpha_hi - 0.5 * cert.exclusive
     return CertificateForms(
         coupling_form=assemble_pd_matrix(g, cert.nu_node, coupling_weights),
@@ -294,10 +295,14 @@ def quadratic_forms(g: Graph, cert: NetworkCertificate) -> CertificateForms:
 class GainBound:
     """Certified bound ``||relative outputs||_T <= gain * ||W||_T + offset``.
 
-    ``n_min`` and ``m_max`` are the extreme eigenvalues of the slope-scanned
-    response forms; the bound is certified only when ``n_min > 0``, otherwise
-    ``gain`` and ``offset`` are nan.  ``estimate`` is ``"exact"`` when every
-    sector is a point (single slope sample), else ``"sampled"``.
+    ``n_min`` is a lower bound on the smallest eigenvalue of the response
+    form ``N(eta)`` and ``m_max`` an upper bound on the largest eigenvalue
+    of ``M(eta)``, over every slope vector ``eta`` of the sector box (see
+    :func:`gain_bound_from_forms`).  The bound is certified only when
+    ``n_min > 0``, otherwise ``gain`` and ``offset`` are nan.  ``estimate``
+    is ``"exact"`` when every sector is a point, so that both are the
+    eigenvalues of the one response form, and ``"interval"`` otherwise:
+    the interval-matrix bound, widened by a floating-point allowance.
     """
 
     gain: float
@@ -309,34 +314,78 @@ class GainBound:
     slope_max: float
     bias_total: float
     estimate: str
-    samples: int
+
+
+# Multiple of p * eps * ||.|| by which an interval bound is widened; see
+# gain_bound_from_forms.
+_EIG_ALLOWANCE = 4.0
 
 
 def gain_bound_from_forms(coupling_form: np.ndarray, output_shift: np.ndarray,
-                          weight_max: float, slope_max: float, bias_total: float,
-                          slope_samples, estimate: str = "sampled") -> GainBound:
-    """Scan slope samples and assemble the gain bound from raw forms.
+                          alpha_lo, alpha_hi, weight_max: float, slope_max: float,
+                          bias_total: float) -> GainBound:
+    """Bound the response forms over a slope box and assemble the gain bound.
 
-    For each per-edge slope vector ``eta`` the response forms are
-    ``M = diag(eta) @ coupling_form @ diag(eta)`` and ``N = M + output_shift``;
-    ``n_min`` is the worst smallest eigenvalue of ``N`` and ``m_max`` the
-    largest eigenvalue of ``M`` over the scan.  With ``n_min > 0``::
+    For a per-edge slope vector ``eta`` in the box ``alpha_lo <= eta <=
+    alpha_hi`` (``0 < alpha_lo``) the response forms are ``M(eta) =
+    diag(eta) @ coupling_form @ diag(eta)`` and ``N(eta) = M(eta) +
+    output_shift``.  Entry ``(k, l)`` of ``M`` is ``eta_k eta_l C_kl``,
+    which lies between the least and the greatest of its four corner
+    products; their midpoint ``M_c`` and half-width ``Delta >= 0`` contain
+    every ``M(eta)``.  By Weyl's inequality and Rohn's midpoint-radius bound
+    for interval matrices (SIAM J. Matrix Anal. Appl. 15(1), 1994; the
+    spectral radius of ``Delta`` bounds the 2-norm of every matrix
+    dominated by it entrywise)::
+
+        n_min = lambda_min(M_c + output_shift) - lambda_max(Delta) - allowance
+        m_max = lambda_max(M_c) + lambda_max(Delta) + allowance
+
+    three symmetric solves for any edge count.  The allowance is ``4 p eps
+    ||.||``, with ``||.||`` the largest spectral norm of ``M_c +
+    output_shift`` and ``M_c`` plus that of ``Delta``.  ``eigvalsh``
+    returns the exact eigenvalues of a perturbation of its input of norm
+    about ``p eps ||A||`` (Householder tridiagonalisation; LAPACK Users'
+    Guide, section 4.7), and rounding an entry costs a few ``eps`` of its
+    magnitude, which is at most ``sqrt(p) eps ||A||`` in norm.  The factor
+    4 covers one such term each for the centre solve, the radius solve,
+    the rounded corner products, midpoint, radius and sums, and the solve
+    of any ``N(eta)`` that the bound is compared against.
+
+    A point box (``alpha_lo == alpha_hi`` on every edge) has ``Delta = 0``:
+    it solves ``N`` and ``M`` at the one slope vector, without the radius
+    solve or the allowance, and is labelled ``"exact"``.  With ``n_min >
+    0``::
 
         gain   = sqrt(1/2 + (4 slope_max^2 weight_max^2 + 8 m_max^2) / n_min^2)
         offset = sqrt(2 |bias_total| / n_min)
     """
-    samples = [np.asarray(h, dtype=float) for h in slope_samples]
-    if not samples:
-        raise ValueError("at least one slope sample is required")
     p = coupling_form.shape[0]
-    n_min = math.inf
-    m_max = -math.inf
-    for h in samples:
-        if h.shape != (p,):
-            raise ValueError(f"slope sample has shape {h.shape}, expected ({p},)")
-        m_form = coupling_form * np.outer(h, h)
-        n_min = min(n_min, float(symmetric_eigenvalues(m_form + output_shift)[0]))
-        m_max = max(m_max, float(symmetric_eigenvalues(m_form)[-1]))
+    lo = np.asarray(alpha_lo, dtype=float)
+    hi = np.asarray(alpha_hi, dtype=float)
+    if lo.shape != (p,) or hi.shape != (p,):
+        raise ValueError(f"slope box has shapes {lo.shape} and {hi.shape}, "
+                         f"expected ({p},)")
+    if not np.all((0.0 < lo) & (lo <= hi)):
+        raise ValueError("slope box must satisfy 0 < alpha_lo <= alpha_hi")
+    point = bool(np.array_equal(lo, hi))
+    centre = coupling_form * np.outer(lo, lo)
+    if not point:
+        corners = [centre] + [coupling_form * np.outer(a, b)
+                              for a, b in ((lo, hi), (hi, lo), (hi, hi))]
+        lower = np.minimum.reduce(corners)
+        upper = np.maximum.reduce(corners)
+        centre = 0.5 * (lower + upper)
+        radius = 0.5 * (upper - lower)
+    n_eigs = symmetric_eigenvalues(centre + output_shift)
+    m_eigs = symmetric_eigenvalues(centre)
+    n_min = float(n_eigs[0])
+    m_max = float(m_eigs[-1])
+    if not point:
+        spread = float(symmetric_eigenvalues(radius)[-1])
+        scale = max(-n_eigs[0], n_eigs[-1], -m_eigs[0], m_eigs[-1]) + spread
+        widen = float(spread + _EIG_ALLOWANCE * p * np.finfo(float).eps * scale)
+        n_min -= widen
+        m_max += widen
     certified = n_min > 0.0
     if certified:
         gain = math.sqrt(
@@ -348,71 +397,27 @@ def gain_bound_from_forms(coupling_form: np.ndarray, output_shift: np.ndarray,
         offset = math.nan
     return GainBound(gain=gain, offset=offset, certified=certified, n_min=n_min,
                      m_max=m_max, weight_max=weight_max, slope_max=slope_max,
-                     bias_total=bias_total, estimate=estimate, samples=len(samples))
+                     bias_total=bias_total,
+                     estimate="exact" if point else "interval")
 
 
-# Sector boxes are scanned at their vertices by default; past this edge count
-# the vertex set is too large and the caller must supply samples.
-_MAX_VERTEX_SCAN_EDGES = 12
-
-
-def _default_slope_samples(cert: NetworkCertificate) -> list[np.ndarray]:
-    if all(s.is_point for s in cert.sectors):
-        return [cert.alpha_lo.copy()]
-    p = cert.graph.edge_count
-    if p > _MAX_VERTEX_SCAN_EDGES:
-        raise ValueError(
-            f"{p} edges with non-point sectors: supply slope_samples explicitly "
-            f"(default vertex scan is limited to {_MAX_VERTEX_SCAN_EDGES} edges)"
-        )
-    corners = [
-        np.array(v)
-        for v in itertools.product(*[(s.alpha_lo, s.alpha_hi) for s in cert.sectors])
-    ]
-    corners.append(np.array([s.midpoint for s in cert.sectors]))
-    return corners
-
-
-def gain_bound(g: Graph, cert: NetworkCertificate, slope_samples=None) -> GainBound:
-    """Certified disagreement gain bound for a network certificate.
-
-    ``slope_samples`` is an iterable of per-edge slope vectors inside the
-    sector box; omitted, it defaults to the single point for point sectors
-    and to all box vertices plus the midpoint otherwise.  Samples outside the
-    box are rejected.  For point sectors the scan is exact; otherwise the
-    reported extremes are sampled estimates and are labelled as such.  The
-    coupling form, output form and neighbour counts are read from ``cert``,
-    which computes each once.
+def gain_bound(g: Graph, cert: NetworkCertificate) -> GainBound:
+    """Certified disagreement gain bound for a network certificate, proved
+    over the whole sector box by :func:`gain_bound_from_forms`: exact for
+    point sectors, an interval bound widened by ``4 p eps ||.||``
+    otherwise.  The coupling form, output form and neighbour counts are
+    read from ``cert``, which computes each once.
     """
     if cert.graph != g:
         raise ValueError("certificate was assembled over a different graph")
-    if g.edge_count == 0:
-        raise ValueError("graph has no edges, nothing to bound")
-    if slope_samples is None:
-        samples = _default_slope_samples(cert)
-    else:
-        samples = [np.asarray(h, dtype=float) for h in slope_samples]
-        for h in samples:
-            if h.shape != (g.edge_count,):
-                raise ValueError(
-                    f"slope sample has shape {h.shape}, expected ({g.edge_count},)"
-                )
-            if np.any(h < cert.alpha_lo - 1e-12) or np.any(h > cert.alpha_hi + 1e-12):
-                k = int(np.argmax(np.maximum(cert.alpha_lo - h, h - cert.alpha_hi)))
-                raise ValueError(
-                    f"slope sample leaves the sector box at edge {g.edge_label(k)}"
-                )
-    estimate = "exact" if all(s.is_point for s in cert.sectors) else "sampled"
-    weight_max = float(np.max(cert.pair_weight))
-    slope_max = float(np.max(cert.alpha_hi))
     return gain_bound_from_forms(
         coupling_form=cert.forms.coupling_form,
         output_shift=np.diag(cert.output_quadratic),
-        weight_max=weight_max,
-        slope_max=slope_max,
+        alpha_lo=cert.alpha_lo,
+        alpha_hi=cert.alpha_hi,
+        weight_max=float(np.max(cert.pair_weight)),
+        slope_max=float(np.max(cert.alpha_hi)),
         bias_total=cert.bias_total,
-        slope_samples=samples,
-        estimate=estimate,
     )
 
 

@@ -148,8 +148,10 @@ def _echo_certificate(cfg: NetworkConfig, cert: NetworkCertificate) -> None:
     click.echo(f"margin matrix min eigenvalue: {cert.forms.margin_min_eig:.6g}")
     bound = cert.bound
     if bound.certified:
+        # a point box is one slope sample; an interval bound covers the box
+        box = "1 slope sample(s)" if bound.estimate == "exact" else "whole slope box"
         click.echo(
-            f"gain bound ({bound.estimate}, {bound.samples} slope sample(s)): "
+            f"gain bound ({bound.estimate}, {box}): "
             f"gain {bound.gain:.6g}, offset {bound.offset:.6g}, "
             f"n_min {bound.n_min:.6g}, m_max {bound.m_max:.6g}"
         )
@@ -249,9 +251,9 @@ def simulate(config_file: Path, output_dir: Path, full: bool, check_bound: bool,
 
     cert = bound = None
     if cfg.certification is not None:
-        # certify before integrating: a bound that cannot be formed, or an
-        # uncertified one that --check-bound needs, exits 2 without spending
-        # the integration
+        # certify before integrating: an invalid certificate, or an
+        # uncertified bound that --check-bound needs, exits 2 without
+        # spending the integration
         cert = cfg.certificate()
         bound = cert.bound
         if check_bound and not bound.certified:

@@ -34,7 +34,6 @@ __all__ = [
     "hill_slope_max",
     "admissible_theta3_interval",
     "resolve_weights",
-    "certify_edge",
     "certify_network",
     "search_params",
 ]
@@ -197,35 +196,16 @@ def _pair_beta(x0_i: np.ndarray, x0_j: np.ndarray) -> float:
     return -0.5 * float(np.sum((x0_i - x0_j) ** 2))
 
 
-def certify_edge(params_i: GoodwinParams, params_j: GoodwinParams, cp: CertParams,
-                 x0_i, x0_j) -> EdgeCertificate:
-    """Closed-form pairwise certificate for two oscillators sharing chain
-    parameters (only the input gains may differ).
-
-    ``nu = -btilde**2 / (2 theta)`` with ``btilde`` the larger deviation of
-    the two input gains from 1; ``gamma = a1 - theta - theta1/2 - theta2/2``
-    with the derived weights from :func:`resolve_weights`; ``beta`` is minus
-    half the squared distance between the two initial states.
-    """
-    if not params_i.same_chain(params_j):
-        raise ValueError(
-            "oscillators must share a1, a2, a3, b2, b3 and hill; "
-            "only input gains may differ"
-        )
-    xi = np.asarray(x0_i, dtype=float)
-    xj = np.asarray(x0_j, dtype=float)
-    if xi.shape != (3,) or xj.shape != (3,):
-        raise ValueError(
-            f"initial states must have shape (3,), got {xi.shape} and {xj.shape}"
-        )
-    nu = _pair_nu(cp.theta, params_i.input_gain, params_j.input_gain)
-    return EdgeCertificate(nu=nu, gamma=_pair_gamma(cp, params_i),
-                           beta=_pair_beta(xi, xj))
-
-
 def certify_network(agents, g: Graph, cp: CertParams, sectors,
                     initial_states=None, mode: str = "uniform") -> NetworkCertificate:
-    """Stack pairwise certificates over the graph.
+    """Stack the closed-form pairwise certificates over the graph.
+
+    Agents share chain parameters and differ only in input gain.  Edge
+    ``(i, j)`` gets ``nu = -btilde**2 / (2 theta)`` with ``btilde`` the
+    larger deviation of the two input gains from 1, ``gamma = a1 - theta -
+    theta1/2 - theta2/2`` with the derived weights from
+    :func:`resolve_weights`, and ``beta`` minus half the squared distance
+    between the two initial states.
 
     ``mode="uniform"`` uses the worst input-gain deviation over all edges,
     so every edge carries the same ``nu``; ``mode="per_edge"`` uses each

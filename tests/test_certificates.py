@@ -17,9 +17,11 @@ from syncert.certificates import (
     certificate_from_dict,
     certificate_to_dict,
     gain_bound,
+    gain_bound_from_forms,
     quadratic_forms,
 )
 from syncert.graphs import build_graph, complete_graph, erdos_renyi_graph, incidence
+from syncert.linalg import symmetric_eigenvalues
 
 # matrix routes recomputed in-test must agree to this tolerance
 FORM_ATOL = 1e-12
@@ -85,6 +87,10 @@ def test_nu_node_matches_edge_loop_bit_for_bit():
         g = erdos_renyi_graph(int(rng.integers(2, 12)), float(rng.uniform(0.2, 1.0)),
                               rng)
         p = g.edge_count
+        if p == 0:  # an edgeless graph has nothing to certify
+            with pytest.raises(ValueError, match="no edges"):
+                _certificate(g, nus=(), gammas=(), betas=(), sectors=())
+            continue
         cert = _certificate(g, nus=-rng.uniform(0.0, 1.0, size=p) ** 3,
                             gammas=np.zeros(p), betas=np.zeros(p),
                             sectors=((1.0, 1.0),) * p)
@@ -210,7 +216,6 @@ def test_gain_bound_point_sectors_is_exact(paper_config, paper_certification,
     bound = gain_bound(paper_config.graph, paper_certification)
     assert bound.certified
     assert bound.estimate == "exact"
-    assert bound.samples == 1
     assert bound.n_min == pytest.approx(paper_expected["n_min"], rel=1e-12)
     assert bound.m_max == pytest.approx(paper_expected["m_max"], rel=1e-12)
     assert bound.gain == pytest.approx(paper_expected["gain"], rel=1e-12)
@@ -223,26 +228,72 @@ def test_gain_bound_point_sectors_is_exact(paper_config, paper_certification,
     assert bound.offset == pytest.approx(offset, rel=1e-15)
 
 
-def test_gain_bound_box_sectors_scan_vertices():
+def test_gain_bound_box_sectors_interval():
     g = build_graph(2, [(1, 2)])
     cert = _certificate(g, nus=(0.0,), gammas=(-0.5,), betas=(-1.0,),
                         sectors=((1.0, 2.0),))
     bound = gain_bound(g, cert)
-    assert bound.estimate == "sampled"
-    assert bound.samples == 3  # two vertices plus the midpoint
+    assert bound.estimate == "interval"
     assert bound.certified
     # single edge: coupling form is (2 + 0)/alpha_hi = 1, so
-    # N(eta) = eta^2 + gamma (worst at eta = 1) and M(eta) = eta^2
-    assert bound.n_min == pytest.approx(1.0 - 0.5, rel=1e-15)
-    assert bound.m_max == pytest.approx(4.0, rel=1e-15)
+    # N(eta) = eta^2 + gamma (worst at eta = 1) and M(eta) = eta^2; the
+    # interval bound is tight here up to its 4 p eps ||.|| allowance, with
+    # midpoint 2.5, radius 1.5 and ||.|| = max(2.5 - 0.5, 2.5) + 1.5
+    allowance = 4.0 * np.finfo(float).eps * 4.0
+    assert 0.5 - allowance <= bound.n_min <= 0.5
+    assert 4.0 <= bound.m_max <= 4.0 + allowance
 
 
-def test_gain_bound_rejects_sample_outside_box():
-    g = build_graph(2, [(1, 2)])
-    cert = _certificate(g, nus=(0.0,), gammas=(0.0,), betas=(0.0,),
-                        sectors=((1.0, 2.0),))
-    with pytest.raises(ValueError, match="1-2"):
-        gain_bound(g, cert, slope_samples=[np.array([5.0])])
+def _box_vertices(lo, hi):
+    """Every vertex of the box, as rows."""
+    p = len(lo)
+    bits = (np.arange(2 ** p)[:, None] >> np.arange(p)) & 1
+    return np.where(bits == 1, hi, lo)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_interval_gain_bound_holds_over_the_box(seed):
+    """Sampled falsifier of the interval bound: no vertex and no random point
+    of the slope box has a response eigenvalue beyond ``n_min`` or
+    ``m_max``, with zero tolerance against the same solver."""
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, 9))
+    a = rng.normal(size=(p, p))
+    # diagonal forms make the bound tight at a vertex; zero out the
+    # off-diagonal part of a share of the cases
+    coupling = a + a.T if rng.random() < 0.7 else np.diag(rng.normal(size=p))
+    b = rng.normal(size=(p, p))
+    shift = rng.uniform(0.0, 3.0) * (b + b.T)
+    lo = rng.uniform(0.1, 3.0, size=p)
+    hi = lo + rng.uniform(0.0, 1.0, size=p) * (rng.random(p) < 0.8)
+    if np.array_equal(lo, hi):
+        hi[0] += 0.5
+    bound = gain_bound_from_forms(coupling, shift, lo, hi, weight_max=2.0,
+                                  slope_max=float(hi.max()), bias_total=0.0)
+    assert bound.estimate == "interval"
+    points = np.vstack([_box_vertices(lo, hi),
+                        rng.uniform(lo, hi, size=(32, p))])
+    for eta in points:
+        m_form = coupling * np.outer(eta, eta)
+        assert bound.n_min <= symmetric_eigenvalues(m_form + shift)[0]
+        assert bound.m_max >= symmetric_eigenvalues(m_form)[-1]
+
+
+def test_gain_bound_point_box_is_the_single_solve():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(4, 4))
+    coupling, shift = a + a.T, np.diag(rng.uniform(-1.0, 1.0, size=4))
+    eta = rng.uniform(1.0, 2.0, size=4)
+    bound = gain_bound_from_forms(coupling, shift, eta, eta.copy(), weight_max=2.0,
+                                  slope_max=float(eta.max()), bias_total=0.0)
+    m_form = coupling * np.outer(eta, eta)
+    assert bound.estimate == "exact"
+    assert bound.n_min == symmetric_eigenvalues(m_form + shift)[0]
+    assert bound.m_max == symmetric_eigenvalues(m_form)[-1]
+    with pytest.raises(ValueError, match="0 < alpha_lo <= alpha_hi"):
+        gain_bound_from_forms(coupling, shift, eta, eta - 0.5, weight_max=2.0,
+                              slope_max=2.0, bias_total=0.0)
 
 
 def test_gain_bound_uncertified_yields_nan():

@@ -290,6 +290,17 @@ def test_certify_solves_each_quantity_once(tmp_path, monkeypatch):
     assert calls == {"eigvalsh": 3, "jacobi": 0, "edge_stats": 1}
 
 
+@pytest.mark.parametrize("command", [
+    ["certify"],
+    ["search", "--theta", "2:2:1", "--theta3", "1.5:1.5:1"],
+], ids=["certify", "search"])
+def test_edgeless_graph_exits_2_before_any_table(tmp_path, command):
+    path = _write(tmp_path, _payload(graph={"n": 3, "edges": []}))
+    result = CliRunner().invoke(main, [command[0], str(path), *command[1:]])
+    assert result.exit_code == 2, result.output
+    assert result.output == "error: graph has no edges, nothing to certify\n"
+
+
 def test_search_computes_edge_stats_once_for_the_grid(tmp_path, monkeypatch):
     path = _write(tmp_path, _payload())
     out = tmp_path / "grid.csv"
@@ -392,12 +403,10 @@ _K6_SINUSOID = _payload(
 
 
 @pytest.mark.parametrize("payload, flags, message", [
-    # the gain bound cannot be formed: too many non-point edges to scan
-    (_K6_SINUSOID, [], "15 edges with non-point sectors"),
     # the gain bound is formed but not certified (n_min <= 0)
     (_payload(couplings={"kind": "linear", "gain": 0.5}), ["--check-bound"],
      "gain bound is not certified"),
-], ids=["non_point_sectors", "uncertified_bound"])
+], ids=["uncertified_bound"])
 def test_simulate_rejects_unboundable_certificate_before_integrating(
         tmp_path, monkeypatch, payload, flags, message):
     def no_run(*args, **kwargs):
@@ -409,6 +418,28 @@ def test_simulate_rejects_unboundable_certificate_before_integrating(
     assert result.exit_code == 2, result.output
     assert message in result.output
     assert "integrated" not in result.output
+
+
+def test_non_point_box_of_any_size_is_bounded(tmp_path):
+    # 15 non-point edges: the interval bound has no edge limit
+    path = _write(tmp_path, _K6_SINUSOID)
+    result = CliRunner().invoke(main, ["certify", str(path)])
+    assert result.exit_code == 0, result.output
+    assert "gain bound (interval, whole slope box): gain " in result.output
+    result = CliRunner().invoke(main, ["simulate", str(path), "--check-bound",
+                                       "-o", str(tmp_path / "x")])
+    assert result.exit_code == 0, result.output
+    assert "integrated 500 steps" in result.output
+    assert "bound check: worst sampled margin" in result.output
+
+
+def test_certify_interval_bound_takes_one_more_solve(tmp_path, monkeypatch):
+    # a non-point box of 15 edges: margin, centre, centre plus output shift
+    # and radius, whatever the edge count
+    calls = _count_certificate_work(monkeypatch)
+    result = CliRunner().invoke(main, ["certify", str(_write(tmp_path, _K6_SINUSOID))])
+    assert result.exit_code == 0, result.output
+    assert calls == {"eigvalsh": 4, "jacobi": 0, "edge_stats": 1}
 
 
 def test_simulate_blowup_exit_code(tmp_path):

@@ -18,14 +18,13 @@ from syncert.goodwin import (
     InadmissibleParams,
     _certificate_slope,
     admissible_theta3_interval,
-    certify_edge,
     certify_network,
     hill_slope,
     hill_slope_max,
     resolve_weights,
     search_params,
 )
-from syncert.graphs import complete_graph
+from syncert.graphs import build_graph, complete_graph
 
 # closed-form slope constant and numerical maximum at hill = 14, frozen
 HILL14_SLOPE = 3.5178120744028827
@@ -162,10 +161,17 @@ def test_slope_constant_silent_near_maximum():
         resolve_weights(CertParams(theta=2.0, theta3=1.5), _agent(1.0))
 
 
+def _certify_pair(agent_i, agent_j, cp, x0_i, x0_j):
+    """The one edge certificate of the two-node network ``1 - 2``."""
+    g = build_graph(2, [(1, 2)])
+    return certify_network((agent_i, agent_j), g, cp, (SectorBound(5.0, 5.0),),
+                           initial_states=[x0_i, x0_j]).certificates[0]
+
+
 def test_certify_edge_values():
     cp = CertParams(theta=2.0, theta3=1.5)
-    cert = certify_edge(_agent(0.8), _agent(1.1), cp,
-                        (1.0, 2.0, 3.0), (0.0, 0.0, 0.0))
+    cert = _certify_pair(_agent(0.8), _agent(1.1), cp,
+                         (1.0, 2.0, 3.0), (0.0, 0.0, 0.0))
     # worst gain deviation is 0.2, so nu = -0.04 / (2 * 2)
     assert cert.nu == pytest.approx(-0.01, rel=EXACT_RTOL)
     assert cert.beta == pytest.approx(-7.0, rel=EXACT_RTOL)
@@ -173,18 +179,18 @@ def test_certify_edge_values():
     assert cert.gamma == pytest.approx(0.5 - 2.0 - 0.5 * (theta1 + theta2),
                                        rel=1e-12)
     # symmetric in the pair
-    swapped = certify_edge(_agent(1.1), _agent(0.8), cp,
-                           (0.0, 0.0, 0.0), (1.0, 2.0, 3.0))
+    swapped = _certify_pair(_agent(1.1), _agent(0.8), cp,
+                            (0.0, 0.0, 0.0), (1.0, 2.0, 3.0))
     assert swapped.nu == cert.nu and swapped.beta == cert.beta
 
 
 def test_certify_edge_validation():
     cp = CertParams(theta=2.0, theta3=1.5)
     with pytest.raises(ValueError, match="share"):
-        certify_edge(_agent(1.0), _agent(1.0, a2=1.5), cp,
-                     np.zeros(3), np.zeros(3))
-    with pytest.raises(ValueError, match=r"shape \(3,\)"):
-        certify_edge(_agent(1.0), _agent(1.0), cp, np.zeros(2), np.zeros(3))
+        _certify_pair(_agent(1.0), _agent(1.0, a2=1.5), cp,
+                      np.zeros(3), np.zeros(3))
+    with pytest.raises(ValueError, match=r"shape \(2, 2\), expected \(2, 3\)"):
+        _certify_pair(_agent(1.0), _agent(1.0), cp, np.zeros(2), np.zeros(2))
 
 
 def test_certify_network_uniform_versus_per_edge():

@@ -483,7 +483,7 @@ def test_uncertified_bound_is_rejected():
     trace = run(_triangle_model(), horizon=0.01, dt=1e-3)
     bad = GainBound(gain=math.nan, offset=math.nan, certified=False,
                     n_min=-1.0, m_max=2.0, weight_max=2.0, slope_max=2.0,
-                    bias_total=-1.0, estimate="exact", samples=1)
+                    bias_total=-1.0, estimate="exact")
     with pytest.raises(UncertifiedBoundError):
         trace.margin_curve(bad)
     with pytest.raises(UncertifiedBoundError):
