@@ -1,18 +1,18 @@
 """Per-edge dissipativity certificates, the distributed synchronisation
 margin, and the certified disagreement gain bound.
 
-Three ingredients meet here: a slope :class:`SectorBound` for each coupling
-nonlinearity, an :class:`EdgeCertificate` ``(nu, gamma, beta)`` for each agent
-pair joined by an edge, and the graph statistics.  From them the module
+A :class:`NetworkCertificate` holds a slope sector for each coupling
+nonlinearity and a certificate ``(nu, gamma, beta)`` for each agent pair
+joined by an edge, as per-edge arrays.  With the graph statistics it
 assembles the per-edge margin check, the network quadratic forms, and the
-``gain * ||disturbance||_T + offset`` bound on the relative outputs; a
-:class:`NetworkCertificate` computes each of them once, on first use.
+``gain * ||disturbance||_T + offset`` bound on the relative outputs, each
+once, on first use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -27,6 +27,7 @@ __all__ = [
     "SectorBound",
     "EdgeCertificate",
     "NetworkCertificate",
+    "sector_arrays",
     "MarginReport",
     "CertificateForms",
     "GainBound",
@@ -72,7 +73,8 @@ class SectorBound:
 
 @dataclass(frozen=True)
 class EdgeCertificate:
-    """Relative-dissipativity parameters of one agent pair.
+    """Relative-dissipativity parameters of one agent pair, as read and
+    written at the JSON boundary and checked by the pair residual curves.
 
     A finite ``nu <= 0`` weights the pair's input energy, ``gamma`` the
     relative-output energy, and ``beta`` is the trajectory-independent bias
@@ -94,40 +96,62 @@ class EdgeCertificate:
             )
 
 
+def sector_arrays(sectors) -> tuple[np.ndarray, np.ndarray]:
+    """``alpha_lo`` and ``alpha_hi`` of a sequence of :class:`SectorBound`,
+    as float arrays in the same order."""
+    lo, hi = np.array([(s.alpha_lo, s.alpha_hi) for s in sectors],
+                      dtype=float).reshape(-1, 2).T
+    return lo, hi
+
+
+_EDGE_ARRAYS = ("alpha_lo", "alpha_hi", "nu", "gamma_raw", "beta")
+
+
 @dataclass(frozen=True, eq=False)
 class NetworkCertificate:
-    """Edge certificates and sectors stacked over a graph, plus the derived
-    per-node and network aggregates."""
+    """Sectors and certificate values stacked over a graph as read-only
+    float arrays in edge order (``gamma_raw`` is ``gamma`` before the
+    clamp), plus the derived per-node and network aggregates.  One
+    vectorised check rejects a wrong length and every value that
+    :class:`SectorBound` or :class:`EdgeCertificate` rejects, naming the
+    first offending edge."""
 
     graph: Graph
-    sectors: tuple[SectorBound, ...]
-    certificates: tuple[EdgeCertificate, ...]
+    alpha_lo: np.ndarray
+    alpha_hi: np.ndarray
+    nu: np.ndarray
+    gamma_raw: np.ndarray
+    beta: np.ndarray
 
     def __post_init__(self) -> None:
         p = self.graph.edge_count
         if p == 0:
             raise ValueError("graph has no edges, nothing to certify")
-        if len(self.sectors) != p:
-            raise ValueError(f"{len(self.sectors)} sectors for {p} edges")
-        if len(self.certificates) != p:
-            raise ValueError(f"{len(self.certificates)} certificates for {p} edges")
+        for name in _EDGE_ARRAYS:
+            values = np.array(getattr(self, name), dtype=float)
+            if values.shape != (p,):
+                raise ValueError(f"{name} has shape {values.shape}, expected ({p},)")
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        lo, hi, nu = self.alpha_lo, self.alpha_hi, self.nu
+        for ok, rule in (
+                ((0.0 < lo) & (lo <= hi) & (hi < math.inf),
+                 "sector must satisfy 0 < alpha_lo <= alpha_hi < inf"),
+                ((-math.inf < nu) & (nu <= 0.0), "nu must be finite and <= 0"),
+                (np.isfinite(self.gamma_raw) & np.isfinite(self.beta),
+                 "gamma and beta must be finite")):
+            if not ok.all():
+                raise ValueError(f"edge {self.graph.edge_label(int(np.argmin(ok)))}: {rule}")
 
-    @cached_property
-    def nu(self) -> np.ndarray:
-        return np.array([c.nu for c in self.certificates])
-
-    @cached_property
-    def gamma_raw(self) -> np.ndarray:
-        return np.array([c.gamma for c in self.certificates])
+    def edge(self, k: int) -> EdgeCertificate:
+        """The certificate values of edge ``k``, with the raw ``gamma``."""
+        return EdgeCertificate(nu=float(self.nu[k]), gamma=float(self.gamma_raw[k]),
+                               beta=float(self.beta[k]))
 
     @cached_property
     def gamma(self) -> np.ndarray:
         """Clamped to zero from above; the inequality survives the clamp."""
         return np.minimum(self.gamma_raw, 0.0)
-
-    @cached_property
-    def beta(self) -> np.ndarray:
-        return np.array([c.beta for c in self.certificates])
 
     @cached_property
     def bias_total(self) -> float:
@@ -144,38 +168,20 @@ class NetworkCertificate:
         np.add.at(acc, lower, self.nu)
         return acc
 
-    @cached_property
-    def alpha_lo(self) -> np.ndarray:
-        return np.array([s.alpha_lo for s in self.sectors])
-
-    @cached_property
-    def alpha_hi(self) -> np.ndarray:
-        return np.array([s.alpha_hi for s in self.sectors])
-
     # The certification pass: every quantity below is derived once, on first
     # use, and the later ones reuse the earlier ones through this object.
-
-    @cached_property
-    def common(self) -> np.ndarray:
-        """Common-neighbour count per edge, from :attr:`Graph.stats`."""
-        return np.asarray(self.graph.stats.common, dtype=float)
-
-    @cached_property
-    def exclusive(self) -> np.ndarray:
-        """Exclusive-neighbour count per edge, from :attr:`Graph.stats`."""
-        return np.asarray(self.graph.stats.exclusive, dtype=float)
 
     @cached_property
     def pair_weight(self) -> np.ndarray:
         """Per-edge weight ``2 + common`` between coupling outputs and
         relative outputs in the network dissipation inequality."""
-        return 2.0 + self.common
+        return 2.0 + self.graph.stats.common
 
     @cached_property
     def output_quadratic(self) -> np.ndarray:
         """Per-edge weight ``gamma - exclusive/2`` on the squared relative
         outputs in the network dissipation inequality."""
-        return self.gamma - 0.5 * self.exclusive
+        return self.gamma - 0.5 * self.graph.stats.exclusive
 
     @cached_property
     def sigma(self) -> np.ndarray:
@@ -191,7 +197,7 @@ class NetworkCertificate:
         """
         lo = self.alpha_lo
         return (self.pair_weight / self.alpha_hi
-                - (1.0 + lo * lo) * self.exclusive / (2.0 * lo * lo)
+                - (1.0 + lo * lo) * self.graph.stats.exclusive / (2.0 * lo * lo)
                 + self.gamma / (lo * lo))
 
     @cached_property
@@ -284,7 +290,7 @@ def quadratic_forms(g: Graph, cert: NetworkCertificate) -> CertificateForms:
     """
     if cert.graph != g:
         raise ValueError("certificate was assembled over a different graph")
-    coupling_weights = cert.pair_weight / cert.alpha_hi - 0.5 * cert.exclusive
+    coupling_weights = cert.pair_weight / cert.alpha_hi - 0.5 * g.stats.exclusive
     return CertificateForms(
         coupling_form=assemble_pd_matrix(g, cert.nu_node, coupling_weights),
         margin_form=assemble_pd_matrix(g, cert.nu_node, cert.sigma),
@@ -423,19 +429,11 @@ def gain_bound(g: Graph, cert: NetworkCertificate) -> GainBound:
 
 def certificate_to_dict(cert: NetworkCertificate) -> dict:
     """JSON-ready payload with one entry per edge (raw ``gamma``)."""
-    return {
-        "edges": [
-            {
-                "edge": [i, j],
-                "nu": cert.certificates[k].nu,
-                "gamma": cert.certificates[k].gamma,
-                "beta": cert.certificates[k].beta,
-                "alpha_lo": cert.sectors[k].alpha_lo,
-                "alpha_hi": cert.sectors[k].alpha_hi,
-            }
-            for k, (i, j) in enumerate(cert.graph.edges)
-        ]
-    }
+    return {"edges": [
+        {"edge": [i, j], **asdict(cert.edge(k)),
+         "alpha_lo": float(cert.alpha_lo[k]), "alpha_hi": float(cert.alpha_hi[k])}
+        for k, (i, j) in enumerate(cert.graph.edges)
+    ]}
 
 
 _ENTRY_KEYS = ("edge", "nu", "gamma", "beta", "alpha_lo", "alpha_hi")
@@ -473,17 +471,15 @@ def certificate_from_dict(payload: dict, n: int | None = None) -> NetworkCertifi
     if n is None:
         n = int(max(j for _, j in by_edge))
     g = build_graph(n, [entry["edge"] for entry in entries])
-    sectors = []
-    certs = []
+    rows = []
     for key in g.edges:
         k, entry = by_edge[key]
         try:
-            sectors.append(SectorBound(alpha_lo=float(entry["alpha_lo"]),
-                                       alpha_hi=float(entry["alpha_hi"])))
-            certs.append(EdgeCertificate(nu=float(entry["nu"]),
-                                         gamma=float(entry["gamma"]),
-                                         beta=float(entry["beta"])))
+            sector = SectorBound(alpha_lo=float(entry["alpha_lo"]),
+                                 alpha_hi=float(entry["alpha_hi"]))
+            edge = EdgeCertificate(nu=float(entry["nu"]), gamma=float(entry["gamma"]),
+                                   beta=float(entry["beta"]))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"certificate entry {k}: {exc}") from None
-    return NetworkCertificate(graph=g, sectors=tuple(sectors),
-                              certificates=tuple(certs))
+        rows.append((sector.alpha_lo, sector.alpha_hi, edge.nu, edge.gamma, edge.beta))
+    return NetworkCertificate(graph=g, **dict(zip(_EDGE_ARRAYS, np.array(rows).T)))

@@ -19,6 +19,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import __version__
 from .certificates import NetworkCertificate, UncertifiedBoundError
 from .config import (
     ConfigError,
@@ -104,7 +105,7 @@ def _guarded(fn):
 
 
 @click.group()
-@click.version_option(package_name="syncert")
+@click.version_option(version=__version__, prog_name="syncert")
 def main() -> None:
     """Certify and simulate output synchronisation of oscillator networks."""
 
@@ -521,8 +522,7 @@ def reproduce_paper(output_dir: Path | None, mode: str | None, dt: float | None,
 
     worst_pair = math.inf
     for k in range(cfg.graph.edge_count):
-        pair_res, pair_rhs = trace_noisy.pair_residual_curves(
-            k, cert.certificates[k])
+        pair_res, pair_rhs = trace_noisy.pair_residual_curves(k, cert.edge(k))
         pair_slack = pair_res[grid_idx] - _residual_floor(pair_rhs[grid_idx])
         worst_pair = min(worst_pair, float(np.min(pair_slack)))
     checks.append((

@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificates import NetworkCertificate, SectorBound
+from .certificates import NetworkCertificate, SectorBound, sector_arrays
 from .goodwin import CertParams, GoodwinParams, InadmissibleParams, certify_network
 from .graphs import Graph, build_graph
 from .noise import edge_seed_sequence
@@ -151,8 +151,8 @@ class NetworkConfig:
             raise ConfigError("/certification",
                               "certification block required for this command")
         return certify_network(self.agents, self.graph, self.certification,
-                               self.sectors, initial_states=self.initial_states,
-                               mode=self.mode)
+                               *sector_arrays(self.sectors),
+                               initial_states=self.initial_states, mode=self.mode)
 
     def with_seed(self, seed: int) -> "NetworkConfig":
         """Replace the master seed and re-derive every Gaussian edge seed,

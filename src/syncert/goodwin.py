@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .certificates import EdgeCertificate, NetworkCertificate
+from .certificates import NetworkCertificate, sector_arrays
 from .graphs import Graph
 
 __all__ = [
@@ -182,36 +182,22 @@ def resolve_weights(cp: CertParams, params: GoodwinParams) -> tuple[float, float
     return theta1, theta2
 
 
-def _pair_nu(theta: float, gain_i: float, gain_j: float) -> float:
-    deviation = max(abs(gain_i - 1.0), abs(gain_j - 1.0))
-    return -deviation * deviation / (2.0 * theta)
-
-
-def _pair_gamma(cp: CertParams, params: GoodwinParams) -> float:
-    theta1, theta2 = resolve_weights(cp, params)
-    return params.a1 - cp.theta - 0.5 * theta1 - 0.5 * theta2
-
-
-def _pair_beta(x0_i: np.ndarray, x0_j: np.ndarray) -> float:
-    return -0.5 * float(np.sum((x0_i - x0_j) ** 2))
-
-
-def certify_network(agents, g: Graph, cp: CertParams, sectors,
+def certify_network(agents, g: Graph, cp: CertParams, alpha_lo, alpha_hi,
                     initial_states=None, mode: str = "uniform") -> NetworkCertificate:
-    """Stack the closed-form pairwise certificates over the graph.
+    """Build the closed-form pairwise certificates of every edge at once.
 
-    Agents share chain parameters and differ only in input gain.  Edge
-    ``(i, j)`` gets ``nu = -btilde**2 / (2 theta)`` with ``btilde`` the
-    larger deviation of the two input gains from 1, ``gamma = a1 - theta -
-    theta1/2 - theta2/2`` with the derived weights from
-    :func:`resolve_weights`, and ``beta`` minus half the squared distance
-    between the two initial states.
+    Agents share chain parameters and differ only in input gain ``b``.  Over
+    the endpoint arrays ``(lower, upper)`` of :attr:`Graph.endpoints`::
 
-    ``mode="uniform"`` uses the worst input-gain deviation over all edges,
-    so every edge carries the same ``nu``; ``mode="per_edge"`` uses each
-    edge's own deviation, which can only enlarge the margins.  ``beta`` is
-    always edge specific.  ``initial_states`` is ``(n, 3)`` and defaults to
-    zeros.
+        nu    = -max(|b - 1|[lower], |b - 1|[upper])**2 / (2 theta)
+        gamma = a1 - theta - theta1/2 - theta2/2     (one scalar, every edge)
+        beta  = -1/2 * sum((x0[lower] - x0[upper])**2, axis=1)
+
+    with ``theta1, theta2`` from :func:`resolve_weights`.  ``mode="uniform"``
+    gives every edge the least ``nu``; ``mode="per_edge"`` keeps each edge's
+    own, which can only enlarge the margins.  ``alpha_lo`` and ``alpha_hi``
+    are the sector arrays of :func:`~syncert.certificates.sector_arrays`;
+    ``initial_states`` is ``(n, 3)`` and defaults to zeros.
     """
     agents = tuple(agents)
     if len(agents) != g.n:
@@ -232,17 +218,18 @@ def certify_network(agents, g: Graph, cp: CertParams, sectors,
             raise ValueError(
                 f"initial states have shape {x0.shape}, expected ({g.n}, 3)"
             )
-    gamma = _pair_gamma(cp, agents[0])
-    nus = [_pair_nu(cp.theta, agents[i - 1].input_gain, agents[j - 1].input_gain)
-           for i, j in g.edges]
-    if mode == "uniform" and nus:
+    theta1, theta2 = resolve_weights(cp, agents[0])
+    gamma = agents[0].a1 - cp.theta - 0.5 * theta1 - 0.5 * theta2
+    lower, upper = g.endpoints
+    deviation = np.abs(np.array([a.input_gain for a in agents]) - 1.0)
+    deviation = np.maximum(deviation[lower], deviation[upper])
+    nu = -deviation * deviation / (2.0 * cp.theta)
+    if mode == "uniform" and nu.size:
         # nu falls with the gain deviation, so the worst edge has the least nu
-        nus = [min(nus)] * len(nus)
-    certs = tuple(
-        EdgeCertificate(nu=nus[k], gamma=gamma, beta=_pair_beta(x0[i - 1], x0[j - 1]))
-        for k, (i, j) in enumerate(g.edges)
-    )
-    return NetworkCertificate(graph=g, sectors=tuple(sectors), certificates=certs)
+        nu = np.full(nu.shape, nu.min())
+    beta = -0.5 * np.sum((x0[lower] - x0[upper]) ** 2, axis=1)
+    return NetworkCertificate(graph=g, alpha_lo=alpha_lo, alpha_hi=alpha_hi, nu=nu,
+                              gamma_raw=np.full(nu.shape, gamma), beta=beta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,13 +266,13 @@ def search_params(agents, g: Graph, sectors, theta_range, theta3_range,
 
     Ranges are ``(lo, hi, count)`` with ``count >= 1``; ties prefer smaller
     ``theta`` and then smaller ``theta3``.  Margins do not involve the bias
-    term, so no initial states are needed.  Every grid point reads
-    :attr:`NetworkCertificate.margins`; the edge statistics are computed
-    once for ``g`` and shared across the grid.  Raises
+    term, so no initial states are needed.  Every grid point reads the
+    margins of one :func:`certify_network` certificate; the sector arrays
+    are built once per grid, the edge statistics once per graph.  Raises
     :class:`InadmissibleParams` when no grid point is admissible.
     """
     agents = tuple(agents)
-    sectors = tuple(sectors)
+    alpha_lo, alpha_hi = sector_arrays(sectors)
     thetas = _parse_range(theta_range, "theta")
     theta3s = _parse_range(theta3_range, "theta3")
     best: tuple[float, float, float] | None = None
@@ -294,7 +281,7 @@ def search_params(agents, g: Graph, sectors, theta_range, theta3_range,
         for theta3 in theta3s:
             cp = CertParams(theta=float(theta), theta3=float(theta3))
             try:
-                cert = certify_network(agents, g, cp, sectors, mode=mode)
+                cert = certify_network(agents, g, cp, alpha_lo, alpha_hi, mode=mode)
             except InadmissibleParams:
                 rows.append((float(theta), float(theta3), math.nan, False))
                 continue

@@ -176,9 +176,10 @@ def incidence(g: Graph) -> np.ndarray:
     return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeStats:
-    """Common/exclusive neighbour counts per edge.
+    """Common/exclusive neighbour counts per edge, as read-only integer
+    arrays in edge order.
 
     For edge ``(i, j)``: ``common`` counts the nodes adjacent to both
     endpoints, ``exclusive`` the nodes adjacent to exactly one endpoint
@@ -186,8 +187,13 @@ class EdgeStats:
     """
 
     graph: Graph
-    common: tuple[int, ...]
-    exclusive: tuple[int, ...]
+    common: np.ndarray
+    exclusive: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, EdgeStats) and self.graph == other.graph
+                and np.array_equal(self.common, other.common)
+                and np.array_equal(self.exclusive, other.exclusive))
 
     def endpoint_degrees(self, k: int) -> tuple[int, int]:
         i, j = self.graph.edges[k]
@@ -203,8 +209,9 @@ def edge_stats(g: Graph) -> EdgeStats:
                       dtype=np.int64)
     lower, upper = g.endpoints
     exclusive = g.degrees[lower] + g.degrees[upper] - 2 * common - 2
-    return EdgeStats(graph=g, common=tuple(common.tolist()),
-                     exclusive=tuple(exclusive.tolist()))
+    common.flags.writeable = False
+    exclusive.flags.writeable = False
+    return EdgeStats(graph=g, common=common, exclusive=exclusive)
 
 
 def _pd_weights(g: Graph, node_weights, edge_weights) -> tuple[np.ndarray, np.ndarray]:

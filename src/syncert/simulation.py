@@ -439,7 +439,7 @@ class SimulationTrace:
         rhs = (
             _cumtrapz((rel * rel) @ cert.output_quadratic, self.dt)
             + _cumtrapz((u * u) @ cert.nu_node
-                        - (v * v) @ (0.5 * cert.exclusive), self.dt)
+                        - (v * v) @ (0.5 * cert.graph.stats.exclusive), self.dt)
             + cert.bias_total
         )
         return lhs - rhs, rhs

@@ -121,11 +121,10 @@ def test_network_dissipation_inequality_on_noisy_traces(noisy_traces,
 
 def test_pairwise_dissipation_inequality_on_noisy_traces(noisy_traces,
                                                          paper_certification):
-    certs = paper_certification.certificates
     edges = paper_certification.graph.edges
     for seed, trace in noisy_traces.items():
         for k, edge in enumerate(edges):
-            residual, rhs = trace.pair_residual_curves(k, certs[k])
+            residual, rhs = trace.pair_residual_curves(k, paper_certification.edge(k))
             for horizon in CHECK_HORIZONS:
                 idx = trace.index_at(horizon)
                 floor = -RESIDUAL_RTOL * (1.0 + abs(rhs[idx]))

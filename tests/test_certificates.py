@@ -29,12 +29,9 @@ EIG_RTOL = 1e-9
 
 
 def _certificate(graph, nus, gammas, betas, sectors):
-    return NetworkCertificate(
-        graph=graph,
-        sectors=tuple(SectorBound(lo, hi) for lo, hi in sectors),
-        certificates=tuple(EdgeCertificate(nu=n, gamma=g, beta=b)
-                           for n, g, b in zip(nus, gammas, betas)),
-    )
+    lo, hi = np.array(sectors, dtype=float).reshape(-1, 2).T
+    return NetworkCertificate(graph=graph, alpha_lo=lo, alpha_hi=hi, nu=nus,
+                              gamma_raw=gammas, beta=betas)
 
 
 def test_sector_bound_validation():
@@ -46,15 +43,39 @@ def test_sector_bound_validation():
 
 
 def test_edge_certificate_validation():
-    EdgeCertificate(nu=0.0, gamma=1.0, beta=0.0)  # zero nu is admissible
-    with pytest.raises(ValueError):
-        EdgeCertificate(nu=0.1, gamma=0.0, beta=0.0)
-    with pytest.raises(ValueError):
-        EdgeCertificate(nu=math.nan, gamma=0.0, beta=0.0)
-    with pytest.raises(ValueError, match="finite"):
-        EdgeCertificate(nu=-math.inf, gamma=0.0, beta=0.0)
-    with pytest.raises(ValueError):
-        EdgeCertificate(nu=-1.0, gamma=math.inf, beta=0.0)
+    g = build_graph(3, [(1, 2), (2, 3)])
+    good = {"nu": (0.0, -0.5), "gammas": (1.0, -1.0), "betas": (0.0, -2.0),
+            "sectors": ((1.0, 2.0), (3.0, 3.0))}
+    cert = _certificate(g, good["nu"], good["gammas"], good["betas"],
+                        good["sectors"])  # zero nu is admissible
+    assert cert.edge(1) == EdgeCertificate(nu=-0.5, gamma=-1.0, beta=-2.0)
+    # each bad value is rejected with the edge that carries it
+    for key, value, rule in [
+        ("nu", math.nan, "nu must be finite and <= 0"),
+        ("nu", -math.inf, "nu must be finite and <= 0"),
+        ("nu", 0.1, "nu must be finite and <= 0"),
+        ("gammas", math.inf, "gamma and beta must be finite"),
+        ("gammas", -math.inf, "gamma and beta must be finite"),
+        ("betas", math.nan, "gamma and beta must be finite"),
+        ("sectors", (2.0, 1.0), "sector must satisfy"),
+    ]:
+        bad = dict(good)
+        bad[key] = (good[key][0], value)
+        with pytest.raises(ValueError, match=f"edge 2-3: {rule}"):
+            _certificate(g, bad["nu"], bad["gammas"], bad["betas"], bad["sectors"])
+    for key in good:
+        bad = dict(good)
+        bad[key] = good[key][:1]
+        with pytest.raises(ValueError, match=r"has shape \(1,\), expected \(2,\)"):
+            _certificate(g, bad["nu"], bad["gammas"], bad["betas"], bad["sectors"])
+    # the stored arrays are read-only copies of the inputs
+    nus = np.array([-0.25, -0.5])
+    cert = _certificate(g, nus, good["gammas"], good["betas"], good["sectors"])
+    nus[0] = 1.0
+    assert cert.nu[0] == -0.25
+    for name in ("alpha_lo", "alpha_hi", "nu", "gamma_raw", "beta"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(cert, name)[0] = -1.0
 
 
 def test_network_certificate_aggregates():
@@ -66,7 +87,7 @@ def test_network_certificate_aggregates():
     # positive raw gamma is clamped in the aggregate view, kept in the raw one
     assert cert.gamma.tolist() == [0.0, -0.5]
     assert cert.gamma_raw.tolist() == [0.5, -0.5]
-    with pytest.raises(ValueError, match="sectors"):
+    with pytest.raises(ValueError, match=r"alpha_lo has shape \(1,\)"):
         _certificate(g, nus=(-0.02, -0.03), gammas=(0.0, 0.0),
                      betas=(0.0, 0.0), sectors=((1.0, 2.0),))
 
@@ -107,8 +128,10 @@ def test_single_edge_margin_formula():
     assert report.satisfied
     # two disjoint copies keep every slack but no longer synchronise
     g2 = build_graph(4, [(1, 2), (3, 4)])
-    report2 = NetworkCertificate(graph=g2, sectors=cert.sectors * 2,
-                                 certificates=cert.certificates * 2).margins
+    report2 = NetworkCertificate(
+        graph=g2, **{name: np.tile(getattr(cert, name), 2)
+                     for name in ("alpha_lo", "alpha_hi", "nu", "gamma_raw", "beta")}
+    ).margins
     assert np.array_equal(report2.slacks, np.repeat(report.slacks, 2))
     assert report2.edge_ok.all()
     assert not report2.satisfied
@@ -204,8 +227,8 @@ def test_certificate_dissipation_weights():
     assert cert.bias_total == -1.0
     # gamma is clamped; each end of the path sees one exclusive neighbour
     assert np.array_equal(cert.gamma, [-1.0, 0.0])
-    assert np.array_equal(cert.common, [0.0, 0.0])
-    assert np.array_equal(cert.exclusive, [1.0, 1.0])
+    assert np.array_equal(cert.graph.stats.common, [0, 0])
+    assert np.array_equal(cert.graph.stats.exclusive, [1, 1])
     # pair weight is 2 plus the common-neighbour count (zero on a path)
     assert np.array_equal(cert.pair_weight, [2.0, 2.0])
     assert np.array_equal(cert.output_quadratic, [-1.5, -0.5])

@@ -6,12 +6,13 @@ import copy
 import csv
 import json
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from syncert import certificates, graphs
+from syncert import __version__, certificates, graphs
 from syncert.cli import main
 from syncert.config import (
     SEED_ENV_VAR,
@@ -315,8 +316,30 @@ def test_search_computes_edge_stats_once_for_the_grid(tmp_path, monkeypatch):
     assert len(rows) == 12 and all(r["feasible"] == "true" for r in rows)
     for row in rows:
         cp = CertParams(theta=float(row["theta"]), theta3=float(row["theta3"]))
-        cert = certify_network(cfg.agents, cfg.graph, cp, cfg.sectors, mode=cfg.mode)
+        cert = certify_network(cfg.agents, cfg.graph, cp,
+                               *certificates.sector_arrays(cfg.sectors), mode=cfg.mode)
         assert float(row["min_slack"]) == cert.margins.min_slack
+
+
+def test_search_reproduces_golden_grid_csv(tmp_path):
+    # written on the bundled K5 network by the per-edge certificate build
+    # that the array build replaced; the grid includes theta3 points outside
+    # the admissible (1.125, 2), which carry nan
+    expected = (Path(__file__).parent / "data" / "search_k5_golden.csv").read_bytes()
+    out = tmp_path / "grid.csv"
+    result = CliRunner().invoke(main, ["search", str(_bundled_path(tmp_path)),
+                                       "--theta", "0.5:4:7", "--theta3", "1.0:2.1:9",
+                                       "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "grid points: 63, admissible: 49" in result.output
+    assert out.read_bytes() == expected
+
+
+def test_version_option_reads_the_package_version():
+    result = CliRunner().invoke(main, ["--version"])
+    assert result.exit_code == 0, result.output
+    assert result.output == f"syncert, version {__version__}\n"
+    assert __version__ == "0.1.0"
 
 
 def test_certify_rejects_bad_config(tmp_path):

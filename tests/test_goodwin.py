@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from syncert.certificates import SectorBound
+from syncert.certificates import NetworkCertificate, SectorBound, sector_arrays
 from syncert.goodwin import (
     CertParams,
     GoodwinParams,
@@ -24,7 +24,7 @@ from syncert.goodwin import (
     resolve_weights,
     search_params,
 )
-from syncert.graphs import build_graph, complete_graph
+from syncert.graphs import build_graph, complete_graph, erdos_renyi_graph
 
 # closed-form slope constant and numerical maximum at hill = 14, frozen
 HILL14_SLOPE = 3.5178120744028827
@@ -164,8 +164,8 @@ def test_slope_constant_silent_near_maximum():
 def _certify_pair(agent_i, agent_j, cp, x0_i, x0_j):
     """The one edge certificate of the two-node network ``1 - 2``."""
     g = build_graph(2, [(1, 2)])
-    return certify_network((agent_i, agent_j), g, cp, (SectorBound(5.0, 5.0),),
-                           initial_states=[x0_i, x0_j]).certificates[0]
+    return certify_network((agent_i, agent_j), g, cp, [5.0], [5.0],
+                           initial_states=[x0_i, x0_j]).edge(0)
 
 
 def test_certify_edge_values():
@@ -196,13 +196,12 @@ def test_certify_edge_validation():
 def test_certify_network_uniform_versus_per_edge():
     g, agents, sectors = _k5_setup()
     cp = CertParams(theta=2.0, theta3=1.5)
-    uniform = certify_network(agents, g, cp, sectors, mode="uniform")
-    per_edge = certify_network(agents, g, cp, sectors, mode="per_edge")
-    assert all(c.nu == pytest.approx(-0.01, rel=EXACT_RTOL)
-               for c in uniform.certificates)
+    uniform = certify_network(agents, g, cp, *sector_arrays(sectors), mode="uniform")
+    per_edge = certify_network(agents, g, cp, *sector_arrays(sectors), mode="per_edge")
+    assert all(nu == pytest.approx(-0.01, rel=EXACT_RTOL) for nu in uniform.nu)
     # canonical edge order puts (3, 4) at index 7; gains 1.0 and 1.1
     assert g.edges[7] == (3, 4)
-    assert per_edge.certificates[7].nu == pytest.approx(-0.0025, rel=EXACT_RTOL)
+    assert per_edge.nu[7] == pytest.approx(-0.0025, rel=EXACT_RTOL)
     slack_u = uniform.margins.slacks
     slack_pe = per_edge.margins.slacks
     assert all(pe >= u - 1e-15 for pe, u in zip(slack_pe, slack_u))
@@ -210,8 +209,9 @@ def test_certify_network_uniform_versus_per_edge():
 
 def test_certify_network_default_states_zero_bias():
     g, agents, sectors = _k5_setup()
-    cert = certify_network(agents, g, CertParams(theta=2.0, theta3=1.5), sectors)
-    assert all(c.beta == 0.0 for c in cert.certificates)
+    cert = certify_network(agents, g, CertParams(theta=2.0, theta3=1.5),
+                           *sector_arrays(sectors))
+    assert all(beta == 0.0 for beta in cert.beta)
     assert cert.bias_total == 0.0
 
 
@@ -219,20 +219,63 @@ def test_certify_network_validation():
     g, agents, sectors = _k5_setup()
     cp = CertParams(theta=2.0, theta3=1.5)
     with pytest.raises(ValueError, match="agents for"):
-        certify_network(agents[:4], g, cp, sectors)
+        certify_network(agents[:4], g, cp, *sector_arrays(sectors))
     with pytest.raises(ValueError, match="share"):
-        certify_network(agents[:4] + (_agent(1.2, hill=13),), g, cp, sectors)
+        certify_network(agents[:4] + (_agent(1.2, hill=13),), g, cp,
+                        *sector_arrays(sectors))
     with pytest.raises(ValueError, match="mode must be"):
-        certify_network(agents, g, cp, sectors, mode="per-edge")
+        certify_network(agents, g, cp, *sector_arrays(sectors), mode="per-edge")
     with pytest.raises(ValueError, match="initial states"):
-        certify_network(agents, g, cp, sectors,
+        certify_network(agents, g, cp, *sector_arrays(sectors),
                         initial_states=np.zeros((4, 3)))
+
+
+def _reference_certificate(agents, g, cp, alpha_lo, alpha_hi, x0, mode):
+    """The per-edge construction that the array build replaced: one scalar
+    ``nu`` and ``beta`` per edge, with the same formulas and operation
+    order."""
+    nus = []
+    for i, j in g.edges:
+        deviation = max(abs(agents[i - 1].input_gain - 1.0),
+                        abs(agents[j - 1].input_gain - 1.0))
+        nus.append(-deviation * deviation / (2.0 * cp.theta))
+    if mode == "uniform":
+        nus = [min(nus)] * len(nus)
+    theta1, theta2 = resolve_weights(cp, agents[0])
+    gamma = agents[0].a1 - cp.theta - 0.5 * theta1 - 0.5 * theta2
+    betas = [-0.5 * float(np.sum((x0[i - 1] - x0[j - 1]) ** 2)) for i, j in g.edges]
+    return NetworkCertificate(graph=g, alpha_lo=alpha_lo, alpha_hi=alpha_hi,
+                              nu=nus, gamma_raw=[gamma] * len(nus), beta=betas)
+
+
+def test_array_certificate_matches_per_edge_reference_bit_for_bit():
+    rng = np.random.default_rng(2027)
+    for _ in range(200):
+        n = int(rng.integers(2, 13))
+        g = erdos_renyi_graph(n, float(rng.uniform(0.2, 1.0)), rng,
+                              require_connected=True)
+        gains = rng.uniform(0.5, 1.5, size=n)
+        gains[rng.random(n) < 0.2] = 1.0  # zero deviations give -0.0
+        agents = tuple(_agent(float(b)) for b in gains)
+        x0 = rng.normal(scale=float(rng.uniform(0.1, 10.0)), size=(n, 3))
+        cp = CertParams(theta=float(rng.uniform(0.2, 5.0)),
+                        theta3=float(rng.uniform(1.15, 1.95)))
+        lo = rng.uniform(0.5, 6.0, size=g.edge_count)
+        hi = lo * rng.uniform(1.0, 1.5, size=g.edge_count)
+        for mode in ("uniform", "per_edge"):
+            cert = certify_network(agents, g, cp, lo, hi, initial_states=x0, mode=mode)
+            ref = _reference_certificate(agents, g, cp, lo, hi, x0, mode)
+            for name in ("nu", "gamma_raw", "beta", "nu_node"):
+                assert np.array_equal(getattr(cert, name), getattr(ref, name)), name
+            assert np.array_equal(np.signbit(cert.nu), np.signbit(ref.nu))
+            assert np.array_equal(cert.margins.slacks, ref.margins.slacks)
 
 
 def test_search_single_point_matches_direct_certification():
     g, agents, sectors = _k5_setup()
     result = search_params(agents, g, sectors, (2.0, 2.0, 1), (1.5, 1.5, 1))
-    cert = certify_network(agents, g, CertParams(theta=2.0, theta3=1.5), sectors)
+    cert = certify_network(agents, g, CertParams(theta=2.0, theta3=1.5),
+                           *sector_arrays(sectors))
     report = cert.margins
     assert result.best_theta == 2.0
     assert result.best_theta3 == 1.5

@@ -16,6 +16,7 @@ from syncert.certificates import (
     NetworkCertificate,
     SectorBound,
     UncertifiedBoundError,
+    sector_arrays,
 )
 from syncert.goodwin import GoodwinParams
 from syncert.graphs import build_graph, complete_graph, incidence
@@ -423,18 +424,18 @@ def test_pair_residual_starts_at_minus_bias():
 
 def test_dissipation_residual_starts_at_minus_total_bias():
     model = _triangle_model()
-    certs = tuple(EdgeCertificate(nu=-0.01, gamma=-1.0, beta=b)
-                  for b in (-0.5, -0.25, -0.25))
-    network_cert = NetworkCertificate(graph=model.graph,
-                                      sectors=model.sectors,
-                                      certificates=certs)
+    lo, hi = sector_arrays(model.sectors)
+    network_cert = NetworkCertificate(graph=model.graph, alpha_lo=lo, alpha_hi=hi,
+                                      nu=[-0.01] * 3, gamma_raw=[-1.0] * 3,
+                                      beta=[-0.5, -0.25, -0.25])
     trace = run(model, horizon=0.01, dt=1e-3)
     residual, rhs = trace.dissipation_curves(network_cert)
     assert rhs[0] == network_cert.bias_total == -1.0
     assert residual[0] == 1.0
     path = build_graph(3, [(1, 2), (2, 3)])
-    other = NetworkCertificate(graph=path, sectors=model.sectors[:2],
-                               certificates=certs[:2])
+    other = NetworkCertificate(graph=path, alpha_lo=lo[:2], alpha_hi=hi[:2],
+                               nu=[-0.01] * 2, gamma_raw=[-1.0] * 2,
+                               beta=[-0.5, -0.25])
     with pytest.raises(ValueError, match="different graph"):
         trace.dissipation_curves(other)
 
@@ -451,10 +452,10 @@ def test_dissipation_curves_match_dense_forms():
         initial_states=np.array([[1.0, 0.0, 0.5], [-0.5, 0.2, 0.0],
                                  [0.3, -0.1, 0.4], [0.8, 0.1, 0.2]]),
     )
-    certs = tuple(EdgeCertificate(nu=nu, gamma=gam, beta=-0.25)
-                  for nu, gam in ((-0.01, -2.0), (-0.02, 1.0),
-                                  (-0.03, -1.5), (-0.04, -0.5)))
-    cert = NetworkCertificate(graph=g, sectors=model.sectors, certificates=certs)
+    lo, hi = sector_arrays(model.sectors)
+    cert = NetworkCertificate(graph=g, alpha_lo=lo, alpha_hi=hi,
+                              nu=[-0.01, -0.02, -0.03, -0.04],
+                              gamma_raw=[-2.0, 1.0, -1.5, -0.5], beta=[-0.25] * 4)
     trace = run(model, horizon=0.5, dt=1e-3)
 
     d = incidence(g).astype(float)
