@@ -82,21 +82,16 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             code = fn(*args, **kwargs)
-        except ConfigError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
         except InadmissibleParams as exc:
             click.echo(f"error: inadmissible certification parameters: {exc}",
                        err=True)
-            sys.exit(2)
-        except UncertifiedBoundError as exc:
-            click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         except SimulationDiverged as exc:
             click.echo(f"error: simulation diverged at t = {exc.time:.6g}", err=True)
             sys.exit(3)
         except ValueError as exc:
-            # validation rejections from the library layer
+            # every validation rejection, ConfigError and
+            # UncertifiedBoundError included
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         sys.exit(int(code))
@@ -130,7 +125,7 @@ _MARGIN_CSV_HEADER = ["edge", "node_i", "node_j", "nu", "gamma", "beta",
 def _echo_certificate(cfg: NetworkConfig, cert: NetworkCertificate) -> None:
     g = cfg.graph
     report = cert.margins
-    hill = cfg.agents[0].hill
+    hill = cfg.agents.hill
     click.echo(f"nodes: {g.n}, edges: {g.edge_count}, mode: {cfg.mode}")
     click.echo(
         f"repression slope bound: closed form {hill_slope(hill):.6g}, "

@@ -113,6 +113,13 @@ def _as_float(value, pointer: str) -> float:
     return out
 
 
+def _as_positive(value, pointer: str) -> float:
+    out = _as_float(value, pointer)
+    if out <= 0.0:
+        raise ConfigError(pointer, f"must be positive, got {value!r}")
+    return out
+
+
 def _as_int(value, pointer: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(pointer, f"expected an integer, got {value!r}")
@@ -124,7 +131,7 @@ class NetworkConfig:
     """A fully validated network description with all defaults filled."""
 
     graph: Graph
-    agents: tuple[GoodwinParams, ...]
+    agents: GoodwinParams
     initial_states: np.ndarray
     couplings: tuple[CouplingSpec, ...]
     disturbances: tuple[DisturbanceSpec, ...]
@@ -169,14 +176,9 @@ class NetworkConfig:
                         stride: int | None = None) -> "NetworkConfig":
         changes = {}
         if dt is not None:
-            if not (math.isfinite(dt) and dt > 0.0):
-                raise ConfigError("/simulation/dt", f"must be positive, got {dt}")
-            changes["dt"] = float(dt)
+            changes["dt"] = _as_positive(dt, "/simulation/dt")
         if horizon is not None:
-            if not (math.isfinite(horizon) and horizon > 0.0):
-                raise ConfigError("/simulation/horizon",
-                                  f"must be positive, got {horizon}")
-            changes["horizon"] = float(horizon)
+            changes["horizon"] = _as_positive(horizon, "/simulation/horizon")
         if stride is not None:
             if stride < 1:
                 raise ConfigError("/simulation/stride",
@@ -208,21 +210,21 @@ def _parse_agents(value, pointer: str, n: int):
     block = _expect_mapping(value, pointer)
     _reject_unknown(block, {"a1", "a2", "a3", "b2", "b3", "hill", "input_gains",
                             "initial_outputs", "initial_states"}, pointer)
-    chain = {key: _as_float(_require(block, key, pointer), _child(pointer, key))
+    chain = {key: _as_positive(_require(block, key, pointer), _child(pointer, key))
              for key in ("a1", "a2", "a3", "b2", "b3")}
-    hill = _as_int(_require(block, "hill", pointer), _child(pointer, "hill"))
+    hill_ptr = _child(pointer, "hill")
+    hill = _as_int(_require(block, "hill", pointer), hill_ptr)
+    if hill < 2:
+        raise ConfigError(hill_ptr,
+                          f"hill coefficient must be an integer >= 2, got {hill}")
     gains_ptr = _child(pointer, "input_gains")
     gains = _expect_list(_require(block, "input_gains", pointer), gains_ptr)
     if len(gains) != n:
         raise ConfigError(gains_ptr, f"{len(gains)} input gains for {n} nodes")
-    agents = []
-    for i, gain in enumerate(gains):
-        try:
-            agents.append(GoodwinParams(
-                input_gain=_as_float(gain, _child(gains_ptr, i)),
-                hill=hill, **chain))
-        except ValueError as exc:
-            raise ConfigError(pointer, str(exc)) from exc
+    agents = GoodwinParams(
+        input_gains=[_as_positive(v, _child(gains_ptr, i))
+                     for i, v in enumerate(gains)],
+        hill=hill, **chain)
 
     if "initial_outputs" in block and "initial_states" in block:
         raise ConfigError(pointer,
@@ -245,7 +247,7 @@ def _parse_agents(value, pointer: str, n: int):
             if len(triple) != 3:
                 raise ConfigError(row_ptr, f"expected 3 components, got {row!r}")
             x0[i] = [_as_float(v, row_ptr) for v in triple]
-    return tuple(agents), x0
+    return agents, x0
 
 
 def _parse_sector(value, pointer: str) -> SectorBound:
@@ -377,16 +379,13 @@ def _parse_certification(value, pointer: str):
         return None, DEFAULT_MODE
     block = _expect_mapping(value, pointer)
     _reject_unknown(block, {"theta", "theta3", "mode"}, pointer)
-    theta = _as_float(_require(block, "theta", pointer), _child(pointer, "theta"))
-    theta3 = _as_float(_require(block, "theta3", pointer), _child(pointer, "theta3"))
+    theta = _as_positive(_require(block, "theta", pointer), _child(pointer, "theta"))
+    theta3 = _as_positive(_require(block, "theta3", pointer), _child(pointer, "theta3"))
     mode = block.get("mode", DEFAULT_MODE)
     if mode not in _MODES:
         raise ConfigError(_child(pointer, "mode"),
                           f"mode must be one of {_MODES}, got {mode!r}")
-    try:
-        return CertParams(theta=theta, theta3=theta3), mode
-    except ValueError as exc:
-        raise ConfigError(pointer, str(exc)) from exc
+    return CertParams(theta=theta, theta3=theta3), mode
 
 
 def _parse_simulation(value, pointer: str):
@@ -398,14 +397,9 @@ def _parse_simulation(value, pointer: str):
     horizon = DEFAULT_HORIZON
     stride = DEFAULT_STRIDE
     if "dt" in block:
-        dt = _as_float(block["dt"], _child(pointer, "dt"))
-        if dt <= 0.0:
-            raise ConfigError(_child(pointer, "dt"), f"must be positive, got {dt}")
+        dt = _as_positive(block["dt"], _child(pointer, "dt"))
     if "horizon" in block:
-        horizon = _as_float(block["horizon"], _child(pointer, "horizon"))
-        if horizon <= 0.0:
-            raise ConfigError(_child(pointer, "horizon"),
-                              f"must be positive, got {horizon}")
+        horizon = _as_positive(block["horizon"], _child(pointer, "horizon"))
     if "stride" in block:
         stride = _as_int(block["stride"], _child(pointer, "stride"))
         if stride < 1:

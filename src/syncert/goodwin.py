@@ -10,7 +10,8 @@ An agent is the chain::
 
 with output ``y = x1``.  Agents across a network share the chain parameters
 and differ only in the input gain ``b1``; that heterogeneity is what the
-certificates measure.
+certificates measure.  One :class:`GoodwinParams` describes every agent of
+a network: the shared chain once, and the gains as one array.
 """
 
 from __future__ import annotations
@@ -43,30 +44,38 @@ class InadmissibleParams(ValueError):
     """Free certificate parameters outside their admissible region."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GoodwinParams:
-    """One oscillator: decay rates ``a1..a3``, chain gains ``b2, b3``, the
-    node-specific input gain, and the Hill coefficient of the repression."""
+    """The oscillators of one network: decay rates ``a1..a3``, chain gains
+    ``b2, b3`` and the Hill coefficient of the repression, shared by every
+    node, and ``input_gains``, the read-only array whose entry ``i - 1`` is
+    the input gain of node ``i``."""
 
     a1: float
     a2: float
     a3: float
     b2: float
     b3: float
-    input_gain: float
+    input_gains: np.ndarray
     hill: int
 
     def __post_init__(self) -> None:
-        for name in ("a1", "a2", "a3", "b2", "b3", "input_gain"):
+        for name in ("a1", "a2", "a3", "b2", "b3"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
         _check_hill(self.hill)
-
-    def same_chain(self, other: "GoodwinParams") -> bool:
-        """True when everything except the input gain coincides."""
-        return (self.a1, self.a2, self.a3, self.b2, self.b3, self.hill) == (
-            other.a1, other.a2, other.a3, other.b2, other.b3, other.hill)
+        gains = np.array(self.input_gains, dtype=float)
+        if gains.ndim != 1 or gains.size == 0:
+            raise ValueError("input gains must be a non-empty 1-D array, "
+                             f"got shape {gains.shape}")
+        ok = np.isfinite(gains) & (gains > 0.0)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise ValueError(f"node {k + 1}: input_gain must be a positive finite "
+                             f"number, got {float(gains[k])!r}")
+        gains.flags.writeable = False
+        object.__setattr__(self, "input_gains", gains)
 
 
 def _check_hill(hill) -> None:
@@ -79,9 +88,10 @@ def hill_slope(hill: int) -> float:
     pairwise certificates.
 
     This is the slope evaluated at ``x = ((h-1)/(h+1))**(1/(h-1))``, slightly
-    off the true maximiser; see :func:`hill_slope_max` for the numerical
-    maximum.  The two agree to about 1e-4 for large ``h`` but differ by
-    roughly 0.11 at ``h = 2``, so certificates report both.
+    off the true maximiser ``((h-1)/(h+1))**(1/h)``; see
+    :func:`hill_slope_max` for the exact maximum.  The two agree to about
+    1e-4 for large ``h`` but differ by roughly 0.11 at ``h = 2``, so
+    certificates report both.
     """
     _check_hill(hill)
     h = float(hill)
@@ -89,51 +99,27 @@ def hill_slope(hill: int) -> float:
     return h * (h - 1.0) / ((core + 1.0) ** 2 * (h + 1.0))
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-12,
-                max_iter: int = 300) -> float:
-    """Maximum of a unimodal function on [lo, hi] by golden-section search."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return max(fc, fd)
-
-
-@lru_cache(maxsize=None)
 def hill_slope_max(hill: int) -> float:
-    """Exact maximum slope of ``-1/(x**h + 1)`` over ``x > 0``, located by
-    golden-section search (the maximiser always lies below 1)."""
+    """Exact maximum slope of ``-1/(x**h + 1)`` over ``x > 0``, attained at
+    ``x = ((h-1)/(h+1))**(1/h)``::
+
+        (h+1)**2 / (4h) * ((h-1)/(h+1))**((h-1)/h)
+    """
     _check_hill(hill)
     h = float(hill)
-
-    def slope(x: float) -> float:
-        return h * x ** (h - 1.0) / (x ** h + 1.0) ** 2
-
-    return _golden_max(slope, 1e-9, 2.0)
+    return (h + 1.0) ** 2 / (4.0 * h) * ((h - 1.0) / (h + 1.0)) ** ((h - 1.0) / h)
 
 
 @lru_cache(maxsize=None)
 def _certificate_slope(hill: int) -> float:
     """Closed-form slope constant, warning once when it strays more than 1%
-    from the numerical maximum."""
+    from the exact maximum."""
     closed = hill_slope(hill)
     exact = hill_slope_max(hill)
     if abs(closed - exact) > 0.01 * exact:
         warnings.warn(
             f"closed-form slope constant {closed:.6g} for hill={hill} is more "
-            f"than 1% away from the numerical maximum {exact:.6g}; "
+            f"than 1% away from the exact maximum {exact:.6g}; "
             "certificates use the closed form",
             UserWarning,
             stacklevel=2,
@@ -182,12 +168,14 @@ def resolve_weights(cp: CertParams, params: GoodwinParams) -> tuple[float, float
     return theta1, theta2
 
 
-def certify_network(agents, g: Graph, cp: CertParams, alpha_lo, alpha_hi,
-                    initial_states=None, mode: str = "uniform") -> NetworkCertificate:
+def certify_network(agents: GoodwinParams, g: Graph, cp: CertParams,
+                    alpha_lo, alpha_hi, initial_states=None,
+                    mode: str = "uniform") -> NetworkCertificate:
     """Build the closed-form pairwise certificates of every edge at once.
 
-    Agents share chain parameters and differ only in input gain ``b``.  Over
-    the endpoint arrays ``(lower, upper)`` of :attr:`Graph.endpoints`::
+    ``agents`` is the one :class:`GoodwinParams` of the network, whose
+    ``input_gains`` hold one gain ``b`` per node.  Over the endpoint arrays
+    ``(lower, upper)`` of :attr:`Graph.endpoints`::
 
         nu    = -max(|b - 1|[lower], |b - 1|[upper])**2 / (2 theta)
         gamma = a1 - theta - theta1/2 - theta2/2     (one scalar, every edge)
@@ -199,15 +187,8 @@ def certify_network(agents, g: Graph, cp: CertParams, alpha_lo, alpha_hi,
     are the sector arrays of :func:`~syncert.certificates.sector_arrays`;
     ``initial_states`` is ``(n, 3)`` and defaults to zeros.
     """
-    agents = tuple(agents)
-    if len(agents) != g.n:
-        raise ValueError(f"{len(agents)} agents for {g.n} nodes")
-    for other in agents[1:]:
-        if not agents[0].same_chain(other):
-            raise ValueError(
-                "all oscillators must share a1, a2, a3, b2, b3 and hill; "
-                "only input gains may differ"
-            )
+    if agents.input_gains.size != g.n:
+        raise ValueError(f"{agents.input_gains.size} agents for {g.n} nodes")
     if mode not in ("uniform", "per_edge"):
         raise ValueError(f"mode must be 'uniform' or 'per_edge', got {mode!r}")
     if initial_states is None:
@@ -218,10 +199,10 @@ def certify_network(agents, g: Graph, cp: CertParams, alpha_lo, alpha_hi,
             raise ValueError(
                 f"initial states have shape {x0.shape}, expected ({g.n}, 3)"
             )
-    theta1, theta2 = resolve_weights(cp, agents[0])
-    gamma = agents[0].a1 - cp.theta - 0.5 * theta1 - 0.5 * theta2
+    theta1, theta2 = resolve_weights(cp, agents)
+    gamma = agents.a1 - cp.theta - 0.5 * theta1 - 0.5 * theta2
     lower, upper = g.endpoints
-    deviation = np.abs(np.array([a.input_gain for a in agents]) - 1.0)
+    deviation = np.abs(agents.input_gains - 1.0)
     deviation = np.maximum(deviation[lower], deviation[upper])
     nu = -deviation * deviation / (2.0 * cp.theta)
     if mode == "uniform" and nu.size:
@@ -260,8 +241,8 @@ def _parse_range(rng, name: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def search_params(agents, g: Graph, sectors, theta_range, theta3_range,
-                  mode: str = "uniform") -> SearchResult:
+def search_params(agents: GoodwinParams, g: Graph, sectors, theta_range,
+                  theta3_range, mode: str = "uniform") -> SearchResult:
     """Grid-maximise the worst edge margin over ``(theta, theta3)``.
 
     Ranges are ``(lo, hi, count)`` with ``count >= 1``; ties prefer smaller
@@ -271,7 +252,6 @@ def search_params(agents, g: Graph, sectors, theta_range, theta3_range,
     are built once per grid, the edge statistics once per graph.  Raises
     :class:`InadmissibleParams` when no grid point is admissible.
     """
-    agents = tuple(agents)
     alpha_lo, alpha_hi = sector_arrays(sectors)
     thetas = _parse_range(theta_range, "theta")
     theta3s = _parse_range(theta3_range, "theta3")
@@ -290,7 +270,7 @@ def search_params(agents, g: Graph, sectors, theta_range, theta3_range,
             if best is None or min_slack > best[2]:
                 best = (float(theta), float(theta3), min_slack)
     if best is None:
-        lo, hi = admissible_theta3_interval(agents[0])
+        lo, hi = admissible_theta3_interval(agents)
         raise InadmissibleParams(
             f"no admissible theta3 in the grid; need "
             f"b3^2/(2*a3) = {lo:.6g} < theta3 < 2*a2 = {hi:.6g}"

@@ -221,29 +221,24 @@ def _apply_couplings(groups, x):
 
 @dataclass(frozen=True, eq=False)
 class NetworkModel:
-    """A graph of oscillators plus couplings, disturbances and initial
-    states; everything :func:`run` needs."""
+    """A graph of oscillators (one :class:`GoodwinParams` with a gain per
+    node) plus couplings, disturbances and initial states; everything
+    :func:`run` needs."""
 
     graph: Graph
-    agents: tuple[GoodwinParams, ...]
+    agents: GoodwinParams
     couplings: tuple[CouplingSpec, ...]
     disturbances: tuple[DisturbanceSpec, ...]
     initial_states: np.ndarray
 
     def __post_init__(self) -> None:
         n, p = self.graph.n, self.graph.edge_count
-        if len(self.agents) != n:
-            raise ValueError(f"{len(self.agents)} agents for {n} nodes")
+        if self.agents.input_gains.size != n:
+            raise ValueError(f"{self.agents.input_gains.size} agents for {n} nodes")
         if len(self.couplings) != p:
             raise ValueError(f"{len(self.couplings)} couplings for {p} edges")
         if len(self.disturbances) != p:
             raise ValueError(f"{len(self.disturbances)} disturbances for {p} edges")
-        for other in self.agents[1:]:
-            if not self.agents[0].same_chain(other):
-                raise ValueError(
-                    "all oscillators must share chain parameters; "
-                    "only input gains may differ"
-                )
         x0 = np.array(self.initial_states, dtype=float)
         if x0.shape != (n, 3):
             raise ValueError(f"initial states have shape {x0.shape}, expected ({n}, 3)")
@@ -252,10 +247,6 @@ class NetworkModel:
     @cached_property
     def incidence_matrix(self) -> np.ndarray:
         return incidence(self.graph).astype(float)
-
-    @cached_property
-    def input_gains(self) -> np.ndarray:
-        return np.array([a.input_gain for a in self.agents])
 
     @property
     def sectors(self) -> tuple[SectorBound, ...]:
@@ -283,19 +274,19 @@ class NetworkModel:
         Diverging states overflow here without a warning; the step-boundary
         finiteness check is what reports blow-up.
         """
-        chain = self.agents[0]
+        agents = self.agents
         x1 = state[:, 0]
         x2 = state[:, 1]
         x3 = state[:, 2]
         with np.errstate(over="ignore", invalid="ignore"):
-            repression = -1.0 / (x3 ** chain.hill + 1.0)
+            repression = -1.0 / (x3 ** agents.hill + 1.0)
             v = _apply_couplings(self.coupling_groups,
                                  x1 @ self.incidence_matrix + w_row)
             u = self.incidence_matrix @ v  # the physical input is -u
             out = np.empty_like(state)
-            out[:, 0] = -chain.a1 * x1 - repression - self.input_gains * u
-            out[:, 1] = chain.b2 * x1 - chain.a2 * x2
-            out[:, 2] = chain.b3 * x2 - chain.a3 * x3
+            out[:, 0] = -agents.a1 * x1 - repression - agents.input_gains * u
+            out[:, 1] = agents.b2 * x1 - agents.a2 * x2
+            out[:, 2] = agents.b3 * x2 - agents.a3 * x3
         return out
 
 

@@ -106,6 +106,12 @@ def test_initial_outputs_fill_first_component():
      "/agents", "not both"),
     (lambda d: d["agents"].update(hill=True), "/agents/hill",
      "expected an integer"),
+    (lambda d: d["agents"].update(input_gains=[0.9, 0, 1.1]),
+     "/agents/input_gains/1", "must be positive"),
+    (lambda d: d["agents"].update(a1=-0.5), "/agents/a1", "must be positive"),
+    (lambda d: d["agents"].update(hill=1), "/agents/hill", "integer >= 2"),
+    (lambda d: d["certification"].update(theta=-1), "/certification/theta",
+     "must be positive"),
     (lambda d: d.update(couplings={"kind": "linear", "gain": 5.0,
                                    "sector": {"alpha_lo": 5.5,
                                               "alpha_hi": 6.0}}),

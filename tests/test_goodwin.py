@@ -38,13 +38,13 @@ GRID_GAP_MAX = 1e-8
 _CHAIN = dict(a1=0.5, a2=1.0, a3=1.0, b2=1.5, b3=1.5, hill=14)
 
 
-def _agent(gain, **overrides):
-    return GoodwinParams(input_gain=gain, **{**_CHAIN, **overrides})
+def _agents(*gains, **chain_overrides):
+    return GoodwinParams(input_gains=gains, **{**_CHAIN, **chain_overrides})
 
 
 def _k5_setup():
     g = complete_graph(5)
-    agents = tuple(_agent(b) for b in (0.8, 0.9, 1.0, 1.1, 1.2))
+    agents = _agents(0.8, 0.9, 1.0, 1.1, 1.2)
     sectors = (SectorBound(5.0, 5.0),) * g.edge_count
     return g, agents, sectors
 
@@ -96,19 +96,35 @@ def test_slope_rejects_bad_hill(bad):
 
 def test_params_validation():
     with pytest.raises(ValueError, match="a1 must be a positive"):
-        _agent(1.0, a1=-0.5)
+        _agents(1.0, a1=-0.5)
     with pytest.raises(ValueError, match="input_gain must be a positive"):
-        _agent(0.0)
+        _agents(0.0)
     with pytest.raises(ValueError, match="hill coefficient"):
-        _agent(1.0, hill=1)
+        _agents(1.0, hill=1)
     with pytest.raises(ValueError, match="b2 must be a positive"):
-        _agent(1.0, b2=math.inf)
+        _agents(1.0, b2=math.inf)
 
 
-def test_same_chain_ignores_input_gain():
-    assert _agent(0.8).same_chain(_agent(1.2))
-    assert not _agent(1.0).same_chain(_agent(1.0, a3=2.0))
-    assert not _agent(1.0).same_chain(_agent(1.0, hill=13))
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_params_reject_bad_gain_naming_the_node(bad):
+    with pytest.raises(ValueError, match="node 2: input_gain must be a positive"):
+        _agents(1.0, bad, 1.1)
+
+
+@pytest.mark.parametrize("gains", [[], [[0.9, 1.1]]])
+def test_params_reject_empty_or_nested_gains(gains):
+    with pytest.raises(ValueError, match="non-empty 1-D"):
+        GoodwinParams(input_gains=gains, **_CHAIN)
+
+
+def test_params_store_read_only_copy_of_gains():
+    gains = np.array([0.9, 1.0, 1.1])
+    agents = GoodwinParams(input_gains=gains, **_CHAIN)
+    gains[0] = 5.0
+    assert agents.input_gains.tolist() == [0.9, 1.0, 1.1]
+    assert agents.input_gains.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        agents.input_gains[0] = 2.0
 
 
 def test_cert_params_validation():
@@ -119,23 +135,23 @@ def test_cert_params_validation():
 
 
 def test_admissible_interval():
-    lo, hi = admissible_theta3_interval(_agent(1.0))
+    lo, hi = admissible_theta3_interval(_agents(1.0))
     assert lo == pytest.approx(1.125, rel=EXACT_RTOL)
     assert hi == pytest.approx(2.0, rel=EXACT_RTOL)
 
 
 def test_resolve_weights_reference_point():
     # theta3 = 1.5: theta1 = delta^2 * 1.5 / (3 - 2.25), theta2 = 2.25 / 0.5
-    theta1, theta2 = resolve_weights(CertParams(theta=2.0, theta3=1.5), _agent(1.0))
+    theta1, theta2 = resolve_weights(CertParams(theta=2.0, theta3=1.5), _agents(1.0))
     assert theta1 == pytest.approx(2.0 * HILL14_SLOPE**2, rel=1e-12)
     assert theta2 == pytest.approx(4.5, rel=EXACT_RTOL)
 
 
 def test_resolve_weights_rejects_out_of_interval():
     with pytest.raises(InadmissibleParams, match="must exceed"):
-        resolve_weights(CertParams(theta=2.0, theta3=1.1), _agent(1.0))
+        resolve_weights(CertParams(theta=2.0, theta3=1.1), _agents(1.0))
     with pytest.raises(InadmissibleParams, match="must stay below"):
-        resolve_weights(CertParams(theta=2.0, theta3=2.0), _agent(1.0))
+        resolve_weights(CertParams(theta=2.0, theta3=2.0), _agents(1.0))
     assert issubclass(InadmissibleParams, ValueError)
 
 
@@ -143,7 +159,7 @@ def test_resolve_weights_rejects_out_of_interval():
                         exclude_min=True, exclude_max=True))
 def test_derived_weights_positive_on_admissible_interval(theta3):
     theta1, theta2 = resolve_weights(CertParams(theta=1.0, theta3=theta3),
-                                     _agent(1.0))
+                                     _agents(1.0))
     assert theta1 > 0.0 and math.isfinite(theta1)
     assert theta2 > 0.0 and math.isfinite(theta2)
 
@@ -151,46 +167,43 @@ def test_derived_weights_positive_on_admissible_interval(theta3):
 def test_slope_constant_warns_when_far_from_maximum():
     _certificate_slope.cache_clear()
     with pytest.warns(UserWarning, match="more than 1%"):
-        resolve_weights(CertParams(theta=2.0, theta3=1.5), _agent(1.0, hill=2))
+        resolve_weights(CertParams(theta=2.0, theta3=1.5), _agents(1.0, hill=2))
 
 
 def test_slope_constant_silent_near_maximum():
     _certificate_slope.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        resolve_weights(CertParams(theta=2.0, theta3=1.5), _agent(1.0))
+        resolve_weights(CertParams(theta=2.0, theta3=1.5), _agents(1.0))
 
 
-def _certify_pair(agent_i, agent_j, cp, x0_i, x0_j):
+def _certify_pair(gain_i, gain_j, cp, x0_i, x0_j):
     """The one edge certificate of the two-node network ``1 - 2``."""
     g = build_graph(2, [(1, 2)])
-    return certify_network((agent_i, agent_j), g, cp, [5.0], [5.0],
+    return certify_network(_agents(gain_i, gain_j), g, cp, [5.0], [5.0],
                            initial_states=[x0_i, x0_j]).edge(0)
 
 
 def test_certify_edge_values():
     cp = CertParams(theta=2.0, theta3=1.5)
-    cert = _certify_pair(_agent(0.8), _agent(1.1), cp,
+    cert = _certify_pair(0.8, 1.1, cp,
                          (1.0, 2.0, 3.0), (0.0, 0.0, 0.0))
     # worst gain deviation is 0.2, so nu = -0.04 / (2 * 2)
     assert cert.nu == pytest.approx(-0.01, rel=EXACT_RTOL)
     assert cert.beta == pytest.approx(-7.0, rel=EXACT_RTOL)
-    theta1, theta2 = resolve_weights(cp, _agent(0.8))
+    theta1, theta2 = resolve_weights(cp, _agents(0.8))
     assert cert.gamma == pytest.approx(0.5 - 2.0 - 0.5 * (theta1 + theta2),
                                        rel=1e-12)
     # symmetric in the pair
-    swapped = _certify_pair(_agent(1.1), _agent(0.8), cp,
+    swapped = _certify_pair(1.1, 0.8, cp,
                             (0.0, 0.0, 0.0), (1.0, 2.0, 3.0))
     assert swapped.nu == cert.nu and swapped.beta == cert.beta
 
 
 def test_certify_edge_validation():
     cp = CertParams(theta=2.0, theta3=1.5)
-    with pytest.raises(ValueError, match="share"):
-        _certify_pair(_agent(1.0), _agent(1.0, a2=1.5), cp,
-                      np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError, match=r"shape \(2, 2\), expected \(2, 3\)"):
-        _certify_pair(_agent(1.0), _agent(1.0), cp, np.zeros(2), np.zeros(2))
+        _certify_pair(1.0, 1.0, cp, np.zeros(2), np.zeros(2))
 
 
 def test_certify_network_uniform_versus_per_edge():
@@ -219,10 +232,7 @@ def test_certify_network_validation():
     g, agents, sectors = _k5_setup()
     cp = CertParams(theta=2.0, theta3=1.5)
     with pytest.raises(ValueError, match="agents for"):
-        certify_network(agents[:4], g, cp, *sector_arrays(sectors))
-    with pytest.raises(ValueError, match="share"):
-        certify_network(agents[:4] + (_agent(1.2, hill=13),), g, cp,
-                        *sector_arrays(sectors))
+        certify_network(_agents(0.8, 0.9, 1.0, 1.1), g, cp, *sector_arrays(sectors))
     with pytest.raises(ValueError, match="mode must be"):
         certify_network(agents, g, cp, *sector_arrays(sectors), mode="per-edge")
     with pytest.raises(ValueError, match="initial states"):
@@ -236,13 +246,13 @@ def _reference_certificate(agents, g, cp, alpha_lo, alpha_hi, x0, mode):
     order."""
     nus = []
     for i, j in g.edges:
-        deviation = max(abs(agents[i - 1].input_gain - 1.0),
-                        abs(agents[j - 1].input_gain - 1.0))
+        deviation = max(abs(agents.input_gains[i - 1] - 1.0),
+                        abs(agents.input_gains[j - 1] - 1.0))
         nus.append(-deviation * deviation / (2.0 * cp.theta))
     if mode == "uniform":
         nus = [min(nus)] * len(nus)
-    theta1, theta2 = resolve_weights(cp, agents[0])
-    gamma = agents[0].a1 - cp.theta - 0.5 * theta1 - 0.5 * theta2
+    theta1, theta2 = resolve_weights(cp, agents)
+    gamma = agents.a1 - cp.theta - 0.5 * theta1 - 0.5 * theta2
     betas = [-0.5 * float(np.sum((x0[i - 1] - x0[j - 1]) ** 2)) for i, j in g.edges]
     return NetworkCertificate(graph=g, alpha_lo=alpha_lo, alpha_hi=alpha_hi,
                               nu=nus, gamma_raw=[gamma] * len(nus), beta=betas)
@@ -256,7 +266,7 @@ def test_array_certificate_matches_per_edge_reference_bit_for_bit():
                               require_connected=True)
         gains = rng.uniform(0.5, 1.5, size=n)
         gains[rng.random(n) < 0.2] = 1.0  # zero deviations give -0.0
-        agents = tuple(_agent(float(b)) for b in gains)
+        agents = _agents(*gains)
         x0 = rng.normal(scale=float(rng.uniform(0.1, 10.0)), size=(n, 3))
         cp = CertParams(theta=float(rng.uniform(0.2, 5.0)),
                         theta3=float(rng.uniform(1.15, 1.95)))

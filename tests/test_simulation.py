@@ -53,15 +53,15 @@ SYMMETRY_ATOL = 1e-9
 _CHAIN = dict(a1=0.5, a2=1.0, a3=1.0, b2=1.5, b3=1.5, hill=14)
 
 
-def _agent(gain, **overrides):
-    return GoodwinParams(input_gain=gain, **{**_CHAIN, **overrides})
+def _agents(*gains, **chain_overrides):
+    return GoodwinParams(input_gains=gains, **{**_CHAIN, **chain_overrides})
 
 
 def _triangle_model(scale=0.2, gain=2.0):
     g = build_graph(3, [(1, 2), (1, 3), (2, 3)])
     return NetworkModel(
         graph=g,
-        agents=tuple(_agent(b) for b in (0.9, 1.0, 1.1)),
+        agents=_agents(0.9, 1.0, 1.1),
         couplings=(linear_coupling(gain),) * 3,
         disturbances=tuple(DisturbanceSpec(kind="gaussian", scale=scale, seed=s)
                            for s in (11, 12, 13)),
@@ -213,18 +213,16 @@ def test_disturbance_validation():
 
 def test_model_validation():
     g = build_graph(2, [(1, 2)])
-    agents = (_agent(1.0), _agent(1.1))
+    agents = _agents(1.0, 1.1)
     coupling = (linear_coupling(1.0),)
     dist = (DisturbanceSpec(),)
     x0 = np.zeros((2, 3))
     with pytest.raises(ValueError, match="agents for"):
-        NetworkModel(g, agents[:1], coupling, dist, x0)
+        NetworkModel(g, _agents(1.0), coupling, dist, x0)
     with pytest.raises(ValueError, match="couplings for"):
         NetworkModel(g, agents, coupling * 2, dist, x0)
     with pytest.raises(ValueError, match="disturbances for"):
         NetworkModel(g, agents, coupling, dist * 2, x0)
-    with pytest.raises(ValueError, match="share chain"):
-        NetworkModel(g, (_agent(1.0), _agent(1.1, hill=13)), coupling, dist, x0)
     with pytest.raises(ValueError, match="initial states"):
         NetworkModel(g, agents, coupling, dist, np.zeros((3, 3)))
     model = NetworkModel(g, agents, coupling, dist, x0)
@@ -256,7 +254,7 @@ _COUPLING_LISTS = {
 def test_coupling_groups_match_per_edge_loop(case):
     couplings = _COUPLING_LISTS[case]
     g = complete_graph(4) if couplings else build_graph(1, [])
-    model = NetworkModel(g, (_agent(1.0),) * g.n, couplings,
+    model = NetworkModel(g, _agents(*[1.0] * g.n), couplings,
                          (DisturbanceSpec(),) * g.edge_count, np.zeros((g.n, 3)))
     groups = model.coupling_groups
     edges = np.arange(len(couplings))
@@ -312,7 +310,7 @@ def test_unstable_step_size_reports_divergence_time():
     g = build_graph(2, [(1, 2)])
     model = NetworkModel(
         graph=g,
-        agents=(_agent(1.0), _agent(1.2)),
+        agents=_agents(1.0, 1.2),
         couplings=(linear_coupling(50.0),),
         disturbances=(DisturbanceSpec(),),
         initial_states=np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
@@ -402,7 +400,7 @@ def test_realized_slopes_linear_and_degenerate():
     g = build_graph(2, [(1, 2)])
     quiet = NetworkModel(
         graph=g,
-        agents=(_agent(1.0), _agent(1.0)),
+        agents=_agents(1.0, 1.0),
         couplings=(CouplingSpec(kind="linear", sector=SectorBound(1.0, 3.0),
                                 gain=2.0),),
         disturbances=(DisturbanceSpec(),),
@@ -445,7 +443,7 @@ def test_dissipation_curves_match_dense_forms():
     g = build_graph(4, [(1, 2), (1, 3), (2, 3), (3, 4)])
     model = NetworkModel(
         graph=g,
-        agents=tuple(_agent(b) for b in (0.9, 1.0, 1.1, 0.95)),
+        agents=_agents(0.9, 1.0, 1.1, 0.95),
         couplings=(_SIN, _LIN, _SIN, _PWL),
         disturbances=tuple(DisturbanceSpec(kind="gaussian", scale=0.3, seed=s)
                            for s in (1, 2, 3, 4)),
@@ -512,7 +510,7 @@ def test_permuting_nodes_permutes_trajectories():
     perm = np.array([4, 2, 0, 3, 1])
     couplings = (linear_coupling(5.0),) * g.edge_count
     dists = (DisturbanceSpec(),) * g.edge_count
-    agents = (_agent(1.0),) * 5
+    agents = _agents(*[1.0] * 5)
     base = run(NetworkModel(g, agents, couplings, dists, x0),
                horizon=1.0, dt=1e-3)
     shuffled = run(NetworkModel(g, agents, couplings, dists, x0[perm]),
