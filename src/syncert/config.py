@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .certificates import NetworkCertificate, SectorBound, sector_arrays
-from .goodwin import CertParams, GoodwinParams, InadmissibleParams, certify_network
+from .goodwin import CertParams, GoodwinParams, admissible_theta3_interval, certify_network
 from .graphs import Graph, build_graph
 from .noise import edge_seed_sequence
 from .simulation import CouplingSpec, DisturbanceSpec, NetworkModel, verify_sector
@@ -265,49 +265,42 @@ def _parse_coupling_entry(value, pointer: str) -> CouplingSpec:
     block = _expect_mapping(value, pointer)
     _reject_unknown(block, {"kind", "gain", "amplitude", "knots", "sector"}, pointer)
     kind = _require(block, "kind", pointer)
-    try:
-        if kind == "linear":
-            gain = _as_float(_require(block, "gain", pointer), _child(pointer, "gain"))
-            if "sector" in block:
-                spec = CouplingSpec(kind="linear",
-                                    sector=_parse_sector(block["sector"],
-                                                         _child(pointer, "sector")),
-                                    gain=gain)
-            else:
-                spec = CouplingSpec(kind="linear", sector=SectorBound(gain, gain),
-                                    gain=gain)
-        elif kind == "affine_sinusoid":
-            spec = CouplingSpec(
-                kind="affine_sinusoid",
-                sector=_parse_sector(_require(block, "sector", pointer),
-                                     _child(pointer, "sector")),
-                gain=_as_float(_require(block, "gain", pointer),
-                               _child(pointer, "gain")),
-                amplitude=_as_float(_require(block, "amplitude", pointer),
-                                    _child(pointer, "amplitude")))
-        elif kind == "piecewise_linear":
-            knots_ptr = _child(pointer, "knots")
-            raw = _expect_list(_require(block, "knots", pointer), knots_ptr)
-            knots = []
-            for k, entry in enumerate(raw):
-                pair = _expect_list(entry, _child(knots_ptr, k))
-                if len(pair) != 2:
-                    raise ConfigError(_child(knots_ptr, k),
-                                      f"expected [x, y], got {entry!r}")
-                knots.append((_as_float(pair[0], _child(knots_ptr, k)),
-                              _as_float(pair[1], _child(knots_ptr, k))))
-            spec = CouplingSpec(
-                kind="piecewise_linear",
-                sector=_parse_sector(_require(block, "sector", pointer),
-                                     _child(pointer, "sector")),
-                knots=tuple(knots))
-        else:
-            raise ConfigError(_child(pointer, "kind"),
-                              f"unknown coupling kind {kind!r}")
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(pointer, str(exc)) from exc
+    if kind == "linear":
+        gain = _as_positive(_require(block, "gain", pointer), _child(pointer, "gain"))
+        sector = SectorBound(gain, gain)
+        if "sector" in block:
+            sector = _parse_sector(block["sector"], _child(pointer, "sector"))
+        spec = CouplingSpec(kind="linear", sector=sector, gain=gain)
+    elif kind == "affine_sinusoid":
+        spec = CouplingSpec(
+            kind="affine_sinusoid",
+            sector=_parse_sector(_require(block, "sector", pointer),
+                                 _child(pointer, "sector")),
+            gain=_as_positive(_require(block, "gain", pointer),
+                              _child(pointer, "gain")),
+            amplitude=_as_float(_require(block, "amplitude", pointer),
+                                _child(pointer, "amplitude")))
+    elif kind == "piecewise_linear":
+        knots_ptr = _child(pointer, "knots")
+        raw = _expect_list(_require(block, "knots", pointer), knots_ptr)
+        knots = []
+        for k, entry in enumerate(raw):
+            pair = _expect_list(entry, _child(knots_ptr, k))
+            if len(pair) != 2:
+                raise ConfigError(_child(knots_ptr, k),
+                                  f"expected [x, y], got {entry!r}")
+            knots.append((_as_float(pair[0], _child(knots_ptr, k)),
+                          _as_float(pair[1], _child(knots_ptr, k))))
+        sector = _parse_sector(_require(block, "sector", pointer),
+                               _child(pointer, "sector"))
+        try:
+            spec = CouplingSpec(kind="piecewise_linear", sector=sector,
+                                knots=tuple(knots))
+        except ValueError as exc:
+            raise ConfigError(knots_ptr, str(exc)) from exc
+    else:
+        raise ConfigError(_child(pointer, "kind"),
+                          f"unknown coupling kind {kind!r}")
 
     check = verify_sector(spec)
     if not check.passed:
@@ -339,8 +332,10 @@ def _parse_disturbance_entry(value, pointer: str, derived_seed: int,
                           f"unknown disturbance kind {kind!r}")
     scale = 0.0
     if kind != "zero":
-        scale = _as_float(_require(block, "scale", pointer),
-                          _child(pointer, "scale"))
+        scale_ptr = _child(pointer, "scale")
+        scale = _as_float(_require(block, "scale", pointer), scale_ptr)
+        if scale < 0.0:
+            raise ConfigError(scale_ptr, f"must be nonnegative, got {scale!r}")
     seed = derived_seed
     if "seed" in block:
         if not allow_explicit_seed:
@@ -349,10 +344,7 @@ def _parse_disturbance_entry(value, pointer: str, derived_seed: int,
                 "per-edge seeds are derived from the top-level seed here; "
                 "use the per-edge list form to pin seeds explicitly")
         seed = _as_int(block["seed"], _child(pointer, "seed"))
-    try:
-        return DisturbanceSpec(kind=kind, scale=scale, seed=seed)
-    except ValueError as exc:
-        raise ConfigError(pointer, str(exc)) from exc
+    return DisturbanceSpec(kind=kind, scale=scale, seed=seed)
 
 
 def _parse_disturbances(value, pointer: str, p: int,
@@ -374,13 +366,19 @@ def _parse_disturbances(value, pointer: str, p: int,
         for k, entry in enumerate(entries))
 
 
-def _parse_certification(value, pointer: str):
+def _parse_certification(value, pointer: str, agents: GoodwinParams):
     if value is None:
         return None, DEFAULT_MODE
     block = _expect_mapping(value, pointer)
     _reject_unknown(block, {"theta", "theta3", "mode"}, pointer)
     theta = _as_positive(_require(block, "theta", pointer), _child(pointer, "theta"))
-    theta3 = _as_positive(_require(block, "theta3", pointer), _child(pointer, "theta3"))
+    theta3_ptr = _child(pointer, "theta3")
+    theta3 = _as_positive(_require(block, "theta3", pointer), theta3_ptr)
+    lo, hi = admissible_theta3_interval(agents)
+    if not lo < theta3 < hi:
+        raise ConfigError(theta3_ptr,
+                          f"must lie in the admissible interval (b3^2/(2*a3), 2*a2) "
+                          f"= ({lo:.6g}, {hi:.6g}), got {theta3!r}")
     mode = block.get("mode", DEFAULT_MODE)
     if mode not in _MODES:
         raise ConfigError(_child(pointer, "mode"),
@@ -421,7 +419,7 @@ def config_from_dict(payload) -> NetworkConfig:
     disturbances = _parse_disturbances(data.get("disturbances"), "/disturbances",
                                        graph.edge_count, seed)
     certification, mode = _parse_certification(data.get("certification"),
-                                               "/certification")
+                                               "/certification", agents)
     dt, horizon, stride = _parse_simulation(data.get("simulation"), "/simulation")
     return NetworkConfig(graph=graph, agents=agents, initial_states=x0,
                          couplings=couplings, disturbances=disturbances,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "SimulationDiverged",
     "UncertifiedBoundError",
     "CouplingSpec",
+    "CouplingGroup",
     "SectorCheck",
     "DisturbanceSpec",
     "NetworkModel",
@@ -100,29 +102,69 @@ class CouplingSpec:
                 prev_x = x
 
     @cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """Knot abscissae and ordinates from the origin, and the final
-        segment slope, of a ``piecewise_linear`` spec."""
-        xs = np.concatenate(([0.0], [k[0] for k in self.knots]))
-        ys = np.concatenate(([0.0], [k[1] for k in self.knots]))
-        return xs, ys, (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+    def _params(self) -> tuple[np.ndarray, ...]:
+        """This spec's parameter arrays as a one-edge kind table."""
+        return _kind_params(self.kind, (self,))
 
     def __call__(self, x):
-        """Evaluate elementwise on scalars or arrays."""
-        if self.kind == "linear":
-            return self.gain * x
-        if self.kind == "affine_sinusoid":
-            return self.gain * x + self.amplitude * np.sin(x)
-        xs, ys, last_slope = self._table
+        """Evaluate elementwise on scalars or arrays, through the kind
+        kernel that :meth:`NetworkModel.evaluate_couplings` uses."""
         arg = np.asarray(x, dtype=float)
-        mag = np.abs(arg)
-        val = np.interp(mag, xs, ys)
-        # continue with the final segment slope instead of clamping, so the
-        # ratio to x stays inside a positive sector at large arguments
-        beyond = mag > xs[-1]
-        val = np.where(beyond, ys[-1] + last_slope * (mag - xs[-1]), val)
-        out = np.sign(arg) * val
+        out = _KERNELS[self.kind](arg[..., None], *self._params)[..., 0]
         return out if out.shape else float(out)
+
+
+def _linear(x, gain):
+    return gain * x
+
+
+def _affine_sinusoid(x, gain, amplitude):
+    return gain * x + amplitude * np.sin(x)
+
+
+def _piecewise_linear(x, xs, ys, slopes):
+    """Odd extension of per-edge polylines through the origin.
+
+    Row ``j`` of the ``(K, q)`` tables holds knot ``j`` of each of the ``q``
+    edges on the last axis of ``x`` (row 0 is the origin, and a shorter
+    polyline repeats its last knot); ``slopes[j]`` is the slope of the
+    segment leaving knot ``j``.  The last slope continues past the last knot
+    instead of clamping, so the ratio to ``x`` stays inside a positive sector
+    at large arguments.
+    """
+    mag = np.abs(x)
+    seg = np.zeros(mag.shape, dtype=np.intp)
+    for knots in xs[1:]:
+        seg += mag >= knots
+    # flat index of (seg, edge) into the C-ordered (K, q) tables
+    pick = seg * xs.shape[1] + np.arange(xs.shape[1])
+    offset = mag - xs.take(pick)
+    y = ys.take(pick)
+    # a knot itself maps to its ordinate exactly, signed zero included
+    return np.sign(x) * np.where(offset == 0.0, y, slopes.take(pick) * offset + y)
+
+
+_KERNELS = {"linear": _linear, "affine_sinusoid": _affine_sinusoid,
+            "piecewise_linear": _piecewise_linear}
+
+
+def _kind_params(kind: str, specs) -> tuple[np.ndarray, ...]:
+    """The parameter arrays of the kernel of ``kind`` for same-kind
+    ``specs``, one edge per entry of the last axis."""
+    if kind == "linear":
+        return (np.array([s.gain for s in specs], dtype=float),)
+    if kind == "affine_sinusoid":
+        return (np.array([s.gain for s in specs], dtype=float),
+                np.array([s.amplitude for s in specs], dtype=float))
+    rows = 1 + max(len(s.knots) for s in specs)
+    columns = []
+    for s in specs:
+        xs = [0.0, *(float(x) for x, _ in s.knots)]
+        ys = [0.0, *(float(y) for _, y in s.knots)]
+        slopes = [(ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) for j in range(len(xs) - 1)]
+        # the last knot and the padding rows continue the final segment
+        columns.append([c + c[-1:] * (rows - len(c)) for c in (xs, ys, slopes)])
+    return tuple(np.array(table).T.copy() for table in zip(*columns))
 
 
 def linear_coupling(gain: float) -> CouplingSpec:
@@ -164,8 +206,8 @@ def _slope_ratio_range(spec: CouplingSpec) -> tuple[float, float]:
         return min(ends), max(ends)
     # y/x is monotone on every segment, so its extremes sit at the knots,
     # next to the origin (the first slope) or at infinity (the last slope)
-    xs, ys, last_slope = spec._table
-    ratios = np.append(ys[1:] / xs[1:], last_slope)
+    xs, ys, slopes = (table[:, 0] for table in spec._params)
+    ratios = np.append(ys[1:] / xs[1:], slopes[-1])
     return float(np.min(ratios)), float(np.max(ratios))
 
 
@@ -210,13 +252,13 @@ class DisturbanceSpec:
         return np.zeros(count)
 
 
-def _apply_couplings(groups, x):
-    """Evaluate the per-edge nonlinearities on the last axis of ``x``, one
-    call per group of :attr:`NetworkModel.coupling_groups`."""
-    out = np.empty_like(x)
-    for coupling, edges in groups:
-        out[..., edges] = coupling(x[..., edges])
-    return out
+class CouplingGroup(NamedTuple):
+    """The edges of one coupling kind, as a last-axis index, and the
+    parameter arrays of its kernel, one edge per entry of the last axis."""
+
+    kind: str
+    edges: slice | np.ndarray
+    params: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,40 +295,46 @@ class NetworkModel:
         return tuple(c.sector for c in self.couplings)
 
     @cached_property
-    def coupling_groups(self) -> tuple[tuple[CouplingSpec, int | slice | np.ndarray], ...]:
-        """Edges grouped by equal coupling, in order of first appearance.
-
-        Each group pairs a coupling with the last-axis index of its edges: a
-        plain ``int`` for a single edge, ``slice(None)`` when one coupling
-        serves every edge, and an index array otherwise.
-        """
-        members: dict[CouplingSpec, list[int]] = {}
+    def coupling_table(self) -> tuple[CouplingGroup, ...]:
+        """The couplings grouped by kind, in order of first appearance: at
+        most three kernels however many distinct couplings there are.  A kind
+        whose edges are contiguous is indexed by a slice, so a network with
+        one kind never copies its arguments."""
+        members: dict[str, list[int]] = {}
         for k, coupling in enumerate(self.couplings):
-            members.setdefault(coupling, []).append(k)
-        if len(members) == 1 and len(self.couplings) > 1:
-            return ((self.couplings[0], slice(None)),)
-        return tuple((c, ks[0] if len(ks) == 1 else np.array(ks))
-                     for c, ks in members.items())
+            members.setdefault(coupling.kind, []).append(k)
+        return tuple(
+            CouplingGroup(kind,
+                          slice(ks[0], ks[-1] + 1) if ks[-1] - ks[0] == len(ks) - 1
+                          else np.array(ks),
+                          _kind_params(kind, [self.couplings[k] for k in ks]))
+            for kind, ks in members.items())
+
+    def evaluate_couplings(self, x: np.ndarray) -> np.ndarray:
+        """Coupling outputs for the per-edge arguments on the last axis of
+        ``x``, one kernel call per kind."""
+        out = np.empty_like(x)
+        for kind, edges, params in self.coupling_table:
+            out[..., edges] = _KERNELS[kind](x[..., edges], *params)
+        return out
 
     def derivative(self, state: np.ndarray, w_row: np.ndarray) -> np.ndarray:
         """Right-hand side of the coupled network at one time instant.
 
-        Diverging states overflow here without a warning; the step-boundary
-        finiteness check is what reports blow-up.
+        Call it under :func:`step`, which silences non-finite intermediates;
+        the step-boundary finiteness check is what reports blow-up.
         """
         agents = self.agents
         x1 = state[:, 0]
         x2 = state[:, 1]
         x3 = state[:, 2]
-        with np.errstate(over="ignore", invalid="ignore"):
-            repression = -1.0 / (x3 ** agents.hill + 1.0)
-            v = _apply_couplings(self.coupling_groups,
-                                 x1 @ self.incidence_matrix + w_row)
-            u = self.incidence_matrix @ v  # the physical input is -u
-            out = np.empty_like(state)
-            out[:, 0] = -agents.a1 * x1 - repression - agents.input_gains * u
-            out[:, 1] = agents.b2 * x1 - agents.a2 * x2
-            out[:, 2] = agents.b3 * x2 - agents.a3 * x3
+        repression = -1.0 / (x3 ** agents.hill + 1.0)
+        v = self.evaluate_couplings(x1 @ self.incidence_matrix + w_row)
+        u = self.incidence_matrix @ v  # the physical input is -u
+        out = np.empty_like(state)
+        out[:, 0] = -agents.a1 * x1 - repression - agents.input_gains * u
+        out[:, 1] = agents.b2 * x1 - agents.a2 * x2
+        out[:, 2] = agents.b3 * x2 - agents.a3 * x3
         return out
 
 
@@ -360,7 +408,7 @@ class SimulationTrace:
 
     @cached_property
     def coupling_outputs(self) -> np.ndarray:
-        return _apply_couplings(self.model.coupling_groups, self.coupling_arguments)
+        return self.model.evaluate_couplings(self.coupling_arguments)
 
     @cached_property
     def inputs(self) -> np.ndarray:

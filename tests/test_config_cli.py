@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import csv
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -112,6 +113,25 @@ def test_initial_outputs_fill_first_component():
     (lambda d: d["agents"].update(hill=1), "/agents/hill", "integer >= 2"),
     (lambda d: d["certification"].update(theta=-1), "/certification/theta",
      "must be positive"),
+    (lambda d: d["certification"].update(theta3=5.0), "/certification/theta3",
+     "admissible interval"),
+    (lambda d: d.update(couplings={"kind": "linear", "gain": -1.0}),
+     "/couplings/gain", "must be positive"),
+    (lambda d: d.update(couplings=[{"kind": "linear", "gain": 5.0}] * 2
+                        + [{"kind": "affine_sinusoid", "gain": -5.0,
+                            "amplitude": 0.3,
+                            "sector": {"alpha_lo": 4.7, "alpha_hi": 5.3}}]),
+     "/couplings/2/gain", "must be positive"),
+    (lambda d: d.update(couplings={"kind": "affine_sinusoid", "gain": 5.0,
+                                   "amplitude": math.inf,
+                                   "sector": {"alpha_lo": 4.7, "alpha_hi": 5.3}}),
+     "/couplings/amplitude", "finite number"),
+    (lambda d: d.update(couplings={"kind": "piecewise_linear",
+                                   "knots": [[2.0, 1.0], [1.0, 2.0]],
+                                   "sector": {"alpha_lo": 0.5, "alpha_hi": 2.0}}),
+     "/couplings/knots", "strictly increasing"),
+    (lambda d: d["disturbances"].update(scale=-0.1), "/disturbances/scale",
+     "must be nonnegative"),
     (lambda d: d.update(couplings={"kind": "linear", "gain": 5.0,
                                    "sector": {"alpha_lo": 5.5,
                                               "alpha_hi": 6.0}}),
@@ -346,6 +366,27 @@ def test_version_option_reads_the_package_version():
     assert result.exit_code == 0, result.output
     assert result.output == f"syncert, version {__version__}\n"
     assert __version__ == "0.1.0"
+
+
+def test_certify_rejects_inadmissible_theta3_with_pointer(tmp_path):
+    path = _write(tmp_path, _payload(certification={"theta": 2.0, "theta3": 5.0}))
+    result = CliRunner().invoke(main, ["certify", str(path)])
+    assert result.exit_code == 2
+    assert ("error: /certification/theta3: must lie in the admissible interval "
+            "(b3^2/(2*a3), 2*a2) = (1.125, 2), got 5.0") in result.output
+
+
+def test_simulate_reproduces_golden_mixed_coupling_trace(tmp_path):
+    # all three coupling kinds with distinct parameters, piecewise knot counts
+    # of 1, 2 and 4 and arguments past every last knot; trace.csv written by
+    # the per-edge evaluator that the kind kernels replaced
+    data = Path(__file__).parent / "data"
+    out = tmp_path / "mixed"
+    result = CliRunner().invoke(main, ["simulate", str(data / "mixed_couplings.json"),
+                                       "--full", "-o", str(out), "--seed", "1"])
+    assert result.exit_code == 0, result.output
+    assert (out / "trace.csv").read_bytes() == \
+        (data / "mixed_couplings_trace.csv").read_bytes()
 
 
 def test_certify_rejects_bad_config(tmp_path):

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syncert.certificates import (
@@ -28,7 +28,6 @@ from syncert.simulation import (
     NetworkModel,
     SimulationDiverged,
     affine_sinusoid_coupling,
-    _apply_couplings,
     bound_check,
     linear_coupling,
     piecewise_linear_coupling,
@@ -247,30 +246,124 @@ _COUPLING_LISTS = {
                      piecewise_linear_coupling([(1.0, 4.0)], SectorBound(4.0, 4.0))),
     "mixed": (_SIN, _PWL, _SIN, _LIN, _PWL, linear_coupling(4.5)),
     "empty": (),
+    # one kernel per kind, however many distinct couplings
+    "hundred_distinct": tuple(
+        (linear_coupling(4.0 + k / 100),
+         affine_sinusoid_coupling(5.0 + k / 100, 0.2, SectorBound(4.0, 6.5)),
+         piecewise_linear_coupling([(1.0 + j, (4.0 + k / 100) * (1.0 + j))
+                                    for j in range(1 + k % 4)],
+                                   SectorBound(4.0, 5.0)))[k % 3]
+        for k in range(100)),
 }
+
+
+def _network(couplings):
+    """A connected network with one edge per coupling: the first ``p``
+    lexicographic pairs of the smallest complete graph that has ``p``."""
+    p = len(couplings)
+    if not p:
+        g = build_graph(1, [])
+    else:
+        n = next(n for n in range(2, p + 3) if n * (n - 1) // 2 >= p)
+        g = build_graph(n, list(complete_graph(n).edges)[:p])
+    return NetworkModel(g, _agents(*[1.0] * g.n), tuple(couplings),
+                        (DisturbanceSpec(),) * p, np.zeros((g.n, 3)))
 
 
 @pytest.mark.parametrize("case", list(_COUPLING_LISTS))
 def test_coupling_groups_match_per_edge_loop(case):
     couplings = _COUPLING_LISTS[case]
-    g = complete_graph(4) if couplings else build_graph(1, [])
-    model = NetworkModel(g, _agents(*[1.0] * g.n), couplings,
-                         (DisturbanceSpec(),) * g.edge_count, np.zeros((g.n, 3)))
-    groups = model.coupling_groups
+    model = _network(couplings)
+    table = model.coupling_table
+    assert len(table) == len({c.kind for c in couplings}) <= 3
     edges = np.arange(len(couplings))
     covered = []
-    for coupling, index in groups:
-        members = np.atleast_1d(edges[index])
-        assert all(couplings[k] == coupling for k in members)
-        # a single edge is indexed by a plain int, not a one-element array
-        assert isinstance(index, int) == (members.size == 1)
+    for group in table:
+        members = edges[group.edges]
+        assert all(couplings[k].kind == group.kind for k in members)
+        # contiguous edges are indexed by a slice, which copies nothing
+        assert isinstance(group.edges, slice) == bool(np.all(np.diff(members) == 1))
         covered += members.tolist()
     assert sorted(covered) == edges.tolist()
     rng = np.random.default_rng(3)
     for shape in ((len(couplings),), (7, len(couplings))):
         # arguments past the last knot exercise the extrapolated segment
         x = rng.normal(scale=3.0, size=shape)
-        assert np.array_equal(_apply_couplings(groups, x), _per_edge(couplings, x))
+        assert np.array_equal(model.evaluate_couplings(x), _per_edge(couplings, x))
+
+
+_ANY_SECTOR = SectorBound(1.0, 2.0)
+_FINITE = st.floats(min_value=-10.0, max_value=10.0)
+_POSITIVE = st.floats(min_value=0.1, max_value=10.0)
+
+
+def _polyline(steps):
+    x, knots = 0.0, []
+    for dx, y in steps:
+        x += dx
+        knots.append((x, y))
+    return CouplingSpec(kind="piecewise_linear", sector=_ANY_SECTOR, knots=tuple(knots))
+
+
+_SPECS = st.one_of(
+    st.builds(lambda g: CouplingSpec(kind="linear", sector=_ANY_SECTOR, gain=g),
+              _POSITIVE),
+    st.builds(lambda g, a: CouplingSpec(kind="affine_sinusoid", sector=_ANY_SECTOR,
+                                        gain=g, amplitude=a), _POSITIVE, _FINITE),
+    # knot counts 1 to 5, so one kernel call pads the shorter tables; signed
+    # zero ordinates check that a knot maps to its ordinate bit for bit
+    st.lists(st.tuples(st.floats(min_value=0.01, max_value=3.0),
+                       st.sampled_from([0.0, -0.0]) | _FINITE),
+             min_size=1, max_size=5).map(_polyline),
+)
+
+
+def _interp_reference(spec, x):
+    """The scalar formula each kind kernel replaced, ``np.interp`` plus the
+    final-slope extension for polylines."""
+    if spec.kind == "linear":
+        return spec.gain * x
+    if spec.kind == "affine_sinusoid":
+        return spec.gain * x + spec.amplitude * np.sin(x)
+    xs = np.concatenate(([0.0], [k[0] for k in spec.knots]))
+    ys = np.concatenate(([0.0], [k[1] for k in spec.knots]))
+    last_slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+    mag = np.abs(x)
+    val = np.interp(mag, xs, ys)
+    val = np.where(mag > xs[-1], ys[-1] + last_slope * (mag - xs[-1]), val)
+    return np.sign(x) * val
+
+
+def _same_bits(a, b):
+    finite = ~np.isnan(a)
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a[finite]), np.signbit(b[finite])))
+
+
+@given(couplings=st.lists(_SPECS, min_size=1, max_size=8),
+       extra=st.lists(st.floats(min_value=-20.0, max_value=20.0), min_size=1,
+                      max_size=4))
+@example(couplings=[_polyline([(1.0, -0.0), (1.0, 0.0)])], extra=[0.5])
+@settings(max_examples=150, deadline=None)
+def test_kind_kernels_match_per_edge_loop_bit_for_bit(couplings, extra):
+    model = _network(couplings)
+    pools = []
+    for spec in couplings:
+        pool = [0.0, -0.0, math.inf, -math.inf, math.nan, *extra]
+        for x, _ in spec.knots:
+            pool += [x, -x, np.nextafter(x, 0.0), np.nextafter(x, math.inf)]
+        if spec.knots:
+            pool += [spec.knots[-1][0] + 1.5, -spec.knots[-1][0] - 1.5]
+        pools.append(pool)
+    rows = max(len(pool) for pool in pools)
+    x = np.column_stack([np.resize(pool, rows) for pool in pools])
+    with np.errstate(all="ignore"):
+        reference = _per_edge(couplings, x)
+        assert _same_bits(reference, np.column_stack(
+            [_interp_reference(c, x[:, k]) for k, c in enumerate(couplings)]))
+        assert _same_bits(model.evaluate_couplings(x), reference)
+        for row, expected in zip(x, reference):
+            assert _same_bits(model.evaluate_couplings(row), expected)
 
 
 def test_rk4_single_step_accuracy():
