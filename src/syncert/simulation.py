@@ -6,7 +6,8 @@ Per edge ``k = (i, j)`` the coupling argument is ``x_k = y_i - y_j + w_k``
 (the sign convention rides on the canonical incidence orientation), the
 coupling output is ``v_k = theta_k(x_k)``, and the stacked node inputs are
 ``u = -D v``, which sums to zero across the network.  The disturbance is
-held constant over each integration step.
+held constant over each integration step.  Several disturbance realisations
+of one network integrate in one pass as disjoint copies (:func:`run_batch`).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "UncertifiedBoundError",
     "CouplingSpec",
     "CouplingGroup",
+    "NetworkCopies",
     "SectorCheck",
     "DisturbanceSpec",
     "NetworkModel",
@@ -46,6 +48,7 @@ __all__ = [
     "rk4_step",
     "step",
     "run",
+    "run_batch",
     "bound_check",
 ]
 
@@ -261,6 +264,25 @@ class CouplingGroup(NamedTuple):
     params: tuple[np.ndarray, ...]
 
 
+def _evaluate(table: tuple[CouplingGroup, ...], x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    for kind, edges, params in table:
+        out[..., edges] = _KERNELS[kind](x[..., edges], *params)
+    return out
+
+
+class NetworkCopies(NamedTuple):
+    """``count`` disjoint copies of one network, the layout of
+    :func:`run_batch`: copy ``s`` owns node rows ``s*n + i`` and edge
+    columns ``s*p + k``, and no term couples two copies."""
+
+    count: int
+    lower: np.ndarray
+    upper: np.ndarray
+    input_gains: np.ndarray
+    coupling_table: tuple[CouplingGroup, ...]
+
+
 @dataclass(frozen=True, eq=False)
 class NetworkModel:
     """A graph of oscillators (one :class:`GoodwinParams` with a gain per
@@ -313,26 +335,59 @@ class NetworkModel:
     def evaluate_couplings(self, x: np.ndarray) -> np.ndarray:
         """Coupling outputs for the per-edge arguments on the last axis of
         ``x``, one kernel call per kind."""
-        out = np.empty_like(x)
-        for kind, edges, params in self.coupling_table:
-            out[..., edges] = _KERNELS[kind](x[..., edges], *params)
-        return out
+        return _evaluate(self.coupling_table, x)
+
+    @cached_property
+    def _copies(self) -> dict[int, NetworkCopies]:
+        return {}
+
+    def copies(self, count: int) -> NetworkCopies:
+        """The gather indices, input gains and coupling table of ``count``
+        copies of this network, built once per count.  A kind on every
+        edge keeps a slice, so a one-kind batch copies nothing."""
+        layout = self._copies.get(count)
+        if layout is None:
+            n, p = self.graph.n, self.graph.edge_count
+            lower, upper = (
+                (ends + n * np.arange(count)[:, None]).ravel()
+                for ends in self.graph.endpoints)
+            table = []
+            for kind, edges, params in self.coupling_table:
+                members = np.arange(p)[edges]
+                if members.size == p:
+                    edges = slice(None)
+                elif count > 1:
+                    edges = (members + p * np.arange(count)[:, None]).ravel()
+                table.append(CouplingGroup(
+                    kind, edges, tuple(np.tile(a, count) for a in params)))
+            layout = self._copies[count] = NetworkCopies(
+                count, lower, upper, np.tile(self.agents.input_gains, count),
+                tuple(table))
+        return layout
 
     def derivative(self, state: np.ndarray, w_row: np.ndarray) -> np.ndarray:
-        """Right-hand side of the coupled network at one time instant.
+        """Right-hand side of the coupled network at one time instant, for
+        one copy or a stack of copies laid out as :meth:`copies` says.
 
         Call it under :func:`step`, which silences non-finite intermediates;
         the step-boundary finiteness check is what reports blow-up.
         """
         agents = self.agents
+        layout = self.copies(state.shape[0] // self.graph.n)
         x1 = state[:, 0]
         x2 = state[:, 1]
         x3 = state[:, 2]
         repression = -1.0 / (x3 ** agents.hill + 1.0)
-        v = self.evaluate_couplings(x1 @ self.incidence_matrix + w_row)
-        u = self.incidence_matrix @ v  # the physical input is -u
+        # each incidence column holds one +1 and one -1, so this gather
+        # equals x1 @ D bit for bit
+        v = _evaluate(layout.coupling_table,
+                      x1[layout.lower] - x1[layout.upper] + w_row)
+        # one gemv per copy, the same reduction as D @ v on a single copy;
+        # the physical input is -u
+        u = np.matmul(self.incidence_matrix,
+                      v.reshape(layout.count, self.graph.edge_count, 1)).reshape(-1)
         out = np.empty_like(state)
-        out[:, 0] = -agents.a1 * x1 - repression - agents.input_gains * u
+        out[:, 0] = -agents.a1 * x1 - repression - layout.input_gains * u
         out[:, 1] = agents.b2 * x1 - agents.a2 * x2
         out[:, 2] = agents.b3 * x2 - agents.a3 * x3
         return out
@@ -520,6 +575,28 @@ def run(model: NetworkModel, horizon: float, dt: float = 1e-3,
     point) and held constant across each step.  Identical models, horizons
     and seeds reproduce the trace bit for bit.
     """
+    return run_batch((model,), horizon, dt, stride)[0]
+
+
+def run_batch(models, horizon: float, dt: float = 1e-3,
+              stride: int = 100) -> tuple[SimulationTrace, ...]:
+    """Integrate several realisations of one network in a single RK4 pass.
+
+    The models must share ``graph``, ``agents`` and ``couplings`` (compared
+    with ``==``, so ``agents`` must be one :class:`GoodwinParams` object);
+    their disturbances and initial states may differ.  They are stacked as
+    disjoint copies of the network (see :meth:`NetworkModel.copies`), so
+    each returned trace equals :func:`run` on its model bit for bit.  A
+    non-finite state in any copy raises :class:`SimulationDiverged`.
+    """
+    models = tuple(models)
+    if not models:
+        raise ValueError("run_batch needs at least one model")
+    first = models[0]
+    for s, model in enumerate(models[1:], start=1):
+        for name in ("graph", "agents", "couplings"):
+            if getattr(model, name) != getattr(first, name):
+                raise ValueError(f"model {s} has a different {name} from model 0")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt}")
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
@@ -529,18 +606,22 @@ def run(model: NetworkModel, horizon: float, dt: float = 1e-3,
         raise ValueError(
             f"horizon {horizon} must be a positive integer multiple of dt = {dt}"
         )
-    n, p = model.graph.n, model.graph.edge_count
+    n, p = first.graph.n, first.graph.edge_count
     if p:
         held = np.column_stack([spec.held_values(steps + 1)
-                                for spec in model.disturbances])
+                                for model in models for spec in model.disturbances])
     else:
         held = np.zeros((steps + 1, 0))
-    states = np.empty((steps + 1, n, 3))
-    states[0] = model.initial_states
+    states = np.empty((steps + 1, len(models) * n, 3))
+    states[0] = np.concatenate([model.initial_states for model in models])
     for m in range(steps):
-        states[m + 1] = step(model, states[m], m * dt, dt, held[m])
-    return SimulationTrace(model=model, dt=dt, stride=int(stride), states=states,
-                           held_disturbance=held)
+        states[m + 1] = step(first, states[m], m * dt, dt, held[m])
+    # contiguous copies, so every derived array takes the solo path
+    return tuple(
+        SimulationTrace(model=model, dt=dt, stride=int(stride),
+                        states=states[:, s * n:(s + 1) * n].copy(),
+                        held_disturbance=held[:, s * p:(s + 1) * p].copy())
+        for s, model in enumerate(models))
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,15 +2,15 @@
 
 The bundled five-oscillator case study drives most of the suite.  Its
 100-second integrations are expensive, so the noiseless trace and the five
-seeded noisy traces are session scoped and shared between the simulation
-tests and the acceptance gate.
+seeded noisy traces are integrated once, in one batched pass, and shared
+between the simulation tests and the acceptance gate.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from syncert import bundled_config, bundled_expected, run
+from syncert import bundled_config, bundled_expected, run_batch
 from syncert.simulation import DisturbanceSpec, NetworkModel
 
 # first entry is the master seed committed in the bundled configuration
@@ -35,20 +35,24 @@ def paper_certification(paper_config):
 
 
 @pytest.fixture(scope="session")
-def noiseless_trace(paper_config):
+def paper_traces(paper_config):
+    """The noiseless trace, then one noisy trace per ``BOUND_SEEDS`` entry,
+    integrated together in one batched RK4 pass."""
     cfg = paper_config
-    model = NetworkModel(
+    noiseless = NetworkModel(
         graph=cfg.graph, agents=cfg.agents, couplings=cfg.couplings,
         disturbances=(DisturbanceSpec(kind="zero"),) * cfg.graph.edge_count,
         initial_states=cfg.initial_states,
     )
-    return run(model, cfg.horizon, dt=cfg.dt, stride=cfg.stride)
+    noisy = [cfg.with_seed(seed).model() for seed in BOUND_SEEDS]
+    return run_batch([noiseless, *noisy], cfg.horizon, dt=cfg.dt, stride=cfg.stride)
 
 
 @pytest.fixture(scope="session")
-def noisy_traces(paper_config):
-    traces = {}
-    for seed in BOUND_SEEDS:
-        cfg = paper_config.with_seed(seed)
-        traces[seed] = run(cfg.model(), cfg.horizon, dt=cfg.dt, stride=cfg.stride)
-    return traces
+def noiseless_trace(paper_traces):
+    return paper_traces[0]
+
+
+@pytest.fixture(scope="session")
+def noisy_traces(paper_traces):
+    return dict(zip(BOUND_SEEDS, paper_traces[1:]))

@@ -389,6 +389,18 @@ def test_simulate_reproduces_golden_mixed_coupling_trace(tmp_path):
         (data / "mixed_couplings_trace.csv").read_bytes()
 
 
+def test_reproduce_paper_reproduces_golden_traces(tmp_path):
+    # both traces written by the one-realisation-per-pass integrator that the
+    # batched pass replaced
+    golden = Path(__file__).parent / "data" / "reproduce_paper_T1_seed3"
+    out = tmp_path / "repro"
+    result = CliRunner().invoke(main, ["reproduce-paper", "-T", "1", "--seed", "3",
+                                       "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    for name in ("trace_noiseless.csv", "trace_noisy.csv"):
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+
 def test_certify_rejects_bad_config(tmp_path):
     runner = CliRunner()
     path = _write(tmp_path, _payload(bogus=1))

@@ -3,7 +3,9 @@ trace bookkeeping that feeds the certificate checks."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from syncert.certificates import (
     UncertifiedBoundError,
     sector_arrays,
 )
+from syncert.config import parse_config
 from syncert.goodwin import GoodwinParams
 from syncert.graphs import build_graph, complete_graph, incidence
 from syncert.noise import normals
@@ -33,6 +36,7 @@ from syncert.simulation import (
     piecewise_linear_coupling,
     rk4_step,
     run,
+    run_batch,
     step,
     verify_sector,
 )
@@ -415,6 +419,73 @@ def test_unstable_step_size_reports_divergence_time():
     except SimulationDiverged as exc:
         assert 0.0 < exc.time <= 100.0
         assert exc.time == pytest.approx(round(exc.time))
+
+
+def _assert_batch_matches_solo(models, horizon, dt, stride):
+    batch = run_batch(models, horizon, dt=dt, stride=stride)
+    assert len(batch) == len(models)
+    for model, member in zip(models, batch):
+        solo = run(model, horizon, dt=dt, stride=stride)
+        assert member.model is model
+        assert np.array_equal(member.states, solo.states)
+        assert np.array_equal(member.held_disturbance, solo.held_disturbance)
+        assert member.states.flags.c_contiguous
+        assert member.held_disturbance.flags.c_contiguous
+
+
+def test_run_batch_members_equal_solo_runs_on_the_paper_network(paper_config):
+    cfg = paper_config
+    noiseless = dataclasses.replace(
+        cfg.model(), disturbances=(DisturbanceSpec(),) * cfg.graph.edge_count)
+    models = [noiseless, cfg.with_seed(1).model(), cfg.with_seed(2).model()]
+    _assert_batch_matches_solo(models, 1.0, cfg.dt, cfg.stride)
+
+
+def test_run_batch_members_equal_solo_runs_on_mixed_couplings():
+    cfg = parse_config(Path(__file__).parent / "data" / "mixed_couplings.json")
+    base = cfg.model()
+    # kinds interleave, so the batch gathers each kind by index array
+    assert any(not isinstance(group.edges, slice) for group in base.coupling_table)
+    models = [dataclasses.replace(cfg.with_seed(seed).model(),
+                                  initial_states=base.initial_states + 0.1 * seed)
+              for seed in (1, 2, 3)]
+    _assert_batch_matches_solo(models, cfg.horizon, cfg.dt, cfg.stride)
+
+
+def test_run_batch_validation():
+    model = _triangle_model()
+    path = build_graph(3, [(1, 2), (2, 3)])
+    mismatched = {
+        "graph": NetworkModel(path, model.agents, (linear_coupling(2.0),) * 2,
+                              (DisturbanceSpec(),) * 2, model.initial_states),
+        # a different GoodwinParams object, even with equal values
+        "agents": dataclasses.replace(model, agents=_agents(0.9, 1.0, 1.1)),
+        "couplings": dataclasses.replace(model, couplings=(linear_coupling(3.0),) * 3),
+    }
+    for name, other in mismatched.items():
+        with pytest.raises(ValueError, match=f"model 1 has a different {name}"):
+            run_batch((model, other), horizon=0.01, dt=1e-3)
+    with pytest.raises(ValueError, match="at least one model"):
+        run_batch((), horizon=0.01, dt=1e-3)
+
+
+def test_run_batch_reports_a_diverging_member_at_its_solo_time():
+    g = build_graph(2, [(1, 2)])
+    diverging = NetworkModel(
+        graph=g,
+        agents=_agents(1.0, 1.2),
+        couplings=(linear_coupling(50.0),),
+        disturbances=(DisturbanceSpec(),),
+        initial_states=np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
+    )
+    # equal outputs keep the coupling silent, so this member stays finite
+    calm = dataclasses.replace(diverging, initial_states=np.zeros((2, 3)))
+    assert np.isfinite(run(calm, horizon=100.0, dt=1.0).states).all()
+    with pytest.raises(SimulationDiverged) as solo:
+        run(diverging, horizon=100.0, dt=1.0)
+    with pytest.raises(SimulationDiverged) as batched:
+        run_batch((calm, diverging), horizon=100.0, dt=1.0)
+    assert batched.value.time == solo.value.time
 
 
 def test_trace_signal_identities():
