@@ -18,8 +18,6 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import Graph, assemble_pd_matrix, build_graph, edge_slacks
-# bench/workloads.py reads and rebinds this name; kept so that lookup resolves.
-from .linalg import jacobi_eigenvalues  # noqa: F401
 from .linalg import symmetric_eigenvalues
 
 __all__ = [
@@ -33,11 +31,13 @@ __all__ = [
     "GainBound",
     "UncertifiedBoundError",
     "quadratic_forms",
-    "gain_bound",
     "gain_bound_from_forms",
     "certificate_to_dict",
     "certificate_from_dict",
 ]
+
+# bench/workloads.py reads and rebinds this name; kept so that lookup resolves.
+jacobi_eigenvalues = symmetric_eigenvalues
 
 # Margins are declared satisfied only beyond this slack; exact zeros fail.
 POSITIVITY_TOL = 1e-12
@@ -221,10 +221,19 @@ class NetworkCertificate:
 
     @cached_property
     def bound(self) -> GainBound:
-        """Gain bound of :func:`gain_bound`: exact for point sectors, else an
-        interval bound over the whole sector box, widened by ``4 p eps ||.||``
-        against rounding."""
-        return gain_bound(self.graph, self)
+        """Certified disagreement gain bound, proved over the whole sector
+        box by :func:`gain_bound_from_forms`: exact for point sectors, an
+        interval bound widened by ``4 p eps ||.||`` against rounding
+        otherwise."""
+        return gain_bound_from_forms(
+            coupling_form=self.forms.coupling_form,
+            output_shift=np.diag(self.output_quadratic),
+            alpha_lo=self.alpha_lo,
+            alpha_hi=self.alpha_hi,
+            weight_max=float(np.max(self.pair_weight)),
+            slope_max=float(np.max(self.alpha_hi)),
+            bias_total=self.bias_total,
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,12 +262,6 @@ class MarginReport:
     @property
     def min_slack(self) -> float:
         return float(np.min(self.slacks))
-
-    def rows(self) -> list[tuple[str, float, bool]]:
-        return [
-            (self.graph.edge_label(k), float(self.slacks[k]), bool(self.edge_ok[k]))
-            for k in range(self.graph.edge_count)
-        ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,26 +408,6 @@ def gain_bound_from_forms(coupling_form: np.ndarray, output_shift: np.ndarray,
                      m_max=m_max, weight_max=weight_max, slope_max=slope_max,
                      bias_total=bias_total,
                      estimate="exact" if point else "interval")
-
-
-def gain_bound(g: Graph, cert: NetworkCertificate) -> GainBound:
-    """Certified disagreement gain bound for a network certificate, proved
-    over the whole sector box by :func:`gain_bound_from_forms`: exact for
-    point sectors, an interval bound widened by ``4 p eps ||.||``
-    otherwise.  The coupling form, output form and neighbour counts are
-    read from ``cert``, which computes each once.
-    """
-    if cert.graph != g:
-        raise ValueError("certificate was assembled over a different graph")
-    return gain_bound_from_forms(
-        coupling_form=cert.forms.coupling_form,
-        output_shift=np.diag(cert.output_quadratic),
-        alpha_lo=cert.alpha_lo,
-        alpha_hi=cert.alpha_hi,
-        weight_max=float(np.max(cert.pair_weight)),
-        slope_max=float(np.max(cert.alpha_hi)),
-        bias_total=cert.bias_total,
-    )
 
 
 def certificate_to_dict(cert: NetworkCertificate) -> dict:

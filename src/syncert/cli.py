@@ -29,7 +29,13 @@ from .config import (
     parse_config,
     seed_override,
 )
-from .goodwin import InadmissibleParams, hill_slope, hill_slope_max, search_params
+from .goodwin import (
+    CERTIFICATION_MODES,
+    InadmissibleParams,
+    hill_slope,
+    hill_slope_max,
+    search_params,
+)
 from .graphs import incidence
 from .simulation import (
     DisturbanceSpec,
@@ -397,7 +403,7 @@ def _within(value: float, target: float, tol: float) -> bool:
 @click.option("-o", "--output", "output_dir",
               type=click.Path(file_okay=False, path_type=Path), default=None,
               help="Directory for the margin and trace CSVs.")
-@click.option("--mode", type=click.Choice(["uniform", "per_edge"]), default=None,
+@click.option("--mode", type=click.Choice(CERTIFICATION_MODES), default=None,
               help="Certification mode override.")
 @click.option("--dt", type=float, default=None, help="Step size override.")
 @click.option("-T", "--horizon", type=float, default=None,
@@ -508,7 +514,8 @@ def reproduce_paper(output_dir: Path | None, mode: str | None, dt: float | None,
         f"worst sampled margin {margin_check.worst_margin:.6g}",
     ))
 
-    horizons = [t for t in HORIZON_GRID if t <= cfg.horizon + 1e-9]
+    # a horizon below the first grid point is checked at the horizon itself
+    horizons = [t for t in HORIZON_GRID if t <= cfg.horizon + 1e-9] or [cfg.horizon]
     residual, rhs = trace_noisy.dissipation_curves(cert)
     grid_idx = [trace_noisy.index_at(t) for t in horizons]
     slack = residual[grid_idx] - _residual_floor(rhs[grid_idx])

@@ -41,10 +41,22 @@ from pathlib import Path
 import numpy as np
 
 from .certificates import NetworkCertificate, SectorBound, sector_arrays
-from .goodwin import CertParams, GoodwinParams, admissible_theta3_interval, certify_network
+from .goodwin import (
+    CERTIFICATION_MODES,
+    CertParams,
+    GoodwinParams,
+    admissible_theta3_interval,
+    certify_network,
+)
 from .graphs import Graph, build_graph
 from .noise import edge_seed_sequence
-from .simulation import CouplingSpec, DisturbanceSpec, NetworkModel, verify_sector
+from .simulation import (
+    DISTURBANCE_KINDS,
+    CouplingSpec,
+    DisturbanceSpec,
+    NetworkModel,
+    verify_sector,
+)
 
 __all__ = [
     "ConfigError",
@@ -63,9 +75,6 @@ DEFAULT_DT = 1e-3
 DEFAULT_HORIZON = 100.0
 DEFAULT_STRIDE = 100
 DEFAULT_MODE = "uniform"
-
-_MODES = ("uniform", "per_edge")
-_MISSING = object()
 
 
 class ConfigError(ValueError):
@@ -172,18 +181,12 @@ class NetworkConfig:
         return replace(self, seed=int(seed), disturbances=disturbances)
 
     def with_simulation(self, dt: float | None = None,
-                        horizon: float | None = None,
-                        stride: int | None = None) -> "NetworkConfig":
+                        horizon: float | None = None) -> "NetworkConfig":
         changes = {}
         if dt is not None:
             changes["dt"] = _as_positive(dt, "/simulation/dt")
         if horizon is not None:
             changes["horizon"] = _as_positive(horizon, "/simulation/horizon")
-        if stride is not None:
-            if stride < 1:
-                raise ConfigError("/simulation/stride",
-                                  f"must be a positive integer, got {stride}")
-            changes["stride"] = int(stride)
         return replace(self, **changes) if changes else self
 
 
@@ -327,7 +330,7 @@ def _parse_disturbance_entry(value, pointer: str, derived_seed: int,
     block = _expect_mapping(value, pointer)
     _reject_unknown(block, {"kind", "scale", "seed"}, pointer)
     kind = _require(block, "kind", pointer)
-    if kind not in ("gaussian", "zero", "constant"):
+    if kind not in DISTURBANCE_KINDS:
         raise ConfigError(_child(pointer, "kind"),
                           f"unknown disturbance kind {kind!r}")
     scale = 0.0
@@ -380,9 +383,9 @@ def _parse_certification(value, pointer: str, agents: GoodwinParams):
                           f"must lie in the admissible interval (b3^2/(2*a3), 2*a2) "
                           f"= ({lo:.6g}, {hi:.6g}), got {theta3!r}")
     mode = block.get("mode", DEFAULT_MODE)
-    if mode not in _MODES:
+    if mode not in CERTIFICATION_MODES:
         raise ConfigError(_child(pointer, "mode"),
-                          f"mode must be one of {_MODES}, got {mode!r}")
+                          f"mode must be one of {CERTIFICATION_MODES}, got {mode!r}")
     return CertParams(theta=theta, theta3=theta3), mode
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "hill_slope_max",
     "admissible_theta3_interval",
     "resolve_weights",
+    "CERTIFICATION_MODES",
     "certify_network",
     "search_params",
 ]
@@ -168,6 +169,10 @@ def resolve_weights(cp: CertParams, params: GoodwinParams) -> tuple[float, float
     return theta1, theta2
 
 
+# how certify_network assigns nu: the least over all edges, or each edge's own
+CERTIFICATION_MODES = ("uniform", "per_edge")
+
+
 def certify_network(agents: GoodwinParams, g: Graph, cp: CertParams,
                     alpha_lo, alpha_hi, initial_states=None,
                     mode: str = "uniform") -> NetworkCertificate:
@@ -189,8 +194,9 @@ def certify_network(agents: GoodwinParams, g: Graph, cp: CertParams,
     """
     if agents.input_gains.size != g.n:
         raise ValueError(f"{agents.input_gains.size} agents for {g.n} nodes")
-    if mode not in ("uniform", "per_edge"):
-        raise ValueError(f"mode must be 'uniform' or 'per_edge', got {mode!r}")
+    if mode not in CERTIFICATION_MODES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, CERTIFICATION_MODES))}, "
+                         f"got {mode!r}")
     if initial_states is None:
         x0 = np.zeros((g.n, 3))
     else:

@@ -3,8 +3,8 @@ matrices, and the per-edge neighbour statistics consumed by the
 synchronisation certificates.
 
 Graph arithmetic is integer exact; floating point enters only through the
-node/edge weights of the positive-definiteness check and its eigenvalue
-oracle.
+node/edge weights of the positive-definiteness check and of the edge-space
+matrix it bounds.
 """
 
 from __future__ import annotations
@@ -14,19 +14,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import jacobi_eigenvalues
-
 __all__ = [
     "Graph",
     "EdgeStats",
     "build_graph",
-    "complete_graph",
-    "erdos_renyi_graph",
     "incidence",
     "edge_stats",
     "edge_slacks",
     "assemble_pd_matrix",
-    "pd_oracle",
 ]
 
 
@@ -136,32 +131,6 @@ def build_graph(n: int, edge_list) -> Graph:
     return Graph(n=n, edges=tuple(canon))
 
 
-def complete_graph(n: int) -> Graph:
-    """Complete graph on ``n`` nodes (test and benchmark fixture)."""
-    return build_graph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
-
-
-def erdos_renyi_graph(n: int, edge_prob: float, rng: np.random.Generator,
-                      require_connected: bool = False, max_tries: int = 1000) -> Graph:
-    """Seeded Erdos-Renyi sample, optionally resampled until connected.
-
-    Intended for test fixtures; the ``rng`` argument keeps draws reproducible.
-    """
-    if not (0.0 <= edge_prob <= 1.0):
-        raise ValueError(f"edge probability must lie in [0, 1], got {edge_prob}")
-    for _ in range(max_tries):
-        edges = [(i, j)
-                 for i in range(1, n + 1)
-                 for j in range(i + 1, n + 1)
-                 if rng.random() < edge_prob]
-        g = build_graph(n, edges)
-        if not require_connected or g.is_connected:
-            return g
-    raise RuntimeError(
-        f"no connected sample in {max_tries} tries (n={n}, edge_prob={edge_prob})"
-    )
-
-
 def incidence(g: Graph) -> np.ndarray:
     """Node-by-edge incidence matrix, ``+1`` at each edge's lower endpoint.
 
@@ -249,16 +218,3 @@ def assemble_pd_matrix(g: Graph, node_weights, edge_weights) -> np.ndarray:
     mu, sigma = _pd_weights(g, node_weights, edge_weights)
     d = incidence(g).astype(float)
     return d.T @ (mu[:, None] * d) + np.diag(sigma)
-
-
-def pd_oracle(g: Graph, node_weights, edge_weights, tol: float = 1e-10) -> float:
-    """Smallest eigenvalue of ``D.T @ diag(mu) @ D + diag(sigma)``.
-
-    Independent spectral route against which the :func:`edge_slacks`
-    verdict is validated; uses the in-package Jacobi solver, never an
-    external one.
-    """
-    if g.edge_count == 0:
-        raise ValueError("graph has no edges, the edge-space matrix is empty")
-    return float(jacobi_eigenvalues(assemble_pd_matrix(g, node_weights, edge_weights),
-                                    tol=tol)[0])

@@ -33,6 +33,7 @@ from .noise import normals
 __all__ = [
     "SimulationDiverged",
     "UncertifiedBoundError",
+    "DISTURBANCE_KINDS",
     "CouplingSpec",
     "CouplingGroup",
     "NetworkCopies",
@@ -53,11 +54,8 @@ __all__ = [
 ]
 
 _COUPLING_KINDS = ("linear", "affine_sinusoid", "piecewise_linear")
-_DISTURBANCE_KINDS = ("gaussian", "zero", "constant")
-
-# Coupling arguments below this magnitude are treated as zero when slope
-# ratios are formed; the sector midpoint is substituted there.
-SLOPE_EPS = 1e-12
+# the disturbance kinds, each interpreted by DisturbanceSpec.held_values
+DISTURBANCE_KINDS = ("gaussian", "zero", "constant")
 
 
 class SimulationDiverged(RuntimeError):
@@ -239,7 +237,7 @@ class DisturbanceSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in _DISTURBANCE_KINDS:
+        if self.kind not in DISTURBANCE_KINDS:
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
         if not (math.isfinite(self.scale) and self.scale >= 0.0):
             raise ValueError(f"scale must be nonnegative, got {self.scale}")
@@ -493,29 +491,10 @@ class SimulationTrace:
             raise ValueError(f"horizon {horizon} is not on the simulation grid")
         return idx
 
-    def norm_rel(self, horizon: float) -> float:
-        return math.sqrt(float(self.norm_rel_sq[self.index_at(horizon)]))
-
-    def norm_dist(self, horizon: float) -> float:
-        return math.sqrt(float(self.norm_dist_sq[self.index_at(horizon)]))
-
     def disagreement(self, index: int = -1) -> float:
         """Largest pairwise output difference at one grid index."""
         row = self.outputs[index]
         return float(row.max() - row.min())
-
-    def realized_slopes(self, indices=None) -> np.ndarray:
-        """Coupling slope ratios ``v/x`` per edge at the given grid indices;
-        where ``|x|`` falls below ``SLOPE_EPS`` the sector midpoint is
-        substituted."""
-        idx = self.sample_indices if indices is None else np.asarray(indices)
-        x = self.coupling_arguments[idx]
-        v = self.coupling_outputs[idx]
-        mids = np.array([c.sector.midpoint for c in self.model.couplings])
-        eta = np.broadcast_to(mids, x.shape).copy()
-        usable = np.abs(x) > SLOPE_EPS
-        np.divide(v, x, out=eta, where=usable)
-        return eta
 
     def dissipation_curves(self, cert: NetworkCertificate) -> tuple[np.ndarray, np.ndarray]:
         """Residual and right-hand side of the network dissipation
@@ -630,7 +609,6 @@ class BoundCheck:
 
     times: np.ndarray
     margins: np.ndarray
-    thresholds: np.ndarray
     satisfied: bool
 
     @property
@@ -638,13 +616,11 @@ class BoundCheck:
         return float(np.min(self.margins))
 
 
-def bound_check(trace: SimulationTrace, bound: GainBound,
-                tol: float = 0.0) -> BoundCheck:
+def bound_check(trace: SimulationTrace, bound: GainBound) -> BoundCheck:
     """Evaluate the certified bound along a trace at the sampled horizons.
 
     The margin at horizon ``T`` is ``gain * ||W||_T + offset - ||relative
-    outputs||_T``; the check passes when every sampled margin stays above
-    ``-tol * (1 + gain * ||W||_T)``.
+    outputs||_T``; the check passes when no sampled margin is negative.
     """
     if not bound.certified:
         raise UncertifiedBoundError(
@@ -652,7 +628,5 @@ def bound_check(trace: SimulationTrace, bound: GainBound,
         )
     idx = trace.sample_indices
     margins = trace.margin_curve(bound)[idx]
-    thresholds = -tol * (1.0 + bound.gain * np.sqrt(trace.norm_dist_sq[idx]))
     return BoundCheck(times=trace.times[idx], margins=margins,
-                      thresholds=thresholds,
-                      satisfied=bool(np.all(margins >= thresholds)))
+                      satisfied=bool(np.all(margins >= 0.0)))

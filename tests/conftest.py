@@ -29,7 +29,7 @@ def paper_expected():
 
 @pytest.fixture(scope="session")
 def paper_certification(paper_config):
-    """The bundled network certificate; its margins, dissipation matrices,
+    """The bundled network certificate; its margins, dissipation weights,
     forms and gain bound are computed once and shared by every test."""
     return paper_config.certificate()
 

@@ -12,10 +12,10 @@ from importlib import resources
 import numpy as np
 from click.testing import CliRunner
 
-from syncert.cli import main
+from oracles import erdos_renyi_graph, pd_oracle
 from syncert.certificates import MarginReport
+from syncert.cli import main
 from syncert.goodwin import hill_slope
-from syncert.graphs import erdos_renyi_graph, pd_oracle
 from syncert.simulation import bound_check
 
 # frozen targets and tolerances for the bundled case study

@@ -223,8 +223,6 @@ def test_with_simulation_overrides():
     with pytest.raises(ConfigError, match="must be positive") as err:
         cfg.with_simulation(dt=0.0)
     assert err.value.pointer == "/simulation/dt"
-    with pytest.raises(ConfigError):
-        cfg.with_simulation(stride=0)
 
 
 def test_seed_override_precedence(monkeypatch):
@@ -289,9 +287,8 @@ def test_certify_rejects_disconnected_graph(tmp_path):
 
 
 def _count_certificate_work(monkeypatch):
-    """Count eigen solves (LAPACK and the Jacobi oracle) and edge-statistics
-    computations from here on."""
-    calls = {"eigvalsh": 0, "jacobi": 0, "edge_stats": 0}
+    """Count eigen solves and edge-statistics computations from here on."""
+    calls = {"eigvalsh": 0, "edge_stats": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -301,9 +298,6 @@ def _count_certificate_work(monkeypatch):
 
     monkeypatch.setattr(certificates, "symmetric_eigenvalues",
                         counted("eigvalsh", certificates.symmetric_eigenvalues))
-    jacobi_fn = counted("jacobi", graphs.jacobi_eigenvalues)
-    for module in (certificates, graphs):
-        monkeypatch.setattr(module, "jacobi_eigenvalues", jacobi_fn)
     monkeypatch.setattr(graphs, "edge_stats", counted("edge_stats", graphs.edge_stats))
     return calls
 
@@ -313,8 +307,8 @@ def test_certify_solves_each_quantity_once(tmp_path, monkeypatch):
     result = CliRunner().invoke(main, ["certify", str(_bundled_path(tmp_path))])
     assert result.exit_code == 0, result.output
     # margin eigenvalue once, then the smallest and largest response
-    # eigenvalues of the single slope sample; Jacobi is only the test oracle
-    assert calls == {"eigvalsh": 3, "jacobi": 0, "edge_stats": 1}
+    # eigenvalues of the single slope sample
+    assert calls == {"eigvalsh": 3, "edge_stats": 1}
 
 
 @pytest.mark.parametrize("command", [
@@ -335,7 +329,7 @@ def test_search_computes_edge_stats_once_for_the_grid(tmp_path, monkeypatch):
     result = CliRunner().invoke(main, ["search", str(path), "--theta", "0.5:4:4",
                                        "--theta3", "1.2:1.95:3", "-o", str(out)])
     assert result.exit_code == 0, result.output
-    assert calls == {"eigvalsh": 0, "jacobi": 0, "edge_stats": 1}
+    assert calls == {"eigvalsh": 0, "edge_stats": 1}
     cfg = parse_config(path)
     with open(out, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
@@ -521,7 +515,7 @@ def test_certify_interval_bound_takes_one_more_solve(tmp_path, monkeypatch):
     calls = _count_certificate_work(monkeypatch)
     result = CliRunner().invoke(main, ["certify", str(_write(tmp_path, _K6_SINUSOID))])
     assert result.exit_code == 0, result.output
-    assert calls == {"eigvalsh": 4, "jacobi": 0, "edge_stats": 1}
+    assert calls == {"eigvalsh": 4, "edge_stats": 1}
 
 
 def test_simulate_blowup_exit_code(tmp_path):
@@ -638,6 +632,32 @@ def test_reproduce_short_horizon_smoke(tmp_path):
     assert "FAIL" not in result.output
     for name in ("margins.csv", "trace_noiseless.csv", "trace_noisy.csv"):
         assert (out / name).exists()
+
+
+def test_reproduce_below_the_first_grid_horizon():
+    # no HORIZON_GRID point lies within T = 0.5: the integral inequalities
+    # are checked at the horizon itself
+    result = CliRunner().invoke(main, ["reproduce-paper", "-T", "0.5", "--seed", "3"])
+    assert result.exit_code == 0, result.output
+    assert "all checks passed" in result.output
+    assert result.output.count("at horizons [0.5]") == 2
+
+
+def test_vocabulary_rejections_keep_their_text():
+    payload = _payload()
+    payload["certification"]["mode"] = "per-edge"
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(payload)
+    assert str(err.value) == ("/certification/mode: mode must be one of "
+                              "('uniform', 'per_edge'), got 'per-edge'")
+    payload = _payload()
+    payload["disturbances"]["kind"] = "pink"
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(payload)
+    assert str(err.value) == "/disturbances/kind: unknown disturbance kind 'pink'"
+    result = CliRunner().invoke(main, ["reproduce-paper", "--mode", "per-edge"])
+    assert result.exit_code == 2
+    assert "'uniform', 'per_edge'" in result.output
 
 
 def test_reproduce_per_edge_mode_smoke():

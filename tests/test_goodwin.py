@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import complete_graph, erdos_renyi_graph
 from syncert.certificates import NetworkCertificate, SectorBound, sector_arrays
 from syncert.goodwin import (
     CertParams,
@@ -24,7 +25,7 @@ from syncert.goodwin import (
     resolve_weights,
     search_params,
 )
-from syncert.graphs import build_graph, complete_graph, erdos_renyi_graph
+from syncert.graphs import build_graph
 
 # closed-form slope constant and numerical maximum at hill = 14, frozen
 HILL14_SLOPE = 3.5178120744028827
@@ -233,7 +234,8 @@ def test_certify_network_validation():
     cp = CertParams(theta=2.0, theta3=1.5)
     with pytest.raises(ValueError, match="agents for"):
         certify_network(_agents(0.8, 0.9, 1.0, 1.1), g, cp, *sector_arrays(sectors))
-    with pytest.raises(ValueError, match="mode must be"):
+    with pytest.raises(ValueError,
+                       match="^mode must be 'uniform' or 'per_edge', got 'per-edge'$"):
         certify_network(agents, g, cp, *sector_arrays(sectors), mode="per-edge")
     with pytest.raises(ValueError, match="initial states"):
         certify_network(agents, g, cp, *sector_arrays(sectors),

@@ -8,16 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import complete_graph, erdos_renyi_graph, pd_oracle
 from syncert.certificates import MarginReport
 from syncert.graphs import (
     assemble_pd_matrix,
     build_graph,
-    complete_graph,
     edge_slacks,
     edge_stats,
-    erdos_renyi_graph,
     incidence,
-    pd_oracle,
 )
 
 # the strict-positivity check must never best the eigenvalue oracle by more

@@ -1,5 +1,6 @@
-"""Jacobi eigenvalue solver against known spectra and numpy's LAPACK route,
-and the LAPACK-backed certificate solver against the Jacobi oracle."""
+"""The Jacobi test oracle against known spectra and numpy's LAPACK route,
+and the LAPACK-backed certificate solver against the Jacobi oracle; both
+share the package's one input check."""
 
 from __future__ import annotations
 
@@ -8,12 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syncert.graphs import assemble_pd_matrix, complete_graph
-from syncert.linalg import (
-    JacobiConvergenceError,
-    jacobi_eigenvalues,
-    symmetric_eigenvalues,
-)
+from oracles import JacobiConvergenceError, complete_graph, jacobi_eigenvalues
+from syncert.graphs import assemble_pd_matrix
+from syncert.linalg import symmetric_eigenvalues
 
 # agreement with the independent LAPACK route, relative to the spectral scale
 CROSS_CHECK_RTOL = 1e-9
