@@ -55,6 +55,7 @@ from .simulation import (
     CouplingSpec,
     DisturbanceSpec,
     NetworkModel,
+    grid_steps,
     verify_sector,
 )
 
@@ -187,7 +188,11 @@ class NetworkConfig:
             changes["dt"] = _as_positive(dt, "/simulation/dt")
         if horizon is not None:
             changes["horizon"] = _as_positive(horizon, "/simulation/horizon")
-        return replace(self, **changes) if changes else self
+        if not changes:
+            return self
+        out = replace(self, **changes)
+        _check_grid(out.horizon, out.dt, "/simulation/horizon")
+        return out
 
 
 def _parse_graph(value, pointer: str) -> Graph:
@@ -406,7 +411,16 @@ def _parse_simulation(value, pointer: str):
         if stride < 1:
             raise ConfigError(_child(pointer, "stride"),
                               f"must be a positive integer, got {stride}")
+    _check_grid(horizon, dt, _child(pointer, "horizon"))
     return dt, horizon, stride
+
+
+def _check_grid(horizon: float, dt: float, pointer: str) -> None:
+    """Reject a horizon off the integration grid, as :func:`run` would."""
+    try:
+        grid_steps(horizon, dt)
+    except ValueError as exc:
+        raise ConfigError(pointer, str(exc)) from None
 
 
 def config_from_dict(payload) -> NetworkConfig:

@@ -46,8 +46,7 @@ __all__ = [
     "affine_sinusoid_coupling",
     "piecewise_linear_coupling",
     "verify_sector",
-    "rk4_step",
-    "step",
+    "grid_steps",
     "run",
     "run_batch",
     "bound_check",
@@ -263,6 +262,10 @@ class CouplingGroup(NamedTuple):
 
 
 def _evaluate(table: tuple[CouplingGroup, ...], x: np.ndarray) -> np.ndarray:
+    if len(table) == 1:
+        # one kind covers every edge: its kernel maps the whole last axis
+        kind, _, params = table[0]
+        return _KERNELS[kind](x, *params)
     out = np.empty_like(x)
     for kind, edges, params in table:
         out[..., edges] = _KERNELS[kind](x[..., edges], *params)
@@ -271,14 +274,25 @@ def _evaluate(table: tuple[CouplingGroup, ...], x: np.ndarray) -> np.ndarray:
 
 class NetworkCopies(NamedTuple):
     """``count`` disjoint copies of one network, the layout of
-    :func:`run_batch`: copy ``s`` owns node rows ``s*n + i`` and edge
-    columns ``s*p + k``, and no term couples two copies."""
+    :func:`run_batch`: copy ``s`` owns node columns ``s*n + i`` of the
+    component-major ``(3, count*n)`` state and edge columns ``s*p + k``,
+    and no term couples two copies.  Every chain coefficient is an array of
+    the shape of its operand, since a ufunc call costs less with a
+    same-shape operand than with a broadcast scalar."""
 
     count: int
     lower: np.ndarray
     upper: np.ndarray
     input_gains: np.ndarray
     coupling_table: tuple[CouplingGroup, ...]
+    # -a1, per node
+    neg_a1: np.ndarray
+    # rows b2 and b3, then a2 and a3: the linear chain rows 2 and 3
+    chain_gains: np.ndarray
+    chain_decays: np.ndarray
+    # 1.0 and -1.0, per node, for the repression -1/(x3**hill + 1)
+    ones: np.ndarray
+    minus_ones: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,9 +354,10 @@ class NetworkModel:
         return {}
 
     def copies(self, count: int) -> NetworkCopies:
-        """The gather indices, input gains and coupling table of ``count``
-        copies of this network, built once per count.  A kind on every
-        edge keeps a slice, so a one-kind batch copies nothing."""
+        """The gather indices, input gains, coupling table and chain
+        coefficients of ``count`` copies of this network, built once per
+        count.  A kind on every edge keeps a slice, so a one-kind batch
+        copies nothing."""
         layout = self._copies.get(count)
         if layout is None:
             n, p = self.graph.n, self.graph.edge_count
@@ -358,59 +373,54 @@ class NetworkModel:
                     edges = (members + p * np.arange(count)[:, None]).ravel()
                 table.append(CouplingGroup(
                     kind, edges, tuple(np.tile(a, count) for a in params)))
+            agents, size = self.agents, count * n
             layout = self._copies[count] = NetworkCopies(
-                count, lower, upper, np.tile(self.agents.input_gains, count),
-                tuple(table))
+                count, lower, upper, np.tile(agents.input_gains, count),
+                tuple(table), np.full(size, -agents.a1),
+                np.repeat([[agents.b2], [agents.b3]], size, axis=1),
+                np.repeat([[agents.a2], [agents.a3]], size, axis=1),
+                np.full(size, 1.0), np.full(size, -1.0))
         return layout
 
-    def derivative(self, state: np.ndarray, w_row: np.ndarray) -> np.ndarray:
+    def derivative(self, state: np.ndarray, w_row: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
         """Right-hand side of the coupled network at one time instant, for
         one copy or a stack of copies laid out as :meth:`copies` says.
 
-        Call it under :func:`step`, which silences non-finite intermediates;
-        the step-boundary finiteness check is what reports blow-up.
+        ``state`` and ``out`` are component-major ``(3, count*n)`` arrays,
+        so each of ``x1``, ``x2`` and ``x3`` is one contiguous row; the
+        result is written into ``out``, which is returned.  Call it as
+        :func:`run_batch` does, with non-finite intermediates silenced: the
+        step-boundary finiteness check is what reports blow-up.
         """
-        agents = self.agents
-        layout = self.copies(state.shape[0] // self.graph.n)
-        x1 = state[:, 0]
-        x2 = state[:, 1]
-        x3 = state[:, 2]
-        repression = -1.0 / (x3 ** agents.hill + 1.0)
+        layout = self.copies(state.shape[1] // self.graph.n)
+        x1 = state[0]
+        # ufuncs take their output buffer by position, which costs less per
+        # call than out=; the exponent stays a scalar, since numpy
+        # special-cases some scalar exponents
+        repression = state[2] ** self.agents.hill
+        np.add(repression, layout.ones, repression)
+        np.divide(layout.minus_ones, repression, repression)
         # each incidence column holds one +1 and one -1, so this gather
         # equals x1 @ D bit for bit
-        v = _evaluate(layout.coupling_table,
-                      x1[layout.lower] - x1[layout.upper] + w_row)
+        arg = x1[layout.lower]
+        np.subtract(arg, x1[layout.upper], arg)
+        np.add(arg, w_row, arg)
+        v = _evaluate(layout.coupling_table, arg)
         # one gemv per copy, the same reduction as D @ v on a single copy;
         # the physical input is -u
         u = np.matmul(self.incidence_matrix,
                       v.reshape(layout.count, self.graph.edge_count, 1)).reshape(-1)
-        out = np.empty_like(state)
-        out[:, 0] = -agents.a1 * x1 - repression - layout.input_gains * u
-        out[:, 1] = agents.b2 * x1 - agents.a2 * x2
-        out[:, 2] = agents.b3 * x2 - agents.a3 * x3
+        head = out[0]
+        np.multiply(layout.neg_a1, x1, head)
+        np.subtract(head, repression, head)
+        np.multiply(layout.input_gains, u, u)
+        np.subtract(head, u, head)
+        # rows 2 and 3 at once: [b2, b3] * [x1, x2] - [a2, a3] * [x2, x3]
+        chain = out[1:]
+        np.multiply(layout.chain_gains, state[:2], chain)
+        np.subtract(chain, np.multiply(layout.chain_decays, state[1:]), chain)
         return out
-
-
-def rk4_step(field, t: float, state, dt: float):
-    """One classical fourth-order Runge-Kutta step of ``state' = field(t,
-    state)``."""
-    k1 = field(t, state)
-    k2 = field(t + 0.5 * dt, state + (0.5 * dt) * k1)
-    k3 = field(t + 0.5 * dt, state + (0.5 * dt) * k2)
-    k4 = field(t + dt, state + dt * k3)
-    return state + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-
-
-def step(model: NetworkModel, state: np.ndarray, t: float, dt: float,
-         w_row: np.ndarray) -> np.ndarray:
-    """Advance the network one RK4 step with the disturbance row held
-    constant; raises :class:`SimulationDiverged` on non-finite results."""
-    # non-finite intermediates must not warn; the isfinite check raises
-    with np.errstate(over="ignore", invalid="ignore"):
-        nxt = rk4_step(lambda _t, s: model.derivative(s, w_row), t, state, dt)
-    if not np.isfinite(nxt).all():
-        raise SimulationDiverged(t + dt)
-    return nxt
 
 
 def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
@@ -545,6 +555,17 @@ class SimulationTrace:
                 - np.sqrt(self.norm_rel_sq))
 
 
+def grid_steps(horizon: float, dt: float) -> int:
+    """The number of ``dt`` steps in ``horizon``; raises :class:`ValueError`
+    unless ``horizon`` is a positive integer multiple of ``dt``."""
+    steps = int(round(horizon / dt))
+    if steps < 1 or abs(steps * dt - horizon) > 1e-9 * max(1.0, abs(horizon)):
+        raise ValueError(
+            f"horizon {horizon} must be a positive integer multiple of dt = {dt}"
+        )
+    return steps
+
+
 def run(model: NetworkModel, horizon: float, dt: float = 1e-3,
         stride: int = 100) -> SimulationTrace:
     """Integrate the closed network over ``[0, horizon]``.
@@ -580,25 +601,46 @@ def run_batch(models, horizon: float, dt: float = 1e-3,
         raise ValueError(f"dt must be positive, got {dt}")
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"stride must be a positive integer, got {stride!r}")
-    steps = int(round(horizon / dt))
-    if steps < 1 or abs(steps * dt - horizon) > 1e-9 * max(1.0, abs(horizon)):
-        raise ValueError(
-            f"horizon {horizon} must be a positive integer multiple of dt = {dt}"
-        )
+    steps = grid_steps(horizon, dt)
     n, p = first.graph.n, first.graph.edge_count
     if p:
         held = np.column_stack([spec.held_values(steps + 1)
                                 for model in models for spec in model.disturbances])
     else:
         held = np.zeros((steps + 1, 0))
-    states = np.empty((steps + 1, len(models) * n, 3))
-    states[0] = np.concatenate([model.initial_states for model in models])
-    for m in range(steps):
-        states[m + 1] = step(first, states[m], m * dt, dt, held[m])
-    # contiguous copies, so every derived array takes the solo path
+    # component-major history: row c of states[m] is x_(c+1) of every node
+    size = len(models) * n
+    states = np.empty((steps + 1, 3, size))
+    states[0] = np.concatenate([model.initial_states for model in models]).T
+    half, full, two, sixth = (np.full((3, size), c)
+                              for c in (0.5 * dt, dt, 2.0, dt / 6.0))
+    k1, k2, k3, k4, probe = (np.empty((3, size)) for _ in range(5))
+    derivative = first.derivative
+    # non-finite intermediates must not warn; the isfinite check raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(steps):
+            x, w_row, nxt = states[m], held[m], states[m + 1]
+            # the textbook stages, every association kept so the bits are
+            # those of x + (dt/6) * (k1 + 2 (k2 + k3) + k4)
+            derivative(x, w_row, k1)
+            np.add(x, np.multiply(half, k1, probe), probe)
+            derivative(probe, w_row, k2)
+            np.add(x, np.multiply(half, k2, probe), probe)
+            derivative(probe, w_row, k3)
+            np.add(x, np.multiply(full, k3, probe), probe)
+            derivative(probe, w_row, k4)
+            np.add(k2, k3, k2)
+            np.multiply(two, k2, k2)
+            np.add(k1, k2, k1)
+            np.add(k1, k4, k1)
+            np.add(x, np.multiply(sixth, k1, k1), nxt)
+            if not np.isfinite(nxt).all():
+                # t + dt at t = m*dt, which (m + 1)*dt can miss in its last bit
+                raise SimulationDiverged(m * dt + dt)
+    # node-major contiguous copies, so every derived array takes the solo path
     return tuple(
         SimulationTrace(model=model, dt=dt, stride=int(stride),
-                        states=states[:, s * n:(s + 1) * n].copy(),
+                        states=states[:, :, s * n:(s + 1) * n].transpose(0, 2, 1).copy(),
                         held_disturbance=held[:, s * p:(s + 1) * p].copy())
         for s, model in enumerate(models))
 

@@ -4,7 +4,9 @@ The package solves every certificate spectrum with LAPACK's ``eigvalsh``
 (:func:`syncert.linalg.symmetric_eigenvalues`).  The cyclic Jacobi solver
 here shares its input check but nothing else, so the tests can cross-check
 the spectra, and :func:`pd_oracle` the per-edge slack verdict, along a
-second route.  The graph builders make seeded fixtures.
+second route.  The textbook :func:`rk4_step` is the reference that the
+in-place integration loop of :func:`syncert.simulation.run_batch` must match
+bit for bit.  The graph builders make seeded fixtures.
 """
 
 from __future__ import annotations
@@ -89,6 +91,16 @@ def pd_oracle(g: Graph, node_weights, edge_weights, tol: float = 1e-10) -> float
         raise ValueError("graph has no edges, the edge-space matrix is empty")
     return float(jacobi_eigenvalues(assemble_pd_matrix(g, node_weights, edge_weights),
                                     tol=tol)[0])
+
+
+def rk4_step(field, t: float, state, dt: float):
+    """One classical fourth-order Runge-Kutta step of ``state' = field(t,
+    state)``."""
+    k1 = field(t, state)
+    k2 = field(t + 0.5 * dt, state + (0.5 * dt) * k1)
+    k3 = field(t + 0.5 * dt, state + (0.5 * dt) * k2)
+    k4 = field(t + dt, state + dt * k3)
+    return state + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
 def complete_graph(n: int) -> Graph:

@@ -547,6 +547,23 @@ def test_simulate_rejects_off_grid_horizon(tmp_path):
     assert "integer multiple" in result.output
 
 
+def test_off_grid_horizon_is_rejected_before_any_work(tmp_path):
+    # certify never integrates, yet a file's horizon must lie on its grid
+    path = _write(tmp_path, _payload(simulation={"dt": 0.3, "horizon": 1.0}))
+    result = CliRunner().invoke(main, ["certify", str(path)])
+    assert result.exit_code == 2
+    assert ("error: /simulation/horizon: horizon 1.0 must be a positive "
+            "integer multiple of dt = 0.3") in result.output
+    # an override is rejected before the certificate is printed
+    result = CliRunner().invoke(main, ["reproduce-paper", "-T", "1e-4"])
+    assert result.exit_code == 2
+    assert result.output == ("error: /simulation/horizon: horizon 0.0001 must be "
+                             "a positive integer multiple of dt = 0.001\n")
+    with pytest.raises(ConfigError, match="integer multiple") as err:
+        config_from_dict(_payload()).with_simulation(dt=0.3)
+    assert err.value.pointer == "/simulation/horizon"
+
+
 def test_search_single_point_matches_certify(tmp_path):
     runner = CliRunner()
     path = _write(tmp_path, _payload())

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import complete_graph
+from oracles import complete_graph, rk4_step
 from syncert.certificates import (
     EdgeCertificate,
     GainBound,
@@ -21,7 +21,7 @@ from syncert.certificates import (
     UncertifiedBoundError,
     sector_arrays,
 )
-from syncert.config import parse_config
+from syncert.config import bundled_config, parse_config
 from syncert.goodwin import GoodwinParams
 from syncert.graphs import build_graph, incidence
 from syncert.noise import normals
@@ -35,10 +35,8 @@ from syncert.simulation import (
     bound_check,
     linear_coupling,
     piecewise_linear_coupling,
-    rk4_step,
     run,
     run_batch,
-    step,
     verify_sector,
 )
 
@@ -380,12 +378,55 @@ def test_rk4_uses_stage_times():
     assert out[0] == pytest.approx(math.sin(0.2), abs=1e-6)
 
 
-def test_step_matches_run_first_step():
-    model = _triangle_model()
-    trace = run(model, horizon=0.002, dt=1e-3, stride=1)
-    manual = step(model, model.initial_states, 0.0, 1e-3,
-                  trace.held_disturbance[0])
-    assert np.array_equal(trace.states[1], manual)
+def _paper_pair():
+    cfg = bundled_config()
+    noiseless = dataclasses.replace(
+        cfg.model(), disturbances=(DisturbanceSpec(),) * cfg.graph.edge_count)
+    return [noiseless, cfg.model()]
+
+
+def _mixed_triple():
+    cfg = parse_config(Path(__file__).parent / "data" / "mixed_couplings.json")
+    base = cfg.model()
+    # kinds interleave, so the batch gathers each kind by index array
+    assert any(not isinstance(group.edges, slice) for group in base.coupling_table)
+    return [dataclasses.replace(cfg.with_seed(seed).model(),
+                                initial_states=base.initial_states + 0.1 * seed)
+            for seed in (1, 2, 3)]
+
+
+def _edgeless_model():
+    return NetworkModel(build_graph(3, []), _agents(0.9, 1.0, 1.1), (), (),
+                        np.array([[1.0, 0.0, 0.5], [-0.5, 0.2, 0.0], [0.3, -0.1, 0.4]]))
+
+
+_ORACLE_CASES = {
+    "k5-pair": _paper_pair,
+    "triangle-hill14": lambda: [_triangle_model()],
+    "triangle-hill2": lambda: [dataclasses.replace(
+        _triangle_model(), agents=_agents(0.9, 1.0, 1.1, hill=2))],
+    "mixed-couplings-s3": _mixed_triple,
+    "edgeless": lambda: [_edgeless_model()],
+}
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_run_batch_matches_textbook_rk4_bit_for_bit(case):
+    models = _ORACLE_CASES[case]()
+    model, n, dt, steps = models[0], models[0].graph.n, 1e-3, 50
+    traces = run_batch(models, steps * dt, dt=dt, stride=1)
+    held = np.concatenate([trace.held_disturbance for trace in traces], axis=1)
+    # the component-major state of the whole batch, one column per node
+    state = np.concatenate([m.initial_states for m in models]).T
+    expected = [state]
+    for m in range(steps):
+        state = rk4_step(lambda _t, s: model.derivative(s, held[m], np.empty_like(s)),
+                         m * dt, state, dt)
+        expected.append(state)
+    expected = np.array(expected)
+    for s, trace in enumerate(traces):
+        assert np.array_equal(trace.states,
+                              expected[:, :, s * n:(s + 1) * n].transpose(0, 2, 1))
 
 
 def test_run_validation():
@@ -402,15 +443,19 @@ def test_run_validation():
         run(model, horizon=1.0, dt=0.1, stride=True)
 
 
-def test_unstable_step_size_reports_divergence_time():
+def _diverging_model():
     g = build_graph(2, [(1, 2)])
-    model = NetworkModel(
+    return NetworkModel(
         graph=g,
         agents=_agents(1.0, 1.2),
         couplings=(linear_coupling(50.0),),
         disturbances=(DisturbanceSpec(),),
         initial_states=np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
     )
+
+
+def test_unstable_step_size_reports_divergence_time():
+    model = _diverging_model()
     with pytest.raises(SimulationDiverged, match="non-finite state at t ="):
         run(model, horizon=100.0, dt=1.0)
     try:
@@ -418,6 +463,16 @@ def test_unstable_step_size_reports_divergence_time():
     except SimulationDiverged as exc:
         assert 0.0 < exc.time <= 100.0
         assert exc.time == pytest.approx(round(exc.time))
+
+
+def test_divergence_time_is_the_end_of_the_first_non_finite_step():
+    diverging = _diverging_model()
+    calm = dataclasses.replace(diverging, initial_states=np.zeros((2, 3)))
+    for models in ((diverging,), (calm, diverging)):
+        with pytest.raises(SimulationDiverged) as exc:
+            run_batch(models, horizon=100.0, dt=0.1)
+        # m*dt + dt at m = 115; (m + 1)*dt would read 11.600000000000001
+        assert exc.value.time == 11.6
 
 
 def _assert_batch_matches_solo(models, horizon, dt, stride):
@@ -442,13 +497,7 @@ def test_run_batch_members_equal_solo_runs_on_the_paper_network(paper_config):
 
 def test_run_batch_members_equal_solo_runs_on_mixed_couplings():
     cfg = parse_config(Path(__file__).parent / "data" / "mixed_couplings.json")
-    base = cfg.model()
-    # kinds interleave, so the batch gathers each kind by index array
-    assert any(not isinstance(group.edges, slice) for group in base.coupling_table)
-    models = [dataclasses.replace(cfg.with_seed(seed).model(),
-                                  initial_states=base.initial_states + 0.1 * seed)
-              for seed in (1, 2, 3)]
-    _assert_batch_matches_solo(models, cfg.horizon, cfg.dt, cfg.stride)
+    _assert_batch_matches_solo(_mixed_triple(), cfg.horizon, cfg.dt, cfg.stride)
 
 
 def test_run_batch_validation():
@@ -469,14 +518,7 @@ def test_run_batch_validation():
 
 
 def test_run_batch_reports_a_diverging_member_at_its_solo_time():
-    g = build_graph(2, [(1, 2)])
-    diverging = NetworkModel(
-        graph=g,
-        agents=_agents(1.0, 1.2),
-        couplings=(linear_coupling(50.0),),
-        disturbances=(DisturbanceSpec(),),
-        initial_states=np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
-    )
+    diverging = _diverging_model()
     # equal outputs keep the coupling silent, so this member stays finite
     calm = dataclasses.replace(diverging, initial_states=np.zeros((2, 3)))
     assert np.isfinite(run(calm, horizon=100.0, dt=1.0).states).all()
