@@ -43,6 +43,7 @@ from .simulation import (
     SimulationDiverged,
     SimulationTrace,
     bound_check,
+    grid_steps,
     run,
     run_batch,
 )
@@ -427,6 +428,17 @@ def reproduce_paper(output_dir: Path | None, mode: str | None, dt: float | None,
         cfg = cfg.with_seed(master)
     cfg = cfg.with_simulation(dt=dt, horizon=horizon)
     uniform = cfg.mode == "uniform"
+    # the traces are checked at these horizons, so each must lie on the step
+    # grid before anything is certified or integrated; a horizon below the
+    # first grid point is checked at the horizon itself
+    horizons = [t for t in HORIZON_GRID if t <= cfg.horizon + 1e-9] or [cfg.horizon]
+    grid_idx = []
+    for t in horizons:
+        try:
+            grid_idx.append(grid_steps(t, cfg.dt))
+        except ValueError:
+            raise ValueError(f"check horizon {t:g} is not a multiple of "
+                             f"--dt {cfg.dt:g}") from None
 
     cert = cfg.certificate()
     _echo_certificate(cfg, cert)
@@ -514,10 +526,7 @@ def reproduce_paper(output_dir: Path | None, mode: str | None, dt: float | None,
         f"worst sampled margin {margin_check.worst_margin:.6g}",
     ))
 
-    # a horizon below the first grid point is checked at the horizon itself
-    horizons = [t for t in HORIZON_GRID if t <= cfg.horizon + 1e-9] or [cfg.horizon]
     residual, rhs = trace_noisy.dissipation_curves(cert)
-    grid_idx = [trace_noisy.index_at(t) for t in horizons]
     slack = residual[grid_idx] - _residual_floor(rhs[grid_idx])
     checks.append((
         "dissipation-residual", bool(np.all(slack >= 0.0)),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +36,6 @@ __all__ = [
     "DISTURBANCE_KINDS",
     "CouplingSpec",
     "CouplingGroup",
-    "NetworkCopies",
     "SectorCheck",
     "DisturbanceSpec",
     "NetworkModel",
@@ -110,19 +109,22 @@ class CouplingSpec:
         """Evaluate elementwise on scalars or arrays, through the kind
         kernel that :meth:`NetworkModel.evaluate_couplings` uses."""
         arg = np.asarray(x, dtype=float)
-        out = _KERNELS[self.kind](arg[..., None], *self._params)[..., 0]
+        out = _KERNELS[self.kind](*self._params, arg[..., None], None)[..., 0]
         return out if out.shape else float(out)
 
 
-def _linear(x, gain):
-    return gain * x
+# Each kernel is called as kernel(*params, x, out): it writes into ``out`` (a
+# fresh array when it is None), which must not share memory with ``x``, and
+# returns it.  The linear kernel is the product ``gain * x`` itself.
+
+def _affine_sinusoid(gain, amplitude, x, out):
+    wave = np.sin(x)
+    np.multiply(amplitude, wave, wave)
+    out = np.multiply(gain, x, out)
+    return np.add(out, wave, out)
 
 
-def _affine_sinusoid(x, gain, amplitude):
-    return gain * x + amplitude * np.sin(x)
-
-
-def _piecewise_linear(x, xs, ys, slopes):
+def _piecewise_linear(xs, ys, slopes, x, out):
     """Odd extension of per-edge polylines through the origin.
 
     Row ``j`` of the ``(K, q)`` tables holds knot ``j`` of each of the ``q``
@@ -141,10 +143,11 @@ def _piecewise_linear(x, xs, ys, slopes):
     offset = mag - xs.take(pick)
     y = ys.take(pick)
     # a knot itself maps to its ordinate exactly, signed zero included
-    return np.sign(x) * np.where(offset == 0.0, y, slopes.take(pick) * offset + y)
+    return np.multiply(np.sign(x),
+                       np.where(offset == 0.0, y, slopes.take(pick) * offset + y), out)
 
 
-_KERNELS = {"linear": _linear, "affine_sinusoid": _affine_sinusoid,
+_KERNELS = {"linear": np.multiply, "affine_sinusoid": _affine_sinusoid,
             "piecewise_linear": _piecewise_linear}
 
 
@@ -261,38 +264,17 @@ class CouplingGroup(NamedTuple):
     params: tuple[np.ndarray, ...]
 
 
-def _evaluate(table: tuple[CouplingGroup, ...], x: np.ndarray) -> np.ndarray:
+def _evaluate(table: tuple[CouplingGroup, ...], x: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+    """Write the coupling outputs of the per-edge arguments on the last axis
+    of ``x`` into ``out``, one kernel call per kind, and return ``out``."""
     if len(table) == 1:
         # one kind covers every edge: its kernel maps the whole last axis
         kind, _, params = table[0]
-        return _KERNELS[kind](x, *params)
-    out = np.empty_like(x)
+        return _KERNELS[kind](*params, x, out)
     for kind, edges, params in table:
-        out[..., edges] = _KERNELS[kind](x[..., edges], *params)
+        out[..., edges] = _KERNELS[kind](*params, x[..., edges], None)
     return out
-
-
-class NetworkCopies(NamedTuple):
-    """``count`` disjoint copies of one network, the layout of
-    :func:`run_batch`: copy ``s`` owns node columns ``s*n + i`` of the
-    component-major ``(3, count*n)`` state and edge columns ``s*p + k``,
-    and no term couples two copies.  Every chain coefficient is an array of
-    the shape of its operand, since a ufunc call costs less with a
-    same-shape operand than with a broadcast scalar."""
-
-    count: int
-    lower: np.ndarray
-    upper: np.ndarray
-    input_gains: np.ndarray
-    coupling_table: tuple[CouplingGroup, ...]
-    # -a1, per node
-    neg_a1: np.ndarray
-    # rows b2 and b3, then a2 and a3: the linear chain rows 2 and 3
-    chain_gains: np.ndarray
-    chain_decays: np.ndarray
-    # 1.0 and -1.0, per node, for the repression -1/(x3**hill + 1)
-    ones: np.ndarray
-    minus_ones: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,80 +329,170 @@ class NetworkModel:
     def evaluate_couplings(self, x: np.ndarray) -> np.ndarray:
         """Coupling outputs for the per-edge arguments on the last axis of
         ``x``, one kernel call per kind."""
-        return _evaluate(self.coupling_table, x)
+        return _evaluate(self.coupling_table, x, np.empty_like(x, dtype=float))
 
-    @cached_property
-    def _copies(self) -> dict[int, NetworkCopies]:
-        return {}
 
-    def copies(self, count: int) -> NetworkCopies:
-        """The gather indices, input gains, coupling table and chain
-        coefficients of ``count`` copies of this network, built once per
-        count.  A kind on every edge keeps a slice, so a one-kind batch
-        copies nothing."""
-        layout = self._copies.get(count)
-        if layout is None:
-            n, p = self.graph.n, self.graph.edge_count
-            lower, upper = (
-                (ends + n * np.arange(count)[:, None]).ravel()
-                for ends in self.graph.endpoints)
-            table = []
-            for kind, edges, params in self.coupling_table:
-                members = np.arange(p)[edges]
-                if members.size == p:
-                    edges = slice(None)
-                elif count > 1:
-                    edges = (members + p * np.arange(count)[:, None]).ravel()
-                table.append(CouplingGroup(
-                    kind, edges, tuple(np.tile(a, count) for a in params)))
-            agents, size = self.agents, count * n
-            layout = self._copies[count] = NetworkCopies(
-                count, lower, upper, np.tile(agents.input_gains, count),
-                tuple(table), np.full(size, -agents.a1),
-                np.repeat([[agents.b2], [agents.b3]], size, axis=1),
-                np.repeat([[agents.a2], [agents.a3]], size, axis=1),
-                np.full(size, 1.0), np.full(size, -1.0))
-        return layout
+# steps integrated between two finiteness checks of the new states
+_CHECK_BLOCK = 128
 
-    def derivative(self, state: np.ndarray, w_row: np.ndarray,
-                   out: np.ndarray) -> np.ndarray:
-        """Right-hand side of the coupled network at one time instant, for
-        one copy or a stack of copies laid out as :meth:`copies` says.
 
-        ``state`` and ``out`` are component-major ``(3, count*n)`` arrays,
-        so each of ``x1``, ``x2`` and ``x3`` is one contiguous row; the
-        result is written into ``out``, which is returned.  Call it as
-        :func:`run_batch` does, with non-finite intermediates silenced: the
-        step-boundary finiteness check is what reports blow-up.
+class _StepPlan:
+    """The RK4 pass of :func:`run_batch` over ``count`` disjoint copies of
+    one network, set up once per call.
+
+    Copy ``s`` owns node columns ``s*n + i`` of the component-major
+    ``(3, count*n)`` state, so each of ``x1``, ``x2`` and ``x3`` is one
+    contiguous row, and edge columns ``s*p + k``; no term couples two
+    copies.  The plan owns every buffer the pass writes and every
+    coefficient it reads.  A coefficient is an array of the shape of its
+    operand, since a ufunc call costs less with a same-shape operand than
+    with a broadcast scalar, and every operand is one contiguous block,
+    which a ufunc call walks as a single row.  A stage input carries a
+    fourth row, where the stage puts the node inputs ``u``, so that one
+    call multiplies ``x2``, ``x3`` and ``u`` by their coefficients.
+    """
+
+    def __init__(self, model: NetworkModel, count: int) -> None:
+        graph, agents = model.graph, model.agents
+        n, p = graph.n, graph.edge_count
+        size = count * n
+        self.hill = agents.hill
+        self.lower, self.upper = (
+            (ends + n * np.arange(count)[:, None]).ravel() for ends in graph.endpoints)
+        self.incidence = model.incidence_matrix
+        self.ones, self.minus_ones = np.full(size, 1.0), np.full(size, -1.0)
+        # -a1 for x1, b2 and b3 for x1 and x2, and a2, a3 and the input
+        # gains g for x2, x3 and u
+        self.neg_a1 = np.full(size, -agents.a1)
+        self.chain_gains = np.repeat([[agents.b2], [agents.b3]], size, axis=1)
+        self.decays = np.concatenate(
+            [np.repeat([[agents.a2], [agents.a3]], size, axis=1),
+             np.tile(agents.input_gains, count)[None]])
+        # work buffers, which every stage overwrites before reading them:
+        # the edge arguments, the coupling outputs v (with the (count, p, 1)
+        # view the gemv takes) and the term rows -a1 x1, b2 x1, b3 x2 and
+        # f(x3), a2 x2, a3 x3, g u, so that rows 0-2 less rows 3-5 are the
+        # three derivative rows before the input term
+        self.arg, self.v = np.empty(count * p), np.empty(count * p)
+        self.v_cols = self.v.reshape(count, p, 1)
+        self.terms = np.empty((7, size))
+        # a kind on every edge keeps its whole-axis kernel call, so a
+        # one-kind batch copies nothing
+        table = []
+        for kind, edges, params in model.coupling_table:
+            members = np.arange(p)[edges]
+            if members.size == p:
+                edges = slice(None)
+            elif count > 1:
+                edges = (members + p * np.arange(count)[:, None]).ravel()
+            table.append(CouplingGroup(kind, edges, tuple(np.tile(a, count) for a in params)))
+        if len(table) == 1:
+            kind, _, params = table[0]
+            self.couple = partial(_KERNELS[kind], *params, self.arg, self.v)
+        else:
+            self.couple = partial(_evaluate, tuple(table), self.arg, self.v)
+        self.cur, self.probe = np.empty((4, size)), np.empty((4, size))
+        self.k1, self.k2, self.k3, self.k4 = (np.empty((3, size)) for _ in range(4))
+
+    def stage(self, state: np.ndarray, out: np.ndarray):
+        """The right-hand side of the coupled network at ``state``, bound as
+        a call ``rhs(w_row)`` that writes it into ``out`` for the held
+        disturbance row ``w_row``.
+
+        ``state`` is a C-contiguous ``(4, count*n)`` array whose rows 0-2
+        hold ``x1``, ``x2`` and ``x3`` and whose row 3 the call overwrites
+        with the node inputs; ``out`` is a component-major ``(3, count*n)``
+        array.  Every view the call uses is taken here, so the call itself
+        makes only ufunc calls and the two gathers of the edge arguments.
+        Call it with non-finite intermediates silenced, as :meth:`integrate`
+        does: the finiteness check of the states is what reports blow-up.
         """
-        layout = self.copies(state.shape[1] // self.graph.n)
-        x1 = state[0]
-        # ufuncs take their output buffer by position, which costs less per
-        # call than out=; the exponent stays a scalar, since numpy
-        # special-cases some scalar exponents
-        repression = state[2] ** self.agents.hill
-        np.add(repression, layout.ones, repression)
-        np.divide(layout.minus_ones, repression, repression)
-        # each incidence column holds one +1 and one -1, so this gather
-        # equals x1 @ D bit for bit
-        arg = x1[layout.lower]
-        np.subtract(arg, x1[layout.upper], arg)
-        np.add(arg, w_row, arg)
-        v = _evaluate(layout.coupling_table, arg)
-        # one gemv per copy, the same reduction as D @ v on a single copy;
-        # the physical input is -u
-        u = np.matmul(self.incidence_matrix,
-                      v.reshape(layout.count, self.graph.edge_count, 1)).reshape(-1)
-        head = out[0]
-        np.multiply(layout.neg_a1, x1, head)
-        np.subtract(head, repression, head)
-        np.multiply(layout.input_gains, u, u)
-        np.subtract(head, u, head)
-        # rows 2 and 3 at once: [b2, b3] * [x1, x2] - [a2, a3] * [x2, x3]
-        chain = out[1:]
-        np.multiply(layout.chain_gains, state[:2], chain)
-        np.subtract(chain, np.multiply(layout.chain_decays, state[1:]), chain)
-        return out
+        add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+        matmul = np.matmul
+        x1, x12, x23u, head = state[0], state[:2], state[1:], out[0]
+        lower, upper, arg, couple = self.lower, self.upper, self.arg, self.couple
+        incidence, v_cols = self.incidence, self.v_cols
+        u_cols = state[3].reshape(v_cols.shape[0], -1, 1)
+        ones, minus_ones = self.ones, self.minus_ones
+        neg_a1, chain_gains, decays = self.neg_a1, self.chain_gains, self.decays
+        terms = self.terms
+        lead, lead_chain, minuend = terms[0], terms[1:3], terms[:3]
+        repression, decay_terms, subtrahend, input_term = (
+            terms[3], terms[4:], terms[3:6], terms[6])
+        # x3 ** hill, written in place: numpy's ** calls square for the
+        # Python int 2 and power otherwise, and the bits must not change
+        if type(self.hill) is int and self.hill == 2:
+            repress = partial(np.square, state[2], repression)
+        else:
+            repress = partial(np.power, state[2], self.hill, repression)
+
+        def rhs(w_row):
+            # f(x3) = -1/(x3**hill + 1)
+            repress()
+            add(repression, ones, repression)
+            divide(minus_ones, repression, repression)
+            # each incidence column holds one +1 and one -1, so this gather
+            # equals x1 @ D bit for bit
+            subtract(x1[lower], x1[upper], arg)
+            add(arg, w_row, arg)
+            couple()
+            # one gemv per copy, the same reduction as D @ v on a single
+            # copy; the physical input is -u
+            matmul(incidence, v_cols, u_cols)
+            multiply(neg_a1, x1, lead)
+            multiply(chain_gains, x12, lead_chain)
+            multiply(decays, x23u, decay_terms)
+            # -a1 x1 - f(x3), b2 x1 - a2 x2, b3 x2 - a3 x3, then less g u
+            subtract(minuend, subtrahend, out)
+            subtract(head, input_term, head)
+
+        return rhs
+
+    def integrate(self, states: np.ndarray, held: np.ndarray, dt: float) -> None:
+        """Fill ``states[1:]`` from ``states[0]``, holding disturbance row
+        ``held[m]`` over step ``m``.
+
+        Raises :class:`SimulationDiverged` at the end of the first step
+        whose state is not finite.  The states are checked once per block
+        of ``_CHECK_BLOCK`` steps, so a blow-up is found at most that many
+        steps late, and reported at the step where it happened.
+        """
+        add, multiply = np.add, np.multiply
+        k1, k2, k3, k4 = self.k1, self.k2, self.k3, self.k4
+        rhs1, rhs2, rhs3, rhs4 = (self.stage(self.cur, k1), self.stage(self.probe, k2),
+                                  self.stage(self.probe, k3), self.stage(self.probe, k4))
+        # the state rows of the stage inputs
+        cur, probe = self.cur[:3], self.probe[:3]
+        half, full, two, sixth = (np.full(cur.shape, c)
+                                  for c in (0.5 * dt, dt, 2.0, dt / 6.0))
+        steps = states.shape[0] - 1
+        cur[...] = states[0]
+        # non-finite intermediates must not warn; the isfinite check raises
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, steps, _CHECK_BLOCK):
+                stop = min(start + _CHECK_BLOCK, steps)
+                for m in range(start, stop):
+                    w_row = held[m]
+                    # the textbook stages, every association kept so the
+                    # bits are those of x + (dt/6) * (k1 + 2 (k2 + k3) + k4)
+                    rhs1(w_row)
+                    add(cur, multiply(half, k1, probe), probe)
+                    rhs2(w_row)
+                    add(cur, multiply(half, k2, probe), probe)
+                    rhs3(w_row)
+                    add(cur, multiply(full, k3, probe), probe)
+                    rhs4(w_row)
+                    add(k2, k3, k2)
+                    multiply(two, k2, k2)
+                    add(k1, k2, k1)
+                    add(k1, k4, k1)
+                    add(cur, multiply(sixth, k1, k1), cur)
+                    states[m + 1] = cur
+                finite = np.isfinite(states[start + 1:stop + 1]).all(axis=(1, 2))
+                if not finite.all():
+                    m = start + int(np.argmin(finite))
+                    # t + dt at t = m*dt, which (m + 1)*dt can miss in its last bit
+                    raise SimulationDiverged(m * dt + dt)
 
 
 def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
@@ -585,8 +657,8 @@ def run_batch(models, horizon: float, dt: float = 1e-3,
     The models must share ``graph``, ``agents`` and ``couplings`` (compared
     with ``==``, so ``agents`` must be one :class:`GoodwinParams` object);
     their disturbances and initial states may differ.  They are stacked as
-    disjoint copies of the network (see :meth:`NetworkModel.copies`), so
-    each returned trace equals :func:`run` on its model bit for bit.  A
+    disjoint copies of the network in one step plan, built for this call,
+    so each returned trace equals :func:`run` on its model bit for bit.  A
     non-finite state in any copy raises :class:`SimulationDiverged`.
     """
     models = tuple(models)
@@ -609,34 +681,9 @@ def run_batch(models, horizon: float, dt: float = 1e-3,
     else:
         held = np.zeros((steps + 1, 0))
     # component-major history: row c of states[m] is x_(c+1) of every node
-    size = len(models) * n
-    states = np.empty((steps + 1, 3, size))
+    states = np.empty((steps + 1, 3, len(models) * n))
     states[0] = np.concatenate([model.initial_states for model in models]).T
-    half, full, two, sixth = (np.full((3, size), c)
-                              for c in (0.5 * dt, dt, 2.0, dt / 6.0))
-    k1, k2, k3, k4, probe = (np.empty((3, size)) for _ in range(5))
-    derivative = first.derivative
-    # non-finite intermediates must not warn; the isfinite check raises
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(steps):
-            x, w_row, nxt = states[m], held[m], states[m + 1]
-            # the textbook stages, every association kept so the bits are
-            # those of x + (dt/6) * (k1 + 2 (k2 + k3) + k4)
-            derivative(x, w_row, k1)
-            np.add(x, np.multiply(half, k1, probe), probe)
-            derivative(probe, w_row, k2)
-            np.add(x, np.multiply(half, k2, probe), probe)
-            derivative(probe, w_row, k3)
-            np.add(x, np.multiply(full, k3, probe), probe)
-            derivative(probe, w_row, k4)
-            np.add(k2, k3, k2)
-            np.multiply(two, k2, k2)
-            np.add(k1, k2, k1)
-            np.add(k1, k4, k1)
-            np.add(x, np.multiply(sixth, k1, k1), nxt)
-            if not np.isfinite(nxt).all():
-                # t + dt at t = m*dt, which (m + 1)*dt can miss in its last bit
-                raise SimulationDiverged(m * dt + dt)
+    _StepPlan(first, len(models)).integrate(states, held, dt)
     # node-major contiguous copies, so every derived array takes the solo path
     return tuple(
         SimulationTrace(model=model, dt=dt, stride=int(stride),

@@ -559,6 +559,10 @@ def test_off_grid_horizon_is_rejected_before_any_work(tmp_path):
     assert result.exit_code == 2
     assert result.output == ("error: /simulation/horizon: horizon 0.0001 must be "
                              "a positive integer multiple of dt = 0.001\n")
+    # so is a step that misses a check horizon the traces are read at
+    result = CliRunner().invoke(main, ["reproduce-paper", "--dt", "0.003", "-T", "3"])
+    assert result.exit_code == 2
+    assert result.output == "error: check horizon 1 is not a multiple of --dt 0.003\n"
     with pytest.raises(ConfigError, match="integer multiple") as err:
         config_from_dict(_payload()).with_simulation(dt=0.3)
     assert err.value.pointer == "/simulation/horizon"

@@ -31,6 +31,8 @@ from syncert.simulation import (
     DisturbanceSpec,
     NetworkModel,
     SimulationDiverged,
+    _CHECK_BLOCK,
+    _StepPlan,
     affine_sinusoid_coupling,
     bound_check,
     linear_coupling,
@@ -418,10 +420,18 @@ def test_run_batch_matches_textbook_rk4_bit_for_bit(case):
     held = np.concatenate([trace.held_disturbance for trace in traces], axis=1)
     # the component-major state of the whole batch, one column per node
     state = np.concatenate([m.initial_states for m in models]).T
+    plan = _StepPlan(model, len(models))
+
+    def field(s, w_row):
+        # the loop's own right-hand side, bound to a fresh input and output
+        stage_input, out = np.empty((4, s.shape[1])), np.empty_like(s)
+        stage_input[:3] = s
+        plan.stage(stage_input, out)(w_row)
+        return out
+
     expected = [state]
     for m in range(steps):
-        state = rk4_step(lambda _t, s: model.derivative(s, held[m], np.empty_like(s)),
-                         m * dt, state, dt)
+        state = rk4_step(lambda _t, s: field(s, held[m]), m * dt, state, dt)
         expected.append(state)
     expected = np.array(expected)
     for s, trace in enumerate(traces):
@@ -473,6 +483,43 @@ def test_divergence_time_is_the_end_of_the_first_non_finite_step():
             run_batch(models, horizon=100.0, dt=0.1)
         # m*dt + dt at m = 115; (m + 1)*dt would read 11.600000000000001
         assert exc.value.time == 11.6
+
+
+def test_block_checks_report_the_first_non_finite_step():
+    diverging = _diverging_model()
+    calm = dataclasses.replace(diverging, initial_states=np.zeros((2, 3)))
+    # overflows within step 1
+    blown = dataclasses.replace(
+        diverging, initial_states=np.array([[1e307, 0.0, 0.0], [-1e307, 0.0, 0.0]]))
+    # at dt = 0.04 the difference mode grows slowly: states[341] is the
+    # last finite one, and step m = 341 lies in the last, partial block of
+    # a 350-step run
+    assert np.isfinite(run(diverging, 13.64, dt=0.04).states).all()
+    steps, m = 350, 341
+    assert steps % _CHECK_BLOCK and steps - steps % _CHECK_BLOCK <= m
+    cases = [((blown,), 0.5, 0.1, 0.1), ((calm, blown), 0.5, 0.1, 0.1),
+             ((diverging,), steps * 0.04, 0.04, 13.68),
+             ((diverging, calm), steps * 0.04, 0.04, 13.68),
+             ((calm, diverging), steps * 0.04, 0.04, 13.68)]
+    for models, horizon, dt, time in cases:
+        with pytest.raises(SimulationDiverged) as exc:
+            run_batch(models, horizon, dt=dt)
+        assert exc.value.time == time
+
+
+def test_run_batch_carries_no_state_between_calls(paper_config):
+    cfg = paper_config
+    models = [cfg.with_seed(1).model(), cfg.with_seed(2).model()]
+    first = run_batch(models, 0.2, dt=cfg.dt)
+    saved = [trace.states.copy() for trace in first]
+    # writes into returned traces and a call at another S reach no later call
+    for trace in first:
+        trace.states[:] = np.nan
+    run_batch(models + models[:1], 0.1, dt=cfg.dt)
+    again = run_batch(models, 0.2, dt=cfg.dt)
+    for model, expected, trace in zip(models, saved, again):
+        assert np.array_equal(trace.states, expected)
+        assert np.array_equal(run(model, 0.2, dt=cfg.dt).states, expected)
 
 
 def _assert_batch_matches_solo(models, horizon, dt, stride):
