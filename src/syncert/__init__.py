@@ -39,7 +39,6 @@ from .graphs import EdgeStats, Graph, build_graph, edge_stats, incidence
 from .linalg import symmetric_eigenvalues
 from .noise import edge_seed_sequence, normals, uniforms
 from .simulation import (
-    BoundCheck,
     CouplingSpec,
     DisturbanceSpec,
     NetworkModel,
@@ -47,7 +46,6 @@ from .simulation import (
     SimulationDiverged,
     SimulationTrace,
     affine_sinusoid_coupling,
-    bound_check,
     linear_coupling,
     piecewise_linear_coupling,
     run,
@@ -61,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "POSITIVITY_TOL",
-    "BoundCheck",
     "CertParams",
     "CertificateForms",
     "ConfigError",
@@ -85,7 +82,6 @@ __all__ = [
     "UncertifiedBoundError",
     "admissible_theta3_interval",
     "affine_sinusoid_coupling",
-    "bound_check",
     "build_graph",
     "bundled_config",
     "bundled_expected",

@@ -62,14 +62,6 @@ class SectorBound:
                 f"got ({self.alpha_lo}, {self.alpha_hi})"
             )
 
-    @property
-    def is_point(self) -> bool:
-        return self.alpha_lo == self.alpha_hi
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.alpha_lo + self.alpha_hi)
-
 
 @dataclass(frozen=True)
 class EdgeCertificate:

@@ -42,8 +42,6 @@ from .simulation import (
     NetworkModel,
     SimulationDiverged,
     SimulationTrace,
-    bound_check,
-    grid_steps,
     run,
     run_batch,
 )
@@ -51,9 +49,6 @@ from .simulation import (
 # Integral inequalities are checked with this relative tolerance against the
 # magnitude of their right-hand side.
 RESIDUAL_RTOL = 1e-6
-
-# Horizons at which reproduce-paper evaluates the integral inequalities.
-HORIZON_GRID = (1.0, 10.0, 50.0, 100.0)
 
 
 def _fmt(value) -> str:
@@ -186,8 +181,11 @@ def certify(config_file: Path, output: Path | None) -> int:
     return 0 if cert.margins.satisfied else 1
 
 
-def _trace_table(trace: SimulationTrace, margin_col, residual_col=None,
-                 full: bool = False):
+def _trace_table(trace: SimulationTrace, stride: int, margin_col,
+                 residual_col=None, full: bool = False):
+    """Header and rows of a trace CSV: every ``stride``-th grid point plus
+    the last.  The rows are generated one at a time as the CSV writer takes
+    them, so no table of cell strings is ever held whole."""
     g = trace.model.graph
     header = ["t"] + [f"y_{i}" for i in range(1, g.n + 1)]
     header += ["normDTY", "normW", "bound_margin"]
@@ -198,26 +196,53 @@ def _trace_table(trace: SimulationTrace, margin_col, residual_col=None,
         header += [f"X_{k}" for k in ids]
         header += [f"V_{k}" for k in ids]
         header += [f"W_{k}" for k in ids]
-    idx = trace.sample_indices
+    idx = np.append(np.arange(0, trace.steps, stride), trace.steps)
     rel = np.sqrt(trace.norm_rel_sq[idx])
     dist = np.sqrt(trace.norm_dist_sq[idx])
-    rows = []
-    for pos, m in enumerate(idx):
-        row = [_fmt(trace.times[m])]
-        row += [_fmt(v) for v in trace.outputs[m]]
-        row += [_fmt(rel[pos]), _fmt(dist[pos]), _fmt(margin_col[m])]
-        if residual_col is not None:
-            row.append(_fmt(residual_col[m]))
-        if full:
-            row += [_fmt(v) for v in trace.coupling_arguments[m]]
-            row += [_fmt(v) for v in trace.coupling_outputs[m]]
-            row += [_fmt(v) for v in trace.held_disturbance[m]]
-        rows.append(row)
-    return header, rows
+
+    def rows():
+        for pos, m in enumerate(idx):
+            row = [_fmt(trace.times[m])]
+            row += [_fmt(v) for v in trace.outputs[m]]
+            row += [_fmt(rel[pos]), _fmt(dist[pos]), _fmt(margin_col[m])]
+            if residual_col is not None:
+                row.append(_fmt(residual_col[m]))
+            if full:
+                row += [_fmt(v) for v in trace.coupling_arguments[m]]
+                row += [_fmt(v) for v in trace.coupling_outputs[m]]
+                row += [_fmt(v) for v in trace.held_disturbance[m]]
+            yield row
+
+    return header, rows()
 
 
-def _residual_floor(rhs: np.ndarray) -> np.ndarray:
-    return -RESIDUAL_RTOL * (1.0 + np.abs(rhs))
+def _residual_slack(residual: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """How far an integral inequality's residual clears its floor
+    ``-RESIDUAL_RTOL * (1 + |rhs|)``, at every grid point."""
+    return residual + RESIDUAL_RTOL * (1.0 + np.abs(rhs))
+
+
+def _trace_check(name: str, trace: SimulationTrace, slacks, what: str,
+                 edge_labels=None) -> tuple[str, bool, str]:
+    """Check that no slack curve in ``slacks`` (one per edge when
+    ``edge_labels`` is given; each is dropped once its minimum is read) is
+    negative at any grid point of ``trace``.  The detail names the worst
+    value, its time and its edge; a nan slack is the worst value."""
+    lows = []
+    for slack in slacks:
+        m = int(np.argmin(slack))
+        lows.append((float(slack[m]), m))
+    k = int(np.argmin([value for value, _ in lows]))
+    worst, m = lows[k]
+    detail = f"worst {what} {worst:.6g} at t = {trace.times[m]:.6g}"
+    if edge_labels is not None:
+        detail += f", edge {edge_labels[k]}"
+    return name, worst >= 0.0, detail
+
+
+def _echo_checks(checks) -> None:
+    for name, ok, detail in checks:
+        click.echo(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
 
 
 @main.command()
@@ -264,7 +289,7 @@ def simulate(config_file: Path, output_dir: Path, full: bool, check_bound: bool,
             raise UncertifiedBoundError(
                 "gain bound is not certified (n_min <= 0); nothing to check")
 
-    trace = run(cfg.model(), cfg.horizon, dt=cfg.dt, stride=cfg.stride)
+    trace = run(cfg.model(), cfg.horizon, dt=cfg.dt)
     click.echo(f"integrated {trace.steps} steps of dt = {cfg.dt:g} "
                f"(horizon {cfg.horizon:g}, seed {cfg.seed})")
 
@@ -273,36 +298,24 @@ def simulate(config_file: Path, output_dir: Path, full: bool, check_bound: bool,
     else:
         margin_col = np.full(trace.steps + 1, math.nan)
 
-    failures = []
+    checks = []
     if check_bound:
-        check = bound_check(trace, bound)
-        click.echo(
-            f"bound check: worst sampled margin {check.worst_margin:.6g} -> "
-            + ("pass" if check.satisfied else "FAIL")
-        )
-        if not check.satisfied:
-            failures.append("bound")
-
+        checks.append(_trace_check("bound-margins", trace, [margin_col], "margin"))
     residual_col = None
     if check_residual:
         residual_col, rhs = trace.dissipation_curves(cert)
-        idx = trace.sample_indices
-        slack = residual_col[idx] - _residual_floor(rhs[idx])
-        ok = bool(np.all(slack >= 0.0))
-        click.echo(
-            f"dissipation check: worst sampled residual slack "
-            f"{float(np.min(slack)):.6g} -> " + ("pass" if ok else "FAIL")
-        )
-        if not ok:
-            failures.append("dissipation")
+        checks.append(_trace_check("dissipation-residual", trace,
+                                   [_residual_slack(residual_col, rhs)],
+                                   "residual slack"))
+    _echo_checks(checks)
 
     output_dir.mkdir(parents=True, exist_ok=True)
     trace_path = output_dir / "trace.csv"
-    header, rows = _trace_table(trace, margin_col, residual_col, full)
+    header, rows = _trace_table(trace, cfg.stride, margin_col, residual_col, full)
     _write_csv(trace_path, header, rows)
     click.echo(f"wrote {trace_path}")
     click.echo(f"final output disagreement: {trace.disagreement():.6g}")
-    return 1 if failures else 0
+    return 0 if all(ok for _, ok, _ in checks) else 1
 
 
 def _parse_grid_spec(text: str, name: str) -> tuple[float, float, int]:
@@ -428,17 +441,6 @@ def reproduce_paper(output_dir: Path | None, mode: str | None, dt: float | None,
         cfg = cfg.with_seed(master)
     cfg = cfg.with_simulation(dt=dt, horizon=horizon)
     uniform = cfg.mode == "uniform"
-    # the traces are checked at these horizons, so each must lie on the step
-    # grid before anything is certified or integrated; a horizon below the
-    # first grid point is checked at the horizon itself
-    horizons = [t for t in HORIZON_GRID if t <= cfg.horizon + 1e-9] or [cfg.horizon]
-    grid_idx = []
-    for t in horizons:
-        try:
-            grid_idx.append(grid_steps(t, cfg.dt))
-        except ValueError:
-            raise ValueError(f"check horizon {t:g} is not a multiple of "
-                             f"--dt {cfg.dt:g}") from None
 
     cert = cfg.certificate()
     _echo_certificate(cfg, cert)
@@ -505,8 +507,7 @@ def reproduce_paper(output_dir: Path | None, mode: str | None, dt: float | None,
 
     # the noiseless and the noisy realisation in one RK4 pass
     trace_zero, trace_noisy = run_batch(
-        (_zero_disturbance_model(cfg), cfg.model()), cfg.horizon, dt=cfg.dt,
-        stride=cfg.stride)
+        (_zero_disturbance_model(cfg), cfg.model()), cfg.horizon, dt=cfg.dt)
     start = trace_zero.disagreement(0)
     end = trace_zero.disagreement(-1)
     ratio = end / start
@@ -520,32 +521,19 @@ def reproduce_paper(output_dir: Path | None, mode: str | None, dt: float | None,
         click.echo(f"noiseless-sync: skipped (horizon {cfg.horizon:g} < "
                    f"{expected['sync_horizon']:g}), disagreement ratio {ratio:.3g}")
 
-    margin_check = bound_check(trace_noisy, bound)
-    checks.append((
-        "bound-margins", margin_check.satisfied,
-        f"worst sampled margin {margin_check.worst_margin:.6g}",
-    ))
-
-    residual, rhs = trace_noisy.dissipation_curves(cert)
-    slack = residual[grid_idx] - _residual_floor(rhs[grid_idx])
-    checks.append((
-        "dissipation-residual", bool(np.all(slack >= 0.0)),
-        f"worst residual slack {float(np.min(slack)):.6g} at horizons {horizons}",
-    ))
-
-    worst_pair = math.inf
-    for k in range(cfg.graph.edge_count):
-        pair_res, pair_rhs = trace_noisy.pair_residual_curves(k, cert.edge(k))
-        pair_slack = pair_res[grid_idx] - _residual_floor(pair_rhs[grid_idx])
-        worst_pair = min(worst_pair, float(np.min(pair_slack)))
-    checks.append((
-        "pair-dissipation", worst_pair >= 0.0,
-        f"worst pair residual slack {worst_pair:.6g} at horizons {horizons}",
-    ))
+    checks.append(_trace_check("bound-margins", trace_noisy,
+                               [trace_noisy.margin_curve(bound)], "margin"))
+    checks.append(_trace_check("dissipation-residual", trace_noisy,
+                               [_residual_slack(*trace_noisy.dissipation_curves(cert))],
+                               "residual slack"))
+    checks.append(_trace_check(
+        "pair-dissipation", trace_noisy,
+        (_residual_slack(*trace_noisy.pair_residual_curves(k, cert.edge(k)))
+         for k in range(cfg.graph.edge_count)),
+        "pair residual slack", cfg.graph.edge_labels()))
 
     click.echo("")
-    for name, ok, detail in checks:
-        click.echo(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+    _echo_checks(checks)
 
     if output_dir is not None:
         output_dir.mkdir(parents=True, exist_ok=True)
@@ -553,7 +541,7 @@ def reproduce_paper(output_dir: Path | None, mode: str | None, dt: float | None,
                    _margin_csv_rows(cfg, cert))
         for label, trace in (("noiseless", trace_zero), ("noisy", trace_noisy)):
             margin_col = trace.margin_curve(bound)
-            header, rows = _trace_table(trace, margin_col)
+            header, rows = _trace_table(trace, cfg.stride, margin_col)
             _write_csv(output_dir / f"trace_{label}.csv", header, rows)
         click.echo(f"wrote margin and trace CSVs to {output_dir}")
 

@@ -21,12 +21,12 @@ Top-level keys::
     simulation     {"dt": .., "horizon": .., "stride": ..}
     seed           integer master seed
 
-Defaults: dt 1e-3, horizon 100, stride 100, zero second and third initial
-state components, uniform certification mode, zero disturbance, seed 0.
-Gaussian disturbance seeds, unless given explicitly in the per-edge list
-form, are derived from the master seed by edge index so that one integer
-pins the whole realisation.  Validation errors carry a JSON-pointer path to
-the offending value.
+Defaults: dt 1e-3, horizon 100, stride 100 (it only thins trace CSV rows),
+zero second and third initial state components, uniform certification
+mode, zero disturbance, seed 0.  Gaussian disturbance seeds, unless given
+explicitly in the per-edge list form, are derived from the master seed by
+edge index so that one integer pins the whole realisation.  Validation
+errors carry a JSON-pointer path to the offending value.
 """
 
 from __future__ import annotations

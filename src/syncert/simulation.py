@@ -40,7 +40,6 @@ __all__ = [
     "DisturbanceSpec",
     "NetworkModel",
     "SimulationTrace",
-    "BoundCheck",
     "linear_coupling",
     "affine_sinusoid_coupling",
     "piecewise_linear_coupling",
@@ -48,7 +47,6 @@ __all__ = [
     "grid_steps",
     "run",
     "run_batch",
-    "bound_check",
 ]
 
 _COUPLING_KINDS = ("linear", "affine_sinusoid", "piecewise_linear")
@@ -214,17 +212,21 @@ def _slope_ratio_range(spec: CouplingSpec) -> tuple[float, float]:
     return float(np.min(ratios)), float(np.max(ratios))
 
 
-def verify_sector(spec: CouplingSpec, tol: float = 1e-9) -> SectorCheck:
+# absolute slack of the sector check on either end of the declared sector
+SECTOR_TOL = 1e-9
+
+
+def verify_sector(spec: CouplingSpec) -> SectorCheck:
     """Check the declared sector against the closed-form slope-ratio range.
 
     The spec passes when ``[ratio_min, ratio_max]`` lies within
-    ``[alpha_lo - tol, alpha_hi + tol]``.  The range is exact for every
-    coupling kind (an extreme may be a limit at zero or infinity), so a pass
-    proves the declaration.
+    ``[alpha_lo - SECTOR_TOL, alpha_hi + SECTOR_TOL]``.  The range is exact
+    for every coupling kind (an extreme may be a limit at zero or infinity),
+    so a pass proves the declaration.
     """
     ratio_min, ratio_max = _slope_ratio_range(spec)
-    passed = bool(ratio_min >= spec.sector.alpha_lo - tol
-                  and ratio_max <= spec.sector.alpha_hi + tol)
+    passed = bool(ratio_min >= spec.sector.alpha_lo - SECTOR_TOL
+                  and ratio_max <= spec.sector.alpha_hi + SECTOR_TOL)
     return SectorCheck(passed=passed, ratio_min=ratio_min, ratio_max=ratio_max)
 
 
@@ -517,7 +519,6 @@ class SimulationTrace:
 
     model: NetworkModel
     dt: float
-    stride: int
     states: np.ndarray
     held_disturbance: np.ndarray
 
@@ -558,20 +559,6 @@ class SimulationTrace:
     def norm_dist_sq(self) -> np.ndarray:
         """Running squared norm of the held disturbance."""
         return _cumtrapz_norm_sq(self.held_disturbance, self.dt)
-
-    @cached_property
-    def sample_indices(self) -> np.ndarray:
-        idx = np.arange(0, self.steps + 1, self.stride)
-        if idx[-1] != self.steps:
-            idx = np.append(idx, self.steps)
-        return idx
-
-    def index_at(self, horizon: float) -> int:
-        idx = int(round(horizon / self.dt))
-        if idx < 0 or idx > self.steps or \
-                abs(idx * self.dt - horizon) > 1e-9 * max(1.0, abs(horizon)):
-            raise ValueError(f"horizon {horizon} is not on the simulation grid")
-        return idx
 
     def disagreement(self, index: int = -1) -> float:
         """Largest pairwise output difference at one grid index."""
@@ -638,8 +625,7 @@ def grid_steps(horizon: float, dt: float) -> int:
     return steps
 
 
-def run(model: NetworkModel, horizon: float, dt: float = 1e-3,
-        stride: int = 100) -> SimulationTrace:
+def run(model: NetworkModel, horizon: float, dt: float = 1e-3) -> SimulationTrace:
     """Integrate the closed network over ``[0, horizon]``.
 
     ``horizon`` must be a positive integer multiple of ``dt``.  The per-edge
@@ -647,11 +633,10 @@ def run(model: NetworkModel, horizon: float, dt: float = 1e-3,
     point) and held constant across each step.  Identical models, horizons
     and seeds reproduce the trace bit for bit.
     """
-    return run_batch((model,), horizon, dt, stride)[0]
+    return run_batch((model,), horizon, dt)[0]
 
 
-def run_batch(models, horizon: float, dt: float = 1e-3,
-              stride: int = 100) -> tuple[SimulationTrace, ...]:
+def run_batch(models, horizon: float, dt: float = 1e-3) -> tuple[SimulationTrace, ...]:
     """Integrate several realisations of one network in a single RK4 pass.
 
     The models must share ``graph``, ``agents`` and ``couplings`` (compared
@@ -671,8 +656,6 @@ def run_batch(models, horizon: float, dt: float = 1e-3,
                 raise ValueError(f"model {s} has a different {name} from model 0")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt}")
-    if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
-        raise ValueError(f"stride must be a positive integer, got {stride!r}")
     steps = grid_steps(horizon, dt)
     n, p = first.graph.n, first.graph.edge_count
     if p:
@@ -686,36 +669,8 @@ def run_batch(models, horizon: float, dt: float = 1e-3,
     _StepPlan(first, len(models)).integrate(states, held, dt)
     # node-major contiguous copies, so every derived array takes the solo path
     return tuple(
-        SimulationTrace(model=model, dt=dt, stride=int(stride),
+        SimulationTrace(model=model, dt=dt,
                         states=states[:, :, s * n:(s + 1) * n].transpose(0, 2, 1).copy(),
                         held_disturbance=held[:, s * p:(s + 1) * p].copy())
         for s, model in enumerate(models))
 
-
-@dataclass(frozen=True, eq=False)
-class BoundCheck:
-    """Gain-bound margins at the sampled horizons."""
-
-    times: np.ndarray
-    margins: np.ndarray
-    satisfied: bool
-
-    @property
-    def worst_margin(self) -> float:
-        return float(np.min(self.margins))
-
-
-def bound_check(trace: SimulationTrace, bound: GainBound) -> BoundCheck:
-    """Evaluate the certified bound along a trace at the sampled horizons.
-
-    The margin at horizon ``T`` is ``gain * ||W||_T + offset - ||relative
-    outputs||_T``; the check passes when no sampled margin is negative.
-    """
-    if not bound.certified:
-        raise UncertifiedBoundError(
-            "gain bound is not certified (n_min <= 0); nothing to check"
-        )
-    idx = trace.sample_indices
-    margins = trace.margin_curve(bound)[idx]
-    return BoundCheck(times=trace.times[idx], margins=margins,
-                      satisfied=bool(np.all(margins >= 0.0)))

@@ -45,7 +45,7 @@ def paper_traces(paper_config):
         initial_states=cfg.initial_states,
     )
     noisy = [cfg.with_seed(seed).model() for seed in BOUND_SEEDS]
-    return run_batch([noiseless, *noisy], cfg.horizon, dt=cfg.dt, stride=cfg.stride)
+    return run_batch([noiseless, *noisy], cfg.horizon, dt=cfg.dt)
 
 
 @pytest.fixture(scope="session")

@@ -35,8 +35,10 @@ def _certificate(graph, nus, gammas, betas, sectors):
 
 
 def test_sector_bound_validation():
-    assert SectorBound(2.0, 2.0).is_point
-    assert SectorBound(1.0, 3.0).midpoint == 2.0
+    point = SectorBound(2.0, 2.0)
+    assert point.alpha_lo == point.alpha_hi == 2.0
+    box = SectorBound(1.0, 3.0)
+    assert (box.alpha_lo, box.alpha_hi) == (1.0, 3.0)
     for lo, hi in [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0), (1.0, math.inf)]:
         with pytest.raises(ValueError):
             SectorBound(lo, hi)

@@ -8,13 +8,14 @@ import json
 import math
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from syncert import __version__, certificates, graphs
-from syncert.cli import main
+from syncert.cli import _trace_check, main
 from syncert.config import (
     SEED_ENV_VAR,
     ConfigError,
@@ -26,6 +27,7 @@ from syncert.config import (
 )
 from syncert.goodwin import CertParams, certify_network
 from syncert.noise import edge_seed_sequence
+from syncert.simulation import run
 
 TRIANGLE = {
     "graph": {"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]},
@@ -427,6 +429,20 @@ def test_simulate_trace_layout_and_determinism(tmp_path):
     assert (tmp_path / "run4" / "trace.csv").read_bytes() == seeded
 
 
+def test_trace_csv_rows_always_include_endpoint(tmp_path):
+    # stride thins the CSV only: every stride-th grid point, then the last
+    for stride, steps in ((3, [0, 3, 6, 9, 10]), (5, [0, 5, 10])):
+        path = _write(tmp_path, _payload(
+            simulation={"dt": 1e-3, "horizon": 0.01, "stride": stride}))
+        out = tmp_path / f"stride{stride}"
+        result = CliRunner().invoke(main, ["simulate", str(path), "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        assert "integrated 10 steps" in result.output
+        with open(out / "trace.csv", newline="", encoding="utf-8") as fh:
+            times = [float(row["t"]) for row in csv.DictReader(fh)]
+        assert times == [m * 1e-3 for m in steps]
+
+
 def test_simulate_full_appends_edge_columns(tmp_path):
     runner = CliRunner()
     path = _write(tmp_path, _payload())
@@ -452,10 +468,19 @@ def test_simulate_checks_pass_and_annotate_csv(tmp_path):
     result = runner.invoke(main, ["simulate", str(path), "-o", str(out),
                                   "--check-bound", "--check-lemma1"])
     assert result.exit_code == 0, result.output
-    assert "bound check" in result.output and "pass" in result.output
-    assert "dissipation check" in result.output
+    assert "PASS  bound-margins: worst margin " in result.output
     header = (out / "trace.csv").read_text().splitlines()[0]
     assert header.endswith("bound_margin,dissipation_residual")
+    # the printed worst residual slack is the least over the whole grid, at
+    # its time, not over the CSV's every-50th rows
+    cfg = parse_config(path)
+    trace = run(cfg.model(), cfg.horizon, dt=cfg.dt)
+    residual, rhs = trace.dissipation_curves(cfg.certificate())
+    slack = residual + 1e-6 * (1.0 + np.abs(rhs))
+    m = int(np.argmin(slack))
+    assert m % cfg.stride != 0
+    assert (f"PASS  dissipation-residual: worst residual slack {slack[m]:.6g} "
+            f"at t = {trace.times[m]:.6g}\n") in result.output
 
 
 def test_simulate_checks_require_certification_block(tmp_path):
@@ -506,7 +531,7 @@ def test_non_point_box_of_any_size_is_bounded(tmp_path):
                                        "-o", str(tmp_path / "x")])
     assert result.exit_code == 0, result.output
     assert "integrated 500 steps" in result.output
-    assert "bound check: worst sampled margin" in result.output
+    assert "PASS  bound-margins: worst margin " in result.output
 
 
 def test_certify_interval_bound_takes_one_more_solve(tmp_path, monkeypatch):
@@ -559,10 +584,11 @@ def test_off_grid_horizon_is_rejected_before_any_work(tmp_path):
     assert result.exit_code == 2
     assert result.output == ("error: /simulation/horizon: horizon 0.0001 must be "
                              "a positive integer multiple of dt = 0.001\n")
-    # so is a step that misses a check horizon the traces are read at
-    result = CliRunner().invoke(main, ["reproduce-paper", "--dt", "0.003", "-T", "3"])
+    # so is a step that does not divide the horizon
+    result = CliRunner().invoke(main, ["reproduce-paper", "--dt", "0.003", "-T", "1"])
     assert result.exit_code == 2
-    assert result.output == "error: check horizon 1 is not a multiple of --dt 0.003\n"
+    assert result.output == ("error: /simulation/horizon: horizon 1.0 must be "
+                             "a positive integer multiple of dt = 0.003\n")
     with pytest.raises(ConfigError, match="integer multiple") as err:
         config_from_dict(_payload()).with_simulation(dt=0.3)
     assert err.value.pointer == "/simulation/horizon"
@@ -655,13 +681,28 @@ def test_reproduce_short_horizon_smoke(tmp_path):
         assert (out / name).exists()
 
 
-def test_reproduce_below_the_first_grid_horizon():
-    # no HORIZON_GRID point lies within T = 0.5: the integral inequalities
-    # are checked at the horizon itself
+def test_trace_check_reports_the_least_slack_with_its_time_and_edge():
+    trace = SimpleNamespace(times=np.array([0.0, 0.5, 1.0]))
+    assert _trace_check("c", trace, [np.array([1.0, 2.0, 0.0])], "margin") == (
+        "c", True, "worst margin 0 at t = 1")
+    curves = [np.array([1.0, 2.0, 3.0]), np.array([0.0, -1.0, -0.5]),
+              np.array([4.0, 0.5, -0.1])]
+    assert _trace_check("c", trace, iter(curves), "slack", ["a", "b", "c"]) == (
+        "c", False, "worst slack -1 at t = 0.5, edge b")
+    # a nan slack fails the check wherever it sits
+    curves[0][1] = math.nan
+    assert _trace_check("c", trace, iter(curves), "slack", ["a", "b", "c"]) == (
+        "c", False, "worst slack nan at t = 0.5, edge a")
+
+
+def test_reproduce_names_the_worst_pair_instant_and_edge():
+    # every pair inequality is checked at every grid point; the least slack
+    # sits at t = 0, where each residual is -beta and beta varies by edge
     result = CliRunner().invoke(main, ["reproduce-paper", "-T", "0.5", "--seed", "3"])
     assert result.exit_code == 0, result.output
     assert "all checks passed" in result.output
-    assert result.output.count("at horizons [0.5]") == 2
+    assert ("PASS  pair-dissipation: worst pair residual slack 0.00500101 "
+            "at t = 0, edge 1-3\n") in result.output
 
 
 def test_vocabulary_rejections_keep_their_text():

@@ -34,7 +34,6 @@ from syncert.simulation import (
     _CHECK_BLOCK,
     _StepPlan,
     affine_sinusoid_coupling,
-    bound_check,
     linear_coupling,
     piecewise_linear_coupling,
     run,
@@ -79,7 +78,7 @@ def test_linear_coupling_is_pure_gain():
     assert np.array_equal(spec(np.array([-1.0, 0.0, 3.0])),
                           np.array([-5.0, 0.0, 15.0]))
     assert spec.sector == SectorBound(5.0, 5.0)
-    assert spec.sector.is_point
+    assert spec.sector.alpha_lo == spec.sector.alpha_hi
 
 
 def test_affine_sinusoid_values():
@@ -416,7 +415,7 @@ _ORACLE_CASES = {
 def test_run_batch_matches_textbook_rk4_bit_for_bit(case):
     models = _ORACLE_CASES[case]()
     model, n, dt, steps = models[0], models[0].graph.n, 1e-3, 50
-    traces = run_batch(models, steps * dt, dt=dt, stride=1)
+    traces = run_batch(models, steps * dt, dt=dt)
     held = np.concatenate([trace.held_disturbance for trace in traces], axis=1)
     # the component-major state of the whole batch, one column per node
     state = np.concatenate([m.initial_states for m in models]).T
@@ -447,10 +446,6 @@ def test_run_validation():
         run(model, horizon=-1.0, dt=0.1)
     with pytest.raises(ValueError, match="dt must be positive"):
         run(model, horizon=1.0, dt=0.0)
-    with pytest.raises(ValueError, match="stride"):
-        run(model, horizon=1.0, dt=0.1, stride=0)
-    with pytest.raises(ValueError, match="stride"):
-        run(model, horizon=1.0, dt=0.1, stride=True)
 
 
 def _diverging_model():
@@ -522,11 +517,11 @@ def test_run_batch_carries_no_state_between_calls(paper_config):
         assert np.array_equal(run(model, 0.2, dt=cfg.dt).states, expected)
 
 
-def _assert_batch_matches_solo(models, horizon, dt, stride):
-    batch = run_batch(models, horizon, dt=dt, stride=stride)
+def _assert_batch_matches_solo(models, horizon, dt):
+    batch = run_batch(models, horizon, dt=dt)
     assert len(batch) == len(models)
     for model, member in zip(models, batch):
-        solo = run(model, horizon, dt=dt, stride=stride)
+        solo = run(model, horizon, dt=dt)
         assert member.model is model
         assert np.array_equal(member.states, solo.states)
         assert np.array_equal(member.held_disturbance, solo.held_disturbance)
@@ -539,12 +534,12 @@ def test_run_batch_members_equal_solo_runs_on_the_paper_network(paper_config):
     noiseless = dataclasses.replace(
         cfg.model(), disturbances=(DisturbanceSpec(),) * cfg.graph.edge_count)
     models = [noiseless, cfg.with_seed(1).model(), cfg.with_seed(2).model()]
-    _assert_batch_matches_solo(models, 1.0, cfg.dt, cfg.stride)
+    _assert_batch_matches_solo(models, 1.0, cfg.dt)
 
 
 def test_run_batch_members_equal_solo_runs_on_mixed_couplings():
     cfg = parse_config(Path(__file__).parent / "data" / "mixed_couplings.json")
-    _assert_batch_matches_solo(_mixed_triple(), cfg.horizon, cfg.dt, cfg.stride)
+    _assert_batch_matches_solo(_mixed_triple(), cfg.horizon, cfg.dt)
 
 
 def test_run_batch_validation():
@@ -578,7 +573,7 @@ def test_run_batch_reports_a_diverging_member_at_its_solo_time():
 
 def test_trace_signal_identities():
     model = _triangle_model()
-    trace = run(model, horizon=2.0, dt=1e-3, stride=50)
+    trace = run(model, horizon=2.0, dt=1e-3)
     assert trace.steps == 2000
     assert trace.held_disturbance.shape == (2001, 3)
     d = incidence(model.graph).astype(float)
@@ -607,30 +602,9 @@ def test_running_norms_match_library_quadrature():
     assert trace.norm_dist_sq[-1] == pytest.approx(
         np.trapezoid(dist_sq, dx=1e-3), rel=1e-12)
     assert trace.norm_rel_sq[0] == 0.0
-    mid = trace.index_at(0.5)
+    mid = 500  # t = 0.5
     assert trace.norm_rel_sq[mid] == pytest.approx(
         np.trapezoid(rel_sq[:mid + 1], dx=1e-3), rel=1e-12)
-
-
-def test_sample_indices_always_include_endpoint():
-    model = _triangle_model()
-    trace = run(model, horizon=0.01, dt=1e-3, stride=3)
-    assert trace.steps == 10
-    assert np.array_equal(trace.sample_indices, [0, 3, 6, 9, 10])
-    aligned = run(model, horizon=0.01, dt=1e-3, stride=5)
-    assert np.array_equal(aligned.sample_indices, [0, 5, 10])
-
-
-def test_index_at_grid_checks():
-    trace = run(_triangle_model(), horizon=1.0, dt=1e-3)
-    assert trace.index_at(1.0) == 1000
-    assert trace.index_at(0.0) == 0
-    with pytest.raises(ValueError, match="not on the simulation grid"):
-        trace.index_at(0.00051)
-    with pytest.raises(ValueError, match="not on the simulation grid"):
-        trace.index_at(2.0)
-    with pytest.raises(ValueError, match="not on the simulation grid"):
-        trace.index_at(-0.5)
 
 
 def test_disagreement_is_output_spread():
@@ -717,21 +691,16 @@ def test_uncertified_bound_is_rejected():
                     bias_total=-1.0, estimate="exact")
     with pytest.raises(UncertifiedBoundError):
         trace.margin_curve(bad)
-    with pytest.raises(UncertifiedBoundError):
-        bound_check(trace, bad)
 
 
-def test_bound_check_on_quiet_network(noiseless_trace, paper_certification):
+def test_margin_curve_on_quiet_network(noiseless_trace, paper_certification):
     bound = paper_certification.bound
-    check = bound_check(noiseless_trace, bound)
-    assert check.satisfied
-    assert check.worst_margin > 0.0
-    assert check.times[0] == 0.0 and check.times[-1] == pytest.approx(
-        noiseless_trace.times[-1])
+    margins = noiseless_trace.margin_curve(bound)
+    assert margins.shape == noiseless_trace.times.shape
+    assert np.min(margins) > 0.0
     # no disturbance: the margin is offset minus the growing output norm
-    margins = bound.offset - np.sqrt(
-        noiseless_trace.norm_rel_sq[noiseless_trace.sample_indices])
-    assert np.allclose(check.margins, margins, rtol=1e-12)
+    assert np.allclose(margins, bound.offset - np.sqrt(noiseless_trace.norm_rel_sq),
+                       rtol=1e-12)
 
 
 def test_permuting_nodes_permutes_trajectories():
