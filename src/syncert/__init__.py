@@ -5,14 +5,11 @@ couplings and link disturbances."""
 from .certificates import (
     POSITIVITY_TOL,
     CertificateForms,
-    EdgeCertificate,
     GainBound,
     MarginReport,
     NetworkCertificate,
     SectorBound,
     UncertifiedBoundError,
-    certificate_from_dict,
-    certificate_to_dict,
     gain_bound_from_forms,
     quadratic_forms,
 )
@@ -64,7 +61,6 @@ __all__ = [
     "ConfigError",
     "CouplingSpec",
     "DisturbanceSpec",
-    "EdgeCertificate",
     "EdgeStats",
     "GainBound",
     "GoodwinParams",
@@ -85,8 +81,6 @@ __all__ = [
     "build_graph",
     "bundled_config",
     "bundled_expected",
-    "certificate_from_dict",
-    "certificate_to_dict",
     "certify_network",
     "config_from_dict",
     "edge_seed_sequence",

@@ -12,18 +12,17 @@ once, on first use.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph, assemble_pd_matrix, build_graph, edge_slacks
+from .graphs import Graph, assemble_pd_matrix, edge_slacks
 from .linalg import symmetric_eigenvalues
 
 __all__ = [
     "POSITIVITY_TOL",
     "SectorBound",
-    "EdgeCertificate",
     "NetworkCertificate",
     "sector_arrays",
     "MarginReport",
@@ -32,8 +31,6 @@ __all__ = [
     "UncertifiedBoundError",
     "quadratic_forms",
     "gain_bound_from_forms",
-    "certificate_to_dict",
-    "certificate_from_dict",
 ]
 
 # bench/workloads.py reads and rebinds this name; kept so that lookup resolves.
@@ -63,31 +60,6 @@ class SectorBound:
             )
 
 
-@dataclass(frozen=True)
-class EdgeCertificate:
-    """Relative-dissipativity parameters of one agent pair, as read and
-    written at the JSON boundary and checked by the pair residual curves.
-
-    A finite ``nu <= 0`` weights the pair's input energy, ``gamma`` the
-    relative-output energy, and ``beta`` is the trajectory-independent bias
-    (typically built from initial conditions).  ``gamma`` may be positive
-    here; every consumer clamps it to ``min(gamma, 0)`` first, which only
-    weakens the certified inequality, and keeps the raw value for reporting.
-    """
-
-    nu: float
-    gamma: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not (-math.inf < self.nu <= 0.0):  # also rejects nan
-            raise ValueError(f"nu must be finite and <= 0, got {self.nu}")
-        if not (math.isfinite(self.gamma) and math.isfinite(self.beta)):
-            raise ValueError(
-                f"gamma and beta must be finite, got ({self.gamma}, {self.beta})"
-            )
-
-
 def sector_arrays(sectors) -> tuple[np.ndarray, np.ndarray]:
     """``alpha_lo`` and ``alpha_hi`` of a sequence of :class:`SectorBound`,
     as float arrays in the same order."""
@@ -101,12 +73,14 @@ _EDGE_ARRAYS = ("alpha_lo", "alpha_hi", "nu", "gamma_raw", "beta")
 
 @dataclass(frozen=True, eq=False)
 class NetworkCertificate:
-    """Sectors and certificate values stacked over a graph as read-only
-    float arrays in edge order (``gamma_raw`` is ``gamma`` before the
-    clamp), plus the derived per-node and network aggregates.  One
-    vectorised check rejects a wrong length and every value that
-    :class:`SectorBound` or :class:`EdgeCertificate` rejects, naming the
-    first offending edge."""
+    """Per-edge slope sectors and pair certificates ``(nu, gamma, beta)``
+    over a graph, as read-only float arrays in edge order, plus the derived
+    per-node and network aggregates.  A finite ``nu <= 0`` weights a pair's
+    input energy, ``gamma_raw`` its relative-output energy and ``beta`` is
+    its bias; :attr:`gamma` clamps ``gamma_raw`` to at most 0.  One
+    vectorised check rejects a wrong length, a non-finite value and every
+    value outside these rules or :class:`SectorBound`'s, naming the first
+    offending edge."""
 
     graph: Graph
     alpha_lo: np.ndarray
@@ -134,11 +108,6 @@ class NetworkCertificate:
                  "gamma and beta must be finite")):
             if not ok.all():
                 raise ValueError(f"edge {self.graph.edge_label(int(np.argmin(ok)))}: {rule}")
-
-    def edge(self, k: int) -> EdgeCertificate:
-        """The certificate values of edge ``k``, with the raw ``gamma``."""
-        return EdgeCertificate(nu=float(self.nu[k]), gamma=float(self.gamma_raw[k]),
-                               beta=float(self.beta[k]))
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -232,7 +201,6 @@ class NetworkCertificate:
 class MarginReport:
     """Per-edge synchronisation slacks and the aggregate verdict."""
 
-    graph: Graph
     slacks: np.ndarray
     edge_ok: np.ndarray
     satisfied: bool
@@ -248,7 +216,7 @@ class MarginReport:
         """
         slacks = edge_slacks(g, node_weights, edge_weights)
         edge_ok = slacks > POSITIVITY_TOL
-        return cls(graph=g, slacks=slacks, edge_ok=edge_ok,
+        return cls(slacks=slacks, edge_ok=edge_ok,
                    satisfied=g.is_connected and bool(np.all(edge_ok)))
 
     @property
@@ -401,60 +369,3 @@ def gain_bound_from_forms(coupling_form: np.ndarray, output_shift: np.ndarray,
                      bias_total=bias_total,
                      estimate="exact" if point else "interval")
 
-
-def certificate_to_dict(cert: NetworkCertificate) -> dict:
-    """JSON-ready payload with one entry per edge (raw ``gamma``)."""
-    return {"edges": [
-        {"edge": [i, j], **asdict(cert.edge(k)),
-         "alpha_lo": float(cert.alpha_lo[k]), "alpha_hi": float(cert.alpha_hi[k])}
-        for k, (i, j) in enumerate(cert.graph.edges)
-    ]}
-
-
-_ENTRY_KEYS = ("edge", "nu", "gamma", "beta", "alpha_lo", "alpha_hi")
-
-
-def certificate_from_dict(payload: dict, n: int | None = None) -> NetworkCertificate:
-    """Rebuild a :class:`NetworkCertificate` from its JSON payload.
-
-    ``n`` defaults to the largest node index appearing in the edge list.
-    Entries may arrive in any order; they are matched to the canonical edge
-    indexing of the reconstructed graph.  A malformed entry is rejected with
-    a ``ValueError`` that names its position in the list.
-    """
-    try:
-        entries = payload["edges"]
-    except (TypeError, KeyError):
-        raise ValueError("certificate payload must be a dict with an 'edges' list") from None
-    if not entries:
-        raise ValueError("certificate payload has no edges")
-    by_edge = {}
-    for k, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ValueError(f"certificate entry {k} must be a dict, got {entry!r}")
-        missing = [key for key in _ENTRY_KEYS if key not in entry]
-        if missing:
-            raise ValueError(f"certificate entry {k} is missing key {missing[0]!r}")
-        pair = entry["edge"]
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                        for v in pair)):
-            raise ValueError(
-                f"certificate entry {k}: edge {pair!r} must be a pair of "
-                "integer node indices")
-        by_edge[(min(pair), max(pair))] = (k, entry)
-    if n is None:
-        n = int(max(j for _, j in by_edge))
-    g = build_graph(n, [entry["edge"] for entry in entries])
-    rows = []
-    for key in g.edges:
-        k, entry = by_edge[key]
-        try:
-            sector = SectorBound(alpha_lo=float(entry["alpha_lo"]),
-                                 alpha_hi=float(entry["alpha_hi"]))
-            edge = EdgeCertificate(nu=float(entry["nu"]), gamma=float(entry["gamma"]),
-                                   beta=float(entry["beta"]))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"certificate entry {k}: {exc}") from None
-        rows.append((sector.alpha_lo, sector.alpha_hi, edge.nu, edge.gamma, edge.beta))
-    return NetworkCertificate(graph=g, **dict(zip(_EDGE_ARRAYS, np.array(rows).T)))

@@ -20,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .certificates import (
-    EdgeCertificate,
     GainBound,
     NetworkCertificate,
     SectorBound,
@@ -586,11 +585,15 @@ class SimulationTrace:
         )
         return lhs - rhs, rhs
 
-    def pair_residual_curves(self, edge_index: int,
-                             certificate: EdgeCertificate) -> tuple[np.ndarray, np.ndarray]:
-        """Residual and right-hand side of one pair's dissipativity
-        inequality at every grid time, using the realized node inputs."""
-        i, j = self.model.graph.edges[edge_index]
+    def pair_residual_curves(self, cert: NetworkCertificate,
+                             k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Residual and right-hand side of the dissipativity inequality of
+        edge ``k``'s pair at every grid time, using the realized node inputs
+        and the raw ``gamma_raw[k]``, which is stricter than the clamped
+        ``gamma[k]`` when it is positive."""
+        if cert.graph != self.model.graph:
+            raise ValueError("certificate was assembled over a different graph")
+        i, j = self.model.graph.edges[k]
         du = self.inputs[:, i - 1] - self.inputs[:, j - 1]
         dy = self.outputs[:, i - 1] - self.outputs[:, j - 1]
         lhs = _cumtrapz(du * dy, self.dt)
@@ -598,9 +601,9 @@ class SimulationTrace:
             _cumtrapz(self.inputs[:, i - 1] ** 2, self.dt)
             + _cumtrapz(self.inputs[:, j - 1] ** 2, self.dt)
         )
-        rhs = (certificate.nu * energy
-               + certificate.gamma * _cumtrapz(dy * dy, self.dt)
-               + certificate.beta)
+        rhs = (cert.nu[k] * energy
+               + cert.gamma_raw[k] * _cumtrapz(dy * dy, self.dt)
+               + cert.beta[k])
         return lhs - rhs, rhs
 
     def margin_curve(self, bound: GainBound) -> np.ndarray:

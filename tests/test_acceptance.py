@@ -128,7 +128,7 @@ def test_pairwise_dissipation_inequality_on_noisy_traces(noisy_traces,
     for seed, trace in noisy_traces.items():
         for k, edge in enumerate(edges):
             _assert_residual_clears_floor(
-                trace, trace.pair_residual_curves(k, paper_certification.edge(k)),
+                trace, trace.pair_residual_curves(paper_certification, k),
                 f"seed {seed}, edge {edge}")
 
 

@@ -12,11 +12,8 @@ from hypothesis import strategies as st
 
 from oracles import complete_graph, erdos_renyi_graph
 from syncert.certificates import (
-    EdgeCertificate,
     NetworkCertificate,
     SectorBound,
-    certificate_from_dict,
-    certificate_to_dict,
     gain_bound_from_forms,
     quadratic_forms,
 )
@@ -50,7 +47,7 @@ def test_edge_certificate_validation():
             "sectors": ((1.0, 2.0), (3.0, 3.0))}
     cert = _certificate(g, good["nu"], good["gammas"], good["betas"],
                         good["sectors"])  # zero nu is admissible
-    assert cert.edge(1) == EdgeCertificate(nu=-0.5, gamma=-1.0, beta=-2.0)
+    assert (cert.nu[1], cert.gamma_raw[1], cert.beta[1]) == (-0.5, -1.0, -2.0)
     # each bad value is rejected with the edge that carries it
     for key, value, rule in [
         ("nu", math.nan, "nu must be finite and <= 0"),
@@ -320,70 +317,6 @@ def test_gain_bound_uncertified_yields_nan():
     assert not bound.certified
     assert bound.n_min < 0.0
     assert math.isnan(bound.gain) and math.isnan(bound.offset)
-
-
-def test_certificate_json_round_trip():
-    g = build_graph(3, [(1, 2), (2, 3)])
-    cert = _certificate(g, nus=(-0.01, -0.02), gammas=(1.5, -2.0),
-                        betas=(-0.25, 0.0), sectors=((1.0, 2.0), (3.0, 3.0)))
-    payload = certificate_to_dict(cert)
-    rebuilt = certificate_from_dict(payload)
-    assert rebuilt.graph == g
-    assert rebuilt.gamma_raw.tolist() == cert.gamma_raw.tolist()  # raw survives
-    assert rebuilt.nu.tolist() == cert.nu.tolist()
-    assert rebuilt.beta.tolist() == cert.beta.tolist()
-    assert rebuilt.alpha_lo.tolist() == cert.alpha_lo.tolist()
-    assert rebuilt.alpha_hi.tolist() == cert.alpha_hi.tolist()
-
-
-def test_certificate_from_dict_reorders_entries_and_pads_nodes():
-    payload = {"edges": [
-        {"edge": [3, 2], "nu": -0.5, "gamma": 0.0, "beta": 0.0,
-         "alpha_lo": 1.0, "alpha_hi": 1.0},
-        {"edge": [1, 2], "nu": -0.25, "gamma": 0.0, "beta": 0.0,
-         "alpha_lo": 2.0, "alpha_hi": 2.0},
-    ]}
-    cert = certificate_from_dict(payload, n=4)
-    assert cert.graph.n == 4
-    assert cert.graph.edges == ((1, 2), (2, 3))
-    assert cert.nu.tolist() == [-0.25, -0.5]
-    with pytest.raises(ValueError, match="edges"):
-        certificate_from_dict({"edges": []})
-
-
-def _entry(edge, **overrides):
-    entry = {"edge": edge, "nu": -0.25, "gamma": 0.0, "beta": 0.0,
-             "alpha_lo": 1.0, "alpha_hi": 1.0}
-    entry.update(overrides)
-    return entry
-
-
-def test_certificate_from_dict_rejects_non_integer_node():
-    # 1.7 must not be truncated to node 1
-    payload = {"edges": [_entry([2, 3]), _entry([1.7, 2])]}
-    with pytest.raises(ValueError, match=r"entry 1: edge \[1\.7, 2\]"):
-        certificate_from_dict(payload)
-    with pytest.raises(ValueError, match="entry 0"):
-        certificate_from_dict({"edges": [_entry([True, 2])]})
-    with pytest.raises(ValueError, match="entry 0"):
-        certificate_from_dict({"edges": [_entry([1, 2, 3])]})
-
-
-@pytest.mark.parametrize("key", ["edge", "nu", "gamma", "beta", "alpha_lo", "alpha_hi"])
-def test_certificate_from_dict_names_missing_key(key):
-    entry = _entry([2, 3])
-    del entry[key]
-    payload = {"edges": [_entry([1, 2]), entry]}
-    with pytest.raises(ValueError, match=f"entry 1 is missing key '{key}'"):
-        certificate_from_dict(payload)
-
-
-def test_certificate_from_dict_names_invalid_value():
-    payload = {"edges": [_entry([1, 2]), _entry([3, 2], nu=0.5)]}
-    with pytest.raises(ValueError, match="entry 1: nu must be finite and <= 0"):
-        certificate_from_dict(payload)
-    with pytest.raises(ValueError, match="entry 0 must be a dict"):
-        certificate_from_dict({"edges": [[1, 2]]})
 
 
 def test_benchmark_harness_names_resolve(paper_config, paper_certification):

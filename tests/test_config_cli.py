@@ -387,13 +387,13 @@ def test_simulate_reproduces_golden_mixed_coupling_trace(tmp_path):
 
 def test_reproduce_paper_reproduces_golden_traces(tmp_path):
     # both traces written by the one-realisation-per-pass integrator that the
-    # batched pass replaced
+    # batched pass replaced; the margin CSV pins the certificate values
     golden = Path(__file__).parent / "data" / "reproduce_paper_T1_seed3"
     out = tmp_path / "repro"
     result = CliRunner().invoke(main, ["reproduce-paper", "-T", "1", "--seed", "3",
                                        "-o", str(out)])
     assert result.exit_code == 0, result.output
-    for name in ("trace_noiseless.csv", "trace_noisy.csv"):
+    for name in ("margins.csv", "trace_noiseless.csv", "trace_noisy.csv"):
         assert (out / name).read_bytes() == (golden / name).read_bytes(), name
 
 

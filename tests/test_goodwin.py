@@ -179,10 +179,10 @@ def test_slope_constant_silent_near_maximum():
 
 
 def _certify_pair(gain_i, gain_j, cp, x0_i, x0_j):
-    """The one edge certificate of the two-node network ``1 - 2``."""
+    """The certificate of the two-node network ``1 - 2``: one edge, index 0."""
     g = build_graph(2, [(1, 2)])
     return certify_network(_agents(gain_i, gain_j), g, cp, [5.0], [5.0],
-                           initial_states=[x0_i, x0_j]).edge(0)
+                           initial_states=[x0_i, x0_j])
 
 
 def test_certify_edge_values():
@@ -190,15 +190,15 @@ def test_certify_edge_values():
     cert = _certify_pair(0.8, 1.1, cp,
                          (1.0, 2.0, 3.0), (0.0, 0.0, 0.0))
     # worst gain deviation is 0.2, so nu = -0.04 / (2 * 2)
-    assert cert.nu == pytest.approx(-0.01, rel=EXACT_RTOL)
-    assert cert.beta == pytest.approx(-7.0, rel=EXACT_RTOL)
+    assert cert.nu[0] == pytest.approx(-0.01, rel=EXACT_RTOL)
+    assert cert.beta[0] == pytest.approx(-7.0, rel=EXACT_RTOL)
     theta1, theta2 = resolve_weights(cp, _agents(0.8))
-    assert cert.gamma == pytest.approx(0.5 - 2.0 - 0.5 * (theta1 + theta2),
+    assert cert.gamma_raw[0] == pytest.approx(0.5 - 2.0 - 0.5 * (theta1 + theta2),
                                        rel=1e-12)
     # symmetric in the pair
     swapped = _certify_pair(1.1, 0.8, cp,
                             (0.0, 0.0, 0.0), (1.0, 2.0, 3.0))
-    assert swapped.nu == cert.nu and swapped.beta == cert.beta
+    assert swapped.nu[0] == cert.nu[0] and swapped.beta[0] == cert.beta[0]
 
 
 def test_certify_edge_validation():

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from oracles import complete_graph, rk4_step
 from syncert.certificates import (
-    EdgeCertificate,
     GainBound,
     NetworkCertificate,
     SectorBound,
@@ -618,12 +617,27 @@ def test_disagreement_is_output_spread():
 
 
 def test_pair_residual_starts_at_minus_bias():
+    model = _triangle_model()
+    lo, hi = sector_arrays(model.sectors)
+    cert = NetworkCertificate(graph=model.graph, alpha_lo=lo, alpha_hi=hi,
+                              nu=[-0.01] * 3, gamma_raw=[-16.0] * 3,
+                              beta=[-2.5, -0.5, -0.25])
+    trace = run(model, horizon=0.01, dt=1e-3)
+    for k in range(3):
+        residual, rhs = trace.pair_residual_curves(cert, k)
+        assert residual.shape == rhs.shape == (trace.steps + 1,)
+        assert rhs[0] == cert.beta[k]
+        assert residual[0] == -cert.beta[k]
+
+
+def test_pair_residual_rejects_certificate_of_other_graph():
     trace = run(_triangle_model(), horizon=0.01, dt=1e-3)
-    cert = EdgeCertificate(nu=-0.01, gamma=-16.0, beta=-2.5)
-    residual, rhs = trace.pair_residual_curves(0, cert)
-    assert residual.shape == rhs.shape == (trace.steps + 1,)
-    assert rhs[0] == cert.beta
-    assert residual[0] == -cert.beta
+    path = build_graph(3, [(1, 2), (2, 3)])
+    other = NetworkCertificate(graph=path, alpha_lo=[2.0] * 2, alpha_hi=[2.0] * 2,
+                               nu=[-0.01] * 2, gamma_raw=[-16.0] * 2,
+                               beta=[-2.5, -0.5])
+    with pytest.raises(ValueError, match="different graph"):
+        trace.pair_residual_curves(other, 0)
 
 
 def test_dissipation_residual_starts_at_minus_total_bias():
