@@ -38,7 +38,6 @@ from .noise import edge_seed_sequence, normals, uniforms
 from .simulation import (
     CouplingSpec,
     DisturbanceSpec,
-    NetworkModel,
     SectorCheck,
     SimulationDiverged,
     SimulationTrace,
@@ -69,7 +68,6 @@ __all__ = [
     "MarginReport",
     "NetworkCertificate",
     "NetworkConfig",
-    "NetworkModel",
     "SearchResult",
     "SectorBound",
     "SectorCheck",

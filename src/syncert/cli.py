@@ -185,7 +185,7 @@ def _trace_table(trace: SimulationTrace, stride: int, margin_col,
     """Header and rows of a trace CSV: every ``stride``-th grid point plus
     the last.  The rows are generated one at a time as the CSV writer takes
     them, so no table of cell strings is ever held whole."""
-    g = trace.model.graph
+    g = trace.config.graph
     header = ["t"] + [f"y_{i}" for i in range(1, g.n + 1)]
     header += ["normDTY", "normW", "bound_margin"]
     if residual_col is not None:
@@ -288,7 +288,7 @@ def simulate(config_file: Path, output_dir: Path, full: bool, check_bound: bool,
             raise UncertifiedBoundError(
                 "gain bound is not certified (n_min <= 0); nothing to check")
 
-    trace = run(cfg.model(), cfg.horizon, dt=cfg.dt)
+    trace = run(cfg)
     click.echo(f"integrated {trace.steps} steps of dt = {cfg.dt:g} "
                f"(horizon {cfg.horizon:g}, seed {cfg.seed})")
 
@@ -497,10 +497,9 @@ def reproduce_paper(output_dir: Path | None, mode: str | None, dt: float | None,
                        f"certified = {bound.certified}"))
 
     # the noiseless and the noisy realisation in one RK4 pass
-    model = cfg.model()
     zero = dataclasses.replace(
-        model, disturbances=(DisturbanceSpec(kind="zero"),) * cfg.graph.edge_count)
-    trace_zero, trace_noisy = run_batch((zero, model), cfg.horizon, dt=cfg.dt)
+        cfg, disturbances=(DisturbanceSpec(kind="zero"),) * cfg.graph.edge_count)
+    trace_zero, trace_noisy = run_batch((zero, cfg))
     start = trace_zero.disagreement(0)
     end = trace_zero.disagreement(-1)
     ratio = end / start

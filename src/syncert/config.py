@@ -35,6 +35,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -48,14 +49,15 @@ from .goodwin import (
     admissible_theta3_interval,
     certify_network,
 )
-from .graphs import Graph, build_graph
+from .graphs import Graph, build_graph, incidence
 from .noise import edge_seed_sequence
 from .simulation import (
     DISTURBANCE_KINDS,
+    CouplingGroup,
     CouplingSpec,
     DisturbanceSpec,
-    NetworkModel,
     grid_steps,
+    group_couplings,
     verify_sector,
 )
 
@@ -76,6 +78,7 @@ DEFAULT_DT = 1e-3
 DEFAULT_HORIZON = 100.0
 DEFAULT_STRIDE = 100
 DEFAULT_MODE = "uniform"
+DEFAULT_SEED = 0
 
 
 class ConfigError(ValueError):
@@ -138,29 +141,63 @@ def _as_int(value, pointer: str) -> int:
 
 @dataclass(frozen=True, eq=False)
 class NetworkConfig:
-    """A fully validated network description with all defaults filled."""
+    """A validated network description: a graph of oscillators (one
+    :class:`GoodwinParams` with a gain per node) with their initial states,
+    couplings and disturbances, plus the certification and simulation
+    settings.  It is what :meth:`certificate` certifies and what
+    :func:`~syncert.simulation.run` integrates over ``horizon`` at ``dt``.
+
+    Every construction is checked, replacements included; an error names
+    the JSON pointer of the offending block.
+    """
 
     graph: Graph
     agents: GoodwinParams
     initial_states: np.ndarray
     couplings: tuple[CouplingSpec, ...]
     disturbances: tuple[DisturbanceSpec, ...]
-    certification: CertParams | None
-    mode: str
-    dt: float
-    horizon: float
-    stride: int
-    seed: int
+    certification: CertParams | None = None
+    mode: str = DEFAULT_MODE
+    dt: float = DEFAULT_DT
+    horizon: float = DEFAULT_HORIZON
+    stride: int = DEFAULT_STRIDE
+    seed: int = DEFAULT_SEED
+
+    def __post_init__(self) -> None:
+        n, p = self.graph.n, self.graph.edge_count
+        if self.agents.input_gains.size != n:
+            raise ConfigError("/agents/input_gains",
+                              f"{self.agents.input_gains.size} agents for {n} nodes")
+        if len(self.couplings) != p:
+            raise ConfigError("/couplings", f"{len(self.couplings)} couplings for {p} edges")
+        if len(self.disturbances) != p:
+            raise ConfigError("/disturbances",
+                              f"{len(self.disturbances)} disturbances for {p} edges")
+        x0 = np.array(self.initial_states, dtype=float)
+        if x0.shape != (n, 3):
+            raise ConfigError("/agents/initial_states",
+                              f"initial states have shape {x0.shape}, expected ({n}, 3)")
+        object.__setattr__(self, "initial_states", x0)
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ConfigError("/simulation/dt", f"dt must be positive, got {self.dt}")
+        try:
+            grid_steps(self.horizon, self.dt)
+        except ValueError as exc:
+            raise ConfigError("/simulation/horizon", str(exc)) from None
 
     @property
     def sectors(self) -> tuple[SectorBound, ...]:
         return tuple(c.sector for c in self.couplings)
 
-    def model(self) -> NetworkModel:
-        return NetworkModel(graph=self.graph, agents=self.agents,
-                            couplings=self.couplings,
-                            disturbances=self.disturbances,
-                            initial_states=self.initial_states)
+    @cached_property
+    def incidence_matrix(self) -> np.ndarray:
+        return incidence(self.graph).astype(float)
+
+    @cached_property
+    def coupling_table(self) -> tuple[CouplingGroup, ...]:
+        """The couplings grouped by kind (see
+        :func:`~syncert.simulation.group_couplings`)."""
+        return group_couplings(self.couplings)
 
     def certificate(self) -> NetworkCertificate:
         """Certify every edge with the configured parameters."""
@@ -188,11 +225,7 @@ class NetworkConfig:
             changes["dt"] = _as_positive(dt, "/simulation/dt")
         if horizon is not None:
             changes["horizon"] = _as_positive(horizon, "/simulation/horizon")
-        if not changes:
-            return self
-        out = replace(self, **changes)
-        _check_grid(out.horizon, out.dt, "/simulation/horizon")
-        return out
+        return replace(self, **changes) if changes else self
 
 
 def _parse_graph(value, pointer: str) -> Graph:
@@ -394,33 +427,21 @@ def _parse_certification(value, pointer: str, agents: GoodwinParams):
     return CertParams(theta=theta, theta3=theta3), mode
 
 
-def _parse_simulation(value, pointer: str):
+def _parse_simulation(value, pointer: str) -> dict:
+    """The simulation settings given; the others keep their defaults."""
     if value is None:
-        return DEFAULT_DT, DEFAULT_HORIZON, DEFAULT_STRIDE
+        return {}
     block = _expect_mapping(value, pointer)
     _reject_unknown(block, {"dt", "horizon", "stride"}, pointer)
-    dt = DEFAULT_DT
-    horizon = DEFAULT_HORIZON
-    stride = DEFAULT_STRIDE
-    if "dt" in block:
-        dt = _as_positive(block["dt"], _child(pointer, "dt"))
-    if "horizon" in block:
-        horizon = _as_positive(block["horizon"], _child(pointer, "horizon"))
+    settings = {key: _as_positive(block[key], _child(pointer, key))
+                for key in ("dt", "horizon") if key in block}
     if "stride" in block:
         stride = _as_int(block["stride"], _child(pointer, "stride"))
         if stride < 1:
             raise ConfigError(_child(pointer, "stride"),
                               f"must be a positive integer, got {stride}")
-    _check_grid(horizon, dt, _child(pointer, "horizon"))
-    return dt, horizon, stride
-
-
-def _check_grid(horizon: float, dt: float, pointer: str) -> None:
-    """Reject a horizon off the integration grid, as :func:`run` would."""
-    try:
-        grid_steps(horizon, dt)
-    except ValueError as exc:
-        raise ConfigError(pointer, str(exc)) from None
+        settings["stride"] = stride
+    return settings
 
 
 def config_from_dict(payload) -> NetworkConfig:
@@ -429,7 +450,7 @@ def config_from_dict(payload) -> NetworkConfig:
     _reject_unknown(data, {"graph", "agents", "couplings", "disturbances",
                            "certification", "simulation", "seed"}, "")
     graph = _parse_graph(_require(data, "graph", ""), "/graph")
-    seed = _as_int(data.get("seed", 0), "/seed")
+    seed = _as_int(data.get("seed", DEFAULT_SEED), "/seed")
     agents, x0 = _parse_agents(_require(data, "agents", ""), "/agents", graph.n)
     couplings = _parse_couplings(_require(data, "couplings", ""), "/couplings",
                                  graph.edge_count)
@@ -437,11 +458,11 @@ def config_from_dict(payload) -> NetworkConfig:
                                        graph.edge_count, seed)
     certification, mode = _parse_certification(data.get("certification"),
                                                "/certification", agents)
-    dt, horizon, stride = _parse_simulation(data.get("simulation"), "/simulation")
+    settings = _parse_simulation(data.get("simulation"), "/simulation")
     return NetworkConfig(graph=graph, agents=agents, initial_states=x0,
                          couplings=couplings, disturbances=disturbances,
-                         certification=certification, mode=mode,
-                         dt=dt, horizon=horizon, stride=stride, seed=seed)
+                         certification=certification, mode=mode, seed=seed,
+                         **settings)
 
 
 def parse_config(path) -> NetworkConfig:

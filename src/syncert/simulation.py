@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -25,9 +25,10 @@ from .certificates import (
     SectorBound,
     UncertifiedBoundError,
 )
-from .goodwin import GoodwinParams
-from .graphs import Graph, incidence
 from .noise import normals
+
+if TYPE_CHECKING:
+    from .config import NetworkConfig
 
 __all__ = [
     "SimulationDiverged",
@@ -37,12 +38,13 @@ __all__ = [
     "CouplingGroup",
     "SectorCheck",
     "DisturbanceSpec",
-    "NetworkModel",
     "SimulationTrace",
     "linear_coupling",
     "affine_sinusoid_coupling",
     "piecewise_linear_coupling",
     "verify_sector",
+    "group_couplings",
+    "evaluate_couplings",
     "grid_steps",
     "run",
     "run_batch",
@@ -104,7 +106,7 @@ class CouplingSpec:
 
     def __call__(self, x):
         """Evaluate elementwise on scalars or arrays, through the kind
-        kernel that :meth:`NetworkModel.evaluate_couplings` uses."""
+        kernel that :func:`evaluate_couplings` uses."""
         arg = np.asarray(x, dtype=float)
         out = _KERNELS[self.kind](*self._params, arg[..., None], None)[..., 0]
         return out if out.shape else float(out)
@@ -121,22 +123,21 @@ def _affine_sinusoid(gain, amplitude, x, out):
     return np.add(out, wave, out)
 
 
-def _piecewise_linear(xs, ys, slopes, x, out):
+def _piecewise_linear(xs, ys, slopes, columns, x, out):
     """Odd extension of per-edge polylines through the origin.
 
     Row ``j`` of the ``(K, q)`` tables holds knot ``j`` of each of the ``q``
     edges on the last axis of ``x`` (row 0 is the origin, and a shorter
     polyline repeats its last knot); ``slopes[j]`` is the slope of the
-    segment leaving knot ``j``.  The last slope continues past the last knot
-    instead of clamping, so the ratio to ``x`` stays inside a positive sector
-    at large arguments.
+    segment leaving knot ``j``, and ``columns`` is ``arange(q)``.  The last
+    slope continues past the last knot instead of clamping, so the ratio to
+    ``x`` stays inside a positive sector at large arguments.
     """
     mag = np.abs(x)
-    seg = np.zeros(mag.shape, dtype=np.intp)
-    for knots in xs[1:]:
-        seg += mag >= knots
+    # the segment of each argument: the knots past the origin it reaches
+    seg = (mag[..., None, :] >= xs[1:]).sum(axis=-2)
     # flat index of (seg, edge) into the C-ordered (K, q) tables
-    pick = seg * xs.shape[1] + np.arange(xs.shape[1])
+    pick = seg * xs.shape[1] + columns
     offset = mag - xs.take(pick)
     y = ys.take(pick)
     # a knot itself maps to its ordinate exactly, signed zero included
@@ -150,7 +151,8 @@ _KERNELS = {"linear": np.multiply, "affine_sinusoid": _affine_sinusoid,
 
 def _kind_params(kind: str, specs) -> tuple[np.ndarray, ...]:
     """The parameter arrays of the kernel of ``kind`` for same-kind
-    ``specs``, one edge per entry of the last axis."""
+    ``specs``, one edge per entry of the last axis (a polyline's column
+    index included)."""
     if kind == "linear":
         return (np.array([s.gain for s in specs], dtype=float),)
     if kind == "affine_sinusoid":
@@ -164,7 +166,8 @@ def _kind_params(kind: str, specs) -> tuple[np.ndarray, ...]:
         slopes = [(ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) for j in range(len(xs) - 1)]
         # the last knot and the padding rows continue the final segment
         columns.append([c + c[-1:] * (rows - len(c)) for c in (xs, ys, slopes)])
-    return tuple(np.array(table).T.copy() for table in zip(*columns))
+    tables = tuple(np.array(table).T.copy() for table in zip(*columns))
+    return (*tables, np.arange(len(specs)))
 
 
 def linear_coupling(gain: float) -> CouplingSpec:
@@ -206,7 +209,7 @@ def _slope_ratio_range(spec: CouplingSpec) -> tuple[float, float]:
         return min(ends), max(ends)
     # y/x is monotone on every segment, so its extremes sit at the knots,
     # next to the origin (the first slope) or at infinity (the last slope)
-    xs, ys, slopes = (table[:, 0] for table in spec._params)
+    xs, ys, slopes = (table[:, 0] for table in spec._params[:3])
     ratios = np.append(ys[1:] / xs[1:], slopes[-1])
     return float(np.min(ratios)), float(np.max(ratios))
 
@@ -265,72 +268,36 @@ class CouplingGroup(NamedTuple):
     params: tuple[np.ndarray, ...]
 
 
-def _evaluate(table: tuple[CouplingGroup, ...], x: np.ndarray,
-              out: np.ndarray) -> np.ndarray:
+def group_couplings(couplings) -> tuple[CouplingGroup, ...]:
+    """The couplings grouped by kind, in order of first appearance: at most
+    three kernels however many distinct couplings there are.  A kind whose
+    edges are contiguous is indexed by a slice, so a network with one kind
+    never copies its arguments."""
+    members: dict[str, list[int]] = {}
+    for k, coupling in enumerate(couplings):
+        members.setdefault(coupling.kind, []).append(k)
+    return tuple(
+        CouplingGroup(kind,
+                      slice(ks[0], ks[-1] + 1) if ks[-1] - ks[0] == len(ks) - 1
+                      else np.array(ks),
+                      _kind_params(kind, [couplings[k] for k in ks]))
+        for kind, ks in members.items())
+
+
+def evaluate_couplings(table: tuple[CouplingGroup, ...], x: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Write the coupling outputs of the per-edge arguments on the last axis
-    of ``x`` into ``out``, one kernel call per kind, and return ``out``."""
+    of ``x`` into ``out`` (a fresh array when it is None), one kernel call
+    per kind of ``table``, and return it."""
     if len(table) == 1:
         # one kind covers every edge: its kernel maps the whole last axis
         kind, _, params = table[0]
         return _KERNELS[kind](*params, x, out)
+    if out is None:
+        out = np.empty_like(x, dtype=float)
     for kind, edges, params in table:
         out[..., edges] = _KERNELS[kind](*params, x[..., edges], None)
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class NetworkModel:
-    """A graph of oscillators (one :class:`GoodwinParams` with a gain per
-    node) plus couplings, disturbances and initial states; everything
-    :func:`run` needs."""
-
-    graph: Graph
-    agents: GoodwinParams
-    couplings: tuple[CouplingSpec, ...]
-    disturbances: tuple[DisturbanceSpec, ...]
-    initial_states: np.ndarray
-
-    def __post_init__(self) -> None:
-        n, p = self.graph.n, self.graph.edge_count
-        if self.agents.input_gains.size != n:
-            raise ValueError(f"{self.agents.input_gains.size} agents for {n} nodes")
-        if len(self.couplings) != p:
-            raise ValueError(f"{len(self.couplings)} couplings for {p} edges")
-        if len(self.disturbances) != p:
-            raise ValueError(f"{len(self.disturbances)} disturbances for {p} edges")
-        x0 = np.array(self.initial_states, dtype=float)
-        if x0.shape != (n, 3):
-            raise ValueError(f"initial states have shape {x0.shape}, expected ({n}, 3)")
-        object.__setattr__(self, "initial_states", x0)
-
-    @cached_property
-    def incidence_matrix(self) -> np.ndarray:
-        return incidence(self.graph).astype(float)
-
-    @property
-    def sectors(self) -> tuple[SectorBound, ...]:
-        return tuple(c.sector for c in self.couplings)
-
-    @cached_property
-    def coupling_table(self) -> tuple[CouplingGroup, ...]:
-        """The couplings grouped by kind, in order of first appearance: at
-        most three kernels however many distinct couplings there are.  A kind
-        whose edges are contiguous is indexed by a slice, so a network with
-        one kind never copies its arguments."""
-        members: dict[str, list[int]] = {}
-        for k, coupling in enumerate(self.couplings):
-            members.setdefault(coupling.kind, []).append(k)
-        return tuple(
-            CouplingGroup(kind,
-                          slice(ks[0], ks[-1] + 1) if ks[-1] - ks[0] == len(ks) - 1
-                          else np.array(ks),
-                          _kind_params(kind, [self.couplings[k] for k in ks]))
-            for kind, ks in members.items())
-
-    def evaluate_couplings(self, x: np.ndarray) -> np.ndarray:
-        """Coupling outputs for the per-edge arguments on the last axis of
-        ``x``, one kernel call per kind."""
-        return _evaluate(self.coupling_table, x, np.empty_like(x, dtype=float))
 
 
 # steps integrated between two finiteness checks of the new states
@@ -353,14 +320,14 @@ class _StepPlan:
     call multiplies ``x2``, ``x3`` and ``u`` by their coefficients.
     """
 
-    def __init__(self, model: NetworkModel, count: int) -> None:
-        graph, agents = model.graph, model.agents
+    def __init__(self, config: NetworkConfig, count: int) -> None:
+        graph, agents = config.graph, config.agents
         n, p = graph.n, graph.edge_count
         size = count * n
         self.hill = agents.hill
         self.lower, self.upper = (
             (ends + n * np.arange(count)[:, None]).ravel() for ends in graph.endpoints)
-        self.incidence = model.incidence_matrix
+        self.incidence = config.incidence_matrix
         self.ones, self.minus_ones = np.full(size, 1.0), np.full(size, -1.0)
         # -a1 for x1, b2 and b3 for x1 and x2, and a2, a3 and the input
         # gains g for x2, x3 and u
@@ -378,20 +345,22 @@ class _StepPlan:
         self.v_cols = self.v.reshape(count, p, 1)
         self.terms = np.empty((7, size))
         # a kind on every edge keeps its whole-axis kernel call, so a
-        # one-kind batch copies nothing
+        # one-kind batch copies nothing; each kind's parameters are built
+        # for its edges of every copy, so a column index spans them all
         table = []
-        for kind, edges, params in model.coupling_table:
+        for kind, edges, _ in config.coupling_table:
             members = np.arange(p)[edges]
             if members.size == p:
                 edges = slice(None)
             elif count > 1:
                 edges = (members + p * np.arange(count)[:, None]).ravel()
-            table.append(CouplingGroup(kind, edges, tuple(np.tile(a, count) for a in params)))
+            specs = [config.couplings[k] for k in members] * count
+            table.append(CouplingGroup(kind, edges, _kind_params(kind, specs)))
         if len(table) == 1:
             kind, _, params = table[0]
             self.couple = partial(_KERNELS[kind], *params, self.arg, self.v)
         else:
-            self.couple = partial(_evaluate, tuple(table), self.arg, self.v)
+            self.couple = partial(evaluate_couplings, tuple(table), self.arg, self.v)
         self.cur, self.probe = np.empty((4, size)), np.empty((4, size))
         self.k1, self.k2, self.k3, self.k4 = (np.empty((3, size)) for _ in range(4))
 
@@ -497,8 +466,11 @@ class _StepPlan:
 
 
 def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
-    """Running trapezoidal integral of a sampled scalar signal."""
-    csum = np.cumsum(values)
+    """Running trapezoidal integral of sampled signals along the first axis.
+
+    The running sum of each column is sequential, so a column's integral
+    equals that of the column alone bit for bit."""
+    csum = np.cumsum(values, axis=0)
     return dt * (csum - 0.5 * (values[0] + values))
 
 
@@ -513,11 +485,11 @@ class SimulationTrace:
     ``held_disturbance`` row ``m`` is the value applied on the step that
     starts at ``t_m``; trapezoidal integrals use the grid-point values of all
     signals.  Everything derived (relative outputs, coupling outputs, node
-    inputs, running norms) is computed lazily and cached.
+    inputs, running norms) is computed lazily and cached; the step is
+    ``config.dt``.
     """
 
-    model: NetworkModel
-    dt: float
+    config: NetworkConfig
     states: np.ndarray
     held_disturbance: np.ndarray
 
@@ -527,7 +499,7 @@ class SimulationTrace:
 
     @cached_property
     def times(self) -> np.ndarray:
-        return np.arange(self.states.shape[0]) * self.dt
+        return np.arange(self.states.shape[0]) * self.config.dt
 
     @cached_property
     def outputs(self) -> np.ndarray:
@@ -535,7 +507,7 @@ class SimulationTrace:
 
     @cached_property
     def relative_outputs(self) -> np.ndarray:
-        return self.outputs @ self.model.incidence_matrix
+        return self.outputs @ self.config.incidence_matrix
 
     @cached_property
     def coupling_arguments(self) -> np.ndarray:
@@ -543,21 +515,27 @@ class SimulationTrace:
 
     @cached_property
     def coupling_outputs(self) -> np.ndarray:
-        return self.model.evaluate_couplings(self.coupling_arguments)
+        return evaluate_couplings(self.config.coupling_table, self.coupling_arguments)
 
     @cached_property
     def inputs(self) -> np.ndarray:
-        return -(self.coupling_outputs @ self.model.incidence_matrix.T)
+        return -(self.coupling_outputs @ self.config.incidence_matrix.T)
 
     @cached_property
     def norm_rel_sq(self) -> np.ndarray:
         """Running squared norm of the relative outputs."""
-        return _cumtrapz_norm_sq(self.relative_outputs, self.dt)
+        return _cumtrapz_norm_sq(self.relative_outputs, self.config.dt)
 
     @cached_property
     def norm_dist_sq(self) -> np.ndarray:
         """Running squared norm of the held disturbance."""
-        return _cumtrapz_norm_sq(self.held_disturbance, self.dt)
+        return _cumtrapz_norm_sq(self.held_disturbance, self.config.dt)
+
+    @cached_property
+    def input_energies(self) -> np.ndarray:
+        """Running integral of each node's squared input, one column per
+        node."""
+        return _cumtrapz(self.inputs ** 2, self.config.dt)
 
     def disagreement(self, index: int = -1) -> float:
         """Largest pairwise output difference at one grid index."""
@@ -571,16 +549,17 @@ class SimulationTrace:
         The input-energy term ``v.T D.T diag(nu_node) D v`` is taken in node
         space as ``sum_i nu_node_i u_i**2``, since ``u = -D v``.
         """
-        if cert.graph != self.model.graph:
+        if cert.graph != self.config.graph:
             raise ValueError("certificate was assembled over a different graph")
         v = self.coupling_outputs
         rel = self.relative_outputs
         u = self.inputs
-        lhs = -_cumtrapz((v * rel) @ cert.pair_weight, self.dt)
+        dt = self.config.dt
+        lhs = -_cumtrapz((v * rel) @ cert.pair_weight, dt)
         rhs = (
-            _cumtrapz((rel * rel) @ cert.output_quadratic, self.dt)
+            _cumtrapz((rel * rel) @ cert.output_quadratic, dt)
             + _cumtrapz((u * u) @ cert.nu_node
-                        - (v * v) @ (0.5 * cert.graph.stats.exclusive), self.dt)
+                        - (v * v) @ (0.5 * cert.graph.stats.exclusive), dt)
             + cert.bias_total
         )
         return lhs - rhs, rhs
@@ -591,18 +570,15 @@ class SimulationTrace:
         edge ``k``'s pair at every grid time, using the realized node inputs
         and the raw ``gamma_raw[k]``, which is stricter than the clamped
         ``gamma[k]`` when it is positive."""
-        if cert.graph != self.model.graph:
+        if cert.graph != self.config.graph:
             raise ValueError("certificate was assembled over a different graph")
-        i, j = self.model.graph.edges[k]
+        i, j = self.config.graph.edges[k]
         du = self.inputs[:, i - 1] - self.inputs[:, j - 1]
         dy = self.outputs[:, i - 1] - self.outputs[:, j - 1]
-        lhs = _cumtrapz(du * dy, self.dt)
-        energy = (
-            _cumtrapz(self.inputs[:, i - 1] ** 2, self.dt)
-            + _cumtrapz(self.inputs[:, j - 1] ** 2, self.dt)
-        )
+        lhs = _cumtrapz(du * dy, self.config.dt)
+        energy = self.input_energies[:, i - 1] + self.input_energies[:, j - 1]
         rhs = (cert.nu[k] * energy
-               + cert.gamma_raw[k] * _cumtrapz(dy * dy, self.dt)
+               + cert.gamma_raw[k] * _cumtrapz(dy * dy, self.config.dt)
                + cert.beta[k])
         return lhs - rhs, rhs
 
@@ -620,7 +596,9 @@ class SimulationTrace:
 def grid_steps(horizon: float, dt: float) -> int:
     """The number of ``dt`` steps in ``horizon``; raises :class:`ValueError`
     unless ``horizon`` is a positive integer multiple of ``dt``."""
-    steps = int(round(horizon / dt))
+    ratio = horizon / dt
+    # a non-finite ratio has no step count and fails the check below
+    steps = int(round(ratio)) if math.isfinite(ratio) else 0
     if steps < 1 or abs(steps * dt - horizon) > 1e-9 * max(1.0, abs(horizon)):
         raise ValueError(
             f"horizon {horizon} must be a positive integer multiple of dt = {dt}"
@@ -628,52 +606,50 @@ def grid_steps(horizon: float, dt: float) -> int:
     return steps
 
 
-def run(model: NetworkModel, horizon: float, dt: float = 1e-3) -> SimulationTrace:
-    """Integrate the closed network over ``[0, horizon]``.
+def run(config: NetworkConfig) -> SimulationTrace:
+    """Integrate the closed network of ``config`` over ``[0, config.horizon]``
+    at step ``config.dt``.
 
-    ``horizon`` must be a positive integer multiple of ``dt``.  The per-edge
-    disturbances are drawn up front (one extra value pads the final grid
-    point) and held constant across each step.  Identical models, horizons
-    and seeds reproduce the trace bit for bit.
+    The per-edge disturbances are drawn up front (one extra value pads the
+    final grid point) and held constant across each step.  Identical
+    descriptions reproduce the trace bit for bit.
     """
-    return run_batch((model,), horizon, dt)[0]
+    return run_batch((config,))[0]
 
 
-def run_batch(models, horizon: float, dt: float = 1e-3) -> tuple[SimulationTrace, ...]:
+def run_batch(configs) -> tuple[SimulationTrace, ...]:
     """Integrate several realisations of one network in a single RK4 pass.
 
-    The models must share ``graph``, ``agents`` and ``couplings`` (compared
-    with ``==``, so ``agents`` must be one :class:`GoodwinParams` object);
-    their disturbances and initial states may differ.  They are stacked as
-    disjoint copies of the network in one step plan, built for this call,
-    so each returned trace equals :func:`run` on its model bit for bit.  A
-    non-finite state in any copy raises :class:`SimulationDiverged`.
+    The descriptions must share ``graph``, ``agents``, ``couplings``, ``dt``
+    and ``horizon`` (compared with ``==``, so ``agents`` must be one
+    :class:`GoodwinParams` object); their disturbances and initial states
+    may differ.  They are stacked as disjoint copies of the network in one
+    step plan, built for this call, so each returned trace equals
+    :func:`run` on its description bit for bit.  A non-finite state in any
+    copy raises :class:`SimulationDiverged`.
     """
-    models = tuple(models)
-    if not models:
+    configs = tuple(configs)
+    if not configs:
         raise ValueError("run_batch needs at least one model")
-    first = models[0]
-    for s, model in enumerate(models[1:], start=1):
-        for name in ("graph", "agents", "couplings"):
-            if getattr(model, name) != getattr(first, name):
+    first = configs[0]
+    for s, config in enumerate(configs[1:], start=1):
+        for name in ("graph", "agents", "couplings", "dt", "horizon"):
+            if getattr(config, name) != getattr(first, name):
                 raise ValueError(f"model {s} has a different {name} from model 0")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt}")
-    steps = grid_steps(horizon, dt)
+    steps = grid_steps(first.horizon, first.dt)
     n, p = first.graph.n, first.graph.edge_count
     if p:
         held = np.column_stack([spec.held_values(steps + 1)
-                                for model in models for spec in model.disturbances])
+                                for config in configs for spec in config.disturbances])
     else:
         held = np.zeros((steps + 1, 0))
     # component-major history: row c of states[m] is x_(c+1) of every node
-    states = np.empty((steps + 1, 3, len(models) * n))
-    states[0] = np.concatenate([model.initial_states for model in models]).T
-    _StepPlan(first, len(models)).integrate(states, held, dt)
+    states = np.empty((steps + 1, 3, len(configs) * n))
+    states[0] = np.concatenate([config.initial_states for config in configs]).T
+    _StepPlan(first, len(configs)).integrate(states, held, first.dt)
     # node-major contiguous copies, so every derived array takes the solo path
     return tuple(
-        SimulationTrace(model=model, dt=dt,
+        SimulationTrace(config=config,
                         states=states[:, :, s * n:(s + 1) * n].transpose(0, 2, 1).copy(),
                         held_disturbance=held[:, s * p:(s + 1) * p].copy())
-        for s, model in enumerate(models))
-
+        for s, config in enumerate(configs))

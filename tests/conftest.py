@@ -8,10 +8,12 @@ between the simulation tests and the acceptance gate.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from syncert import bundled_config, bundled_expected, run_batch
-from syncert.simulation import DisturbanceSpec, NetworkModel
+from syncert.simulation import DisturbanceSpec
 
 # first entry is the master seed committed in the bundled configuration
 BOUND_SEEDS = (20260815, 1, 2, 3, 4)
@@ -39,13 +41,10 @@ def paper_traces(paper_config):
     """The noiseless trace, then one noisy trace per ``BOUND_SEEDS`` entry,
     integrated together in one batched RK4 pass."""
     cfg = paper_config
-    noiseless = NetworkModel(
-        graph=cfg.graph, agents=cfg.agents, couplings=cfg.couplings,
-        disturbances=(DisturbanceSpec(kind="zero"),) * cfg.graph.edge_count,
-        initial_states=cfg.initial_states,
-    )
-    noisy = [cfg.with_seed(seed).model() for seed in BOUND_SEEDS]
-    return run_batch([noiseless, *noisy], cfg.horizon, dt=cfg.dt)
+    noiseless = dataclasses.replace(
+        cfg, disturbances=(DisturbanceSpec(kind="zero"),) * cfg.graph.edge_count)
+    noisy = [cfg.with_seed(seed) for seed in BOUND_SEEDS]
+    return run_batch([noiseless, *noisy])
 
 
 @pytest.fixture(scope="session")

@@ -474,7 +474,7 @@ def test_simulate_checks_pass_and_annotate_csv(tmp_path):
     # the printed worst residual slack is the least over the whole grid, at
     # its time, not over the CSV's every-50th rows
     cfg = parse_config(path)
-    trace = run(cfg.model(), cfg.horizon, dt=cfg.dt)
+    trace = run(cfg)
     residual, rhs = trace.dissipation_curves(cfg.certificate())
     slack = residual + 1e-6 * (1.0 + np.abs(rhs))
     m = int(np.argmin(slack))

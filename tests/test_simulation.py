@@ -20,7 +20,7 @@ from syncert.certificates import (
     UncertifiedBoundError,
     sector_arrays,
 )
-from syncert.config import bundled_config, parse_config
+from syncert.config import NetworkConfig, bundled_config, parse_config
 from syncert.goodwin import GoodwinParams
 from syncert.graphs import build_graph, incidence
 from syncert.noise import normals
@@ -28,11 +28,11 @@ from syncert.simulation import (
     SINC_MIN,
     CouplingSpec,
     DisturbanceSpec,
-    NetworkModel,
     SimulationDiverged,
     _CHECK_BLOCK,
     _StepPlan,
     affine_sinusoid_coupling,
+    evaluate_couplings,
     linear_coupling,
     piecewise_linear_coupling,
     run,
@@ -57,9 +57,14 @@ def _agents(*gains, **chain_overrides):
     return GoodwinParams(input_gains=gains, **{**_CHAIN, **chain_overrides})
 
 
-def _triangle_model(scale=0.2, gain=2.0):
+def _grid(config, horizon, dt=1e-3):
+    """``config`` set to integrate over ``horizon`` at step ``dt``."""
+    return dataclasses.replace(config, horizon=horizon, dt=dt)
+
+
+def _triangle(scale=0.2, gain=2.0):
     g = build_graph(3, [(1, 2), (1, 3), (2, 3)])
-    return NetworkModel(
+    return NetworkConfig(
         graph=g,
         agents=_agents(0.9, 1.0, 1.1),
         couplings=(linear_coupling(gain),) * 3,
@@ -217,16 +222,25 @@ def test_model_validation():
     coupling = (linear_coupling(1.0),)
     dist = (DisturbanceSpec(),)
     x0 = np.zeros((2, 3))
-    with pytest.raises(ValueError, match="agents for"):
-        NetworkModel(g, _agents(1.0), coupling, dist, x0)
-    with pytest.raises(ValueError, match="couplings for"):
-        NetworkModel(g, agents, coupling * 2, dist, x0)
-    with pytest.raises(ValueError, match="disturbances for"):
-        NetworkModel(g, agents, coupling, dist * 2, x0)
-    with pytest.raises(ValueError, match="initial states"):
-        NetworkModel(g, agents, coupling, dist, np.zeros((3, 3)))
-    model = NetworkModel(g, agents, coupling, dist, x0)
-    assert model.sectors == (SectorBound(1.0, 1.0),)
+    fields = dict(graph=g, agents=agents, initial_states=x0,
+                  couplings=coupling, disturbances=dist)
+    cfg = NetworkConfig(**fields)
+    assert cfg.sectors == (SectorBound(1.0, 1.0),)
+    # the fields after the disturbances default to the parser's defaults
+    assert (cfg.certification, cfg.mode, cfg.dt, cfg.horizon, cfg.stride,
+            cfg.seed) == (None, "uniform", 1e-3, 100.0, 100, 0)
+    rejected = [("agents for", "/agents/input_gains", dict(agents=_agents(1.0))),
+                ("couplings for", "/couplings", dict(couplings=coupling * 2)),
+                ("disturbances for", "/disturbances", dict(disturbances=dist * 2)),
+                ("initial states", "/agents/initial_states",
+                 dict(initial_states=np.zeros((3, 3))))]
+    for match, pointer, change in rejected:
+        # built directly or replaced, the description is checked the same way
+        with pytest.raises(ValueError, match=match) as built:
+            NetworkConfig(**{**fields, **change})
+        with pytest.raises(ValueError, match=match) as replaced:
+            dataclasses.replace(cfg, **change)
+        assert built.value.pointer == replaced.value.pointer == pointer
 
 
 def _per_edge(couplings, x):
@@ -267,8 +281,9 @@ def _network(couplings):
     else:
         n = next(n for n in range(2, p + 3) if n * (n - 1) // 2 >= p)
         g = build_graph(n, list(complete_graph(n).edges)[:p])
-    return NetworkModel(g, _agents(*[1.0] * g.n), tuple(couplings),
-                        (DisturbanceSpec(),) * p, np.zeros((g.n, 3)))
+    return NetworkConfig(graph=g, agents=_agents(*[1.0] * g.n),
+                         initial_states=np.zeros((g.n, 3)), couplings=tuple(couplings),
+                         disturbances=(DisturbanceSpec(),) * p)
 
 
 @pytest.mark.parametrize("case", list(_COUPLING_LISTS))
@@ -290,7 +305,8 @@ def test_coupling_groups_match_per_edge_loop(case):
     for shape in ((len(couplings),), (7, len(couplings))):
         # arguments past the last knot exercise the extrapolated segment
         x = rng.normal(scale=3.0, size=shape)
-        assert np.array_equal(model.evaluate_couplings(x), _per_edge(couplings, x))
+        assert np.array_equal(evaluate_couplings(model.coupling_table, x),
+                              _per_edge(couplings, x))
 
 
 _ANY_SECTOR = SectorBound(1.0, 2.0)
@@ -362,9 +378,9 @@ def test_kind_kernels_match_per_edge_loop_bit_for_bit(couplings, extra):
         reference = _per_edge(couplings, x)
         assert _same_bits(reference, np.column_stack(
             [_interp_reference(c, x[:, k]) for k, c in enumerate(couplings)]))
-        assert _same_bits(model.evaluate_couplings(x), reference)
+        assert _same_bits(evaluate_couplings(model.coupling_table, x), reference)
         for row, expected in zip(x, reference):
-            assert _same_bits(model.evaluate_couplings(row), expected)
+            assert _same_bits(evaluate_couplings(model.coupling_table, row), expected)
 
 
 def test_rk4_single_step_accuracy():
@@ -381,40 +397,42 @@ def test_rk4_uses_stage_times():
 def _paper_pair():
     cfg = bundled_config()
     noiseless = dataclasses.replace(
-        cfg.model(), disturbances=(DisturbanceSpec(),) * cfg.graph.edge_count)
-    return [noiseless, cfg.model()]
+        cfg, disturbances=(DisturbanceSpec(),) * cfg.graph.edge_count)
+    return [noiseless, cfg]
 
 
 def _mixed_triple():
     cfg = parse_config(Path(__file__).parent / "data" / "mixed_couplings.json")
-    base = cfg.model()
     # kinds interleave, so the batch gathers each kind by index array
-    assert any(not isinstance(group.edges, slice) for group in base.coupling_table)
-    return [dataclasses.replace(cfg.with_seed(seed).model(),
-                                initial_states=base.initial_states + 0.1 * seed)
+    assert any(not isinstance(group.edges, slice) for group in cfg.coupling_table)
+    return [dataclasses.replace(cfg.with_seed(seed),
+                                initial_states=cfg.initial_states + 0.1 * seed)
             for seed in (1, 2, 3)]
 
 
-def _edgeless_model():
-    return NetworkModel(build_graph(3, []), _agents(0.9, 1.0, 1.1), (), (),
-                        np.array([[1.0, 0.0, 0.5], [-0.5, 0.2, 0.0], [0.3, -0.1, 0.4]]))
+def _edgeless():
+    return NetworkConfig(
+        graph=build_graph(3, []), agents=_agents(0.9, 1.0, 1.1),
+        initial_states=np.array([[1.0, 0.0, 0.5], [-0.5, 0.2, 0.0], [0.3, -0.1, 0.4]]),
+        couplings=(), disturbances=())
 
 
 _ORACLE_CASES = {
     "k5-pair": _paper_pair,
-    "triangle-hill14": lambda: [_triangle_model()],
+    "triangle-hill14": lambda: [_triangle()],
     "triangle-hill2": lambda: [dataclasses.replace(
-        _triangle_model(), agents=_agents(0.9, 1.0, 1.1, hill=2))],
+        _triangle(), agents=_agents(0.9, 1.0, 1.1, hill=2))],
     "mixed-couplings-s3": _mixed_triple,
-    "edgeless": lambda: [_edgeless_model()],
+    "edgeless": lambda: [_edgeless()],
 }
 
 
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
 def test_run_batch_matches_textbook_rk4_bit_for_bit(case):
-    models = _ORACLE_CASES[case]()
-    model, n, dt, steps = models[0], models[0].graph.n, 1e-3, 50
-    traces = run_batch(models, steps * dt, dt=dt)
+    dt, steps = 1e-3, 50
+    models = [_grid(m, steps * dt, dt) for m in _ORACLE_CASES[case]()]
+    model, n = models[0], models[0].graph.n
+    traces = run_batch(models)
     held = np.concatenate([trace.held_disturbance for trace in traces], axis=1)
     # the component-major state of the whole batch, one column per node
     state = np.concatenate([m.initial_states for m in models]).T
@@ -438,18 +456,25 @@ def test_run_batch_matches_textbook_rk4_bit_for_bit(case):
 
 
 def test_run_validation():
-    model = _triangle_model()
+    cfg = _triangle()
     with pytest.raises(ValueError, match="integer multiple"):
-        run(model, horizon=0.25, dt=0.1)
+        _grid(cfg, 0.25, 0.1)
     with pytest.raises(ValueError, match="integer multiple"):
-        run(model, horizon=-1.0, dt=0.1)
+        _grid(cfg, -1.0, 0.1)
     with pytest.raises(ValueError, match="dt must be positive"):
-        run(model, horizon=1.0, dt=0.0)
+        _grid(cfg, 1.0, 0.0)
+    for horizon in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="integer multiple"):
+            _grid(cfg, horizon)
+    # replacing the horizon alone is checked against the grid, too
+    with pytest.raises(ValueError, match="integer multiple") as err:
+        dataclasses.replace(cfg, horizon=0.0105)
+    assert err.value.pointer == "/simulation/horizon"
 
 
-def _diverging_model():
+def _diverging():
     g = build_graph(2, [(1, 2)])
-    return NetworkModel(
+    return NetworkConfig(
         graph=g,
         agents=_agents(1.0, 1.2),
         couplings=(linear_coupling(50.0),),
@@ -459,28 +484,28 @@ def _diverging_model():
 
 
 def test_unstable_step_size_reports_divergence_time():
-    model = _diverging_model()
+    model = _grid(_diverging(), 100.0, 1.0)
     with pytest.raises(SimulationDiverged, match="non-finite state at t ="):
-        run(model, horizon=100.0, dt=1.0)
+        run(model)
     try:
-        run(model, horizon=100.0, dt=1.0)
+        run(model)
     except SimulationDiverged as exc:
         assert 0.0 < exc.time <= 100.0
         assert exc.time == pytest.approx(round(exc.time))
 
 
 def test_divergence_time_is_the_end_of_the_first_non_finite_step():
-    diverging = _diverging_model()
+    diverging = _diverging()
     calm = dataclasses.replace(diverging, initial_states=np.zeros((2, 3)))
     for models in ((diverging,), (calm, diverging)):
         with pytest.raises(SimulationDiverged) as exc:
-            run_batch(models, horizon=100.0, dt=0.1)
+            run_batch([_grid(m, 100.0, 0.1) for m in models])
         # m*dt + dt at m = 115; (m + 1)*dt would read 11.600000000000001
         assert exc.value.time == 11.6
 
 
 def test_block_checks_report_the_first_non_finite_step():
-    diverging = _diverging_model()
+    diverging = _diverging()
     calm = dataclasses.replace(diverging, initial_states=np.zeros((2, 3)))
     # overflows within step 1
     blown = dataclasses.replace(
@@ -488,7 +513,7 @@ def test_block_checks_report_the_first_non_finite_step():
     # at dt = 0.04 the difference mode grows slowly: states[341] is the
     # last finite one, and step m = 341 lies in the last, partial block of
     # a 350-step run
-    assert np.isfinite(run(diverging, 13.64, dt=0.04).states).all()
+    assert np.isfinite(run(_grid(diverging, 13.64, 0.04)).states).all()
     steps, m = 350, 341
     assert steps % _CHECK_BLOCK and steps - steps % _CHECK_BLOCK <= m
     cases = [((blown,), 0.5, 0.1, 0.1), ((calm, blown), 0.5, 0.1, 0.1),
@@ -497,31 +522,31 @@ def test_block_checks_report_the_first_non_finite_step():
              ((calm, diverging), steps * 0.04, 0.04, 13.68)]
     for models, horizon, dt, time in cases:
         with pytest.raises(SimulationDiverged) as exc:
-            run_batch(models, horizon, dt=dt)
+            run_batch([_grid(m, horizon, dt) for m in models])
         assert exc.value.time == time
 
 
 def test_run_batch_carries_no_state_between_calls(paper_config):
     cfg = paper_config
-    models = [cfg.with_seed(1).model(), cfg.with_seed(2).model()]
-    first = run_batch(models, 0.2, dt=cfg.dt)
+    models = [_grid(cfg.with_seed(1), 0.2), _grid(cfg.with_seed(2), 0.2)]
+    first = run_batch(models)
     saved = [trace.states.copy() for trace in first]
     # writes into returned traces and a call at another S reach no later call
     for trace in first:
         trace.states[:] = np.nan
-    run_batch(models + models[:1], 0.1, dt=cfg.dt)
-    again = run_batch(models, 0.2, dt=cfg.dt)
+    run_batch([_grid(m, 0.1) for m in models + models[:1]])
+    again = run_batch(models)
     for model, expected, trace in zip(models, saved, again):
         assert np.array_equal(trace.states, expected)
-        assert np.array_equal(run(model, 0.2, dt=cfg.dt).states, expected)
+        assert np.array_equal(run(model).states, expected)
 
 
-def _assert_batch_matches_solo(models, horizon, dt):
-    batch = run_batch(models, horizon, dt=dt)
+def _assert_batch_matches_solo(models):
+    batch = run_batch(models)
     assert len(batch) == len(models)
     for model, member in zip(models, batch):
-        solo = run(model, horizon, dt=dt)
-        assert member.model is model
+        solo = run(model)
+        assert member.config is model
         assert np.array_equal(member.states, solo.states)
         assert np.array_equal(member.held_disturbance, solo.held_disturbance)
         assert member.states.flags.c_contiguous
@@ -531,48 +556,51 @@ def _assert_batch_matches_solo(models, horizon, dt):
 def test_run_batch_members_equal_solo_runs_on_the_paper_network(paper_config):
     cfg = paper_config
     noiseless = dataclasses.replace(
-        cfg.model(), disturbances=(DisturbanceSpec(),) * cfg.graph.edge_count)
-    models = [noiseless, cfg.with_seed(1).model(), cfg.with_seed(2).model()]
-    _assert_batch_matches_solo(models, 1.0, cfg.dt)
+        cfg, disturbances=(DisturbanceSpec(),) * cfg.graph.edge_count)
+    models = [noiseless, cfg.with_seed(1), cfg.with_seed(2)]
+    _assert_batch_matches_solo([_grid(m, 1.0, cfg.dt) for m in models])
 
 
 def test_run_batch_members_equal_solo_runs_on_mixed_couplings():
-    cfg = parse_config(Path(__file__).parent / "data" / "mixed_couplings.json")
-    _assert_batch_matches_solo(_mixed_triple(), cfg.horizon, cfg.dt)
+    # the members carry the file's horizon and step
+    _assert_batch_matches_solo(_mixed_triple())
 
 
 def test_run_batch_validation():
-    model = _triangle_model()
+    model = _grid(_triangle(), 0.01)
     path = build_graph(3, [(1, 2), (2, 3)])
     mismatched = {
-        "graph": NetworkModel(path, model.agents, (linear_coupling(2.0),) * 2,
-                              (DisturbanceSpec(),) * 2, model.initial_states),
+        "graph": dataclasses.replace(model, graph=path,
+                                     couplings=(linear_coupling(2.0),) * 2,
+                                     disturbances=(DisturbanceSpec(),) * 2),
         # a different GoodwinParams object, even with equal values
         "agents": dataclasses.replace(model, agents=_agents(0.9, 1.0, 1.1)),
         "couplings": dataclasses.replace(model, couplings=(linear_coupling(3.0),) * 3),
+        "dt": _grid(model, 0.01, 2e-3),
+        "horizon": _grid(model, 0.02),
     }
     for name, other in mismatched.items():
         with pytest.raises(ValueError, match=f"model 1 has a different {name}"):
-            run_batch((model, other), horizon=0.01, dt=1e-3)
+            run_batch((model, other))
     with pytest.raises(ValueError, match="at least one model"):
-        run_batch((), horizon=0.01, dt=1e-3)
+        run_batch(())
 
 
 def test_run_batch_reports_a_diverging_member_at_its_solo_time():
-    diverging = _diverging_model()
+    diverging = _grid(_diverging(), 100.0, 1.0)
     # equal outputs keep the coupling silent, so this member stays finite
     calm = dataclasses.replace(diverging, initial_states=np.zeros((2, 3)))
-    assert np.isfinite(run(calm, horizon=100.0, dt=1.0).states).all()
+    assert np.isfinite(run(calm).states).all()
     with pytest.raises(SimulationDiverged) as solo:
-        run(diverging, horizon=100.0, dt=1.0)
+        run(diverging)
     with pytest.raises(SimulationDiverged) as batched:
-        run_batch((calm, diverging), horizon=100.0, dt=1.0)
+        run_batch((calm, diverging))
     assert batched.value.time == solo.value.time
 
 
 def test_trace_signal_identities():
-    model = _triangle_model()
-    trace = run(model, horizon=2.0, dt=1e-3)
+    model = _triangle()
+    trace = run(_grid(model, 2.0))
     assert trace.steps == 2000
     assert trace.held_disturbance.shape == (2001, 3)
     d = incidence(model.graph).astype(float)
@@ -592,8 +620,8 @@ def test_trace_signal_identities():
 
 
 def test_running_norms_match_library_quadrature():
-    model = _triangle_model()
-    trace = run(model, horizon=1.0, dt=1e-3)
+    model = _triangle()
+    trace = run(_grid(model, 1.0))
     rel_sq = np.sum(trace.relative_outputs**2, axis=1)
     dist_sq = np.sum(trace.held_disturbance**2, axis=1)
     assert trace.norm_rel_sq[-1] == pytest.approx(
@@ -607,7 +635,7 @@ def test_running_norms_match_library_quadrature():
 
 
 def test_disagreement_is_output_spread():
-    trace = run(_triangle_model(), horizon=0.01, dt=1e-3)
+    trace = run(_grid(_triangle(), 0.01))
     row = trace.outputs[-1]
     assert trace.disagreement() == pytest.approx(row.max() - row.min(),
                                                  rel=1e-15)
@@ -617,12 +645,12 @@ def test_disagreement_is_output_spread():
 
 
 def test_pair_residual_starts_at_minus_bias():
-    model = _triangle_model()
+    model = _triangle()
     lo, hi = sector_arrays(model.sectors)
     cert = NetworkCertificate(graph=model.graph, alpha_lo=lo, alpha_hi=hi,
                               nu=[-0.01] * 3, gamma_raw=[-16.0] * 3,
                               beta=[-2.5, -0.5, -0.25])
-    trace = run(model, horizon=0.01, dt=1e-3)
+    trace = run(_grid(model, 0.01))
     for k in range(3):
         residual, rhs = trace.pair_residual_curves(cert, k)
         assert residual.shape == rhs.shape == (trace.steps + 1,)
@@ -630,8 +658,20 @@ def test_pair_residual_starts_at_minus_bias():
         assert residual[0] == -cert.beta[k]
 
 
+def test_node_input_energies_equal_per_node_integrals(noisy_traces):
+    # the pair checks sum two of these columns; each must equal its node's
+    # integral taken alone, bit for bit
+    for trace in noisy_traces.values():
+        dt = trace.config.dt
+        assert trace.input_energies.shape == trace.inputs.shape
+        for i in range(trace.config.graph.n):
+            squared = trace.inputs[:, i] ** 2
+            alone = dt * (np.cumsum(squared) - 0.5 * (squared[0] + squared))
+            assert np.array_equal(trace.input_energies[:, i], alone)
+
+
 def test_pair_residual_rejects_certificate_of_other_graph():
-    trace = run(_triangle_model(), horizon=0.01, dt=1e-3)
+    trace = run(_grid(_triangle(), 0.01))
     path = build_graph(3, [(1, 2), (2, 3)])
     other = NetworkCertificate(graph=path, alpha_lo=[2.0] * 2, alpha_hi=[2.0] * 2,
                                nu=[-0.01] * 2, gamma_raw=[-16.0] * 2,
@@ -641,12 +681,12 @@ def test_pair_residual_rejects_certificate_of_other_graph():
 
 
 def test_dissipation_residual_starts_at_minus_total_bias():
-    model = _triangle_model()
+    model = _triangle()
     lo, hi = sector_arrays(model.sectors)
     network_cert = NetworkCertificate(graph=model.graph, alpha_lo=lo, alpha_hi=hi,
                                       nu=[-0.01] * 3, gamma_raw=[-1.0] * 3,
                                       beta=[-0.5, -0.25, -0.25])
-    trace = run(model, horizon=0.01, dt=1e-3)
+    trace = run(_grid(model, 0.01))
     residual, rhs = trace.dissipation_curves(network_cert)
     assert rhs[0] == network_cert.bias_total == -1.0
     assert residual[0] == 1.0
@@ -661,7 +701,7 @@ def test_dissipation_residual_starts_at_minus_total_bias():
 def test_dissipation_curves_match_dense_forms():
     # a triangle with a pendant edge: nonzero common and exclusive counts
     g = build_graph(4, [(1, 2), (1, 3), (2, 3), (3, 4)])
-    model = NetworkModel(
+    model = NetworkConfig(
         graph=g,
         agents=_agents(0.9, 1.0, 1.1, 0.95),
         couplings=(_SIN, _LIN, _SIN, _PWL),
@@ -674,7 +714,7 @@ def test_dissipation_curves_match_dense_forms():
     cert = NetworkCertificate(graph=g, alpha_lo=lo, alpha_hi=hi,
                               nu=[-0.01, -0.02, -0.03, -0.04],
                               gamma_raw=[-2.0, 1.0, -1.5, -0.5], beta=[-0.25] * 4)
-    trace = run(model, horizon=0.5, dt=1e-3)
+    trace = run(_grid(model, 0.5))
 
     d = incidence(g).astype(float)
     stats = g.stats
@@ -699,7 +739,7 @@ def test_dissipation_curves_match_dense_forms():
 
 
 def test_uncertified_bound_is_rejected():
-    trace = run(_triangle_model(), horizon=0.01, dt=1e-3)
+    trace = run(_grid(_triangle(), 0.01))
     bad = GainBound(gain=math.nan, offset=math.nan, certified=False,
                     n_min=-1.0, m_max=2.0, weight_max=2.0, slope_max=2.0,
                     bias_total=-1.0, estimate="exact")
@@ -725,9 +765,9 @@ def test_permuting_nodes_permutes_trajectories():
     couplings = (linear_coupling(5.0),) * g.edge_count
     dists = (DisturbanceSpec(),) * g.edge_count
     agents = _agents(*[1.0] * 5)
-    base = run(NetworkModel(g, agents, couplings, dists, x0),
-               horizon=1.0, dt=1e-3)
-    shuffled = run(NetworkModel(g, agents, couplings, dists, x0[perm]),
-                   horizon=1.0, dt=1e-3)
+    base = run(NetworkConfig(graph=g, agents=agents, initial_states=x0,
+                             couplings=couplings, disturbances=dists, horizon=1.0))
+    shuffled = run(NetworkConfig(graph=g, agents=agents, initial_states=x0[perm],
+                                 couplings=couplings, disturbances=dists, horizon=1.0))
     assert np.allclose(shuffled.states, base.states[:, perm, :],
                        atol=SYMMETRY_ATOL, rtol=0.0)
