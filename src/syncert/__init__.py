@@ -32,7 +32,7 @@ from .goodwin import (
     hill_slope_max,
     search_params,
 )
-from .graphs import EdgeStats, Graph, build_graph, edge_stats, incidence
+from .graphs import EdgeStats, Graph, build_graph, edge_stats
 from .linalg import symmetric_eigenvalues
 from .noise import edge_seed_sequence, normals, uniforms
 from .simulation import (
@@ -86,7 +86,6 @@ __all__ = [
     "gain_bound_from_forms",
     "hill_slope",
     "hill_slope_max",
-    "incidence",
     "linear_coupling",
     "normals",
     "parse_config",

@@ -36,7 +36,6 @@ from .goodwin import (
     hill_slope_max,
     search_params,
 )
-from .graphs import incidence
 from .simulation import (
     DisturbanceSpec,
     SimulationDiverged,
@@ -393,8 +392,7 @@ def graph_stats(config_file: Path, output: Path | None,
                             "common", "exclusive"], rows)
         click.echo(f"wrote {output}")
     if incidence_out is not None:
-        matrix = incidence(g)
-        rows = [[str(int(v)) for v in matrix[i]] for i in range(g.n)]
+        rows = [[str(int(v)) for v in g.incidence[i]] for i in range(g.n)]
         _write_csv(incidence_out, g.edge_labels(), rows)
         click.echo(f"wrote {incidence_out}")
     return 0

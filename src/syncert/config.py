@@ -35,7 +35,6 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
-from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -49,15 +48,13 @@ from .goodwin import (
     admissible_theta3_interval,
     certify_network,
 )
-from .graphs import Graph, build_graph, incidence
+from .graphs import Graph, build_graph
 from .noise import edge_seed_sequence
 from .simulation import (
     DISTURBANCE_KINDS,
-    CouplingGroup,
     CouplingSpec,
     DisturbanceSpec,
     grid_steps,
-    group_couplings,
     verify_sector,
 )
 
@@ -148,7 +145,9 @@ class NetworkConfig:
     :func:`~syncert.simulation.run` integrates over ``horizon`` at ``dt``.
 
     Every construction is checked, replacements included; an error names
-    the JSON pointer of the offending block.
+    the JSON pointer of the offending block.  It caches nothing derived:
+    the graph owns its incidence matrix, and
+    :func:`~syncert.simulation.group_couplings` builds coupling tables.
     """
 
     graph: Graph
@@ -184,20 +183,25 @@ class NetworkConfig:
             grid_steps(self.horizon, self.dt)
         except ValueError as exc:
             raise ConfigError("/simulation/horizon", str(exc)) from None
+        if _as_int(self.stride, "/simulation/stride") < 1:
+            raise ConfigError("/simulation/stride",
+                              f"must be a positive integer, got {self.stride}")
+        if self.certification is not None:
+            lo, hi = admissible_theta3_interval(self.agents)
+            theta3 = self.certification.theta3
+            if not lo < theta3 < hi:
+                raise ConfigError(
+                    "/certification/theta3",
+                    f"must lie in the admissible interval (b3^2/(2*a3), 2*a2) "
+                    f"= ({lo:.6g}, {hi:.6g}), got {theta3!r}")
+        if self.mode not in CERTIFICATION_MODES:
+            raise ConfigError("/certification/mode",
+                              f"mode must be one of {CERTIFICATION_MODES}, got {self.mode!r}")
+        _as_int(self.seed, "/seed")
 
     @property
     def sectors(self) -> tuple[SectorBound, ...]:
         return tuple(c.sector for c in self.couplings)
-
-    @cached_property
-    def incidence_matrix(self) -> np.ndarray:
-        return incidence(self.graph).astype(float)
-
-    @cached_property
-    def coupling_table(self) -> tuple[CouplingGroup, ...]:
-        """The couplings grouped by kind (see
-        :func:`~syncert.simulation.group_couplings`)."""
-        return group_couplings(self.couplings)
 
     def certificate(self) -> NetworkCertificate:
         """Certify every edge with the configured parameters."""
@@ -356,11 +360,8 @@ def _parse_coupling_entry(value, pointer: str) -> CouplingSpec:
 def _parse_couplings(value, pointer: str, p: int) -> tuple[CouplingSpec, ...]:
     if isinstance(value, dict):
         return (_parse_coupling_entry(value, pointer),) * p
-    entries = _expect_list(value, pointer)
-    if len(entries) != p:
-        raise ConfigError(pointer, f"{len(entries)} couplings for {p} edges")
     return tuple(_parse_coupling_entry(entry, _child(pointer, k))
-                 for k, entry in enumerate(entries))
+                 for k, entry in enumerate(_expect_list(value, pointer)))
 
 
 def _parse_disturbance_entry(value, pointer: str, derived_seed: int,
@@ -390,41 +391,29 @@ def _parse_disturbance_entry(value, pointer: str, derived_seed: int,
 
 def _parse_disturbances(value, pointer: str, p: int,
                         master_seed: int) -> tuple[DisturbanceSpec, ...]:
-    derived = edge_seed_sequence(master_seed, p)
     if value is None:
         return (DisturbanceSpec(kind="zero"),) * p
     if isinstance(value, dict):
         return tuple(
-            _parse_disturbance_entry(value, pointer, int(derived[k]),
-                                     allow_explicit_seed=False)
-            for k in range(p))
+            _parse_disturbance_entry(value, pointer, seed, allow_explicit_seed=False)
+            for seed in edge_seed_sequence(master_seed, p))
+    # one derived seed per entry, so a miscount reaches the count check
     entries = _expect_list(value, pointer)
-    if len(entries) != p:
-        raise ConfigError(pointer, f"{len(entries)} disturbances for {p} edges")
     return tuple(
-        _parse_disturbance_entry(entry, _child(pointer, k), int(derived[k]),
+        _parse_disturbance_entry(entry, _child(pointer, k), seed,
                                  allow_explicit_seed=True)
-        for k, entry in enumerate(entries))
+        for k, (entry, seed) in enumerate(
+            zip(entries, edge_seed_sequence(master_seed, len(entries)))))
 
 
-def _parse_certification(value, pointer: str, agents: GoodwinParams):
+def _parse_certification(value, pointer: str):
     if value is None:
         return None, DEFAULT_MODE
     block = _expect_mapping(value, pointer)
     _reject_unknown(block, {"theta", "theta3", "mode"}, pointer)
     theta = _as_positive(_require(block, "theta", pointer), _child(pointer, "theta"))
-    theta3_ptr = _child(pointer, "theta3")
-    theta3 = _as_positive(_require(block, "theta3", pointer), theta3_ptr)
-    lo, hi = admissible_theta3_interval(agents)
-    if not lo < theta3 < hi:
-        raise ConfigError(theta3_ptr,
-                          f"must lie in the admissible interval (b3^2/(2*a3), 2*a2) "
-                          f"= ({lo:.6g}, {hi:.6g}), got {theta3!r}")
-    mode = block.get("mode", DEFAULT_MODE)
-    if mode not in CERTIFICATION_MODES:
-        raise ConfigError(_child(pointer, "mode"),
-                          f"mode must be one of {CERTIFICATION_MODES}, got {mode!r}")
-    return CertParams(theta=theta, theta3=theta3), mode
+    theta3 = _as_positive(_require(block, "theta3", pointer), _child(pointer, "theta3"))
+    return CertParams(theta=theta, theta3=theta3), block.get("mode", DEFAULT_MODE)
 
 
 def _parse_simulation(value, pointer: str) -> dict:
@@ -436,11 +425,7 @@ def _parse_simulation(value, pointer: str) -> dict:
     settings = {key: _as_positive(block[key], _child(pointer, key))
                 for key in ("dt", "horizon") if key in block}
     if "stride" in block:
-        stride = _as_int(block["stride"], _child(pointer, "stride"))
-        if stride < 1:
-            raise ConfigError(_child(pointer, "stride"),
-                              f"must be a positive integer, got {stride}")
-        settings["stride"] = stride
+        settings["stride"] = block["stride"]
     return settings
 
 
@@ -450,6 +435,7 @@ def config_from_dict(payload) -> NetworkConfig:
     _reject_unknown(data, {"graph", "agents", "couplings", "disturbances",
                            "certification", "simulation", "seed"}, "")
     graph = _parse_graph(_require(data, "graph", ""), "/graph")
+    # checked before the description exists: the edge seeds derive from it
     seed = _as_int(data.get("seed", DEFAULT_SEED), "/seed")
     agents, x0 = _parse_agents(_require(data, "agents", ""), "/agents", graph.n)
     couplings = _parse_couplings(_require(data, "couplings", ""), "/couplings",
@@ -457,7 +443,7 @@ def config_from_dict(payload) -> NetworkConfig:
     disturbances = _parse_disturbances(data.get("disturbances"), "/disturbances",
                                        graph.edge_count, seed)
     certification, mode = _parse_certification(data.get("certification"),
-                                               "/certification", agents)
+                                               "/certification")
     settings = _parse_simulation(data.get("simulation"), "/simulation")
     return NetworkConfig(graph=graph, agents=agents, initial_states=x0,
                          couplings=couplings, disturbances=disturbances,

@@ -63,7 +63,8 @@ class GoodwinParams:
     def __post_init__(self) -> None:
         for name in ("a1", "a2", "a3", "b2", "b3"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if isinstance(value, bool) or not (
+                    isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
         _check_hill(self.hill)
         gains = np.array(self.input_gains, dtype=float)
@@ -136,10 +137,10 @@ class CertParams:
     theta3: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta) and self.theta > 0.0):
-            raise ValueError(f"theta must be positive, got {self.theta}")
-        if not (math.isfinite(self.theta3) and self.theta3 > 0.0):
-            raise ValueError(f"theta3 must be positive, got {self.theta3}")
+        for name in ("theta", "theta3"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 def admissible_theta3_interval(params: GoodwinParams) -> tuple[float, float]:

@@ -2,9 +2,9 @@
 matrices, and the per-edge neighbour statistics consumed by the
 synchronisation certificates.
 
-Graph arithmetic is integer exact; floating point enters only through the
-node/edge weights of the positive-definiteness check and of the edge-space
-matrix it bounds.
+Degrees and neighbour counts are integer exact.  The incidence matrix is
+float64, since every consumer multiplies it with float signals or weights;
+its entries are 0 and +-1, so it is exact too.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ __all__ = [
     "Graph",
     "EdgeStats",
     "build_graph",
-    "incidence",
     "edge_stats",
     "edge_slacks",
     "assemble_pd_matrix",
@@ -31,10 +30,11 @@ class Graph:
     indexed edges.
 
     Each edge is stored as ``(i, j)`` with ``i < j``; the lower endpoint is
-    the positive end of the canonical orientation used by :func:`incidence`.
+    the positive end of the canonical orientation used by :attr:`incidence`.
     Per-edge quantities throughout the package follow this edge indexing.
-    The endpoint index arrays, the degree vector and the neighbour
-    statistics are derived once per graph and shared by every consumer.
+    The endpoint index arrays, the incidence matrix, the degree vector and
+    the neighbour statistics are derived once per graph and shared by every
+    consumer.
     """
 
     n: int
@@ -75,6 +75,22 @@ class Graph:
         lower.flags.writeable = False
         upper.flags.writeable = False
         return lower, upper
+
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """Read-only float64 node-by-edge incidence matrix ``D``, ``+1`` at
+        each edge's lower endpoint and ``-1`` at its upper one.
+
+        ``D @ D.T`` equals the graph Laplacian, and flipping the sign of any
+        column leaves every quadratic form built from it unchanged.
+        """
+        d = np.zeros((self.n, self.edge_count))
+        lower, upper = self.endpoints
+        columns = np.arange(self.edge_count)
+        d[lower, columns] = 1.0
+        d[upper, columns] = -1.0
+        d.flags.writeable = False
+        return d
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -129,20 +145,6 @@ def build_graph(n: int, edge_list) -> Graph:
         canon.append(key)
     canon.sort()
     return Graph(n=n, edges=tuple(canon))
-
-
-def incidence(g: Graph) -> np.ndarray:
-    """Node-by-edge incidence matrix, ``+1`` at each edge's lower endpoint.
-
-    Integer valued; ``D @ D.T`` equals the graph Laplacian, and flipping the
-    sign of any column leaves every quadratic form built from it unchanged.
-    """
-    d = np.zeros((g.n, g.edge_count), dtype=np.int64)
-    lower, upper = g.endpoints
-    columns = np.arange(g.edge_count)
-    d[lower, columns] = 1
-    d[upper, columns] = -1
-    return d
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,5 +218,5 @@ def edge_slacks(g: Graph, node_weights, edge_weights) -> np.ndarray:
 def assemble_pd_matrix(g: Graph, node_weights, edge_weights) -> np.ndarray:
     """The edge-space matrix ``D.T @ diag(mu) @ D + diag(sigma)``."""
     mu, sigma = _pd_weights(g, node_weights, edge_weights)
-    d = incidence(g).astype(float)
+    d = g.incidence
     return d.T @ (mu[:, None] * d) + np.diag(sigma)

@@ -99,16 +99,11 @@ class CouplingSpec:
                     )
                 prev_x = x
 
-    @cached_property
-    def _params(self) -> tuple[np.ndarray, ...]:
-        """This spec's parameter arrays as a one-edge kind table."""
-        return _kind_params(self.kind, (self,))
-
     def __call__(self, x):
-        """Evaluate elementwise on scalars or arrays, through the kind
-        kernel that :func:`evaluate_couplings` uses."""
+        """Evaluate elementwise on scalars or arrays, through the one-edge
+        table of :func:`evaluate_couplings`."""
         arg = np.asarray(x, dtype=float)
-        out = _KERNELS[self.kind](*self._params, arg[..., None], None)[..., 0]
+        out = evaluate_couplings(group_couplings((self,)), arg[..., None])[..., 0]
         return out if out.shape else float(out)
 
 
@@ -208,9 +203,12 @@ def _slope_ratio_range(spec: CouplingSpec) -> tuple[float, float]:
         ends = (spec.gain + spec.amplitude * SINC_MIN, spec.gain + spec.amplitude)
         return min(ends), max(ends)
     # y/x is monotone on every segment, so its extremes sit at the knots,
-    # next to the origin (the first slope) or at infinity (the last slope)
-    xs, ys, slopes = (table[:, 0] for table in spec._params[:3])
-    ratios = np.append(ys[1:] / xs[1:], slopes[-1])
+    # next to the origin (the first slope) or at infinity (the last slope,
+    # computed as the kernel table computes it)
+    xs = [0.0, *(float(x) for x, _ in spec.knots)]
+    ys = [0.0, *(float(y) for _, y in spec.knots)]
+    ratios = [y / x for x, y in zip(xs[1:], ys[1:])]
+    ratios.append((ys[-1] - ys[-2]) / (xs[-1] - xs[-2]))
     return float(np.min(ratios)), float(np.max(ratios))
 
 
@@ -327,7 +325,7 @@ class _StepPlan:
         self.hill = agents.hill
         self.lower, self.upper = (
             (ends + n * np.arange(count)[:, None]).ravel() for ends in graph.endpoints)
-        self.incidence = config.incidence_matrix
+        self.incidence = graph.incidence
         self.ones, self.minus_ones = np.full(size, 1.0), np.full(size, -1.0)
         # -a1 for x1, b2 and b3 for x1 and x2, and a2, a3 and the input
         # gains g for x2, x3 and u
@@ -344,23 +342,14 @@ class _StepPlan:
         self.arg, self.v = np.empty(count * p), np.empty(count * p)
         self.v_cols = self.v.reshape(count, p, 1)
         self.terms = np.empty((7, size))
-        # a kind on every edge keeps its whole-axis kernel call, so a
-        # one-kind batch copies nothing; each kind's parameters are built
-        # for its edges of every copy, so a column index spans them all
-        table = []
-        for kind, edges, _ in config.coupling_table:
-            members = np.arange(p)[edges]
-            if members.size == p:
-                edges = slice(None)
-            elif count > 1:
-                edges = (members + p * np.arange(count)[:, None]).ravel()
-            specs = [config.couplings[k] for k in members] * count
-            table.append(CouplingGroup(kind, edges, _kind_params(kind, specs)))
+        # the couplings of every copy as one table, so a polyline's column
+        # index spans all copies; a one-kind table binds its kernel directly
+        table = group_couplings(config.couplings * count)
         if len(table) == 1:
             kind, _, params = table[0]
             self.couple = partial(_KERNELS[kind], *params, self.arg, self.v)
         else:
-            self.couple = partial(evaluate_couplings, tuple(table), self.arg, self.v)
+            self.couple = partial(evaluate_couplings, table, self.arg, self.v)
         self.cur, self.probe = np.empty((4, size)), np.empty((4, size))
         self.k1, self.k2, self.k3, self.k4 = (np.empty((3, size)) for _ in range(4))
 
@@ -507,7 +496,7 @@ class SimulationTrace:
 
     @cached_property
     def relative_outputs(self) -> np.ndarray:
-        return self.outputs @ self.config.incidence_matrix
+        return self.outputs @ self.config.graph.incidence
 
     @cached_property
     def coupling_arguments(self) -> np.ndarray:
@@ -515,11 +504,12 @@ class SimulationTrace:
 
     @cached_property
     def coupling_outputs(self) -> np.ndarray:
-        return evaluate_couplings(self.config.coupling_table, self.coupling_arguments)
+        return evaluate_couplings(group_couplings(self.config.couplings),
+                                  self.coupling_arguments)
 
     @cached_property
     def inputs(self) -> np.ndarray:
-        return -(self.coupling_outputs @ self.config.incidence_matrix.T)
+        return -(self.coupling_outputs @ self.config.graph.incidence.T)
 
     @cached_property
     def norm_rel_sq(self) -> np.ndarray:

@@ -17,7 +17,7 @@ from syncert.certificates import (
     gain_bound_from_forms,
     quadratic_forms,
 )
-from syncert.graphs import build_graph, incidence
+from syncert.graphs import build_graph
 from syncert.linalg import symmetric_eigenvalues
 
 # matrix routes recomputed in-test must agree to this tolerance
@@ -186,7 +186,7 @@ def test_quadratic_forms_match_direct_assembly():
     g = complete_graph(4)
     cert = _random_certificate(rng, g)
     stats = g.stats
-    d = incidence(g).astype(float)
+    d = g.incidence
 
     common = np.array(stats.common, dtype=float)
     exclusive_half = 0.5 * np.diag(np.array(stats.exclusive, dtype=float))

@@ -150,6 +150,8 @@ def test_initial_outputs_fill_first_component():
      "missing required key 'theta'"),
     (lambda d: d["simulation"].update(dt=-0.1), "/simulation/dt",
      "must be positive"),
+    (lambda d: d["simulation"].update(stride=0), "/simulation/stride",
+     "must be a positive integer"),
     (lambda d: d.update(seed=1.5), "/seed", "expected an integer"),
 ])
 def test_rejections_carry_pointers(mutate, pointer, fragment):
@@ -666,6 +668,10 @@ def test_graph_stats_csv_outputs(tmp_path):
     assert matrix.shape == (5, 10)
     assert np.array_equal(np.sort(np.unique(matrix)), [-1, 0, 1])
     assert np.array_equal(matrix.sum(axis=0), np.zeros(10))
+    # byte for byte against the committed goldens
+    golden = Path(__file__).parent / "data" / "graph_stats_k5"
+    assert stats_out.read_bytes() == (golden / "stats.csv").read_bytes()
+    assert inc_out.read_bytes() == (golden / "incidence.csv").read_bytes()
 
 
 def test_reproduce_short_horizon_smoke(tmp_path):

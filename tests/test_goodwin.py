@@ -104,6 +104,8 @@ def test_params_validation():
         _agents(1.0, hill=1)
     with pytest.raises(ValueError, match="b2 must be a positive"):
         _agents(1.0, b2=math.inf)
+    with pytest.raises(ValueError, match="a1 must be a positive"):
+        _agents(1.0, a1=True)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
@@ -133,6 +135,8 @@ def test_cert_params_validation():
         CertParams(theta=0.0, theta3=1.5)
     with pytest.raises(ValueError, match="theta3 must be positive"):
         CertParams(theta=2.0, theta3=-1.0)
+    with pytest.raises(ValueError, match="theta must be positive"):
+        CertParams(theta=True, theta3=1.5)
 
 
 def test_admissible_interval():

@@ -15,7 +15,6 @@ from syncert.graphs import (
     build_graph,
     edge_slacks,
     edge_stats,
-    incidence,
 )
 
 # the strict-positivity check must never best the eigenvalue oracle by more
@@ -63,8 +62,9 @@ def test_connectivity():
 
 def test_incidence_gives_laplacian():
     g = build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    d = incidence(g)
-    assert d.dtype == np.int64
+    d = g.incidence
+    assert d.dtype == np.float64 and not d.flags.writeable
+    assert g.incidence is g.incidence
     assert np.all(d.sum(axis=0) == 0)
     laplacian = d @ d.T
     degrees = np.array([len(nb) for nb in g.neighbours])
@@ -123,7 +123,7 @@ def test_assemble_pd_matrix_matches_definition():
     g = build_graph(3, [(1, 2), (2, 3), (1, 3)])
     mu = np.array([0.3, -0.1, 0.5])
     sigma = np.array([1.0, 2.0, 0.5])
-    d = incidence(g).astype(float)
+    d = g.incidence
     direct = d.T @ np.diag(mu) @ d + np.diag(sigma)
     assert np.allclose(assemble_pd_matrix(g, mu, sigma), direct, atol=0.0)
 

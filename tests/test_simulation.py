@@ -21,8 +21,8 @@ from syncert.certificates import (
     sector_arrays,
 )
 from syncert.config import NetworkConfig, bundled_config, parse_config
-from syncert.goodwin import GoodwinParams
-from syncert.graphs import build_graph, incidence
+from syncert.goodwin import CertParams, GoodwinParams
+from syncert.graphs import build_graph
 from syncert.noise import normals
 from syncert.simulation import (
     SINC_MIN,
@@ -33,6 +33,7 @@ from syncert.simulation import (
     _StepPlan,
     affine_sinusoid_coupling,
     evaluate_couplings,
+    group_couplings,
     linear_coupling,
     piecewise_linear_coupling,
     run,
@@ -233,7 +234,13 @@ def test_model_validation():
                 ("couplings for", "/couplings", dict(couplings=coupling * 2)),
                 ("disturbances for", "/disturbances", dict(disturbances=dist * 2)),
                 ("initial states", "/agents/initial_states",
-                 dict(initial_states=np.zeros((3, 3))))]
+                 dict(initial_states=np.zeros((3, 3)))),
+                ("must be a positive integer", "/simulation/stride", dict(stride=0)),
+                ("expected an integer", "/simulation/stride", dict(stride=2.5)),
+                ("mode must be one of", "/certification/mode", dict(mode="bogus")),
+                ("admissible interval", "/certification/theta3",
+                 dict(certification=CertParams(theta=2.0, theta3=50.0))),
+                ("expected an integer", "/seed", dict(seed="x"))]
     for match, pointer, change in rejected:
         # built directly or replaced, the description is checked the same way
         with pytest.raises(ValueError, match=match) as built:
@@ -272,25 +279,10 @@ _COUPLING_LISTS = {
 }
 
 
-def _network(couplings):
-    """A connected network with one edge per coupling: the first ``p``
-    lexicographic pairs of the smallest complete graph that has ``p``."""
-    p = len(couplings)
-    if not p:
-        g = build_graph(1, [])
-    else:
-        n = next(n for n in range(2, p + 3) if n * (n - 1) // 2 >= p)
-        g = build_graph(n, list(complete_graph(n).edges)[:p])
-    return NetworkConfig(graph=g, agents=_agents(*[1.0] * g.n),
-                         initial_states=np.zeros((g.n, 3)), couplings=tuple(couplings),
-                         disturbances=(DisturbanceSpec(),) * p)
-
-
 @pytest.mark.parametrize("case", list(_COUPLING_LISTS))
 def test_coupling_groups_match_per_edge_loop(case):
     couplings = _COUPLING_LISTS[case]
-    model = _network(couplings)
-    table = model.coupling_table
+    table = group_couplings(couplings)
     assert len(table) == len({c.kind for c in couplings}) <= 3
     edges = np.arange(len(couplings))
     covered = []
@@ -305,7 +297,7 @@ def test_coupling_groups_match_per_edge_loop(case):
     for shape in ((len(couplings),), (7, len(couplings))):
         # arguments past the last knot exercise the extrapolated segment
         x = rng.normal(scale=3.0, size=shape)
-        assert np.array_equal(evaluate_couplings(model.coupling_table, x),
+        assert np.array_equal(evaluate_couplings(table, x),
                               _per_edge(couplings, x))
 
 
@@ -363,7 +355,7 @@ def _same_bits(a, b):
 @example(couplings=[_polyline([(1.0, -0.0), (1.0, 0.0)])], extra=[0.5])
 @settings(max_examples=150, deadline=None)
 def test_kind_kernels_match_per_edge_loop_bit_for_bit(couplings, extra):
-    model = _network(couplings)
+    table = group_couplings(couplings)
     pools = []
     for spec in couplings:
         pool = [0.0, -0.0, math.inf, -math.inf, math.nan, *extra]
@@ -378,9 +370,9 @@ def test_kind_kernels_match_per_edge_loop_bit_for_bit(couplings, extra):
         reference = _per_edge(couplings, x)
         assert _same_bits(reference, np.column_stack(
             [_interp_reference(c, x[:, k]) for k, c in enumerate(couplings)]))
-        assert _same_bits(evaluate_couplings(model.coupling_table, x), reference)
+        assert _same_bits(evaluate_couplings(table, x), reference)
         for row, expected in zip(x, reference):
-            assert _same_bits(evaluate_couplings(model.coupling_table, row), expected)
+            assert _same_bits(evaluate_couplings(table, row), expected)
 
 
 def test_rk4_single_step_accuracy():
@@ -404,7 +396,7 @@ def _paper_pair():
 def _mixed_triple():
     cfg = parse_config(Path(__file__).parent / "data" / "mixed_couplings.json")
     # kinds interleave, so the batch gathers each kind by index array
-    assert any(not isinstance(group.edges, slice) for group in cfg.coupling_table)
+    assert any(not isinstance(group.edges, slice) for group in group_couplings(cfg.couplings))
     return [dataclasses.replace(cfg.with_seed(seed),
                                 initial_states=cfg.initial_states + 0.1 * seed)
             for seed in (1, 2, 3)]
@@ -603,7 +595,7 @@ def test_trace_signal_identities():
     trace = run(_grid(model, 2.0))
     assert trace.steps == 2000
     assert trace.held_disturbance.shape == (2001, 3)
-    d = incidence(model.graph).astype(float)
+    d = model.graph.incidence
     assert np.array_equal(trace.outputs, trace.states[:, :, 0])
     assert np.array_equal(trace.relative_outputs, trace.outputs @ d)
     assert np.array_equal(trace.coupling_arguments,
@@ -716,7 +708,7 @@ def test_dissipation_curves_match_dense_forms():
                               gamma_raw=[-2.0, 1.0, -1.5, -0.5], beta=[-0.25] * 4)
     trace = run(_grid(model, 0.5))
 
-    d = incidence(g).astype(float)
+    d = g.incidence
     stats = g.stats
     exclusive_half = 0.5 * np.diag(np.array(stats.exclusive, dtype=float))
     pair = 2.0 * np.eye(4) + np.diag(np.array(stats.common, dtype=float))
