@@ -6,7 +6,6 @@ from .certificates import (
     POSITIVITY_TOL,
     CertificateForms,
     GainBound,
-    MarginReport,
     NetworkCertificate,
     SectorBound,
     UncertifiedBoundError,
@@ -65,7 +64,6 @@ __all__ = [
     "GoodwinParams",
     "Graph",
     "InadmissibleParams",
-    "MarginReport",
     "NetworkCertificate",
     "NetworkConfig",
     "SearchResult",

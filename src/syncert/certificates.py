@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph, assemble_pd_matrix, edge_slacks
+from .graphs import Graph, assemble_pd_matrix, edge_slacks, node_sums
 from .linalg import symmetric_eigenvalues
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "SectorBound",
     "NetworkCertificate",
     "sector_arrays",
-    "MarginReport",
     "CertificateForms",
     "GainBound",
     "UncertifiedBoundError",
@@ -120,14 +119,9 @@ class NetworkCertificate:
 
     @cached_property
     def nu_node(self) -> np.ndarray:
-        """Per-node sum of ``nu`` over incident edges, in edge order: in the
-        lexicographic indexing every edge where a node is the upper endpoint
-        comes before every edge where it is the lower one."""
-        acc = np.zeros(self.graph.n)
-        lower, upper = self.graph.endpoints
-        np.add.at(acc, upper, self.nu)
-        np.add.at(acc, lower, self.nu)
-        return acc
+        """Per-node sum of ``nu`` over incident edges, in edge order
+        (:func:`~syncert.graphs.node_sums`)."""
+        return node_sums(self.graph, self.nu)
 
     # The certification pass: every quantity below is derived once, on first
     # use, and the later ones reuse the earlier ones through this object.
@@ -144,25 +138,28 @@ class NetworkCertificate:
         outputs in the network dissipation inequality."""
         return self.gamma - 0.5 * self.graph.stats.exclusive
 
-    @cached_property
-    def sigma(self) -> np.ndarray:
-        """Per-edge weight of the margin form ``D.T @ diag(nu_node) @ D +
-        diag(sigma)``::
+    def margin_weights(self, gamma_raw) -> np.ndarray:
+        """Per-edge weight ``sigma`` of the margin form ``D.T @ diag(nu_node)
+        @ D + diag(sigma)`` at the output weights ``gamma_raw``::
 
             sigma = (2 + c)/alpha_hi
                     - (1 + alpha_lo**2) * e / (2 * alpha_lo**2)
                     + min(gamma, 0) / alpha_lo**2
 
         with ``c`` and ``e`` the edge's common and exclusive neighbour
-        counts.
+        counts.  ``gamma_raw[:, None]`` gives one row per output weight.
         """
         lo = self.alpha_lo
         return (self.pair_weight / self.alpha_hi
                 - (1.0 + lo * lo) * self.graph.stats.exclusive / (2.0 * lo * lo)
-                + self.gamma / (lo * lo))
+                + np.minimum(gamma_raw, 0.0) / (lo * lo))
 
     @cached_property
-    def margins(self) -> MarginReport:
+    def sigma(self) -> np.ndarray:
+        return self.margin_weights(self.gamma_raw)
+
+    @cached_property
+    def slacks(self) -> np.ndarray:
         """Distributed per-edge synchronisation margin.
 
         The slack of edge ``(i, j)`` with degrees ``r`` is the
@@ -174,7 +171,21 @@ class NetworkCertificate:
         incident to node ``i``.  Every quantity is local to the edge and its
         endpoints, so each agent pair can evaluate its own slack.
         """
-        return MarginReport.from_weights(self.graph, self.nu_node, self.sigma)
+        return edge_slacks(self.graph, self.nu_node, self.sigma)
+
+    @cached_property
+    def edge_ok(self) -> np.ndarray:
+        return self.slacks > POSITIVITY_TOL
+
+    @cached_property
+    def satisfied(self) -> bool:
+        """Connected, with every edge ok: on a disconnected graph agreement
+        of the relative outputs does not synchronise the agents."""
+        return self.graph.is_connected and bool(np.all(self.edge_ok))
+
+    @cached_property
+    def min_slack(self) -> float:
+        return float(np.min(self.slacks))
 
     @cached_property
     def forms(self) -> CertificateForms:
@@ -195,33 +206,6 @@ class NetworkCertificate:
             slope_max=float(np.max(self.alpha_hi)),
             bias_total=self.bias_total,
         )
-
-
-@dataclass(frozen=True, eq=False)
-class MarginReport:
-    """Per-edge synchronisation slacks and the aggregate verdict."""
-
-    slacks: np.ndarray
-    edge_ok: np.ndarray
-    satisfied: bool
-
-    @classmethod
-    def from_weights(cls, g: Graph, node_weights, edge_weights) -> MarginReport:
-        """Verdict on ``D.T @ diag(node_weights) @ D + diag(edge_weights)``
-        from its per-edge :func:`~syncert.graphs.edge_slacks`.
-
-        Satisfied when the graph is connected and every slack exceeds
-        ``POSITIVITY_TOL`` (exact zeros fail); on a disconnected graph
-        agreement of the relative outputs does not synchronise the agents.
-        """
-        slacks = edge_slacks(g, node_weights, edge_weights)
-        edge_ok = slacks > POSITIVITY_TOL
-        return cls(slacks=slacks, edge_ok=edge_ok,
-                   satisfied=g.is_connected and bool(np.all(edge_ok)))
-
-    @property
-    def min_slack(self) -> float:
-        return float(np.min(self.slacks))
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,7 +233,7 @@ def quadratic_forms(g: Graph, cert: NetworkCertificate) -> CertificateForms:
     Both are ``D.T @ diag(nu_node) @ D + diag(w)``: the coupling form with
     ``w = (2 + common)/alpha_hi - exclusive/2``, the margin form with the
     margin weight ``sigma = w + (gamma - exclusive/2)/alpha_lo**2`` of
-    :attr:`NetworkCertificate.sigma`.
+    :meth:`NetworkCertificate.margin_weights`.
     """
     if cert.graph != g:
         raise ValueError("certificate was assembled over a different graph")

@@ -107,16 +107,10 @@ def main() -> None:
 
 
 def _margin_csv_rows(cfg: NetworkConfig, cert: NetworkCertificate):
-    report = cert.margins
-    rows = []
-    for k, (i, j) in enumerate(cfg.graph.edges):
-        rows.append([
-            cfg.graph.edge_label(k), str(i), str(j),
-            _fmt(cert.nu[k]), _fmt(cert.gamma[k]), _fmt(cert.beta[k]),
-            _fmt(report.slacks[k]),
-            "true" if report.edge_ok[k] else "false",
-        ])
-    return rows
+    return [[cfg.graph.edge_label(k), str(i), str(j),
+             _fmt(cert.nu[k]), _fmt(cert.gamma[k]), _fmt(cert.beta[k]),
+             _fmt(cert.slacks[k]), "true" if cert.edge_ok[k] else "false"]
+            for k, (i, j) in enumerate(cfg.graph.edges)]
 
 
 _MARGIN_CSV_HEADER = ["edge", "node_i", "node_j", "nu", "gamma", "beta",
@@ -125,7 +119,6 @@ _MARGIN_CSV_HEADER = ["edge", "node_i", "node_j", "nu", "gamma", "beta",
 
 def _echo_certificate(cfg: NetworkConfig, cert: NetworkCertificate) -> None:
     g = cfg.graph
-    report = cert.margins
     hill = cfg.agents.hill
     click.echo(f"nodes: {g.n}, edges: {g.edge_count}, mode: {cfg.mode}")
     click.echo(
@@ -134,14 +127,14 @@ def _echo_certificate(cfg: NetworkConfig, cert: NetworkCertificate) -> None:
     )
     table = [
         (g.edge_label(k), _fmt4(cert.nu[k]), _fmt4(cert.gamma[k]),
-         _fmt4(cert.beta[k]), _fmt4(report.slacks[k]),
-         "yes" if report.edge_ok[k] else "NO")
+         _fmt4(cert.beta[k]), _fmt4(cert.slacks[k]),
+         "yes" if cert.edge_ok[k] else "NO")
         for k in range(g.edge_count)
     ]
     _print_table(("edge", "nu", "gamma", "beta", "slack", "ok"), table)
     click.echo("per-node input-weight sums: "
                + ", ".join(_fmt4(v) for v in cert.nu_node))
-    click.echo(f"min slack: {report.min_slack:.6g}")
+    click.echo(f"min slack: {cert.min_slack:.6g}")
     click.echo(f"margin matrix min eigenvalue: {cert.forms.margin_min_eig:.6g}")
     bound = cert.bound
     if bound.certified:
@@ -154,7 +147,7 @@ def _echo_certificate(cfg: NetworkConfig, cert: NetworkCertificate) -> None:
         )
     else:
         click.echo(f"gain bound: not certified (n_min = {bound.n_min:.6g} <= 0)")
-    if report.satisfied:
+    if cert.satisfied:
         click.echo("verdict: certified")
     elif not g.is_connected:
         click.echo("verdict: NOT certified (graph is disconnected)")
@@ -176,7 +169,7 @@ def certify(config_file: Path, output: Path | None) -> int:
     if output is not None:
         _write_csv(output, _MARGIN_CSV_HEADER, _margin_csv_rows(cfg, cert))
         click.echo(f"wrote {output}")
-    return 0 if cert.margins.satisfied else 1
+    return 0 if cert.satisfied else 1
 
 
 def _trace_table(trace: SimulationTrace, stride: int, margin_col,
@@ -376,18 +369,13 @@ def graph_stats(config_file: Path, output: Path | None,
     stats = g.stats
     click.echo(f"nodes: {g.n}, edges: {g.edge_count}, "
                f"connected: {'yes' if g.is_connected else 'no'}")
-    table = []
-    for k in range(g.edge_count):
-        r_i, r_j = stats.endpoint_degrees(k)
-        table.append((g.edge_label(k), str(r_i), str(r_j),
-                      str(int(stats.common[k])), str(int(stats.exclusive[k]))))
-    _print_table(("edge", "deg_i", "deg_j", "common", "exclusive"), table)
+    # label, endpoints, degrees, common and exclusive counts of each edge
+    rows = [(g.edge_label(k), str(i), str(j), *map(str, stats.endpoint_degrees(k)),
+             str(int(stats.common[k])), str(int(stats.exclusive[k])))
+            for k, (i, j) in enumerate(g.edges)]
+    _print_table(("edge", "deg_i", "deg_j", "common", "exclusive"),
+                 [(row[0], *row[3:]) for row in rows])
     if output is not None:
-        rows = []
-        for k, (i, j) in enumerate(g.edges):
-            r_i, r_j = stats.endpoint_degrees(k)
-            rows.append([g.edge_label(k), str(i), str(j), str(r_i), str(r_j),
-                         str(int(stats.common[k])), str(int(stats.exclusive[k]))])
         _write_csv(output, ["edge", "node_i", "node_j", "degree_i", "degree_j",
                             "common", "exclusive"], rows)
         click.echo(f"wrote {output}")
@@ -396,10 +384,6 @@ def graph_stats(config_file: Path, output: Path | None,
         _write_csv(incidence_out, g.edge_labels(), rows)
         click.echo(f"wrote {incidence_out}")
     return 0
-
-
-def _within(value: float, target: float, tol: float) -> bool:
-    return abs(value - target) <= tol
 
 
 @main.command("reproduce-paper")
@@ -433,7 +417,7 @@ def reproduce_paper(output_dir: Path | None, mode: str | None, dt: float | None,
 
     cert = cfg.certificate()
     _echo_certificate(cfg, cert)
-    report, forms, bound = cert.margins, cert.forms, cert.bound
+    forms, bound = cert.forms, cert.bound
 
     checks: list[tuple[str, bool, str]] = []
 
@@ -455,10 +439,10 @@ def reproduce_paper(output_dir: Path | None, mode: str | None, dt: float | None,
             "node-weight-sums", node_dev <= expected["nu_tol"],
             f"max |sum - ({expected['nu_node']:g})| = {node_dev:.3g}",
         ))
-        slack_dev = float(np.max(np.abs(report.slacks - expected["slack_target"])))
+        slack_dev = float(np.max(np.abs(cert.slacks - expected["slack_target"])))
         checks.append((
             "margin-slacks",
-            slack_dev <= expected["slack_tol"] and report.satisfied,
+            slack_dev <= expected["slack_tol"] and cert.satisfied,
             f"max |slack - {expected['slack_target']:g}| = {slack_dev:.3g} "
             f"(tol {expected['slack_tol']:g})",
         ))
@@ -469,7 +453,7 @@ def reproduce_paper(output_dir: Path | None, mode: str | None, dt: float | None,
             f"{expected['margin_min_eig']:.9g}",
         ))
         bound_ok = bound.certified and all(
-            _within(getattr(bound, key), expected[key], expected["bound_tol"])
+            abs(getattr(bound, key) - expected[key]) <= expected["bound_tol"]
             for key in ("n_min", "m_max", "gain", "offset")
         )
         checks.append((
@@ -484,8 +468,8 @@ def reproduce_paper(output_dir: Path | None, mode: str | None, dt: float | None,
         floor = expected["slack_target"] - expected["slack_tol"]
         checks.append((
             "margin-slacks",
-            report.satisfied and report.min_slack >= floor,
-            f"min slack {report.min_slack:.6g} >= {floor:g}",
+            cert.satisfied and cert.min_slack >= floor,
+            f"min slack {cert.min_slack:.6g} >= {floor:g}",
         ))
         checks.append((
             "margin-matrix", forms.margin_min_eig > 0.0,

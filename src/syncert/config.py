@@ -177,8 +177,10 @@ class NetworkConfig:
             raise ConfigError("/agents/initial_states",
                               f"initial states have shape {x0.shape}, expected ({n}, 3)")
         object.__setattr__(self, "initial_states", x0)
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
+        if _as_float(self.dt, "/simulation/dt") <= 0.0:
             raise ConfigError("/simulation/dt", f"dt must be positive, got {self.dt}")
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, float)):
+            raise ConfigError("/simulation/horizon", f"expected a number, got {self.horizon!r}")
         try:
             grid_steps(self.horizon, self.dt)
         except ValueError as exc:

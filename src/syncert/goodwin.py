@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .certificates import NetworkCertificate, sector_arrays
-from .graphs import Graph
+from .graphs import Graph, edge_slacks, node_sums
 
 __all__ = [
     "InadmissibleParams",
@@ -71,11 +71,14 @@ class GoodwinParams:
         if gains.ndim != 1 or gains.size == 0:
             raise ValueError("input gains must be a non-empty 1-D array, "
                              f"got shape {gains.shape}")
-        ok = np.isfinite(gains) & (gains > 0.0)
+        is_bool = np.array([isinstance(v, (bool, np.bool_)) for v in self.input_gains],
+                           dtype=bool)
+        ok = np.isfinite(gains) & (gains > 0.0) & ~is_bool
         if not ok.all():
             k = int(np.argmin(ok))
+            got = bool(gains[k]) if is_bool[k] else float(gains[k])
             raise ValueError(f"node {k + 1}: input_gain must be a positive finite "
-                             f"number, got {float(gains[k])!r}")
+                             f"number, got {got!r}")
         gains.flags.writeable = False
         object.__setattr__(self, "input_gains", gains)
 
@@ -164,14 +167,35 @@ def resolve_weights(cp: CertParams, params: GoodwinParams) -> tuple[float, float
         raise InadmissibleParams(
             f"theta3 = {cp.theta3:.6g} must stay below 2*a2 = {hi:.6g}"
         )
+    return _weights(params, cp.theta3)
+
+
+def _weights(params: GoodwinParams, theta3):
+    """``(theta1, theta2)`` at admissible ``theta3`` of any shape, unchecked."""
     delta = _certificate_slope(params.hill)
-    theta1 = delta * delta * cp.theta3 / (2.0 * params.a3 * cp.theta3 - params.b3 ** 2)
-    theta2 = params.b2 ** 2 / (2.0 * params.a2 - cp.theta3)
+    theta1 = delta * delta * theta3 / (2.0 * params.a3 * theta3 - params.b3 ** 2)
+    theta2 = params.b2 ** 2 / (2.0 * params.a2 - theta3)
     return theta1, theta2
+
+
+def _output_weight(params: GoodwinParams, theta, theta1, theta2):
+    return params.a1 - theta - 0.5 * theta1 - 0.5 * theta2
 
 
 # how certify_network assigns nu: the least over all edges, or each edge's own
 CERTIFICATION_MODES = ("uniform", "per_edge")
+
+
+def _input_weights(agents: GoodwinParams, g: Graph, theta, mode: str) -> np.ndarray:
+    """``nu`` of every edge at each ``theta``, shape ``theta.shape + (p,)``."""
+    lower, upper = g.endpoints
+    deviation = np.abs(agents.input_gains - 1.0)
+    deviation = np.maximum(deviation[lower], deviation[upper])
+    nu = -deviation * deviation / (2.0 * np.asarray(theta)[..., None])
+    if mode == "uniform" and nu.size:
+        # nu falls with the gain deviation, so the worst edge has the least nu
+        nu = np.broadcast_to(nu.min(axis=-1, keepdims=True), nu.shape)
+    return nu
 
 
 def certify_network(agents: GoodwinParams, g: Graph, cp: CertParams,
@@ -206,15 +230,9 @@ def certify_network(agents: GoodwinParams, g: Graph, cp: CertParams,
             raise ValueError(
                 f"initial states have shape {x0.shape}, expected ({g.n}, 3)"
             )
-    theta1, theta2 = resolve_weights(cp, agents)
-    gamma = agents.a1 - cp.theta - 0.5 * theta1 - 0.5 * theta2
+    gamma = _output_weight(agents, cp.theta, *resolve_weights(cp, agents))
+    nu = _input_weights(agents, g, cp.theta, mode)
     lower, upper = g.endpoints
-    deviation = np.abs(agents.input_gains - 1.0)
-    deviation = np.maximum(deviation[lower], deviation[upper])
-    nu = -deviation * deviation / (2.0 * cp.theta)
-    if mode == "uniform" and nu.size:
-        # nu falls with the gain deviation, so the worst edge has the least nu
-        nu = np.full(nu.shape, nu.min())
     beta = -0.5 * np.sum((x0[lower] - x0[upper]) ** 2, axis=1)
     return NetworkCertificate(graph=g, alpha_lo=alpha_lo, alpha_hi=alpha_hi, nu=nu,
                               gamma_raw=np.full(nu.shape, gamma), beta=beta)
@@ -243,8 +261,6 @@ def _parse_range(rng, name: str) -> np.ndarray:
         raise ValueError(f"{name} range must satisfy lo <= hi, got ({lo}, {hi})")
     if lo <= 0.0:
         raise ValueError(f"{name} values must be positive, got lower end {lo}")
-    if count == 1:
-        return np.array([lo])
     return np.linspace(lo, hi, count)
 
 
@@ -252,35 +268,38 @@ def search_params(agents: GoodwinParams, g: Graph, sectors, theta_range,
                   theta3_range, mode: str = "uniform") -> SearchResult:
     """Grid-maximise the worst edge margin over ``(theta, theta3)``.
 
-    Ranges are ``(lo, hi, count)`` with ``count >= 1``; ties prefer smaller
-    ``theta`` and then smaller ``theta3``.  Margins do not involve the bias
-    term, so no initial states are needed.  Every grid point reads the
-    margins of one :func:`certify_network` certificate; the sector arrays
-    are built once per grid, the edge statistics once per graph.  Raises
-    :class:`InadmissibleParams` when no grid point is admissible.
+    Ranges are ``(lo, hi, count)`` with ``count >= 1``; the best point is
+    the first maximum in grid order (ties prefer smaller ``theta``, then
+    smaller ``theta3``).  Each point's slack is the ``min_slack`` of its
+    :func:`certify_network` certificate, bit for bit, from the same
+    expressions, evaluated per ``theta`` row over every admissible
+    ``theta3`` at once.  Raises :class:`InadmissibleParams` when no grid
+    point is admissible.
     """
-    alpha_lo, alpha_hi = sector_arrays(sectors)
     thetas = _parse_range(theta_range, "theta")
     theta3s = _parse_range(theta3_range, "theta3")
-    best: tuple[float, float, float] | None = None
-    rows: list[tuple[float, float, float, bool]] = []
-    for theta in thetas:
-        for theta3 in theta3s:
-            cp = CertParams(theta=float(theta), theta3=float(theta3))
-            try:
-                cert = certify_network(agents, g, cp, alpha_lo, alpha_hi, mode=mode)
-            except InadmissibleParams:
-                rows.append((float(theta), float(theta3), math.nan, False))
-                continue
-            min_slack = cert.margins.min_slack
-            rows.append((float(theta), float(theta3), min_slack, True))
-            if best is None or min_slack > best[2]:
-                best = (float(theta), float(theta3), min_slack)
-    if best is None:
-        lo, hi = admissible_theta3_interval(agents)
+    lo, hi = admissible_theta3_interval(agents)
+    admissible = (lo < theta3s) & (theta3s < hi)
+    if not admissible.any():
         raise InadmissibleParams(
             f"no admissible theta3 in the grid; need "
             f"b3^2/(2*a3) = {lo:.6g} < theta3 < 2*a2 = {hi:.6g}"
         )
-    return SearchResult(best_theta=best[0], best_theta3=best[1],
-                        best_min_slack=best[2], rows=tuple(rows))
+    # the first admissible point's certificate checks the network once, as
+    # certify does; its margin weights serve every point
+    first = certify_network(agents, g, CertParams(float(thetas[0]),
+                                                  float(theta3s[admissible][0])),
+                            *sector_arrays(sectors), mode=mode)
+    theta1, theta2 = _weights(agents, theta3s[admissible])
+    nu_nodes = node_sums(g, _input_weights(agents, g, thetas, mode))
+    slacks = np.full((thetas.size, theta3s.size), math.nan)
+    for row, theta, nu_node in zip(slacks, thetas, nu_nodes):
+        # one row of edge weights per admissible theta3
+        gamma = _output_weight(agents, theta, theta1, theta2)[:, None]
+        sigma = first.margin_weights(gamma)
+        row[admissible] = np.min(edge_slacks(g, nu_node, sigma), axis=-1)
+    r, c = divmod(int(np.nanargmax(slacks)), theta3s.size)
+    rows = tuple((theta, theta3, slack, ok)
+                 for theta, row in zip(thetas.tolist(), slacks.tolist())
+                 for theta3, slack, ok in zip(theta3s.tolist(), row, admissible.tolist()))
+    return SearchResult(float(thetas[r]), float(theta3s[c]), float(slacks[r, c]), rows)

@@ -19,6 +19,7 @@ __all__ = [
     "EdgeStats",
     "build_graph",
     "edge_stats",
+    "node_sums",
     "edge_slacks",
     "assemble_pd_matrix",
 ]
@@ -185,12 +186,24 @@ def edge_stats(g: Graph) -> EdgeStats:
     return EdgeStats(graph=g, common=common, exclusive=exclusive)
 
 
+def node_sums(g: Graph, edge_values) -> np.ndarray:
+    """Per-node sums over the incident edges along the last axis, in edge
+    order: in the lexicographic indexing every edge where a node is the
+    upper endpoint comes before every edge where it is the lower one."""
+    values = np.asarray(edge_values, dtype=float)
+    acc = np.zeros(values.shape[:-1] + (g.n,))
+    lower, upper = g.endpoints
+    np.add.at(acc.T, upper, values.T)
+    np.add.at(acc.T, lower, values.T)
+    return acc
+
+
 def _pd_weights(g: Graph, node_weights, edge_weights) -> tuple[np.ndarray, np.ndarray]:
     mu = np.asarray(node_weights, dtype=float)
     sigma = np.asarray(edge_weights, dtype=float)
-    if mu.shape != (g.n,):
+    if mu.shape[-1:] != (g.n,):
         raise ValueError(f"node weights have shape {mu.shape}, expected ({g.n},)")
-    if sigma.shape != (g.edge_count,):
+    if sigma.shape[-1:] != (g.edge_count,):
         raise ValueError(
             f"edge weights have shape {sigma.shape}, expected ({g.edge_count},)"
         )
@@ -207,16 +220,19 @@ def edge_slacks(g: Graph, node_weights, edge_weights) -> np.ndarray:
     the diagonal entry of row ``k`` minus its off-diagonal mass: every other
     edge at ``i`` contributes ``|mu_i|`` off the diagonal and likewise for
     ``j``.  The smallest eigenvalue is bounded below by the smallest slack.
+    Leading axes of the weights broadcast against each other.
     """
     mu, sigma = _pd_weights(g, node_weights, edge_weights)
     i, j = g.endpoints
-    return (sigma + mu[i] + mu[j]
-            - (g.degrees[i] - 1.0) * np.abs(mu[i])
-            - (g.degrees[j] - 1.0) * np.abs(mu[j]))
+    return (sigma + mu[..., i] + mu[..., j]
+            - (g.degrees[i] - 1.0) * np.abs(mu[..., i])
+            - (g.degrees[j] - 1.0) * np.abs(mu[..., j]))
 
 
 def assemble_pd_matrix(g: Graph, node_weights, edge_weights) -> np.ndarray:
     """The edge-space matrix ``D.T @ diag(mu) @ D + diag(sigma)``."""
     mu, sigma = _pd_weights(g, node_weights, edge_weights)
+    if mu.ndim != 1 or sigma.ndim != 1:
+        raise ValueError("one weighting only: node and edge weights must be 1-D")
     d = g.incidence
     return d.T @ (mu[:, None] * d) + np.diag(sigma)

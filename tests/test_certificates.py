@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 
 from oracles import complete_graph, erdos_renyi_graph
 from syncert.certificates import (
+    POSITIVITY_TOL,
     NetworkCertificate,
     SectorBound,
     gain_bound_from_forms,
     quadratic_forms,
 )
-from syncert.graphs import build_graph
+from syncert.graphs import build_graph, node_sums
 from syncert.linalg import symmetric_eigenvalues
 
 # matrix routes recomputed in-test must agree to this tolerance
@@ -115,6 +116,10 @@ def test_nu_node_matches_edge_loop_bit_for_bit():
                             gammas=np.zeros(p), betas=np.zeros(p),
                             sectors=((1.0, 1.0),) * p)
         assert cert.nu_node.tolist() == _nu_node_loop(cert)
+        # with a leading axis each row sums in the same order
+        rows = node_sums(g, np.stack([cert.nu, 3.0 * cert.nu]))
+        assert rows[0].tolist() == _nu_node_loop(cert)
+        assert rows[1].tolist() == node_sums(g, 3.0 * cert.nu).tolist()
 
 
 def test_single_edge_margin_formula():
@@ -122,34 +127,48 @@ def test_single_edge_margin_formula():
     g = build_graph(2, [(1, 2)])
     cert = _certificate(g, nus=(0.0,), gammas=(-0.8,), betas=(0.0,),
                         sectors=((2.0, 4.0),))
-    report = cert.margins
-    assert np.isclose(report.slacks[0], 2.0 / 4.0 + (-0.8) / 4.0, atol=1e-15)
-    assert report.satisfied
+    assert np.isclose(cert.slacks[0], 2.0 / 4.0 + (-0.8) / 4.0, atol=1e-15)
+    assert cert.satisfied
     # two disjoint copies keep every slack but no longer synchronise
     g2 = build_graph(4, [(1, 2), (3, 4)])
-    report2 = NetworkCertificate(
+    cert2 = NetworkCertificate(
         graph=g2, **{name: np.tile(getattr(cert, name), 2)
                      for name in ("alpha_lo", "alpha_hi", "nu", "gamma_raw", "beta")}
-    ).margins
-    assert np.array_equal(report2.slacks, np.repeat(report.slacks, 2))
-    assert report2.edge_ok.all()
-    assert not report2.satisfied
+    )
+    assert np.array_equal(cert2.slacks, np.repeat(cert.slacks, 2))
+    assert cert2.edge_ok.all()
+    assert not cert2.satisfied
+
+
+def test_margin_verdict_needs_slack_beyond_positivity_tol():
+    # one edge, unit sector, zero gamma: slack = 2 + 2 nu; nu = -1 gives
+    # exactly 0, which must not count as a pass, and so must a positive
+    # slack below POSITIVITY_TOL
+    g = build_graph(2, [(1, 2)])
+    slacks = []
+    for nu, passes in ((-1.0, False), (-(1.0 - 2.5e-13), False),
+                       (-(1.0 - 1e-12), True)):
+        cert = _certificate(g, nus=(nu,), gammas=(0.0,), betas=(0.0,),
+                            sectors=((1.0, 1.0),))
+        assert cert.edge_ok.tolist() == [passes]
+        assert cert.satisfied is passes
+        slacks.append(cert.min_slack)
+    assert slacks[0] == 0.0 and 0.0 < slacks[1] < POSITIVITY_TOL < slacks[2]
 
 
 def test_path_margins_hand_computed():
     g = build_graph(3, [(1, 2), (2, 3)])
     cert = _certificate(g, nus=(-0.02, -0.03), gammas=(-1.0, -0.5),
                         betas=(0.0, 0.0), sectors=((2.0, 3.0), (1.0, 4.0)))
-    report = cert.margins
     # edge (1,2): degrees 1,2; no common, one exclusive neighbour
     slack_12 = (2.0 / 3.0 - (1 + 4.0) * 1 / (2 * 4.0) + (-1.0) / 4.0
                 - 1 * 0.02 - 2 * 0.05)
     # edge (2,3): degrees 2,1
     slack_23 = (2.0 / 4.0 - (1 + 1.0) * 1 / (2 * 1.0) + (-0.5) / 1.0
                 - 2 * 0.05 - 1 * 0.03)
-    assert np.allclose(report.slacks, [slack_12, slack_23], atol=1e-15)
-    assert not report.satisfied
-    assert report.min_slack == pytest.approx(slack_23)
+    assert np.allclose(cert.slacks, [slack_12, slack_23], atol=1e-15)
+    assert not cert.satisfied
+    assert cert.min_slack == pytest.approx(slack_23)
 
 
 def _random_certificate(rng, graph):
@@ -176,9 +195,8 @@ def test_margin_slack_lower_bounds_form_eigenvalue(seed):
     if g.edge_count == 0:
         return
     cert = _random_certificate(rng, g)
-    report = cert.margins
     forms = quadratic_forms(g, cert)
-    assert forms.margin_min_eig >= report.min_slack - 1e-10
+    assert forms.margin_min_eig >= cert.min_slack - 1e-10
 
 
 def test_quadratic_forms_match_direct_assembly():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import dataclasses
 import json
 import math
 from importlib import resources
@@ -229,6 +230,19 @@ def test_with_simulation_overrides():
     assert err.value.pointer == "/simulation/dt"
 
 
+@pytest.mark.parametrize("changes, pointer", [
+    ({"dt": True, "horizon": 1}, "/simulation/dt"),
+    ({"horizon": True, "dt": 0.5}, "/simulation/horizon"),
+    ({"horizon": "x"}, "/simulation/horizon"),
+    ({"dt": "x"}, "/simulation/dt"),
+])
+def test_replaced_dt_and_horizon_must_be_numbers(changes, pointer):
+    # a bool would pass the grid check as 1 or 0; a string must not reach it
+    with pytest.raises(ConfigError, match="expected a number") as err:
+        dataclasses.replace(bundled_config(), **changes)
+    assert err.value.pointer == pointer
+
+
 def test_seed_override_precedence(monkeypatch):
     monkeypatch.setenv(SEED_ENV_VAR, "5")
     assert seed_override(7) == 7
@@ -259,7 +273,6 @@ def test_certify_writes_full_precision_csv(tmp_path):
 
     cfg = parse_config(path)
     cert = cfg.certificate()
-    report = cert.margins
     with open(out, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["edge"] for r in rows] == ["1-2", "1-3", "2-3"]
@@ -267,7 +280,7 @@ def test_certify_writes_full_precision_csv(tmp_path):
         assert float(row["nu"]) == cert.nu[k]
         assert float(row["gamma"]) == cert.gamma[k]
         assert float(row["beta"]) == cert.beta[k]
-        assert float(row["slack"]) == report.slacks[k]
+        assert float(row["slack"]) == cert.slacks[k]
         assert row["ok"] == "true"
 
 
@@ -342,7 +355,7 @@ def test_search_computes_edge_stats_once_for_the_grid(tmp_path, monkeypatch):
         cp = CertParams(theta=float(row["theta"]), theta3=float(row["theta3"]))
         cert = certify_network(cfg.agents, cfg.graph, cp,
                                *certificates.sector_arrays(cfg.sectors), mode=cfg.mode)
-        assert float(row["min_slack"]) == cert.margins.min_slack
+        assert float(row["min_slack"]) == cert.min_slack
 
 
 def test_search_reproduces_golden_grid_csv(tmp_path):
@@ -605,11 +618,10 @@ def test_search_single_point_matches_certify(tmp_path):
     assert result.exit_code == 0, result.output
     cfg = parse_config(path)
     cert = cfg.certificate()
-    report = cert.margins
     with open(out, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
-    assert float(rows[0]["min_slack"]) == report.min_slack
+    assert float(rows[0]["min_slack"]) == cert.min_slack
     assert rows[0]["feasible"] == "true"
 
 

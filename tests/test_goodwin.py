@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from oracles import complete_graph, erdos_renyi_graph
 from syncert.certificates import NetworkCertificate, SectorBound, sector_arrays
 from syncert.goodwin import (
+    CERTIFICATION_MODES,
     CertParams,
     GoodwinParams,
     InadmissibleParams,
@@ -112,6 +113,17 @@ def test_params_validation():
 def test_params_reject_bad_gain_naming_the_node(bad):
     with pytest.raises(ValueError, match="node 2: input_gain must be a positive"):
         _agents(1.0, bad, 1.1)
+
+
+def test_params_reject_bool_gains():
+    # a bool converts to 1.0 or 0.0 without complaint, but it is no gain
+    with pytest.raises(ValueError, match=r"^node 1: input_gain must be a positive "
+                                         r"finite number, got True$"):
+        GoodwinParams(input_gains=[True, 1.0], **_CHAIN)
+    with pytest.raises(ValueError, match="node 2: input_gain .* got True$"):
+        GoodwinParams(input_gains=[1.0, np.True_], **_CHAIN)
+    with pytest.raises(ValueError, match="node 1: input_gain .* got True$"):
+        GoodwinParams(input_gains=np.array([True, True]), **_CHAIN)
 
 
 @pytest.mark.parametrize("gains", [[], [[0.9, 1.1]]])
@@ -220,8 +232,8 @@ def test_certify_network_uniform_versus_per_edge():
     # canonical edge order puts (3, 4) at index 7; gains 1.0 and 1.1
     assert g.edges[7] == (3, 4)
     assert per_edge.nu[7] == pytest.approx(-0.0025, rel=EXACT_RTOL)
-    slack_u = uniform.margins.slacks
-    slack_pe = per_edge.margins.slacks
+    slack_u = uniform.slacks
+    slack_pe = per_edge.slacks
     assert all(pe >= u - 1e-15 for pe, u in zip(slack_pe, slack_u))
 
 
@@ -284,7 +296,7 @@ def test_array_certificate_matches_per_edge_reference_bit_for_bit():
             for name in ("nu", "gamma_raw", "beta", "nu_node"):
                 assert np.array_equal(getattr(cert, name), getattr(ref, name)), name
             assert np.array_equal(np.signbit(cert.nu), np.signbit(ref.nu))
-            assert np.array_equal(cert.margins.slacks, ref.margins.slacks)
+            assert np.array_equal(cert.slacks, ref.slacks)
 
 
 def test_search_single_point_matches_direct_certification():
@@ -292,10 +304,9 @@ def test_search_single_point_matches_direct_certification():
     result = search_params(agents, g, sectors, (2.0, 2.0, 1), (1.5, 1.5, 1))
     cert = certify_network(agents, g, CertParams(theta=2.0, theta3=1.5),
                            *sector_arrays(sectors))
-    report = cert.margins
     assert result.best_theta == 2.0
     assert result.best_theta3 == 1.5
-    assert result.best_min_slack == pytest.approx(report.min_slack, rel=1e-12)
+    assert result.best_min_slack == pytest.approx(cert.min_slack, rel=1e-12)
     assert result.rows == ((2.0, 1.5, result.best_min_slack, True),)
 
 
@@ -321,6 +332,57 @@ def test_search_best_is_first_feasible_maximum():
     first = next(r for r in result.rows if r[3] and r[2] == best_slack)
     assert (result.best_theta, result.best_theta3) == (first[0], first[1])
     assert result.best_min_slack == best_slack
+
+
+def test_search_rows_match_certificates_bit_for_bit():
+    # random connected graphs, gains and non-point sectors, and theta3 grids
+    # reaching past both ends of the admissible interval (1.125, 2) or, on
+    # every other graph, ending exactly on them
+    rng = np.random.default_rng(2061)
+    for trial in range(12):
+        n = int(rng.integers(2, 9))
+        g = erdos_renyi_graph(n, float(rng.uniform(0.3, 1.0)), rng,
+                              require_connected=True)
+        agents = _agents(*rng.uniform(0.6, 1.4, size=n))
+        lo = rng.uniform(0.5, 6.0, size=g.edge_count)
+        hi = lo * rng.uniform(1.05, 1.5, size=g.edge_count)
+        sectors = tuple(SectorBound(a, b) for a, b in zip(lo, hi))
+        theta_range = (float(rng.uniform(0.05, 1.0)), float(rng.uniform(1.0, 5.0)),
+                       int(rng.integers(1, 6)))
+        inside = admissible_theta3_interval(agents)
+        theta3_range = (float(rng.uniform(0.9, 1.12)), float(rng.uniform(2.01, 2.3)),
+                        int(rng.integers(4, 10)))
+        if trial % 2:
+            theta3_range = (*inside, theta3_range[2])
+        for mode in CERTIFICATION_MODES:
+            result = search_params(agents, g, sectors, theta_range, theta3_range, mode)
+            assert not result.rows[0][3] and not result.rows[-1][3]
+            for theta, theta3, slack, feasible in result.rows:
+                assert feasible is (inside[0] < theta3 < inside[1])
+                if not feasible:
+                    assert math.isnan(slack)
+                    continue
+                cert = certify_network(agents, g, CertParams(theta, theta3),
+                                       lo, hi, mode=mode)
+                assert slack.hex() == cert.min_slack.hex()
+            best = max(r[2] for r in result.rows if r[3])
+            first = next(r for r in result.rows if r[3] and r[2] == best)
+            assert (result.best_theta, result.best_theta3,
+                    result.best_min_slack) == first[:3]
+
+
+def test_search_tie_picks_the_first_admissible_point():
+    # unit gains give nu = 0 and a large a1 clamps every gamma to 0, so no
+    # slack depends on (theta, theta3): the first admissible point wins
+    g = complete_graph(5)
+    sectors = (SectorBound(4.0, 6.0),) * g.edge_count
+    agents = _agents(*[1.0] * 5, a1=1000.0)
+    for mode in CERTIFICATION_MODES:
+        result = search_params(agents, g, sectors, (0.5, 4.0, 4), (1.0, 1.9, 10), mode)
+        feasible = [r for r in result.rows if r[3]]
+        assert len({r[2] for r in feasible}) == 1
+        assert (result.best_theta, result.best_theta3) == (0.5, 1.2)
+        assert feasible[0][:2] == (0.5, 1.2)
 
 
 def test_search_raises_when_nothing_admissible():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import complete_graph, erdos_renyi_graph, pd_oracle
-from syncert.certificates import MarginReport
+from syncert.certificates import POSITIVITY_TOL
 from syncert.graphs import (
     assemble_pd_matrix,
     build_graph,
@@ -126,6 +126,8 @@ def test_assemble_pd_matrix_matches_definition():
     d = g.incidence
     direct = d.T @ np.diag(mu) @ d + np.diag(sigma)
     assert np.allclose(assemble_pd_matrix(g, mu, sigma), direct, atol=0.0)
+    with pytest.raises(ValueError, match="one weighting only"):
+        assemble_pd_matrix(g, np.stack([mu, mu]), sigma)
 
 
 def test_edge_slacks_formula():
@@ -140,13 +142,17 @@ def test_edge_slacks_formula():
         0.25 - 0.25 + 1.0 - 0.25 - 1.0,
     ]
     assert np.allclose(slacks, expected, atol=1e-15)
-    report = MarginReport.from_weights(g, mu, sigma)
-    assert report.slacks.tolist() == slacks.tolist()
-    assert report.edge_ok.tolist() == [True, True, False]
-    assert report.satisfied is False
+    # the third slack is negative, so that edge fails the strict verdict
+    assert (slacks > POSITIVITY_TOL).tolist() == [True, True, False]
+    # leading axes broadcast: one row of slacks per (node, edge) weighting
+    rows = edge_slacks(g, np.stack([mu, -mu])[:, None], np.stack([sigma, 2 * sigma]))
+    assert rows.shape == (2, 2, 3)
+    for a, m in enumerate((mu, -mu)):
+        for b, s in enumerate((sigma, 2 * sigma)):
+            assert rows[a, b].tolist() == edge_slacks(g, m, s).tolist()
 
 
-def test_margin_report_passes_imply_positive_definite():
+def test_edge_slacks_passing_imply_positive_definite():
     rng = np.random.default_rng(202)
     passes = 0
     for _ in range(200):
@@ -155,27 +161,19 @@ def test_margin_report_passes_imply_positive_definite():
                               require_connected=True)
         mu = rng.uniform(-2.0, 2.0, size=n)
         sigma = rng.uniform(0.0, 3.0, size=g.edge_count)
-        report = MarginReport.from_weights(g, mu, sigma)
+        slacks = edge_slacks(g, mu, sigma)
         # scalar reference: the same arithmetic edge by edge, bit for bit
         deg = [len(s) for s in g.neighbours]
         reference = [sigma[k] + mu[i - 1] + mu[j - 1]
                      - (deg[i - 1] - 1.0) * abs(mu[i - 1])
                      - (deg[j - 1] - 1.0) * abs(mu[j - 1])
                      for k, (i, j) in enumerate(g.edges)]
-        assert report.slacks.tolist() == reference
-        if report.satisfied:
+        assert slacks.tolist() == reference
+        # connected, so the verdict is every slack beyond POSITIVITY_TOL
+        if np.all(slacks > POSITIVITY_TOL):
             passes += 1
             assert pd_oracle(g, mu, sigma) > PD_EIG_FLOOR
     assert passes > 0  # the scan must actually exercise the passing branch
-
-
-def test_margin_report_zero_slack_fails():
-    # mu = 0, sigma = 0 gives slack exactly 0, which must not count as a pass
-    g = build_graph(2, [(1, 2)])
-    report = MarginReport.from_weights(g, np.zeros(2), np.zeros(1))
-    assert report.slacks.tolist() == [0.0]
-    assert not report.edge_ok[0]
-    assert report.satisfied is False
 
 
 def test_pd_oracle_matches_lapack():
