@@ -31,7 +31,7 @@ from .goodwin import (
     hill_slope_max,
     search_params,
 )
-from .graphs import EdgeStats, Graph, build_graph, edge_stats
+from .graphs import Graph, build_graph
 from .linalg import symmetric_eigenvalues
 from .noise import edge_seed_sequence, normals, uniforms
 from .simulation import (
@@ -59,7 +59,6 @@ __all__ = [
     "ConfigError",
     "CouplingSpec",
     "DisturbanceSpec",
-    "EdgeStats",
     "GainBound",
     "GoodwinParams",
     "Graph",
@@ -80,7 +79,6 @@ __all__ = [
     "certify_network",
     "config_from_dict",
     "edge_seed_sequence",
-    "edge_stats",
     "gain_bound_from_forms",
     "hill_slope",
     "hill_slope_max",

@@ -130,13 +130,13 @@ class NetworkCertificate:
     def pair_weight(self) -> np.ndarray:
         """Per-edge weight ``2 + common`` between coupling outputs and
         relative outputs in the network dissipation inequality."""
-        return 2.0 + self.graph.stats.common
+        return 2.0 + self.graph.common
 
     @cached_property
     def output_quadratic(self) -> np.ndarray:
         """Per-edge weight ``gamma - exclusive/2`` on the squared relative
         outputs in the network dissipation inequality."""
-        return self.gamma - 0.5 * self.graph.stats.exclusive
+        return self.gamma - 0.5 * self.graph.exclusive
 
     def margin_weights(self, gamma_raw) -> np.ndarray:
         """Per-edge weight ``sigma`` of the margin form ``D.T @ diag(nu_node)
@@ -151,7 +151,7 @@ class NetworkCertificate:
         """
         lo = self.alpha_lo
         return (self.pair_weight / self.alpha_hi
-                - (1.0 + lo * lo) * self.graph.stats.exclusive / (2.0 * lo * lo)
+                - (1.0 + lo * lo) * self.graph.exclusive / (2.0 * lo * lo)
                 + np.minimum(gamma_raw, 0.0) / (lo * lo))
 
     @cached_property
@@ -237,7 +237,7 @@ def quadratic_forms(g: Graph, cert: NetworkCertificate) -> CertificateForms:
     """
     if cert.graph != g:
         raise ValueError("certificate was assembled over a different graph")
-    coupling_weights = cert.pair_weight / cert.alpha_hi - 0.5 * g.stats.exclusive
+    coupling_weights = cert.pair_weight / cert.alpha_hi - 0.5 * g.exclusive
     return CertificateForms(
         coupling_form=assemble_pd_matrix(g, cert.nu_node, coupling_weights),
         margin_form=assemble_pd_matrix(g, cert.nu_node, cert.sigma),
@@ -263,9 +263,6 @@ class GainBound:
     certified: bool
     n_min: float
     m_max: float
-    weight_max: float
-    slope_max: float
-    bias_total: float
     estimate: str
 
 
@@ -340,16 +337,11 @@ def gain_bound_from_forms(coupling_form: np.ndarray, output_shift: np.ndarray,
         n_min -= widen
         m_max += widen
     certified = n_min > 0.0
+    gain = offset = math.nan
     if certified:
-        gain = math.sqrt(
-            0.5 + (4.0 * slope_max ** 2 * weight_max ** 2 + 8.0 * m_max ** 2) / n_min ** 2
-        )
+        gain = math.sqrt(0.5 + (4.0 * slope_max ** 2 * weight_max ** 2
+                                + 8.0 * m_max ** 2) / n_min ** 2)
         offset = math.sqrt(2.0 * abs(bias_total) / n_min)
-    else:
-        gain = math.nan
-        offset = math.nan
     return GainBound(gain=gain, offset=offset, certified=certified, n_min=n_min,
-                     m_max=m_max, weight_max=weight_max, slope_max=slope_max,
-                     bias_total=bias_total,
-                     estimate="exact" if point else "interval")
+                     m_max=m_max, estimate="exact" if point else "interval")
 

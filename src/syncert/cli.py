@@ -366,12 +366,11 @@ def graph_stats(config_file: Path, output: Path | None,
     """Report degrees and shared/exclusive neighbour counts per edge."""
     cfg = parse_config(config_file)
     g = cfg.graph
-    stats = g.stats
     click.echo(f"nodes: {g.n}, edges: {g.edge_count}, "
                f"connected: {'yes' if g.is_connected else 'no'}")
     # label, endpoints, degrees, common and exclusive counts of each edge
-    rows = [(g.edge_label(k), str(i), str(j), *map(str, stats.endpoint_degrees(k)),
-             str(int(stats.common[k])), str(int(stats.exclusive[k])))
+    rows = [(g.edge_label(k), str(i), str(j), str(g.degrees[i - 1]),
+             str(g.degrees[j - 1]), str(g.common[k]), str(g.exclusive[k]))
             for k, (i, j) in enumerate(g.edges)]
     _print_table(("edge", "deg_i", "deg_j", "common", "exclusive"),
                  [(row[0], *row[3:]) for row in rows])
@@ -419,64 +418,39 @@ def reproduce_paper(output_dir: Path | None, mode: str | None, dt: float | None,
     _echo_certificate(cfg, cert)
     forms, bound = cert.forms, cert.bound
 
-    checks: list[tuple[str, bool, str]] = []
-
-    gamma_dev = float(np.max(np.abs(cert.gamma - expected["gamma_target"])))
-    checks.append((
-        "output-weights", gamma_dev <= expected["gamma_tol"],
-        f"max |gamma - ({expected['gamma_target']:g})| = {gamma_dev:.3g} "
-        f"(tol {expected['gamma_tol']:g})",
-    ))
+    # frozen-value checks (check name, computed values, fixture keys,
+    # tolerance key, precondition): each passes when its precondition holds
+    # and its largest deviation is within tolerance; a nan deviation fails
+    frozen = [("output-weights", cert.gamma, ("gamma_target",), "gamma_tol", True)]
     if uniform:
-        nu_dev = float(np.max(np.abs(cert.nu - expected["nu"])))
-        checks.append((
-            "input-weights", nu_dev <= expected["nu_tol"],
-            f"max |nu - ({expected['nu']:g})| = {nu_dev:.3g} "
-            f"(tol {expected['nu_tol']:g})",
-        ))
-        node_dev = float(np.max(np.abs(cert.nu_node - expected["nu_node"])))
-        checks.append((
-            "node-weight-sums", node_dev <= expected["nu_tol"],
-            f"max |sum - ({expected['nu_node']:g})| = {node_dev:.3g}",
-        ))
-        slack_dev = float(np.max(np.abs(cert.slacks - expected["slack_target"])))
-        checks.append((
-            "margin-slacks",
-            slack_dev <= expected["slack_tol"] and cert.satisfied,
-            f"max |slack - {expected['slack_target']:g}| = {slack_dev:.3g} "
-            f"(tol {expected['slack_tol']:g})",
-        ))
-        eig_dev = abs(forms.margin_min_eig - expected["margin_min_eig"])
-        checks.append((
-            "margin-matrix", eig_dev <= expected["bound_tol"],
-            f"min eigenvalue {forms.margin_min_eig:.9g} vs frozen "
-            f"{expected['margin_min_eig']:.9g}",
-        ))
-        bound_ok = bound.certified and all(
-            abs(getattr(bound, key) - expected[key]) <= expected["bound_tol"]
-            for key in ("n_min", "m_max", "gain", "offset")
-        )
-        checks.append((
-            "gain-bound", bound_ok,
-            f"gain {bound.gain:.9g}, offset {bound.offset:.9g}, "
-            f"n_min {bound.n_min:.9g}, m_max {bound.m_max:.9g} vs frozen values",
-        ))
-    else:
+        frozen += [
+            ("input-weights", cert.nu, ("nu",), "nu_tol", True),
+            ("node-weight-sums", cert.nu_node, ("nu_node",), "nu_tol", True),
+            ("margin-slacks", cert.slacks, ("slack_target",), "slack_tol",
+             cert.satisfied),
+            ("margin-matrix", forms.margin_min_eig, ("margin_min_eig",), "bound_tol",
+             True),
+            ("gain-bound", [bound.n_min, bound.m_max, bound.gain, bound.offset],
+             ("n_min", "m_max", "gain", "offset"), "bound_tol", bound.certified),
+        ]
+    checks: list[tuple[str, bool, str]] = []
+    for name, computed, keys, tol_key, precondition in frozen:
+        dev = float(np.max(np.abs(np.subtract(computed, [expected[k] for k in keys]))))
+        tol = expected[tol_key]
+        checks.append((name, precondition and dev <= tol,
+                       f"max |{name} - frozen| = {dev:.3g} (tol {tol:g})"))
+    if not uniform:
         # per-edge weights can only improve on the uniform margins; an edge
         # whose both endpoints carry the worst gain deviation still lands
         # exactly on the uniform slack, hence the shared tolerance
         floor = expected["slack_target"] - expected["slack_tol"]
-        checks.append((
-            "margin-slacks",
-            cert.satisfied and cert.min_slack >= floor,
-            f"min slack {cert.min_slack:.6g} >= {floor:g}",
-        ))
-        checks.append((
-            "margin-matrix", forms.margin_min_eig > 0.0,
-            f"min eigenvalue {forms.margin_min_eig:.9g} > 0",
-        ))
-        checks.append(("gain-bound", bound.certified,
-                       f"certified = {bound.certified}"))
+        checks += [
+            ("margin-slacks", cert.satisfied and cert.min_slack >= floor,
+             f"min slack {cert.min_slack:.6g} >= {floor:g}"),
+            ("margin-matrix", forms.margin_min_eig > 0.0,
+             f"min eigenvalue {forms.margin_min_eig:.9g} > 0"),
+            ("gain-bound", bound.certified, f"certified = {bound.certified}"),
+        ]
 
     # the noiseless and the noisy realisation in one RK4 pass
     zero = dataclasses.replace(

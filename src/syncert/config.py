@@ -47,6 +47,7 @@ from .goodwin import (
     GoodwinParams,
     admissible_theta3_interval,
     certify_network,
+    check_hill,
 )
 from .graphs import Graph, build_graph
 from .noise import edge_seed_sequence
@@ -261,9 +262,10 @@ def _parse_agents(value, pointer: str, n: int):
              for key in ("a1", "a2", "a3", "b2", "b3")}
     hill_ptr = _child(pointer, "hill")
     hill = _as_int(_require(block, "hill", pointer), hill_ptr)
-    if hill < 2:
-        raise ConfigError(hill_ptr,
-                          f"hill coefficient must be an integer >= 2, got {hill}")
+    try:
+        check_hill(hill)
+    except ValueError as exc:
+        raise ConfigError(hill_ptr, str(exc)) from None
     gains_ptr = _child(pointer, "input_gains")
     gains = _expect_list(_require(block, "input_gains", pointer), gains_ptr)
     if len(gains) != n:

@@ -12,6 +12,12 @@ with output ``y = x1``.  Agents across a network share the chain parameters
 and differ only in the input gain ``b1``; that heterogeneity is what the
 certificates measure.  One :class:`GoodwinParams` describes every agent of
 a network: the shared chain once, and the gains as one array.
+
+The certificates use the slope constant ``delta`` of ``f`` as a global
+Lipschitz constant.  That holds only for even ``hill``, where ``f`` is even,
+so that its largest slope over ``x > 0`` is its largest over the line; for
+odd ``hill``, ``f`` has a pole at ``x3 = -1``, and :class:`GoodwinParams`
+rejects it.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ __all__ = [
     "InadmissibleParams",
     "GoodwinParams",
     "CertParams",
+    "check_hill",
     "SearchResult",
     "hill_slope",
     "hill_slope_max",
@@ -48,9 +55,9 @@ class InadmissibleParams(ValueError):
 @dataclass(frozen=True, eq=False)
 class GoodwinParams:
     """The oscillators of one network: decay rates ``a1..a3``, chain gains
-    ``b2, b3`` and the Hill coefficient of the repression, shared by every
-    node, and ``input_gains``, the read-only array whose entry ``i - 1`` is
-    the input gain of node ``i``."""
+    ``b2, b3`` and the (even) Hill coefficient of the repression, shared by
+    every node, and ``input_gains``, the read-only array whose entry
+    ``i - 1`` is the input gain of node ``i``."""
 
     a1: float
     a2: float
@@ -66,7 +73,7 @@ class GoodwinParams:
             if isinstance(value, bool) or not (
                     isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-        _check_hill(self.hill)
+        check_hill(self.hill)
         gains = np.array(self.input_gains, dtype=float)
         if gains.ndim != 1 or gains.size == 0:
             raise ValueError("input gains must be a non-empty 1-D array, "
@@ -83,9 +90,14 @@ class GoodwinParams:
         object.__setattr__(self, "input_gains", gains)
 
 
-def _check_hill(hill) -> None:
+def check_hill(hill, even: bool = True) -> None:
+    """Reject a Hill coefficient that is not an integer >= 2 and, with
+    ``even``, an odd one."""
     if isinstance(hill, bool) or not isinstance(hill, (int, np.integer)) or hill < 2:
         raise ValueError(f"hill coefficient must be an integer >= 2, got {hill!r}")
+    if even and hill % 2:
+        raise ValueError(f"hill coefficient must be even, got {hill}: for odd hill "
+                         "the repression -1/(x3**hill + 1) has a pole at x3 = -1")
 
 
 def hill_slope(hill: int) -> float:
@@ -98,7 +110,7 @@ def hill_slope(hill: int) -> float:
     1e-4 for large ``h`` but differ by roughly 0.11 at ``h = 2``, so
     certificates report both.
     """
-    _check_hill(hill)
+    check_hill(hill, even=False)
     h = float(hill)
     core = ((h - 1.0) / (h + 1.0)) ** (h / (h - 1.0))
     return h * (h - 1.0) / ((core + 1.0) ** 2 * (h + 1.0))
@@ -110,7 +122,7 @@ def hill_slope_max(hill: int) -> float:
 
         (h+1)**2 / (4h) * ((h-1)/(h+1))**((h-1)/h)
     """
-    _check_hill(hill)
+    check_hill(hill, even=False)
     h = float(hill)
     return (h + 1.0) ** 2 / (4.0 * h) * ((h - 1.0) / (h + 1.0)) ** ((h - 1.0) / h)
 

@@ -16,9 +16,7 @@ import numpy as np
 
 __all__ = [
     "Graph",
-    "EdgeStats",
     "build_graph",
-    "edge_stats",
     "node_sums",
     "edge_slacks",
     "assemble_pd_matrix",
@@ -34,8 +32,8 @@ class Graph:
     the positive end of the canonical orientation used by :attr:`incidence`.
     Per-edge quantities throughout the package follow this edge indexing.
     The endpoint index arrays, the incidence matrix, the degree vector and
-    the neighbour statistics are derived once per graph and shared by every
-    consumer.
+    the per-edge neighbour counts are derived once per graph and shared by
+    every consumer.
     """
 
     n: int
@@ -101,8 +99,23 @@ class Graph:
         return deg
 
     @cached_property
-    def stats(self) -> EdgeStats:
-        return edge_stats(self)
+    def common(self) -> np.ndarray:
+        """Per-edge count of the nodes adjacent to both endpoints."""
+        nbrs = self.neighbours
+        common = np.array([len(nbrs[i - 1] & nbrs[j - 1]) for i, j in self.edges],
+                          dtype=np.int64)
+        common.flags.writeable = False
+        return common
+
+    @cached_property
+    def exclusive(self) -> np.ndarray:
+        """Per-edge count of the nodes adjacent to exactly one endpoint, the
+        endpoints themselves excluded: the closed form ``r_i + r_j -
+        2*common - 2``, which holds on simple graphs."""
+        lower, upper = self.endpoints
+        exclusive = self.degrees[lower] + self.degrees[upper] - 2 * self.common - 2
+        exclusive.flags.writeable = False
+        return exclusive
 
     def edge_label(self, k: int) -> str:
         i, j = self.edges[k]
@@ -146,44 +159,6 @@ def build_graph(n: int, edge_list) -> Graph:
         canon.append(key)
     canon.sort()
     return Graph(n=n, edges=tuple(canon))
-
-
-@dataclass(frozen=True, eq=False)
-class EdgeStats:
-    """Common/exclusive neighbour counts per edge, as read-only integer
-    arrays in edge order.
-
-    For edge ``(i, j)``: ``common`` counts the nodes adjacent to both
-    endpoints, ``exclusive`` the nodes adjacent to exactly one endpoint
-    (excluding the endpoints themselves).
-    """
-
-    graph: Graph
-    common: np.ndarray
-    exclusive: np.ndarray
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, EdgeStats) and self.graph == other.graph
-                and np.array_equal(self.common, other.common)
-                and np.array_equal(self.exclusive, other.exclusive))
-
-    def endpoint_degrees(self, k: int) -> tuple[int, int]:
-        i, j = self.graph.edges[k]
-        return int(self.graph.degrees[i - 1]), int(self.graph.degrees[j - 1])
-
-
-def edge_stats(g: Graph) -> EdgeStats:
-    """Compute :class:`EdgeStats`; the exclusive count is the closed form
-    ``r_i + r_j - 2*common - 2``, which holds on simple graphs.  Read
-    :attr:`Graph.stats` to share one computation per graph."""
-    nbrs = g.neighbours
-    common = np.array([len(nbrs[i - 1] & nbrs[j - 1]) for i, j in g.edges],
-                      dtype=np.int64)
-    lower, upper = g.endpoints
-    exclusive = g.degrees[lower] + g.degrees[upper] - 2 * common - 2
-    common.flags.writeable = False
-    exclusive.flags.writeable = False
-    return EdgeStats(graph=g, common=common, exclusive=exclusive)
 
 
 def node_sums(g: Graph, edge_values) -> np.ndarray:

@@ -549,7 +549,7 @@ class SimulationTrace:
         rhs = (
             _cumtrapz((rel * rel) @ cert.output_quadratic, dt)
             + _cumtrapz((u * u) @ cert.nu_node
-                        - (v * v) @ (0.5 * cert.graph.stats.exclusive), dt)
+                        - (v * v) @ (0.5 * cert.graph.exclusive), dt)
             + cert.bias_total
         )
         return lhs - rhs, rhs

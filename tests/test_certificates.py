@@ -203,11 +203,10 @@ def test_quadratic_forms_match_direct_assembly():
     rng = np.random.default_rng(31)
     g = complete_graph(4)
     cert = _random_certificate(rng, g)
-    stats = g.stats
     d = g.incidence
 
-    common = np.array(stats.common, dtype=float)
-    exclusive_half = 0.5 * np.diag(np.array(stats.exclusive, dtype=float))
+    common = np.array(g.common, dtype=float)
+    exclusive_half = 0.5 * np.diag(np.array(g.exclusive, dtype=float))
     coupling_direct = (
         d.T @ np.diag(cert.nu_node) @ d
         - exclusive_half
@@ -236,25 +235,30 @@ def test_certificate_dissipation_weights():
     assert cert.bias_total == -1.0
     # gamma is clamped; each end of the path sees one exclusive neighbour
     assert np.array_equal(cert.gamma, [-1.0, 0.0])
-    assert np.array_equal(cert.graph.stats.common, [0, 0])
-    assert np.array_equal(cert.graph.stats.exclusive, [1, 1])
+    assert np.array_equal(cert.graph.common, [0, 0])
+    assert np.array_equal(cert.graph.exclusive, [1, 1])
     # pair weight is 2 plus the common-neighbour count (zero on a path)
     assert np.array_equal(cert.pair_weight, [2.0, 2.0])
     assert np.array_equal(cert.output_quadratic, [-1.5, -0.5])
 
 
 def test_gain_bound_point_sectors_is_exact(paper_certification, paper_expected):
-    bound = paper_certification.bound
+    cert = paper_certification
+    bound = cert.bound
     assert bound.certified
     assert bound.estimate == "exact"
     assert bound.n_min == pytest.approx(paper_expected["n_min"], rel=1e-12)
     assert bound.m_max == pytest.approx(paper_expected["m_max"], rel=1e-12)
     assert bound.gain == pytest.approx(paper_expected["gain"], rel=1e-12)
     assert bound.offset == pytest.approx(paper_expected["offset"], rel=1e-12)
-    # gain and offset recomputed from their defining expressions
-    gain = math.sqrt(0.5 + (4 * bound.slope_max**2 * bound.weight_max**2
+    # gain and offset recomputed from their defining expressions, with the
+    # largest slope, the largest pair weight and the total bias of the
+    # certificate
+    slope_max = float(np.max(cert.alpha_hi))
+    weight_max = float(np.max(cert.pair_weight))
+    gain = math.sqrt(0.5 + (4 * slope_max**2 * weight_max**2
                             + 8 * bound.m_max**2) / bound.n_min**2)
-    offset = math.sqrt(2 * abs(bound.bias_total) / bound.n_min)
+    offset = math.sqrt(2 * abs(float(np.sum(cert.beta))) / bound.n_min)
     assert bound.gain == pytest.approx(gain, rel=1e-15)
     assert bound.offset == pytest.approx(offset, rel=1e-15)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import csv
 import dataclasses
+import functools
 import json
 import math
 from importlib import resources
@@ -114,6 +115,7 @@ def test_initial_outputs_fill_first_component():
      "/agents/input_gains/1", "must be positive"),
     (lambda d: d["agents"].update(a1=-0.5), "/agents/a1", "must be positive"),
     (lambda d: d["agents"].update(hill=1), "/agents/hill", "integer >= 2"),
+    (lambda d: d["agents"].update(hill=3), "/agents/hill", "pole at x3 = -1"),
     (lambda d: d["certification"].update(theta=-1), "/certification/theta",
      "must be positive"),
     (lambda d: d["certification"].update(theta3=5.0), "/certification/theta3",
@@ -304,8 +306,10 @@ def test_certify_rejects_disconnected_graph(tmp_path):
 
 
 def _count_certificate_work(monkeypatch):
-    """Count eigen solves and edge-statistics computations from here on."""
-    calls = {"eigvalsh": 0, "edge_stats": 0}
+    """Count eigen solves and computations of the per-edge common-neighbour
+    counts (``Graph.common``, which ``Graph.exclusive`` reads) from here
+    on."""
+    calls = {"eigvalsh": 0, "common": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -315,7 +319,9 @@ def _count_certificate_work(monkeypatch):
 
     monkeypatch.setattr(certificates, "symmetric_eigenvalues",
                         counted("eigvalsh", certificates.symmetric_eigenvalues))
-    monkeypatch.setattr(graphs, "edge_stats", counted("edge_stats", graphs.edge_stats))
+    common = functools.cached_property(counted("common", graphs.Graph.common.func))
+    common.__set_name__(graphs.Graph, "common")
+    monkeypatch.setattr(graphs.Graph, "common", common)
     return calls
 
 
@@ -325,7 +331,7 @@ def test_certify_solves_each_quantity_once(tmp_path, monkeypatch):
     assert result.exit_code == 0, result.output
     # margin eigenvalue once, then the smallest and largest response
     # eigenvalues of the single slope sample
-    assert calls == {"eigvalsh": 3, "edge_stats": 1}
+    assert calls == {"eigvalsh": 3, "common": 1}
 
 
 @pytest.mark.parametrize("command", [
@@ -346,7 +352,7 @@ def test_search_computes_edge_stats_once_for_the_grid(tmp_path, monkeypatch):
     result = CliRunner().invoke(main, ["search", str(path), "--theta", "0.5:4:4",
                                        "--theta3", "1.2:1.95:3", "-o", str(out)])
     assert result.exit_code == 0, result.output
-    assert calls == {"eigvalsh": 0, "edge_stats": 1}
+    assert calls == {"eigvalsh": 0, "common": 1}
     cfg = parse_config(path)
     with open(out, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
@@ -555,7 +561,7 @@ def test_certify_interval_bound_takes_one_more_solve(tmp_path, monkeypatch):
     calls = _count_certificate_work(monkeypatch)
     result = CliRunner().invoke(main, ["certify", str(_write(tmp_path, _K6_SINUSOID))])
     assert result.exit_code == 0, result.output
-    assert calls == {"eigvalsh": 4, "edge_stats": 1}
+    assert calls == {"eigvalsh": 4, "common": 1}
 
 
 def test_simulate_blowup_exit_code(tmp_path):
@@ -721,6 +727,52 @@ def test_reproduce_names_the_worst_pair_instant_and_edge():
     assert "all checks passed" in result.output
     assert ("PASS  pair-dissipation: worst pair residual slack 0.00500101 "
             "at t = 0, edge 1-3\n") in result.output
+
+
+@pytest.mark.parametrize("command", ["certify", "simulate", "search"])
+def test_odd_hill_exits_2_at_the_hill_pointer(tmp_path, command):
+    # the bundled K5 with hill 3, whose trace would cross the pole at x3 = -1
+    path = Path(__file__).parent / "data" / "odd_hill_k5.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    bundled = json.loads(_bundled_path(tmp_path).read_text(encoding="utf-8"))
+    bundled["agents"].update(hill=3, initial_outputs=[-20, -0.2, 1, 0.5, 0.3])
+    assert payload == bundled
+    options = {"certify": [], "simulate": ["-o", str(tmp_path / "sim")],
+               "search": ["--theta", "2:2:1", "--theta3", "1.5:1.5:1"]}[command]
+    result = CliRunner().invoke(main, [command, str(path), *options])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: /agents/hill: hill coefficient must be "
+                                    "even, got 3")
+    assert "pole at x3 = -1" in result.output
+
+
+@pytest.mark.parametrize("mode, key, tol_key, shift, check", [
+    ("uniform", "gamma_target", "gamma_tol", 2.0, "output-weights"),
+    ("uniform", "nu", "nu_tol", 2.0, "input-weights"),
+    ("uniform", "nu_node", "nu_tol", -2.0, "node-weight-sums"),
+    ("uniform", "slack_target", "slack_tol", 2.0, "margin-slacks"),
+    ("uniform", "margin_min_eig", "bound_tol", 2.0, "margin-matrix"),
+    ("uniform", "gain", "bound_tol", 2.0, "gain-bound"),
+    # a nan frozen value is a nan deviation, which fails
+    ("uniform", "offset", "bound_tol", math.nan, "gain-bound"),
+    ("per_edge", "gamma_target", "gamma_tol", -2.0, "output-weights"),
+    # the per-edge slack floor, slack_target - slack_tol, above every slack
+    ("per_edge", "slack_target", "slack_tol", 200.0, "margin-slacks"),
+])
+def test_each_frozen_check_fails_alone(monkeypatch, mode, key, tol_key, shift, check):
+    # one frozen value moved past its tolerance fails its own check only
+    expected = bundled_expected()
+    expected[key] += shift * expected[tol_key]
+    monkeypatch.setattr("syncert.cli.bundled_expected", lambda: expected)
+    result = CliRunner().invoke(main, ["reproduce-paper", "-T", "0.5", "--seed", "3",
+                                       "--mode", mode])
+    assert result.exit_code == 1, result.output
+    verdicts = [line.split(":")[0] for line in result.output.splitlines()
+                if line.startswith(("PASS  ", "FAIL  "))]
+    assert [v for v in verdicts if v.startswith("FAIL")] == [f"FAIL  {check}"]
+    # the frozen checks of the mode plus the three trace checks
+    assert len(verdicts) == (9 if mode == "uniform" else 7)
+    assert f"first failing check: {check}\n" in result.output
 
 
 def test_vocabulary_rejections_keep_their_text():

@@ -109,6 +109,17 @@ def test_params_validation():
         _agents(1.0, a1=True)
 
 
+@pytest.mark.parametrize("hill", [3, 7, 15])
+def test_params_reject_odd_hill_naming_the_pole(hill):
+    # delta is a global Lipschitz constant of the repression only for even
+    # hill; for odd hill it has a pole at x3 = -1
+    with pytest.raises(ValueError, match=rf"^hill coefficient must be even, got {hill}: "
+                                         r".*pole at x3 = -1$"):
+        _agents(1.0, hill=hill)
+    # the slope constants themselves take any integer >= 2
+    assert hill_slope(hill) <= hill_slope_max(hill)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
 def test_params_reject_bad_gain_naming_the_node(bad):
     with pytest.raises(ValueError, match="node 2: input_gain must be a positive"):

@@ -14,7 +14,6 @@ from syncert.graphs import (
     assemble_pd_matrix,
     build_graph,
     edge_slacks,
-    edge_stats,
 )
 
 # the strict-positivity check must never best the eigenvalue oracle by more
@@ -96,11 +95,11 @@ def test_incidence_gives_laplacian():
     ],
 )
 def test_edge_stats_known_graphs(graph, expected):
-    stats = edge_stats(graph)
     for k, (deg_i, deg_j, common, exclusive) in enumerate(expected):
-        assert stats.endpoint_degrees(k) == (deg_i, deg_j)
-        assert stats.common[k] == common
-        assert stats.exclusive[k] == exclusive
+        i, j = graph.edges[k]
+        assert (graph.degrees[i - 1], graph.degrees[j - 1]) == (deg_i, deg_j)
+        assert graph.common[k] == common
+        assert graph.exclusive[k] == exclusive
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -110,13 +109,15 @@ def test_edge_stats_known_graphs(graph, expected):
 def test_edge_stats_match_set_enumeration(seed, n, prob):
     rng = np.random.default_rng(seed)
     g = erdos_renyi_graph(n, prob, rng)
-    stats = edge_stats(g)
-    assert g.stats == stats
+    # computed once per graph, as read-only exact integers
+    assert g.common is g.common and g.exclusive is g.exclusive
+    for counts in (g.common, g.exclusive):
+        assert counts.dtype == np.int64 and not counts.flags.writeable
     for k, (i, j) in enumerate(g.edges):
         ni = set(g.neighbours[i - 1])
         nj = set(g.neighbours[j - 1])
-        assert stats.common[k] == len(ni & nj)
-        assert stats.exclusive[k] == len((ni | nj) - {i, j}) - len(ni & nj)
+        assert g.common[k] == len(ni & nj)
+        assert g.exclusive[k] == len((ni | nj) - {i, j}) - len(ni & nj)
 
 
 def test_assemble_pd_matrix_matches_definition():

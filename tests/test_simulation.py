@@ -709,9 +709,8 @@ def test_dissipation_curves_match_dense_forms():
     trace = run(_grid(model, 0.5))
 
     d = g.incidence
-    stats = g.stats
-    exclusive_half = 0.5 * np.diag(np.array(stats.exclusive, dtype=float))
-    pair = 2.0 * np.eye(4) + np.diag(np.array(stats.common, dtype=float))
+    exclusive_half = 0.5 * np.diag(np.array(g.exclusive, dtype=float))
+    pair = 2.0 * np.eye(4) + np.diag(np.array(g.common, dtype=float))
     output_form = np.diag(cert.gamma) - exclusive_half
     coupling_form = d.T @ np.diag(cert.nu_node) @ d - exclusive_half
     v, rel = trace.coupling_outputs, trace.relative_outputs
@@ -733,8 +732,7 @@ def test_dissipation_curves_match_dense_forms():
 def test_uncertified_bound_is_rejected():
     trace = run(_grid(_triangle(), 0.01))
     bad = GainBound(gain=math.nan, offset=math.nan, certified=False,
-                    n_min=-1.0, m_max=2.0, weight_max=2.0, slope_max=2.0,
-                    bias_total=-1.0, estimate="exact")
+                    n_min=-1.0, m_max=2.0, estimate="exact")
     with pytest.raises(UncertifiedBoundError):
         trace.margin_curve(bad)
 
