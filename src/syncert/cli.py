@@ -231,6 +231,28 @@ def _trace_check(name: str, trace: SimulationTrace, slacks, what: str,
     return name, worst >= 0.0, detail
 
 
+def _trace_checks(trace: SimulationTrace, cert: NetworkCertificate, margin_col,
+                  check_bound: bool = True, check_lemma1: bool = True):
+    """The checks of one trace and the network residual curve (``None``
+    unless ``check_lemma1``): the certified disagreement bound on
+    ``margin_col``, then Lemma 1's network dissipation inequality and every
+    pair inequality it rests on."""
+    checks, residual = [], None
+    if check_bound:
+        checks.append(_trace_check("bound-margins", trace, [margin_col], "margin"))
+    if check_lemma1:
+        residual, rhs = trace.dissipation_curves(cert)
+        checks.append(_trace_check("dissipation-residual", trace,
+                                   [_residual_slack(residual, rhs)], "residual slack"))
+        g = trace.config.graph
+        checks.append(_trace_check(
+            "pair-dissipation", trace,
+            (_residual_slack(*trace.pair_residual_curves(cert, k))
+             for k in range(g.edge_count)),
+            "pair residual slack", g.edge_labels()))
+    return checks, residual
+
+
 def _echo_checks(checks) -> None:
     for name, ok, detail in checks:
         click.echo(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
@@ -247,9 +269,9 @@ def _echo_checks(checks) -> None:
                    "disturbance columns.")
 @click.option("--check-bound", is_flag=True,
               help="Check the certified disagreement bound along the trace.")
-@click.option("--check-lemma1", "check_residual", is_flag=True,
-              help="Check the integrated network dissipation inequality and "
-                   "append its residual column.")
+@click.option("--check-lemma1", is_flag=True,
+              help="Check the integrated network and pair dissipation "
+                   "inequalities and append the network residual column.")
 @click.option("--seed", type=int, default=None,
               help="Master seed override (beats SYNC_CERT_SEED and the file).")
 @click.option("--dt", type=float, default=None, help="Step size override.")
@@ -257,7 +279,7 @@ def _echo_checks(checks) -> None:
               help="Horizon override.")
 @_guarded
 def simulate(config_file: Path, output_dir: Path, full: bool, check_bound: bool,
-             check_residual: bool, seed: int | None, dt: float | None,
+             check_lemma1: bool, seed: int | None, dt: float | None,
              horizon: float | None) -> int:
     """Integrate the configured network and write its trace CSV."""
     cfg = parse_config(config_file)
@@ -265,7 +287,7 @@ def simulate(config_file: Path, output_dir: Path, full: bool, check_bound: bool,
     if master is not None:
         cfg = cfg.with_seed(master)
     cfg = cfg.with_simulation(dt=dt, horizon=horizon)
-    if (check_bound or check_residual) and cfg.certification is None:
+    if (check_bound or check_lemma1) and cfg.certification is None:
         raise ConfigError("/certification",
                           "certification block required for trace checks")
 
@@ -289,15 +311,8 @@ def simulate(config_file: Path, output_dir: Path, full: bool, check_bound: bool,
     else:
         margin_col = np.full(trace.steps + 1, math.nan)
 
-    checks = []
-    if check_bound:
-        checks.append(_trace_check("bound-margins", trace, [margin_col], "margin"))
-    residual_col = None
-    if check_residual:
-        residual_col, rhs = trace.dissipation_curves(cert)
-        checks.append(_trace_check("dissipation-residual", trace,
-                                   [_residual_slack(residual_col, rhs)],
-                                   "residual slack"))
+    checks, residual_col = _trace_checks(trace, cert, margin_col,
+                                         check_bound, check_lemma1)
     _echo_checks(checks)
 
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -470,15 +485,7 @@ def reproduce_paper(output_dir: Path | None, mode: str | None, dt: float | None,
                    f"{expected['sync_horizon']:g}), disagreement ratio {ratio:.3g}")
 
     margin_noisy = trace_noisy.margin_curve(bound)
-    checks.append(_trace_check("bound-margins", trace_noisy, [margin_noisy], "margin"))
-    checks.append(_trace_check("dissipation-residual", trace_noisy,
-                               [_residual_slack(*trace_noisy.dissipation_curves(cert))],
-                               "residual slack"))
-    checks.append(_trace_check(
-        "pair-dissipation", trace_noisy,
-        (_residual_slack(*trace_noisy.pair_residual_curves(cert, k))
-         for k in range(cfg.graph.edge_count)),
-        "pair residual slack", cfg.graph.edge_labels()))
+    checks += _trace_checks(trace_noisy, cert, margin_noisy)[0]
 
     click.echo("")
     _echo_checks(checks)

@@ -9,24 +9,27 @@ Top-level keys::
                     "hill": .., "input_gains": [..],
                     "initial_outputs": [..] | "initial_states": [[..], ..]}
     couplings      single mapping (applied to every edge) or list per edge:
-                   {"kind": "linear", "gain": 5.0}
+                   {"kind": "linear", "gain": 5.0, "sector": {...}}
                    {"kind": "affine_sinusoid", "gain": .., "amplitude": ..,
                     "sector": {"alpha_lo": .., "alpha_hi": ..}}
                    {"kind": "piecewise_linear", "knots": [[x, y], ..],
                     "sector": {...}}
     disturbances   single mapping or list per edge:
-                   {"kind": "zero" | "constant" | "gaussian",
-                    "scale": .., "seed": ..}
+                   {"kind": "zero", "seed": ..}
+                   {"kind": "constant" | "gaussian", "scale": .., "seed": ..}
     certification  {"theta": .., "theta3": .., "mode": "uniform" | "per_edge"}
     simulation     {"dt": .., "horizon": .., "stride": ..}
     seed           integer master seed
 
-Defaults: dt 1e-3, horizon 100, stride 100 (it only thins trace CSV rows),
-zero second and third initial state components, uniform certification
-mode, zero disturbance, seed 0.  Gaussian disturbance seeds, unless given
-explicitly in the per-edge list form, are derived from the master seed by
-edge index so that one integer pins the whole realisation.  Validation
-errors carry a JSON-pointer path to the offending value.
+Each object takes exactly the keys shown for it (a kind's own keys for a
+coupling or disturbance); any other key is rejected.  Defaults: a linear
+coupling's sector [gain, gain], dt 1e-3, horizon 100, stride 100 (it only
+thins trace CSV rows), zero second and third initial state components,
+uniform certification mode, zero disturbance, seed 0.  Gaussian disturbance
+seeds, unless given explicitly in the per-edge list form, are derived from
+the master seed by edge index so that one integer pins the whole
+realisation.  Validation errors carry a JSON-pointer path to the offending
+value.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from .goodwin import (
 from .graphs import Graph, build_graph
 from .noise import edge_seed_sequence
 from .simulation import (
-    DISTURBANCE_KINDS,
     CouplingSpec,
     DisturbanceSpec,
     grid_steps,
@@ -91,28 +93,31 @@ def _child(pointer: str, key) -> str:
     return f"{pointer}/{key}"
 
 
-def _expect_mapping(value, pointer: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(pointer, f"expected an object, got {type(value).__name__}")
-    return value
-
-
 def _expect_list(value, pointer: str) -> list:
     if not isinstance(value, list):
         raise ConfigError(pointer, f"expected a list, got {type(value).__name__}")
     return value
 
 
-def _reject_unknown(mapping: dict, known, pointer: str) -> None:
-    for key in mapping:
-        if key not in known:
+def _fields(value, pointer: str, readers: dict, optional=()) -> dict:
+    """Read a JSON object whose keys are those of ``readers``: reject a
+    non-object, a missing required key and an unknown one, then read each
+    given key's value by ``readers[key](value, pointer_of_key)``."""
+    if not isinstance(value, dict):
+        raise ConfigError(pointer, f"expected an object, got {type(value).__name__}")
+    for key in readers:
+        if key not in value and key not in optional:
+            raise ConfigError(pointer, f"missing required key {key!r}")
+    for key in value:
+        if key not in readers:
             raise ConfigError(_child(pointer, key), "unknown key")
+    return {key: read(value[key], _child(pointer, key))
+            for key, read in readers.items() if key in value}
 
 
-def _require(mapping: dict, key: str, pointer: str):
-    if key not in mapping:
-        raise ConfigError(pointer, f"missing required key {key!r}")
-    return mapping[key]
+def _given(value, pointer: str):
+    """A value taken as written, for a reader or a check further on."""
+    return value
 
 
 def _as_float(value, pointer: str) -> float:
@@ -178,14 +183,19 @@ class NetworkConfig:
             raise ConfigError("/agents/initial_states",
                               f"initial states have shape {x0.shape}, expected ({n}, 3)")
         object.__setattr__(self, "initial_states", x0)
-        if _as_float(self.dt, "/simulation/dt") <= 0.0:
+        dt = _as_float(self.dt, "/simulation/dt")
+        if dt <= 0.0:
             raise ConfigError("/simulation/dt", f"dt must be positive, got {self.dt}")
         if isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, float)):
             raise ConfigError("/simulation/horizon", f"expected a number, got {self.horizon!r}")
+        # an infinite or nan horizon has no step count: the grid check rejects it
+        horizon = float(self.horizon)
         try:
-            grid_steps(self.horizon, self.dt)
+            grid_steps(horizon, dt)
         except ValueError as exc:
             raise ConfigError("/simulation/horizon", str(exc)) from None
+        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "horizon", horizon)
         if _as_int(self.stride, "/simulation/stride") < 1:
             raise ConfigError("/simulation/stride",
                               f"must be a positive integer, got {self.stride}")
@@ -227,129 +237,123 @@ class NetworkConfig:
 
     def with_simulation(self, dt: float | None = None,
                         horizon: float | None = None) -> "NetworkConfig":
-        changes = {}
-        if dt is not None:
-            changes["dt"] = _as_positive(dt, "/simulation/dt")
-        if horizon is not None:
-            changes["horizon"] = _as_positive(horizon, "/simulation/horizon")
+        """Replace the step and the horizon where given, checked like any
+        construction."""
+        changes = {key: value for key, value in (("dt", dt), ("horizon", horizon))
+                   if value is not None}
         return replace(self, **changes) if changes else self
 
 
-def _parse_graph(value, pointer: str) -> Graph:
-    block = _expect_mapping(value, pointer)
-    _reject_unknown(block, {"n", "edges"}, pointer)
-    n = _as_int(_require(block, "n", pointer), _child(pointer, "n"))
-    raw_edges = _expect_list(_require(block, "edges", pointer),
-                             _child(pointer, "edges"))
-    edges = []
-    for k, entry in enumerate(raw_edges):
-        entry_ptr = _child(_child(pointer, "edges"), k)
-        pair = _expect_list(entry, entry_ptr)
-        if len(pair) != 2:
-            raise ConfigError(entry_ptr, f"expected a pair of nodes, got {entry!r}")
-        edges.append((_as_int(pair[0], entry_ptr), _as_int(pair[1], entry_ptr)))
+def _as_hill(value, pointer: str) -> int:
+    hill = _as_int(value, pointer)
     try:
-        return build_graph(n, edges)
+        check_hill(hill)
+    except ValueError as exc:
+        raise ConfigError(pointer, str(exc)) from None
+    return hill
+
+
+def _as_scale(value, pointer: str) -> float:
+    scale = _as_float(value, pointer)
+    if scale < 0.0:
+        raise ConfigError(pointer, f"must be nonnegative, got {scale!r}")
+    return scale
+
+
+def _tuples(value, pointer: str, read, size: int, what: str) -> tuple:
+    """A list of ``size``-element lists, each element read at its entry's
+    pointer."""
+    out = []
+    for k, entry in enumerate(_expect_list(value, pointer)):
+        entry_ptr = _child(pointer, k)
+        if len(_expect_list(entry, entry_ptr)) != size:
+            raise ConfigError(entry_ptr, f"expected {what}, got {entry!r}")
+        out.append(tuple(read(v, entry_ptr) for v in entry))
+    return tuple(out)
+
+
+def _per_node(value, pointer: str, n: int, noun: str) -> list:
+    items = _expect_list(value, pointer)
+    if len(items) != n:
+        raise ConfigError(pointer, f"{len(items)} {noun} for {n} nodes")
+    return items
+
+
+def _parse_graph(value, pointer: str) -> Graph:
+    fields = _fields(value, pointer, {
+        "n": _as_int,
+        "edges": lambda v, at: _tuples(v, at, _as_int, 2, "a pair of nodes")})
+    try:
+        return build_graph(fields["n"], fields["edges"])
     except ValueError as exc:
         raise ConfigError(_child(pointer, "edges"), str(exc)) from exc
 
 
 def _parse_agents(value, pointer: str, n: int):
-    block = _expect_mapping(value, pointer)
-    _reject_unknown(block, {"a1", "a2", "a3", "b2", "b3", "hill", "input_gains",
-                            "initial_outputs", "initial_states"}, pointer)
-    chain = {key: _as_positive(_require(block, key, pointer), _child(pointer, key))
-             for key in ("a1", "a2", "a3", "b2", "b3")}
-    hill_ptr = _child(pointer, "hill")
-    hill = _as_int(_require(block, "hill", pointer), hill_ptr)
-    try:
-        check_hill(hill)
-    except ValueError as exc:
-        raise ConfigError(hill_ptr, str(exc)) from None
-    gains_ptr = _child(pointer, "input_gains")
-    gains = _expect_list(_require(block, "input_gains", pointer), gains_ptr)
-    if len(gains) != n:
-        raise ConfigError(gains_ptr, f"{len(gains)} input gains for {n} nodes")
-    agents = GoodwinParams(
-        input_gains=[_as_positive(v, _child(gains_ptr, i))
-                     for i, v in enumerate(gains)],
-        hill=hill, **chain)
+    def node_values(read, noun):
+        return lambda v, at: [read(x, _child(at, i))
+                              for i, x in enumerate(_per_node(v, at, n, noun))]
 
-    if "initial_outputs" in block and "initial_states" in block:
+    fields = _fields(value, pointer, {
+        **dict.fromkeys(("a1", "a2", "a3", "b2", "b3"), _as_positive),
+        "hill": _as_hill,
+        "input_gains": node_values(_as_positive, "input gains"),
+        "initial_outputs": node_values(_as_float, "initial outputs"),
+        "initial_states": lambda v, at: _tuples(_per_node(v, at, n, "initial states"),
+                                                at, _as_float, 3, "3 components"),
+    }, optional=("initial_outputs", "initial_states"))
+    outputs = fields.pop("initial_outputs", None)
+    states = fields.pop("initial_states", None)
+    if outputs is not None and states is not None:
         raise ConfigError(pointer,
                           "give either initial_outputs or initial_states, not both")
     x0 = np.zeros((n, 3))
-    if "initial_outputs" in block:
-        out_ptr = _child(pointer, "initial_outputs")
-        outputs = _expect_list(block["initial_outputs"], out_ptr)
-        if len(outputs) != n:
-            raise ConfigError(out_ptr, f"{len(outputs)} initial outputs for {n} nodes")
-        x0[:, 0] = [_as_float(v, _child(out_ptr, i)) for i, v in enumerate(outputs)]
-    elif "initial_states" in block:
-        st_ptr = _child(pointer, "initial_states")
-        rows = _expect_list(block["initial_states"], st_ptr)
-        if len(rows) != n:
-            raise ConfigError(st_ptr, f"{len(rows)} initial states for {n} nodes")
-        for i, row in enumerate(rows):
-            row_ptr = _child(st_ptr, i)
-            triple = _expect_list(row, row_ptr)
-            if len(triple) != 3:
-                raise ConfigError(row_ptr, f"expected 3 components, got {row!r}")
-            x0[i] = [_as_float(v, row_ptr) for v in triple]
-    return agents, x0
+    if outputs is not None:
+        x0[:, 0] = outputs
+    elif states is not None:
+        x0[:] = states
+    return GoodwinParams(**fields), x0
 
 
 def _parse_sector(value, pointer: str) -> SectorBound:
-    block = _expect_mapping(value, pointer)
-    _reject_unknown(block, {"alpha_lo", "alpha_hi"}, pointer)
-    lo = _as_float(_require(block, "alpha_lo", pointer), _child(pointer, "alpha_lo"))
-    hi = _as_float(_require(block, "alpha_hi", pointer), _child(pointer, "alpha_hi"))
+    fields = _fields(value, pointer, dict.fromkeys(("alpha_lo", "alpha_hi"), _as_float))
     try:
-        return SectorBound(lo, hi)
+        return SectorBound(**fields)
     except ValueError as exc:
         raise ConfigError(pointer, str(exc)) from exc
 
 
+def _kinded(value, pointer: str, table: dict, noun: str) -> dict:
+    """Read a JSON object whose ``kind`` key names an entry of ``table``,
+    that kind's readers of its other keys and the optional ones among them."""
+    readers, optional = {}, ()
+    if isinstance(value, dict) and "kind" in value:
+        kind = value["kind"]
+        if not isinstance(kind, str) or kind not in table:
+            raise ConfigError(_child(pointer, "kind"), f"unknown {noun} kind {kind!r}")
+        readers, optional = table[kind]
+    return _fields(value, pointer, {"kind": _given, **readers}, optional)
+
+
+_COUPLING_FIELDS = {
+    "linear": ({"gain": _as_positive, "sector": _parse_sector}, ("sector",)),
+    "affine_sinusoid": ({"gain": _as_positive, "amplitude": _as_float,
+                         "sector": _parse_sector}, ()),
+    "piecewise_linear": ({"knots": lambda v, at: _tuples(v, at, _as_float, 2, "[x, y]"),
+                          "sector": _parse_sector}, ()),
+}
+
+
 def _parse_coupling_entry(value, pointer: str) -> CouplingSpec:
-    block = _expect_mapping(value, pointer)
-    _reject_unknown(block, {"kind", "gain", "amplitude", "knots", "sector"}, pointer)
-    kind = _require(block, "kind", pointer)
-    if kind == "linear":
-        gain = _as_positive(_require(block, "gain", pointer), _child(pointer, "gain"))
-        sector = SectorBound(gain, gain)
-        if "sector" in block:
-            sector = _parse_sector(block["sector"], _child(pointer, "sector"))
-        spec = CouplingSpec(kind="linear", sector=sector, gain=gain)
-    elif kind == "affine_sinusoid":
-        spec = CouplingSpec(
-            kind="affine_sinusoid",
-            sector=_parse_sector(_require(block, "sector", pointer),
-                                 _child(pointer, "sector")),
-            gain=_as_positive(_require(block, "gain", pointer),
-                              _child(pointer, "gain")),
-            amplitude=_as_float(_require(block, "amplitude", pointer),
-                                _child(pointer, "amplitude")))
-    elif kind == "piecewise_linear":
-        knots_ptr = _child(pointer, "knots")
-        raw = _expect_list(_require(block, "knots", pointer), knots_ptr)
-        knots = []
-        for k, entry in enumerate(raw):
-            pair = _expect_list(entry, _child(knots_ptr, k))
-            if len(pair) != 2:
-                raise ConfigError(_child(knots_ptr, k),
-                                  f"expected [x, y], got {entry!r}")
-            knots.append((_as_float(pair[0], _child(knots_ptr, k)),
-                          _as_float(pair[1], _child(knots_ptr, k))))
-        sector = _parse_sector(_require(block, "sector", pointer),
-                               _child(pointer, "sector"))
-        try:
-            spec = CouplingSpec(kind="piecewise_linear", sector=sector,
-                                knots=tuple(knots))
-        except ValueError as exc:
-            raise ConfigError(knots_ptr, str(exc)) from exc
-    else:
-        raise ConfigError(_child(pointer, "kind"),
-                          f"unknown coupling kind {kind!r}")
+    fields = _kinded(value, pointer, _COUPLING_FIELDS, "coupling")
+    if "sector" not in fields:
+        # a linear coupling's sector defaults to the point of its gain
+        fields["sector"] = SectorBound(fields["gain"], fields["gain"])
+    try:
+        spec = CouplingSpec(**fields)
+    except ValueError as exc:
+        # the readers have checked every gain and amplitude: the knots failed
+        raise ConfigError(_child(pointer, "knots"), str(exc)) from exc
 
     check = verify_sector(spec)
     if not check.passed:
@@ -368,29 +372,23 @@ def _parse_couplings(value, pointer: str, p: int) -> tuple[CouplingSpec, ...]:
                  for k, entry in enumerate(_expect_list(value, pointer)))
 
 
+_DISTURBANCE_FIELDS = {
+    "zero": ({"seed": _as_int}, ("seed",)),
+    "constant": ({"scale": _as_scale, "seed": _as_int}, ("seed",)),
+    "gaussian": ({"scale": _as_scale, "seed": _as_int}, ("seed",)),
+}
+
+
 def _parse_disturbance_entry(value, pointer: str, derived_seed: int,
                              allow_explicit_seed: bool) -> DisturbanceSpec:
-    block = _expect_mapping(value, pointer)
-    _reject_unknown(block, {"kind", "scale", "seed"}, pointer)
-    kind = _require(block, "kind", pointer)
-    if kind not in DISTURBANCE_KINDS:
-        raise ConfigError(_child(pointer, "kind"),
-                          f"unknown disturbance kind {kind!r}")
-    scale = 0.0
-    if kind != "zero":
-        scale_ptr = _child(pointer, "scale")
-        scale = _as_float(_require(block, "scale", pointer), scale_ptr)
-        if scale < 0.0:
-            raise ConfigError(scale_ptr, f"must be nonnegative, got {scale!r}")
-    seed = derived_seed
-    if "seed" in block:
-        if not allow_explicit_seed:
-            raise ConfigError(
-                _child(pointer, "seed"),
-                "per-edge seeds are derived from the top-level seed here; "
-                "use the per-edge list form to pin seeds explicitly")
-        seed = _as_int(block["seed"], _child(pointer, "seed"))
-    return DisturbanceSpec(kind=kind, scale=scale, seed=seed)
+    fields = _kinded(value, pointer, _DISTURBANCE_FIELDS, "disturbance")
+    if "seed" in fields and not allow_explicit_seed:
+        raise ConfigError(
+            _child(pointer, "seed"),
+            "per-edge seeds are derived from the top-level seed here; "
+            "use the per-edge list form to pin seeds explicitly")
+    fields.setdefault("seed", derived_seed)
+    return DisturbanceSpec(**fields)
 
 
 def _parse_disturbances(value, pointer: str, p: int,
@@ -413,37 +411,36 @@ def _parse_disturbances(value, pointer: str, p: int,
 def _parse_certification(value, pointer: str):
     if value is None:
         return None, DEFAULT_MODE
-    block = _expect_mapping(value, pointer)
-    _reject_unknown(block, {"theta", "theta3", "mode"}, pointer)
-    theta = _as_positive(_require(block, "theta", pointer), _child(pointer, "theta"))
-    theta3 = _as_positive(_require(block, "theta3", pointer), _child(pointer, "theta3"))
-    return CertParams(theta=theta, theta3=theta3), block.get("mode", DEFAULT_MODE)
+    fields = _fields(value, pointer, {"theta": _as_positive, "theta3": _as_positive,
+                                      "mode": _given}, optional=("mode",))
+    mode = fields.pop("mode", DEFAULT_MODE)
+    return CertParams(**fields), mode
 
 
 def _parse_simulation(value, pointer: str) -> dict:
-    """The simulation settings given; the others keep their defaults."""
+    """The simulation settings given, which :class:`NetworkConfig` checks;
+    the others keep their defaults."""
     if value is None:
         return {}
-    block = _expect_mapping(value, pointer)
-    _reject_unknown(block, {"dt", "horizon", "stride"}, pointer)
-    settings = {key: _as_positive(block[key], _child(pointer, key))
-                for key in ("dt", "horizon") if key in block}
-    if "stride" in block:
-        settings["stride"] = block["stride"]
-    return settings
+    keys = ("dt", "horizon", "stride")
+    return _fields(value, pointer, dict.fromkeys(keys, _given), optional=keys)
 
 
 def config_from_dict(payload) -> NetworkConfig:
     """Validate a decoded JSON document and fill defaults."""
-    data = _expect_mapping(payload, "")
-    _reject_unknown(data, {"graph", "agents", "couplings", "disturbances",
-                           "certification", "simulation", "seed"}, "")
-    graph = _parse_graph(_require(data, "graph", ""), "/graph")
-    # checked before the description exists: the edge seeds derive from it
-    seed = _as_int(data.get("seed", DEFAULT_SEED), "/seed")
-    agents, x0 = _parse_agents(_require(data, "agents", ""), "/agents", graph.n)
-    couplings = _parse_couplings(_require(data, "couplings", ""), "/couplings",
-                                 graph.edge_count)
+    # the other blocks are read below: agents, couplings and disturbances
+    # need the graph, and a null disturbances, certification or simulation
+    # block stands for an absent one
+    data = _fields(payload, "", {
+        "graph": _parse_graph,
+        # checked before the description exists: the edge seeds derive from it
+        "seed": _as_int,
+        **dict.fromkeys(("agents", "couplings", "disturbances", "certification",
+                         "simulation"), _given),
+    }, optional=("seed", "disturbances", "certification", "simulation"))
+    graph, seed = data["graph"], data.get("seed", DEFAULT_SEED)
+    agents, x0 = _parse_agents(data["agents"], "/agents", graph.n)
+    couplings = _parse_couplings(data["couplings"], "/couplings", graph.edge_count)
     disturbances = _parse_disturbances(data.get("disturbances"), "/disturbances",
                                        graph.edge_count, seed)
     certification, mode = _parse_certification(data.get("certification"),

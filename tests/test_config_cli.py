@@ -17,7 +17,7 @@ import pytest
 from click.testing import CliRunner
 
 from syncert import __version__, certificates, graphs
-from syncert.cli import _trace_check, main
+from syncert.cli import _trace_check, _trace_checks, main
 from syncert.config import (
     SEED_ENV_VAR,
     ConfigError,
@@ -137,6 +137,15 @@ def test_initial_outputs_fill_first_component():
      "/couplings/knots", "strictly increasing"),
     (lambda d: d["disturbances"].update(scale=-0.1), "/disturbances/scale",
      "must be nonnegative"),
+    # each kind reads its own keys only
+    (lambda d: d["couplings"].update(amplitude=3.0), "/couplings/amplitude",
+     "unknown key"),
+    (lambda d: d.update(couplings={"kind": "piecewise_linear", "gain": 10.0,
+                                   "knots": [[1.0, 2.0]],
+                                   "sector": {"alpha_lo": 2.0, "alpha_hi": 2.0}}),
+     "/couplings/gain", "unknown key"),
+    (lambda d: d.update(disturbances={"kind": "zero", "scale": 5.0}),
+     "/disturbances/scale", "unknown key"),
     (lambda d: d.update(couplings={"kind": "linear", "gain": 5.0,
                                    "sector": {"alpha_lo": 5.5,
                                               "alpha_hi": 6.0}}),
@@ -230,6 +239,12 @@ def test_with_simulation_overrides():
     with pytest.raises(ConfigError, match="must be positive") as err:
         cfg.with_simulation(dt=0.0)
     assert err.value.pointer == "/simulation/dt"
+    # integers given for the step or the horizon are stored as floats
+    parsed = config_from_dict(_payload(simulation={"horizon": 1}))
+    replaced = dataclasses.replace(cfg, dt=1, horizon=4)
+    for value in (parsed.dt, parsed.horizon, replaced.dt, replaced.horizon):
+        assert type(value) is float
+    assert (parsed.horizon, replaced.dt, replaced.horizon) == (1.0, 1.0, 4.0)
 
 
 @pytest.mark.parametrize("changes, pointer", [
@@ -490,6 +505,7 @@ def test_simulate_checks_pass_and_annotate_csv(tmp_path):
                                   "--check-bound", "--check-lemma1"])
     assert result.exit_code == 0, result.output
     assert "PASS  bound-margins: worst margin " in result.output
+    assert "PASS  pair-dissipation: worst pair residual slack " in result.output
     header = (out / "trace.csv").read_text().splitlines()[0]
     assert header.endswith("bound_margin,dissipation_residual")
     # the printed worst residual slack is the least over the whole grid, at
@@ -744,6 +760,25 @@ def test_odd_hill_exits_2_at_the_hill_pointer(tmp_path, command):
     assert result.output.startswith("error: /agents/hill: hill coefficient must be "
                                     "even, got 3")
     assert "pole at x3 = -1" in result.output
+
+
+def test_pair_dissipation_catches_what_the_network_checks_miss():
+    # the odd-hill K5 parsed with hill 4, then given hill 3 past the parser's
+    # pole check: the network inequality and the bound hold on its trace,
+    # but one pair inequality breaks
+    payload = json.loads((Path(__file__).parent / "data" / "odd_hill_k5.json")
+                         .read_text(encoding="utf-8"))
+    payload["agents"]["hill"] = 4
+    cfg = config_from_dict(payload).with_simulation(horizon=10.0)
+    object.__setattr__(cfg.agents, "hill", 3)
+    with pytest.warns(UserWarning, match="closed-form slope constant"):
+        cert = cfg.certificate()
+    trace = run(cfg)
+    checks, _ = _trace_checks(trace, cert, trace.margin_curve(cert.bound))
+    verdicts = {name: (ok, detail) for name, ok, detail in checks}
+    assert verdicts["bound-margins"][0] and verdicts["dissipation-residual"][0]
+    assert verdicts["pair-dissipation"] == (
+        False, "worst pair residual slack -18.8661 at t = 0.802, edge 3-4")
 
 
 @pytest.mark.parametrize("mode, key, tol_key, shift, check", [
