@@ -40,9 +40,6 @@ from .simulation import (
     SectorCheck,
     SimulationDiverged,
     SimulationTrace,
-    affine_sinusoid_coupling,
-    linear_coupling,
-    piecewise_linear_coupling,
     run,
     run_batch,
     verify_sector,
@@ -72,7 +69,6 @@ __all__ = [
     "SimulationTrace",
     "UncertifiedBoundError",
     "admissible_theta3_interval",
-    "affine_sinusoid_coupling",
     "build_graph",
     "bundled_config",
     "bundled_expected",
@@ -82,10 +78,8 @@ __all__ = [
     "gain_bound_from_forms",
     "hill_slope",
     "hill_slope_max",
-    "linear_coupling",
     "normals",
     "parse_config",
-    "piecewise_linear_coupling",
     "quadratic_forms",
     "run",
     "run_batch",

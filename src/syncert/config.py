@@ -15,8 +15,9 @@ Top-level keys::
                    {"kind": "piecewise_linear", "knots": [[x, y], ..],
                     "sector": {...}}
     disturbances   single mapping or list per edge:
-                   {"kind": "zero", "seed": ..}
-                   {"kind": "constant" | "gaussian", "scale": .., "seed": ..}
+                   {"kind": "zero"}
+                   {"kind": "constant", "scale": ..}
+                   {"kind": "gaussian", "scale": .., "seed": ..}
     certification  {"theta": .., "theta3": .., "mode": "uniform" | "per_edge"}
     simulation     {"dt": .., "horizon": .., "stride": ..}
     seed           integer master seed
@@ -346,9 +347,6 @@ _COUPLING_FIELDS = {
 
 def _parse_coupling_entry(value, pointer: str) -> CouplingSpec:
     fields = _kinded(value, pointer, _COUPLING_FIELDS, "coupling")
-    if "sector" not in fields:
-        # a linear coupling's sector defaults to the point of its gain
-        fields["sector"] = SectorBound(fields["gain"], fields["gain"])
     try:
         spec = CouplingSpec(**fields)
     except ValueError as exc:
@@ -373,8 +371,8 @@ def _parse_couplings(value, pointer: str, p: int) -> tuple[CouplingSpec, ...]:
 
 
 _DISTURBANCE_FIELDS = {
-    "zero": ({"seed": _as_int}, ("seed",)),
-    "constant": ({"scale": _as_scale, "seed": _as_int}, ("seed",)),
+    "zero": ({}, ()),
+    "constant": ({"scale": _as_scale}, ()),
     "gaussian": ({"scale": _as_scale, "seed": _as_int}, ("seed",)),
 }
 

@@ -39,9 +39,6 @@ __all__ = [
     "SectorCheck",
     "DisturbanceSpec",
     "SimulationTrace",
-    "linear_coupling",
-    "affine_sinusoid_coupling",
-    "piecewise_linear_coupling",
     "verify_sector",
     "group_couplings",
     "evaluate_couplings",
@@ -50,7 +47,6 @@ __all__ = [
     "run_batch",
 ]
 
-_COUPLING_KINDS = ("linear", "affine_sinusoid", "piecewise_linear")
 # the disturbance kinds, each interpreted by DisturbanceSpec.held_values
 DISTURBANCE_KINDS = ("gaussian", "zero", "constant")
 
@@ -70,34 +66,44 @@ class CouplingSpec:
     Oddness is structural: every kind is built from odd primitives (identity,
     sine, odd extension of a half-line polyline), so only ``x >= 0`` shapes
     are ever specified.  The declared sector is a claim checked separately by
-    :func:`verify_sector`.
+    :func:`verify_sector`; a linear coupling's defaults to the point of its
+    gain, and every other kind must declare one.  The knots are stored as
+    float pairs.
     """
 
     kind: str
-    sector: SectorBound
+    sector: SectorBound | None = None
     gain: float = 0.0
     amplitude: float = 0.0
     knots: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in _COUPLING_KINDS:
+        if self.kind not in _KERNELS:
             raise ValueError(f"unknown coupling kind {self.kind!r}")
         if self.kind in ("linear", "affine_sinusoid"):
-            if not (math.isfinite(self.gain) and self.gain > 0.0):
+            if isinstance(self.gain, bool) or not (
+                    math.isfinite(self.gain) and self.gain > 0.0):
                 raise ValueError(f"coupling gain must be positive, got {self.gain}")
-        if self.kind == "affine_sinusoid" and not math.isfinite(self.amplitude):
+        if self.kind == "affine_sinusoid" and (
+                isinstance(self.amplitude, bool) or not math.isfinite(self.amplitude)):
             raise ValueError(f"sinusoid amplitude must be finite, got {self.amplitude}")
         if self.kind == "piecewise_linear":
             if not self.knots:
                 raise ValueError("piecewise_linear coupling needs at least one knot")
+            knots = tuple((float(x), float(y)) for x, y in self.knots)
             prev_x = 0.0
-            for x, y in self.knots:
+            for x, y in knots:
                 if not (math.isfinite(x) and math.isfinite(y) and x > prev_x):
                     raise ValueError(
                         "knot abscissae must be finite, positive and strictly "
                         f"increasing, got {self.knots!r}"
                     )
                 prev_x = x
+            object.__setattr__(self, "knots", knots)
+        if self.sector is None:
+            if self.kind != "linear":
+                raise ValueError(f"{self.kind} coupling needs a declared sector")
+            object.__setattr__(self, "sector", SectorBound(self.gain, self.gain))
 
     def __call__(self, x):
         """Evaluate elementwise on scalars or arrays, through the one-edge
@@ -156,78 +162,13 @@ def _kind_params(kind: str, specs) -> tuple[np.ndarray, ...]:
     rows = 1 + max(len(s.knots) for s in specs)
     columns = []
     for s in specs:
-        xs = [0.0, *(float(x) for x, _ in s.knots)]
-        ys = [0.0, *(float(y) for _, y in s.knots)]
+        xs = [0.0, *(x for x, _ in s.knots)]
+        ys = [0.0, *(y for _, y in s.knots)]
         slopes = [(ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) for j in range(len(xs) - 1)]
         # the last knot and the padding rows continue the final segment
         columns.append([c + c[-1:] * (rows - len(c)) for c in (xs, ys, slopes)])
     tables = tuple(np.array(table).T.copy() for table in zip(*columns))
     return (*tables, np.arange(len(specs)))
-
-
-def linear_coupling(gain: float) -> CouplingSpec:
-    """Pure gain; its sector is the single point ``gain``."""
-    return CouplingSpec(kind="linear", sector=SectorBound(gain, gain), gain=gain)
-
-
-def affine_sinusoid_coupling(gain: float, amplitude: float,
-                             sector: SectorBound) -> CouplingSpec:
-    return CouplingSpec(kind="affine_sinusoid", sector=sector, gain=gain,
-                        amplitude=amplitude)
-
-
-def piecewise_linear_coupling(knots, sector: SectorBound) -> CouplingSpec:
-    return CouplingSpec(kind="piecewise_linear", sector=sector,
-                        knots=tuple((float(x), float(y)) for x, y in knots))
-
-
-@dataclass(frozen=True, eq=False)
-class SectorCheck:
-    """Exact extremes of the slope ratio ``spec(x)/x`` over ``x != 0``,
-    against the declared sector."""
-
-    passed: bool
-    ratio_min: float
-    ratio_max: float
-
-
-# min of sin(x)/x, reached at the first positive root x* of tan(x) = x
-SINC_MIN = math.sin(4.493409457909064) / 4.493409457909064
-
-
-def _slope_ratio_range(spec: CouplingSpec) -> tuple[float, float]:
-    if spec.kind == "linear":
-        return spec.gain, spec.gain
-    if spec.kind == "affine_sinusoid":
-        # gain + amplitude * sin(x)/x with sin(x)/x in [SINC_MIN, 1]
-        ends = (spec.gain + spec.amplitude * SINC_MIN, spec.gain + spec.amplitude)
-        return min(ends), max(ends)
-    # y/x is monotone on every segment, so its extremes sit at the knots,
-    # next to the origin (the first slope) or at infinity (the last slope,
-    # computed as the kernel table computes it)
-    xs = [0.0, *(float(x) for x, _ in spec.knots)]
-    ys = [0.0, *(float(y) for _, y in spec.knots)]
-    ratios = [y / x for x, y in zip(xs[1:], ys[1:])]
-    ratios.append((ys[-1] - ys[-2]) / (xs[-1] - xs[-2]))
-    return float(np.min(ratios)), float(np.max(ratios))
-
-
-# absolute slack of the sector check on either end of the declared sector
-SECTOR_TOL = 1e-9
-
-
-def verify_sector(spec: CouplingSpec) -> SectorCheck:
-    """Check the declared sector against the closed-form slope-ratio range.
-
-    The spec passes when ``[ratio_min, ratio_max]`` lies within
-    ``[alpha_lo - SECTOR_TOL, alpha_hi + SECTOR_TOL]``.  The range is exact
-    for every coupling kind (an extreme may be a limit at zero or infinity),
-    so a pass proves the declaration.
-    """
-    ratio_min, ratio_max = _slope_ratio_range(spec)
-    passed = bool(ratio_min >= spec.sector.alpha_lo - SECTOR_TOL
-                  and ratio_max <= spec.sector.alpha_hi + SECTOR_TOL)
-    return SectorCheck(passed=passed, ratio_min=ratio_min, ratio_max=ratio_max)
 
 
 @dataclass(frozen=True)
@@ -243,7 +184,8 @@ class DisturbanceSpec:
     def __post_init__(self) -> None:
         if self.kind not in DISTURBANCE_KINDS:
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
-        if not (math.isfinite(self.scale) and self.scale >= 0.0):
+        if isinstance(self.scale, bool) or not (
+                math.isfinite(self.scale) and self.scale >= 0.0):
             raise ValueError(f"scale must be nonnegative, got {self.scale}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
@@ -287,15 +229,56 @@ def evaluate_couplings(table: tuple[CouplingGroup, ...], x: np.ndarray,
     """Write the coupling outputs of the per-edge arguments on the last axis
     of ``x`` into ``out`` (a fresh array when it is None), one kernel call
     per kind of ``table``, and return it."""
-    if len(table) == 1:
-        # one kind covers every edge: its kernel maps the whole last axis
-        kind, _, params = table[0]
-        return _KERNELS[kind](*params, x, out)
     if out is None:
         out = np.empty_like(x, dtype=float)
     for kind, edges, params in table:
         out[..., edges] = _KERNELS[kind](*params, x[..., edges], None)
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class SectorCheck:
+    """Exact extremes of the slope ratio ``spec(x)/x`` over ``x != 0``,
+    against the declared sector."""
+
+    passed: bool
+    ratio_min: float
+    ratio_max: float
+
+
+# min of sin(x)/x, reached at the first positive root x* of tan(x) = x
+SINC_MIN = math.sin(4.493409457909064) / 4.493409457909064
+# absolute slack of the sector check on either end of the declared sector
+SECTOR_TOL = 1e-9
+
+
+def verify_sector(spec: CouplingSpec) -> SectorCheck:
+    """Check the declared sector against the closed-form slope-ratio range.
+
+    The range is read off the parameter arrays of the spec's one-edge kernel
+    table, so it is proved for the numbers the kernel evaluates.  The spec
+    passes when ``[ratio_min, ratio_max]`` lies within
+    ``[alpha_lo - SECTOR_TOL, alpha_hi + SECTOR_TOL]``.  The range is exact
+    for every coupling kind (an extreme may be a limit at zero or infinity),
+    so a pass proves the declaration.
+    """
+    [(kind, _, params)] = group_couplings((spec,))
+    if kind == "linear":
+        ratios = params
+    elif kind == "affine_sinusoid":
+        # gain + amplitude * sin(x)/x with sin(x)/x in [SINC_MIN, 1]
+        gain, amplitude = params
+        ratios = (gain + amplitude * SINC_MIN, gain + amplitude)
+    else:
+        # y/x is monotone on every segment, so its extremes sit at the knots,
+        # next to the origin (the first slope) or at infinity (the last slope)
+        xs, ys, slopes, _ = params
+        ratios = (ys[1:, 0] / xs[1:, 0], slopes[-1])
+    ratios = np.concatenate(ratios)
+    ratio_min, ratio_max = float(ratios.min()), float(ratios.max())
+    passed = bool(ratio_min >= spec.sector.alpha_lo - SECTOR_TOL
+                  and ratio_max <= spec.sector.alpha_hi + SECTOR_TOL)
+    return SectorCheck(passed=passed, ratio_min=ratio_min, ratio_max=ratio_max)
 
 
 # steps integrated between two finiteness checks of the new states

@@ -146,6 +146,12 @@ def test_initial_outputs_fill_first_component():
      "/couplings/gain", "unknown key"),
     (lambda d: d.update(disturbances={"kind": "zero", "scale": 5.0}),
      "/disturbances/scale", "unknown key"),
+    # only a Gaussian stream reads a seed
+    (lambda d: d.update(disturbances=[{"kind": "gaussian", "scale": 0.2}] * 2
+                        + [{"kind": "zero", "seed": 7}]),
+     "/disturbances/2/seed", "unknown key"),
+    (lambda d: d.update(disturbances=[{"kind": "constant", "scale": 0.1, "seed": 7}] * 3),
+     "/disturbances/0/seed", "unknown key"),
     (lambda d: d.update(couplings={"kind": "linear", "gain": 5.0,
                                    "sector": {"alpha_lo": 5.5,
                                               "alpha_hi": 6.0}}),
@@ -380,17 +386,23 @@ def test_search_computes_edge_stats_once_for_the_grid(tmp_path, monkeypatch):
 
 
 def test_search_reproduces_golden_grid_csv(tmp_path):
-    # written on the bundled K5 network by the per-edge certificate build
-    # that the array build replaced; the grid includes theta3 points outside
-    # the admissible (1.125, 2), which carry nan
-    expected = (Path(__file__).parent / "data" / "search_k5_golden.csv").read_bytes()
-    out = tmp_path / "grid.csv"
-    result = CliRunner().invoke(main, ["search", str(_bundled_path(tmp_path)),
-                                       "--theta", "0.5:4:7", "--theta3", "1.0:2.1:9",
-                                       "-o", str(out)])
-    assert result.exit_code == 0, result.output
-    assert "grid points: 63, admissible: 49" in result.output
-    assert out.read_bytes() == expected
+    # the K5 golden was written on the bundled network by the per-edge
+    # certificate build that the array build replaced; the mixed one covers
+    # all three coupling kinds, so the default linear point sectors and the
+    # declared sectors of the other kinds reach the margin.  Both grids
+    # include theta3 points outside the admissible (1.125, 2), which carry nan
+    data = Path(__file__).parent / "data"
+    cases = [(_bundled_path(tmp_path), "search_k5_golden.csv", "0.18475"),
+             (data / "mixed_couplings.json", "search_mixed_golden.csv", "-8.35222")]
+    for config, golden, best in cases:
+        out = tmp_path / golden
+        result = CliRunner().invoke(main, ["search", str(config),
+                                           "--theta", "0.5:4:7", "--theta3", "1.0:2.1:9",
+                                           "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        assert "grid points: 63, admissible: 49" in result.output
+        assert f"min slack = {best}\n" in result.output
+        assert out.read_bytes() == (data / golden).read_bytes(), golden
 
 
 def test_version_option_reads_the_package_version():

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from oracles import complete_graph, erdos_renyi_graph
@@ -267,6 +267,53 @@ def test_certify_network_validation():
     with pytest.raises(ValueError, match="initial states"):
         certify_network(agents, g, cp, *sector_arrays(sectors),
                         initial_states=np.zeros((4, 3)))
+
+
+def _slacks_by_label(agents, g, mode):
+    cert = certify_network(agents, g, CertParams(theta=2.0, theta3=1.5),
+                           np.full(g.edge_count, 4.0), np.full(g.edge_count, 5.0),
+                           mode=mode)
+    return {edge: float(slack).hex() for edge, slack in zip(g.edges, cert.slacks)}
+
+
+@given(data=st.data())
+def test_per_edge_slack_reads_only_the_closed_neighbourhood(data):
+    """The conditions are local: in per_edge mode the slack of edge (i, j)
+    stays bit-identical when a gain outside the closed neighbourhood of i and
+    j changes, or when an edge that touches neither i nor j is added.  In
+    uniform mode every edge reads the network's least nu, so a far gain
+    change that raises the largest gain deviation moves every slack."""
+    n = data.draw(st.integers(5, 12), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    g = erdos_renyi_graph(n, data.draw(st.floats(0.15, 0.5), label="density"), rng,
+                          require_connected=True)
+    gains = data.draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n),
+                      label="gains")
+
+    def closed(edge):
+        i, j = edge
+        return {i, j} | g.neighbours[i - 1] | g.neighbours[j - 1]
+
+    edges = [edge for edge in g.edges if len(closed(edge)) < n]
+    assume(edges)
+    edge = data.draw(st.sampled_from(edges), label="edge")
+    far = data.draw(st.sampled_from(sorted(set(range(1, n + 1)) - closed(edge))),
+                    label="far node")
+    base = _slacks_by_label(_agents(*gains), g, "per_edge")
+    # a drawn far gain, then one whose deviation 1.5 exceeds every drawn one
+    for gain in (data.draw(st.floats(0.05, 3.0), label="far gain"), 2.5):
+        changed = _agents(*gains[:far - 1], gain, *gains[far:])
+        assert _slacks_by_label(changed, g, "per_edge")[edge] == base[edge]
+    uniform = _slacks_by_label(_agents(*gains), g, "uniform")
+    moved = _slacks_by_label(changed, g, "uniform")
+    assert all(moved[e] != uniform[e] for e in g.edges)
+    i, j = edge
+    absent = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+              if not {a, b} & {i, j} and (a, b) not in g.edges]
+    if absent:
+        added = build_graph(n, [*g.edges, data.draw(st.sampled_from(absent),
+                                                     label="added edge")])
+        assert _slacks_by_label(_agents(*gains), added, "per_edge")[edge] == base[edge]
 
 
 def _reference_certificate(agents, g, cp, alpha_lo, alpha_hi, x0, mode):

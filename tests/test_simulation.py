@@ -31,11 +31,8 @@ from syncert.simulation import (
     SimulationDiverged,
     _CHECK_BLOCK,
     _StepPlan,
-    affine_sinusoid_coupling,
     evaluate_couplings,
     group_couplings,
-    linear_coupling,
-    piecewise_linear_coupling,
     run,
     run_batch,
     verify_sector,
@@ -68,7 +65,7 @@ def _triangle(scale=0.2, gain=2.0):
     return NetworkConfig(
         graph=g,
         agents=_agents(0.9, 1.0, 1.1),
-        couplings=(linear_coupling(gain),) * 3,
+        couplings=(CouplingSpec(kind="linear", gain=gain),) * 3,
         disturbances=tuple(DisturbanceSpec(kind="gaussian", scale=scale, seed=s)
                            for s in (11, 12, 13)),
         initial_states=np.array([[1.0, 0.0, 0.5],
@@ -78,7 +75,7 @@ def _triangle(scale=0.2, gain=2.0):
 
 
 def test_linear_coupling_is_pure_gain():
-    spec = linear_coupling(5.0)
+    spec = CouplingSpec(kind="linear", gain=5.0)
     assert spec(2.0) == 10.0
     assert np.array_equal(spec(np.array([-1.0, 0.0, 3.0])),
                           np.array([-5.0, 0.0, 15.0]))
@@ -87,15 +84,16 @@ def test_linear_coupling_is_pure_gain():
 
 
 def test_affine_sinusoid_values():
-    spec = affine_sinusoid_coupling(5.0, 0.5, SectorBound(4.5, 5.5))
+    spec = CouplingSpec(kind="affine_sinusoid", gain=5.0, amplitude=0.5,
+                        sector=SectorBound(4.5, 5.5))
     xs = np.array([-2.0, 0.3, 10.0])
     assert np.allclose(spec(xs), 5.0 * xs + 0.5 * np.sin(xs), rtol=1e-15)
     assert verify_sector(spec).passed
 
 
 def test_piecewise_linear_interpolation_and_extrapolation():
-    spec = piecewise_linear_coupling([(1.0, 2.0), (2.0, 3.0)],
-                                     SectorBound(1.0, 2.0))
+    spec = CouplingSpec(kind="piecewise_linear", knots=[(1.0, 2.0), (2.0, 3.0)],
+                        sector=SectorBound(1.0, 2.0))
     assert spec(0.5) == pytest.approx(1.0)
     assert spec(1.0) == pytest.approx(2.0)
     assert spec(1.5) == pytest.approx(2.5)
@@ -103,14 +101,22 @@ def test_piecewise_linear_interpolation_and_extrapolation():
     assert spec(4.0) == pytest.approx(5.0)
     assert spec(-4.0) == pytest.approx(-5.0)
     assert verify_sector(spec).passed
+    # the knots are stored as float pairs, however they were given
+    ints = CouplingSpec(kind="piecewise_linear", knots=[[1, 2], (np.int64(2), 3)],
+                        sector=SectorBound(1.0, 2.0))
+    assert ints.knots == ((1.0, 2.0), (2.0, 3.0))
+    assert all(type(v) is float for knot in ints.knots for v in knot)
+    assert ints == spec
 
 
 @given(x=st.floats(min_value=1e-9, max_value=1e6))
 def test_couplings_are_odd(x):
     for spec in (
-        linear_coupling(3.0),
-        affine_sinusoid_coupling(2.0, 0.7, SectorBound(1.3, 2.7)),
-        piecewise_linear_coupling([(1.0, 1.5), (3.0, 4.0)], SectorBound(0.5, 2.0)),
+        CouplingSpec(kind="linear", gain=3.0),
+        CouplingSpec(kind="affine_sinusoid", gain=2.0, amplitude=0.7,
+                     sector=SectorBound(1.3, 2.7)),
+        CouplingSpec(kind="piecewise_linear", knots=[(1.0, 1.5), (3.0, 4.0)],
+                     sector=SectorBound(0.5, 2.0)),
     ):
         assert np.isclose(spec(-x), -spec(x), rtol=1e-12, atol=0.0)
 
@@ -120,14 +126,29 @@ def test_coupling_validation():
         CouplingSpec(kind="cubic", sector=SectorBound(1.0, 1.0))
     with pytest.raises(ValueError, match="gain must be positive"):
         CouplingSpec(kind="linear", sector=SectorBound(1.0, 1.0), gain=0.0)
-    with pytest.raises(ValueError, match="sector must satisfy"):
-        linear_coupling(0.0)
+    # the gain is checked before it becomes the default point sector
+    with pytest.raises(ValueError, match="gain must be positive"):
+        CouplingSpec(kind="linear", gain=0.0)
+    # a bool is not a number, though it compares as one
+    for kind in ("linear", "affine_sinusoid"):
+        with pytest.raises(ValueError, match="gain must be positive, got True"):
+            CouplingSpec(kind=kind, gain=True, sector=SectorBound(1.0, 1.0))
+    with pytest.raises(ValueError, match="amplitude must be finite, got True"):
+        CouplingSpec(kind="affine_sinusoid", gain=1.0, amplitude=True,
+                     sector=SectorBound(0.5, 2.0))
     with pytest.raises(ValueError, match="amplitude must be finite"):
-        affine_sinusoid_coupling(1.0, math.inf, SectorBound(0.5, 1.5))
+        CouplingSpec(kind="affine_sinusoid", gain=1.0, amplitude=math.inf,
+                     sector=SectorBound(0.5, 1.5))
+    # only a linear coupling has a default sector
+    with pytest.raises(ValueError, match="affine_sinusoid coupling needs a declared sector"):
+        CouplingSpec(kind="affine_sinusoid", gain=1.0, amplitude=0.5)
+    with pytest.raises(ValueError, match="piecewise_linear coupling needs a declared sector"):
+        CouplingSpec(kind="piecewise_linear", knots=[(1.0, 2.0)])
     with pytest.raises(ValueError, match="at least one knot"):
-        piecewise_linear_coupling([], SectorBound(1.0, 1.0))
+        CouplingSpec(kind="piecewise_linear", knots=[], sector=SectorBound(1.0, 1.0))
     with pytest.raises(ValueError, match="strictly"):
-        piecewise_linear_coupling([(2.0, 1.0), (1.0, 2.0)], SectorBound(1.0, 1.0))
+        CouplingSpec(kind="piecewise_linear", knots=[(2.0, 1.0), (1.0, 2.0)],
+                     sector=SectorBound(1.0, 1.0))
 
 
 def test_verify_sector_refutes_wrong_declaration():
@@ -138,17 +159,20 @@ def test_verify_sector_refutes_wrong_declaration():
 
 
 def test_verify_sector_reports_extremes():
-    spec = affine_sinusoid_coupling(5.0, 0.5, SectorBound(4.5, 5.5))
+    spec = CouplingSpec(kind="affine_sinusoid", gain=5.0, amplitude=0.5,
+                        sector=SectorBound(4.5, 5.5))
     check = verify_sector(spec)
     # ratio is 5 + sin(x)/(2x): supremum 5.5 as x -> 0, minimum at tan x = x
     assert check.passed
     assert check.ratio_max == 5.5
     assert check.ratio_min == pytest.approx(5.0 - 0.5 * 0.21723362821122166,
                                             rel=1e-15)
-    flipped = verify_sector(affine_sinusoid_coupling(5.0, -0.5, SectorBound(4.5, 5.5)))
+    flipped = verify_sector(CouplingSpec(kind="affine_sinusoid", gain=5.0, amplitude=-0.5,
+                                         sector=SectorBound(4.5, 5.5)))
     assert (flipped.ratio_min, flipped.ratio_max) == (4.5, 5.0 - 0.5 * SINC_MIN)
-    polyline = verify_sector(piecewise_linear_coupling(
-        [(1.0, 3.0), (2.0, 4.0), (3.0, 7.5)], SectorBound(1.0, 3.5)))
+    polyline = verify_sector(CouplingSpec(
+        kind="piecewise_linear", knots=[(1.0, 3.0), (2.0, 4.0), (3.0, 7.5)],
+        sector=SectorBound(1.0, 3.5)))
     # first slope 3, knot ratios 3, 2 and 2.5, last slope 3.5 at infinity
     assert (polyline.ratio_min, polyline.ratio_max) == (2.0, 3.5)
 
@@ -165,7 +189,8 @@ def test_verify_sector_rejects_overstatement_the_grid_missed():
     # true infimum 1 + 2 * SINC_MIN = 0.565533; 0.0068 above it slips
     # through the old 512-point grid but not the exact range
     lo = 1.0 + 2.0 * SINC_MIN + 0.0068
-    spec = affine_sinusoid_coupling(1.0, 2.0, SectorBound(lo, 3.0))
+    spec = CouplingSpec(kind="affine_sinusoid", gain=1.0, amplitude=2.0,
+                        sector=SectorBound(lo, 3.0))
     assert _log_grid_ratios(spec, 512).min() >= lo - 1e-9
     check = verify_sector(spec)
     assert not check.passed
@@ -173,13 +198,14 @@ def test_verify_sector_rejects_overstatement_the_grid_missed():
 
 
 _SPECS = st.one_of(
-    st.builds(linear_coupling, st.floats(0.01, 100.0)),
-    st.builds(lambda g, a: affine_sinusoid_coupling(g, a, SectorBound(1.0, 1.0)),
-              st.floats(0.01, 100.0), st.floats(-50.0, 50.0)),
-    st.builds(lambda steps: piecewise_linear_coupling(
-                  [(float(x), y) for x, (_, y) in
-                   zip(np.cumsum([dx for dx, _ in steps]), steps)],
-                  SectorBound(1.0, 1.0)),
+    st.builds(CouplingSpec, kind=st.just("linear"), gain=st.floats(0.01, 100.0)),
+    st.builds(CouplingSpec, kind=st.just("affine_sinusoid"), gain=st.floats(0.01, 100.0),
+              amplitude=st.floats(-50.0, 50.0), sector=st.just(SectorBound(1.0, 1.0))),
+    st.builds(lambda steps: CouplingSpec(
+                  kind="piecewise_linear",
+                  knots=[(x, y) for x, (_, y) in
+                         zip(np.cumsum([dx for dx, _ in steps]), steps)],
+                  sector=SectorBound(1.0, 1.0)),
               st.lists(st.tuples(st.floats(0.05, 5.0), st.floats(-10.0, 10.0)),
                        min_size=1, max_size=5)),
 )
@@ -213,6 +239,9 @@ def test_disturbance_validation():
         DisturbanceSpec(kind="brownian")
     with pytest.raises(ValueError, match="nonnegative"):
         DisturbanceSpec(kind="gaussian", scale=-1.0)
+    for kind in ("gaussian", "constant"):
+        with pytest.raises(ValueError, match="nonnegative, got True"):
+            DisturbanceSpec(kind=kind, scale=True)
     with pytest.raises(ValueError, match="seed must be an integer"):
         DisturbanceSpec(kind="gaussian", scale=1.0, seed=True)
 
@@ -220,7 +249,7 @@ def test_disturbance_validation():
 def test_model_validation():
     g = build_graph(2, [(1, 2)])
     agents = _agents(1.0, 1.1)
-    coupling = (linear_coupling(1.0),)
+    coupling = (CouplingSpec(kind="linear", gain=1.0),)
     dist = (DisturbanceSpec(),)
     x0 = np.zeros((2, 3))
     fields = dict(graph=g, agents=agents, initial_states=x0,
@@ -258,23 +287,29 @@ def _per_edge(couplings, x):
     return out
 
 
-_SIN = affine_sinusoid_coupling(5.0, 0.3, SectorBound(4.7, 5.31))
-_PWL = piecewise_linear_coupling([(1.0, 5.0), (2.0, 9.0)], SectorBound(4.5, 5.0))
-_LIN = linear_coupling(4.0)
+_SIN = CouplingSpec(kind="affine_sinusoid", gain=5.0, amplitude=0.3,
+                    sector=SectorBound(4.7, 5.31))
+_PWL = CouplingSpec(kind="piecewise_linear", knots=[(1.0, 5.0), (2.0, 9.0)],
+                    sector=SectorBound(4.5, 5.0))
+_LIN = CouplingSpec(kind="linear", gain=4.0)
 _COUPLING_LISTS = {
     "all_equal": (_SIN,) * 6,
-    "all_distinct": (_SIN, _PWL, _LIN, linear_coupling(4.5),
-                     affine_sinusoid_coupling(5.0, 0.2, SectorBound(4.7, 5.21)),
-                     piecewise_linear_coupling([(1.0, 4.0)], SectorBound(4.0, 4.0))),
-    "mixed": (_SIN, _PWL, _SIN, _LIN, _PWL, linear_coupling(4.5)),
+    "all_distinct": (_SIN, _PWL, _LIN, CouplingSpec(kind="linear", gain=4.5),
+                     CouplingSpec(kind="affine_sinusoid", gain=5.0, amplitude=0.2,
+                                  sector=SectorBound(4.7, 5.21)),
+                     CouplingSpec(kind="piecewise_linear", knots=[(1.0, 4.0)],
+                                  sector=SectorBound(4.0, 4.0))),
+    "mixed": (_SIN, _PWL, _SIN, _LIN, _PWL, CouplingSpec(kind="linear", gain=4.5)),
     "empty": (),
     # one kernel per kind, however many distinct couplings
     "hundred_distinct": tuple(
-        (linear_coupling(4.0 + k / 100),
-         affine_sinusoid_coupling(5.0 + k / 100, 0.2, SectorBound(4.0, 6.5)),
-         piecewise_linear_coupling([(1.0 + j, (4.0 + k / 100) * (1.0 + j))
-                                    for j in range(1 + k % 4)],
-                                   SectorBound(4.0, 5.0)))[k % 3]
+        (CouplingSpec(kind="linear", gain=4.0 + k / 100),
+         CouplingSpec(kind="affine_sinusoid", gain=5.0 + k / 100, amplitude=0.2,
+                      sector=SectorBound(4.0, 6.5)),
+         CouplingSpec(kind="piecewise_linear",
+                      knots=[(1.0 + j, (4.0 + k / 100) * (1.0 + j))
+                             for j in range(1 + k % 4)],
+                      sector=SectorBound(4.0, 5.0)))[k % 3]
         for k in range(100)),
 }
 
@@ -469,7 +504,7 @@ def _diverging():
     return NetworkConfig(
         graph=g,
         agents=_agents(1.0, 1.2),
-        couplings=(linear_coupling(50.0),),
+        couplings=(CouplingSpec(kind="linear", gain=50.0),),
         disturbances=(DisturbanceSpec(),),
         initial_states=np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
     )
@@ -562,12 +597,13 @@ def test_run_batch_validation():
     model = _grid(_triangle(), 0.01)
     path = build_graph(3, [(1, 2), (2, 3)])
     mismatched = {
-        "graph": dataclasses.replace(model, graph=path,
-                                     couplings=(linear_coupling(2.0),) * 2,
-                                     disturbances=(DisturbanceSpec(),) * 2),
+        "graph": dataclasses.replace(
+            model, graph=path, couplings=(CouplingSpec(kind="linear", gain=2.0),) * 2,
+            disturbances=(DisturbanceSpec(),) * 2),
         # a different GoodwinParams object, even with equal values
         "agents": dataclasses.replace(model, agents=_agents(0.9, 1.0, 1.1)),
-        "couplings": dataclasses.replace(model, couplings=(linear_coupling(3.0),) * 3),
+        "couplings": dataclasses.replace(
+            model, couplings=(CouplingSpec(kind="linear", gain=3.0),) * 3),
         "dt": _grid(model, 0.01, 2e-3),
         "horizon": _grid(model, 0.02),
     }
@@ -752,7 +788,7 @@ def test_permuting_nodes_permutes_trajectories():
     rng = np.random.default_rng(17)
     x0 = rng.normal(size=(5, 3))
     perm = np.array([4, 2, 0, 3, 1])
-    couplings = (linear_coupling(5.0),) * g.edge_count
+    couplings = (CouplingSpec(kind="linear", gain=5.0),) * g.edge_count
     dists = (DisturbanceSpec(),) * g.edge_count
     agents = _agents(*[1.0] * 5)
     base = run(NetworkConfig(graph=g, agents=agents, initial_states=x0,
