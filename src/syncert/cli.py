@@ -100,6 +100,11 @@ def _guarded(fn):
     return wrapper
 
 
+# the positional configuration file of every command that reads one
+_CONFIG_FILE = click.argument(
+    "config_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="syncert")
 def main() -> None:
@@ -156,8 +161,7 @@ def _echo_certificate(cfg: NetworkConfig, cert: NetworkCertificate) -> None:
 
 
 @main.command()
-@click.argument("config_file",
-                type=click.Path(exists=True, dir_okay=False, path_type=Path))
+@_CONFIG_FILE
 @click.option("-o", "--output", type=click.Path(dir_okay=False, path_type=Path),
               default=None, help="Write the per-edge margin report as CSV.")
 @_guarded
@@ -182,11 +186,10 @@ def _trace_table(trace: SimulationTrace, stride: int, margin_col,
     header += ["normDTY", "normW", "bound_margin"]
     if residual_col is not None:
         header.append("dissipation_residual")
-    if full:
-        ids = [str(k + 1) for k in range(g.edge_count)]
-        header += [f"X_{k}" for k in ids]
-        header += [f"V_{k}" for k in ids]
-        header += [f"W_{k}" for k in ids]
+    # the per-edge column families of a full table, in column order
+    families = (("X", trace.coupling_arguments), ("V", trace.coupling_outputs),
+                ("W", trace.held_disturbance)) if full else ()
+    header += [f"{name}_{k + 1}" for name, _ in families for k in range(g.edge_count)]
     idx = np.append(np.arange(0, trace.steps, stride), trace.steps)
     rel = np.sqrt(trace.norm_rel_sq[idx])
     dist = np.sqrt(trace.norm_dist_sq[idx])
@@ -198,10 +201,7 @@ def _trace_table(trace: SimulationTrace, stride: int, margin_col,
             row += [_fmt(rel[pos]), _fmt(dist[pos]), _fmt(margin_col[m])]
             if residual_col is not None:
                 row.append(_fmt(residual_col[m]))
-            if full:
-                row += [_fmt(v) for v in trace.coupling_arguments[m]]
-                row += [_fmt(v) for v in trace.coupling_outputs[m]]
-                row += [_fmt(v) for v in trace.held_disturbance[m]]
+            row += [_fmt(v) for _, values in families for v in values[m]]
             yield row
 
     return header, rows()
@@ -259,8 +259,7 @@ def _echo_checks(checks) -> None:
 
 
 @main.command()
-@click.argument("config_file",
-                type=click.Path(exists=True, dir_okay=False, path_type=Path))
+@_CONFIG_FILE
 @click.option("-o", "--output", "output_dir", required=True,
               type=click.Path(file_okay=False, path_type=Path),
               help="Directory for trace.csv.")
@@ -282,10 +281,7 @@ def simulate(config_file: Path, output_dir: Path, full: bool, check_bound: bool,
              check_lemma1: bool, seed: int | None, dt: float | None,
              horizon: float | None) -> int:
     """Integrate the configured network and write its trace CSV."""
-    cfg = parse_config(config_file)
-    master = seed_override(seed)
-    if master is not None:
-        cfg = cfg.with_seed(master)
+    cfg = parse_config(config_file).with_seed(seed_override(seed))
     cfg = cfg.with_simulation(dt=dt, horizon=horizon)
     if (check_bound or check_lemma1) and cfg.certification is None:
         raise ConfigError("/certification",
@@ -336,8 +332,7 @@ def _parse_grid_spec(text: str, name: str) -> tuple[float, float, int]:
 
 
 @main.command()
-@click.argument("config_file",
-                type=click.Path(exists=True, dir_okay=False, path_type=Path))
+@_CONFIG_FILE
 @click.option("--theta", "theta_spec", required=True, metavar="LO:HI:N",
               help="Input-weight parameter grid.")
 @click.option("--theta3", "theta3_spec", required=True, metavar="LO:HI:N",
@@ -368,8 +363,7 @@ def search(config_file: Path, theta_spec: str, theta3_spec: str,
 
 
 @main.command("graph-stats")
-@click.argument("config_file",
-                type=click.Path(exists=True, dir_okay=False, path_type=Path))
+@_CONFIG_FILE
 @click.option("-o", "--output", type=click.Path(dir_okay=False, path_type=Path),
               default=None, help="Write per-edge statistics as CSV.")
 @click.option("--incidence", "incidence_out",
@@ -423,10 +417,7 @@ def reproduce_paper(output_dir: Path | None, mode: str | None, dt: float | None,
     expected = bundled_expected()
     if mode is not None:
         cfg = dataclasses.replace(cfg, mode=mode)
-    master = seed_override(seed)
-    if master is not None:
-        cfg = cfg.with_seed(master)
-    cfg = cfg.with_simulation(dt=dt, horizon=horizon)
+    cfg = cfg.with_seed(seed_override(seed)).with_simulation(dt=dt, horizon=horizon)
     uniform = cfg.mode == "uniform"
 
     cert = cfg.certificate()

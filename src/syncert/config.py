@@ -26,11 +26,12 @@ Each object takes exactly the keys shown for it (a kind's own keys for a
 coupling or disturbance); any other key is rejected.  Defaults: a linear
 coupling's sector [gain, gain], dt 1e-3, horizon 100, stride 100 (it only
 thins trace CSV rows), zero second and third initial state components,
-uniform certification mode, zero disturbance, seed 0.  Gaussian disturbance
-seeds, unless given explicitly in the per-edge list form, are derived from
-the master seed by edge index so that one integer pins the whole
-realisation.  Validation errors carry a JSON-pointer path to the offending
-value.
+uniform certification mode, zero disturbance, seed 0.  Only Gaussian
+disturbances carry a seed: unless given in the per-edge list form, it
+derives from the master seed by edge index, so one integer pins the whole
+realisation.  Every construction, parsed, direct or replaced, is checked
+and proves every declared coupling sector; an error carries the JSON
+pointer of the offending value.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .simulation import (
     CouplingSpec,
     DisturbanceSpec,
     grid_steps,
-    verify_sector,
+    prove_sectors,
 )
 
 __all__ = [
@@ -176,6 +177,16 @@ class NetworkConfig:
                               f"{self.agents.input_gains.size} agents for {n} nodes")
         if len(self.couplings) != p:
             raise ConfigError("/couplings", f"{len(self.couplings)} couplings for {p} edges")
+        passed, ratio_min, ratio_max = prove_sectors(self.couplings)
+        if not passed.all():
+            k = int(np.argmin(passed))
+            spec = self.couplings[k]
+            # one spec on every edge reads as the single mapping
+            raise ConfigError(
+                "/couplings" if self.couplings.count(spec) == p else f"/couplings/{k}",
+                "declared sector [{:g}, {:g}] is violated: slope ratios span "
+                "[{:.6g}, {:.6g}]".format(spec.sector.alpha_lo, spec.sector.alpha_hi,
+                                          ratio_min[k], ratio_max[k]))
         if len(self.disturbances) != p:
             raise ConfigError("/disturbances",
                               f"{len(self.disturbances)} disturbances for {p} edges")
@@ -226,9 +237,11 @@ class NetworkConfig:
                                *sector_arrays(self.sectors),
                                initial_states=self.initial_states, mode=self.mode)
 
-    def with_seed(self, seed: int) -> "NetworkConfig":
-        """Replace the master seed and re-derive every Gaussian edge seed,
-        including ones that were given explicitly."""
+    def with_seed(self, seed: int | None) -> "NetworkConfig":
+        """Replace the master seed, unless it is None, and re-derive every
+        Gaussian edge seed, including ones that were given explicitly."""
+        if seed is None:
+            return self
         derived = edge_seed_sequence(seed, self.graph.edge_count)
         disturbances = tuple(
             replace(spec, seed=int(derived[k])) if spec.kind == "gaussian" else spec
@@ -348,19 +361,10 @@ _COUPLING_FIELDS = {
 def _parse_coupling_entry(value, pointer: str) -> CouplingSpec:
     fields = _kinded(value, pointer, _COUPLING_FIELDS, "coupling")
     try:
-        spec = CouplingSpec(**fields)
+        return CouplingSpec(**fields)
     except ValueError as exc:
         # the readers have checked every gain and amplitude: the knots failed
         raise ConfigError(_child(pointer, "knots"), str(exc)) from exc
-
-    check = verify_sector(spec)
-    if not check.passed:
-        raise ConfigError(
-            pointer,
-            "declared sector [{:g}, {:g}] is violated: slope ratios span "
-            "[{:.6g}, {:.6g}]".format(spec.sector.alpha_lo, spec.sector.alpha_hi,
-                                      check.ratio_min, check.ratio_max))
-    return spec
 
 
 def _parse_couplings(value, pointer: str, p: int) -> tuple[CouplingSpec, ...]:
@@ -377,33 +381,29 @@ _DISTURBANCE_FIELDS = {
 }
 
 
-def _parse_disturbance_entry(value, pointer: str, derived_seed: int,
-                             allow_explicit_seed: bool) -> DisturbanceSpec:
-    fields = _kinded(value, pointer, _DISTURBANCE_FIELDS, "disturbance")
-    if "seed" in fields and not allow_explicit_seed:
-        raise ConfigError(
-            _child(pointer, "seed"),
-            "per-edge seeds are derived from the top-level seed here; "
-            "use the per-edge list form to pin seeds explicitly")
-    fields.setdefault("seed", derived_seed)
-    return DisturbanceSpec(**fields)
-
-
 def _parse_disturbances(value, pointer: str, p: int,
                         master_seed: int) -> tuple[DisturbanceSpec, ...]:
+    """The per-edge disturbances.  A Gaussian entry without a seed takes its
+    edge's derived one, counted per list entry so that a miscount reaches
+    the count check; the single mapping may not pin a seed."""
     if value is None:
         return (DisturbanceSpec(kind="zero"),) * p
-    if isinstance(value, dict):
-        return tuple(
-            _parse_disturbance_entry(value, pointer, seed, allow_explicit_seed=False)
-            for seed in edge_seed_sequence(master_seed, p))
-    # one derived seed per entry, so a miscount reaches the count check
-    entries = _expect_list(value, pointer)
-    return tuple(
-        _parse_disturbance_entry(entry, _child(pointer, k), seed,
-                                 allow_explicit_seed=True)
-        for k, (entry, seed) in enumerate(
-            zip(entries, edge_seed_sequence(master_seed, len(entries)))))
+    single = isinstance(value, dict)
+    entries = [value] * p if single else _expect_list(value, pointer)
+    specs = []
+    for k, (entry, seed) in enumerate(
+            zip(entries, edge_seed_sequence(master_seed, len(entries)))):
+        at = pointer if single else _child(pointer, k)
+        fields = _kinded(entry, at, _DISTURBANCE_FIELDS, "disturbance")
+        if single and "seed" in fields:
+            raise ConfigError(
+                _child(at, "seed"),
+                "per-edge seeds are derived from the top-level seed here; "
+                "use the per-edge list form to pin seeds explicitly")
+        if fields["kind"] == "gaussian":
+            fields.setdefault("seed", seed)
+        specs.append(DisturbanceSpec(**fields))
+    return tuple(specs)
 
 
 def _parse_certification(value, pointer: str):

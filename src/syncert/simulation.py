@@ -24,6 +24,7 @@ from .certificates import (
     NetworkCertificate,
     SectorBound,
     UncertifiedBoundError,
+    sector_arrays,
 )
 from .noise import normals
 
@@ -40,6 +41,7 @@ __all__ = [
     "DisturbanceSpec",
     "SimulationTrace",
     "verify_sector",
+    "prove_sectors",
     "group_couplings",
     "evaluate_couplings",
     "grid_steps",
@@ -65,10 +67,11 @@ class CouplingSpec:
 
     Oddness is structural: every kind is built from odd primitives (identity,
     sine, odd extension of a half-line polyline), so only ``x >= 0`` shapes
-    are ever specified.  The declared sector is a claim checked separately by
-    :func:`verify_sector`; a linear coupling's defaults to the point of its
-    gain, and every other kind must declare one.  The knots are stored as
-    float pairs.
+    are ever specified.  The declared sector is a claim that
+    :func:`prove_sectors` checks on every network description; a linear
+    coupling's defaults to the point of its gain, and every other kind must
+    declare one.  A field the kind does not read must keep its default.  The
+    knots are stored as float pairs.
     """
 
     kind: str
@@ -80,25 +83,25 @@ class CouplingSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KERNELS:
             raise ValueError(f"unknown coupling kind {self.kind!r}")
-        if self.kind in ("linear", "affine_sinusoid"):
-            if isinstance(self.gain, bool) or not (
-                    math.isfinite(self.gain) and self.gain > 0.0):
-                raise ValueError(f"coupling gain must be positive, got {self.gain}")
-        if self.kind == "affine_sinusoid" and (
+        reads = _KERNELS[self.kind][1]
+        for name, default in (("gain", 0.0), ("amplitude", 0.0), ("knots", ())):
+            value = getattr(self, name)
+            if name not in reads and value != default:
+                raise ValueError(f"{self.kind} coupling reads no {name}, got {value!r}")
+        if "gain" in reads and (isinstance(self.gain, bool) or not (
+                math.isfinite(self.gain) and self.gain > 0.0)):
+            raise ValueError(f"coupling gain must be positive, got {self.gain}")
+        if "amplitude" in reads and (
                 isinstance(self.amplitude, bool) or not math.isfinite(self.amplitude)):
             raise ValueError(f"sinusoid amplitude must be finite, got {self.amplitude}")
-        if self.kind == "piecewise_linear":
+        if "knots" in reads:
             if not self.knots:
                 raise ValueError("piecewise_linear coupling needs at least one knot")
             knots = tuple((float(x), float(y)) for x, y in self.knots)
-            prev_x = 0.0
-            for x, y in knots:
-                if not (math.isfinite(x) and math.isfinite(y) and x > prev_x):
-                    raise ValueError(
-                        "knot abscissae must be finite, positive and strictly "
-                        f"increasing, got {self.knots!r}"
-                    )
-                prev_x = x
+            xs = [0.0, *(x for x, _ in knots)]
+            if not (np.isfinite(knots).all() and all(a < b for a, b in zip(xs, xs[1:]))):
+                raise ValueError("knot abscissae must be finite, positive and strictly "
+                                 f"increasing, got {self.knots!r}")
             object.__setattr__(self, "knots", knots)
         if self.sector is None:
             if self.kind != "linear":
@@ -146,19 +149,19 @@ def _piecewise_linear(xs, ys, slopes, columns, x, out):
                        np.where(offset == 0.0, y, slopes.take(pick) * offset + y), out)
 
 
-_KERNELS = {"linear": np.multiply, "affine_sinusoid": _affine_sinusoid,
-            "piecewise_linear": _piecewise_linear}
+# each coupling kind's kernel and the CouplingSpec fields it reads
+_KERNELS = {"linear": (np.multiply, ("gain",)),
+            "affine_sinusoid": (_affine_sinusoid, ("gain", "amplitude")),
+            "piecewise_linear": (_piecewise_linear, ("knots",))}
 
 
 def _kind_params(kind: str, specs) -> tuple[np.ndarray, ...]:
     """The parameter arrays of the kernel of ``kind`` for same-kind
     ``specs``, one edge per entry of the last axis (a polyline's column
     index included)."""
-    if kind == "linear":
-        return (np.array([s.gain for s in specs], dtype=float),)
-    if kind == "affine_sinusoid":
-        return (np.array([s.gain for s in specs], dtype=float),
-                np.array([s.amplitude for s in specs], dtype=float))
+    if kind != "piecewise_linear":
+        return tuple(np.array([getattr(s, name) for s in specs], dtype=float)
+                     for name in _KERNELS[kind][1])
     rows = 1 + max(len(s.knots) for s in specs)
     columns = []
     for s in specs:
@@ -189,6 +192,8 @@ class DisturbanceSpec:
             raise ValueError(f"scale must be nonnegative, got {self.scale}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if self.kind != "gaussian" and self.seed != 0:
+            raise ValueError(f"{self.kind} disturbance reads no seed, got {self.seed!r}")
 
     def held_values(self, count: int) -> np.ndarray:
         """The sequence of values held over successive integration steps."""
@@ -232,7 +237,7 @@ def evaluate_couplings(table: tuple[CouplingGroup, ...], x: np.ndarray,
     if out is None:
         out = np.empty_like(x, dtype=float)
     for kind, edges, params in table:
-        out[..., edges] = _KERNELS[kind](*params, x[..., edges], None)
+        out[..., edges] = _KERNELS[kind][0](*params, x[..., edges], None)
     return out
 
 
@@ -252,33 +257,36 @@ SINC_MIN = math.sin(4.493409457909064) / 4.493409457909064
 SECTOR_TOL = 1e-9
 
 
-def verify_sector(spec: CouplingSpec) -> SectorCheck:
-    """Check the declared sector against the closed-form slope-ratio range.
+def prove_sectors(couplings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per coupling: whether the exact range ``[ratio_min, ratio_max]`` of
+    its slope ratio ``theta(x)/x`` over ``x != 0`` lies within its declared
+    ``[alpha_lo - SECTOR_TOL, alpha_hi + SECTOR_TOL]``, then the range.  It
+    is read off the parameter arrays of the kernel table, so it is proved for
+    the numbers the kernel evaluates (an end may be a limit at 0 or inf)."""
+    ratio_min, ratio_max = np.empty(len(couplings)), np.empty(len(couplings))
+    for kind, edges, params in group_couplings(couplings):
+        if kind == "linear":
+            ratios = np.vstack(params)
+        elif kind == "affine_sinusoid":
+            # gain + amplitude * sin(x)/x with sin(x)/x in [SINC_MIN, 1]
+            gain, amplitude = params
+            ratios = np.vstack((gain + amplitude * SINC_MIN, gain + amplitude))
+        else:
+            # y/x is monotone on every segment, so its extremes are knot ratios
+            # (the first is the first slope; padding repeats the last) or the
+            # last slope, the limit at infinity
+            xs, ys, slopes, _ = params
+            ratios = np.vstack((ys[1:] / xs[1:], slopes[-1:]))
+        ratio_min[edges], ratio_max[edges] = ratios.min(axis=0), ratios.max(axis=0)
+    alpha_lo, alpha_hi = sector_arrays(c.sector for c in couplings)
+    passed = (ratio_min >= alpha_lo - SECTOR_TOL) & (ratio_max <= alpha_hi + SECTOR_TOL)
+    return passed, ratio_min, ratio_max
 
-    The range is read off the parameter arrays of the spec's one-edge kernel
-    table, so it is proved for the numbers the kernel evaluates.  The spec
-    passes when ``[ratio_min, ratio_max]`` lies within
-    ``[alpha_lo - SECTOR_TOL, alpha_hi + SECTOR_TOL]``.  The range is exact
-    for every coupling kind (an extreme may be a limit at zero or infinity),
-    so a pass proves the declaration.
-    """
-    [(kind, _, params)] = group_couplings((spec,))
-    if kind == "linear":
-        ratios = params
-    elif kind == "affine_sinusoid":
-        # gain + amplitude * sin(x)/x with sin(x)/x in [SINC_MIN, 1]
-        gain, amplitude = params
-        ratios = (gain + amplitude * SINC_MIN, gain + amplitude)
-    else:
-        # y/x is monotone on every segment, so its extremes sit at the knots,
-        # next to the origin (the first slope) or at infinity (the last slope)
-        xs, ys, slopes, _ = params
-        ratios = (ys[1:, 0] / xs[1:, 0], slopes[-1])
-    ratios = np.concatenate(ratios)
-    ratio_min, ratio_max = float(ratios.min()), float(ratios.max())
-    passed = bool(ratio_min >= spec.sector.alpha_lo - SECTOR_TOL
-                  and ratio_max <= spec.sector.alpha_hi + SECTOR_TOL)
-    return SectorCheck(passed=passed, ratio_min=ratio_min, ratio_max=ratio_max)
+
+def verify_sector(spec: CouplingSpec) -> SectorCheck:
+    """The one-edge case of :func:`prove_sectors`."""
+    [passed], [ratio_min], [ratio_max] = prove_sectors((spec,))
+    return SectorCheck(bool(passed), float(ratio_min), float(ratio_max))
 
 
 # steps integrated between two finiteness checks of the new states
@@ -330,7 +338,7 @@ class _StepPlan:
         table = group_couplings(config.couplings * count)
         if len(table) == 1:
             kind, _, params = table[0]
-            self.couple = partial(_KERNELS[kind], *params, self.arg, self.v)
+            self.couple = partial(_KERNELS[kind][0], *params, self.arg, self.v)
         else:
             self.couple = partial(evaluate_couplings, table, self.arg, self.v)
         self.cur, self.probe = np.empty((4, size)), np.empty((4, size))

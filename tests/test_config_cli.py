@@ -221,6 +221,19 @@ def test_explicit_seed_allowed_in_list_form():
     assert cfg.disturbances[2].kind == "constant"
 
 
+def test_only_gaussian_entries_store_a_derived_seed():
+    derived = edge_seed_sequence(4242, 3)
+    listed = [{"kind": "constant", "scale": 0.1}, {"kind": "gaussian", "scale": 0.2},
+              {"kind": "zero"}]
+    for disturbances in ({"kind": "constant", "scale": 0.1}, {"kind": "zero"}, listed):
+        cfg = config_from_dict(_payload(disturbances=disturbances))
+        assert [d.seed for d in cfg.disturbances] == [
+            derived[k] if d.kind == "gaussian" else 0
+            for k, d in enumerate(cfg.disturbances)]
+    assert [d.kind for d in cfg.disturbances] == ["constant", "gaussian", "zero"]
+    assert cfg.disturbances[1].seed == derived[1]
+
+
 def test_with_seed_rederives_every_gaussian_stream():
     cfg = config_from_dict(_payload(disturbances=[
         {"kind": "gaussian", "scale": 0.2, "seed": 7},

@@ -88,6 +88,19 @@ def test_slope_gap_large_for_small_hill():
     assert abs(hill_slope_max(14) - hill_slope(14)) < 1e-3
 
 
+def test_closed_form_slope_is_exceeded_by_a_secant():
+    # falsifier for the understated constant: near the maximiser x* ~ 0.577
+    # of the slope at h = 2, two states whose repression difference exceeds
+    # hill_slope(2) * |dx|, while the exact maximum still bounds the secant
+    def repression(x):
+        return -1.0 / (x ** 2 + 1.0)
+
+    lo, hi = 0.57, 0.585
+    secant = (repression(hi) - repression(lo)) / (hi - lo)
+    assert secant == pytest.approx(0.649492, abs=1e-6)
+    assert hill_slope(2) < secant < hill_slope_max(2)
+
+
 @pytest.mark.parametrize("bad", [1, 0, -3, 2.5, True])
 def test_slope_rejects_bad_hill(bad):
     with pytest.raises(ValueError, match="hill coefficient"):

@@ -20,7 +20,7 @@ from syncert.certificates import (
     UncertifiedBoundError,
     sector_arrays,
 )
-from syncert.config import NetworkConfig, bundled_config, parse_config
+from syncert.config import ConfigError, NetworkConfig, bundled_config, parse_config
 from syncert.goodwin import CertParams, GoodwinParams
 from syncert.graphs import build_graph
 from syncert.noise import normals
@@ -33,6 +33,7 @@ from syncert.simulation import (
     _StepPlan,
     evaluate_couplings,
     group_couplings,
+    prove_sectors,
     run,
     run_batch,
     verify_sector,
@@ -151,6 +152,25 @@ def test_coupling_validation():
                      sector=SectorBound(1.0, 1.0))
 
 
+def test_coupling_rejects_fields_its_kind_never_reads():
+    # such a field changes nothing the kernel evaluates, yet it made two
+    # equal couplings compare unequal, so run_batch refused to batch them
+    sector = SectorBound(1.0, 2.0)
+    for kind, name, value, given in (
+            ("linear", "amplitude", 7.0, dict(gain=2.0)),
+            ("linear", "knots", ((1.0, 1.0),), dict(gain=2.0)),
+            ("affine_sinusoid", "knots", ((1.0, 1.0),),
+             dict(gain=2.0, amplitude=0.1, sector=sector)),
+            ("piecewise_linear", "gain", 2.0, dict(knots=[(1.0, 1.5)], sector=sector)),
+            ("piecewise_linear", "amplitude", 0.5,
+             dict(knots=[(1.0, 1.5)], sector=sector))):
+        with pytest.raises(ValueError, match=f"^{kind} coupling reads no {name}, got "):
+            CouplingSpec(kind=kind, **given, **{name: value})
+        # at its default the field is not there
+        assert CouplingSpec(kind=kind, **given) == CouplingSpec(
+            kind=kind, **given, **{name: type(value)()})
+
+
 def test_verify_sector_refutes_wrong_declaration():
     spec = CouplingSpec(kind="linear", sector=SectorBound(5.5, 6.0), gain=5.0)
     check = verify_sector(spec)
@@ -246,6 +266,13 @@ def test_disturbance_validation():
         DisturbanceSpec(kind="gaussian", scale=1.0, seed=True)
 
 
+def test_only_gaussian_disturbances_carry_a_seed():
+    for kind in ("zero", "constant"):
+        with pytest.raises(ValueError, match=f"^{kind} disturbance reads no seed, got 5$"):
+            DisturbanceSpec(kind=kind, seed=5)
+        assert DisturbanceSpec(kind=kind, seed=0).seed == 0
+
+
 def test_model_validation():
     g = build_graph(2, [(1, 2)])
     agents = _agents(1.0, 1.1)
@@ -279,6 +306,29 @@ def test_model_validation():
         assert built.value.pointer == replaced.value.pointer == pointer
 
 
+def test_every_construction_proves_the_declared_sectors():
+    # gain 5, amplitude 2: the slope ratio spans [5 + 2 SINC_MIN, 7], so the
+    # point sector [5, 5] is false, and the certificate rests on it
+    false = CouplingSpec(kind="affine_sinusoid", gain=5.0, amplitude=2.0,
+                         sector=SectorBound(5.0, 5.0))
+    cfg = bundled_config()
+    p = cfg.graph.edge_count
+    fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    message = (r"^/couplings: declared sector \[5, 5\] is violated: "
+               r"slope ratios span \[4\.56553, 7\]$")
+    with pytest.raises(ConfigError, match=message):
+        NetworkConfig(**{**fields, "couplings": (false,) * p})
+    with pytest.raises(ConfigError, match=message):
+        dataclasses.replace(cfg, couplings=(false,) * p)
+    # with distinct couplings the pointer names the first false edge
+    true = CouplingSpec(kind="affine_sinusoid", gain=5.0, amplitude=2.0,
+                        sector=SectorBound(4.5, 7.0))
+    mixed = (*cfg.couplings[:3], true, false, false, *cfg.couplings[6:])
+    with pytest.raises(ConfigError, match=r"^/couplings/4: declared sector \[5, 5\]"):
+        dataclasses.replace(cfg, couplings=mixed)
+    assert dataclasses.replace(cfg, couplings=(true,) * p).couplings == (true,) * p
+
+
 def _per_edge(couplings, x):
     """Reference evaluation: one coupling call per edge."""
     out = np.empty_like(x)
@@ -290,7 +340,7 @@ def _per_edge(couplings, x):
 _SIN = CouplingSpec(kind="affine_sinusoid", gain=5.0, amplitude=0.3,
                     sector=SectorBound(4.7, 5.31))
 _PWL = CouplingSpec(kind="piecewise_linear", knots=[(1.0, 5.0), (2.0, 9.0)],
-                    sector=SectorBound(4.5, 5.0))
+                    sector=SectorBound(4.0, 5.0))
 _LIN = CouplingSpec(kind="linear", gain=4.0)
 _COUPLING_LISTS = {
     "all_equal": (_SIN,) * 6,
@@ -360,6 +410,22 @@ _SPECS = st.one_of(
                        st.sampled_from([0.0, -0.0]) | _FINITE),
              min_size=1, max_size=5).map(_polyline),
 )
+
+
+@given(specs=st.lists(_SPECS, min_size=1, max_size=8))
+@example(specs=list(parse_config(
+    Path(__file__).parent / "data" / "mixed_couplings.json").couplings))
+@example(specs=[_polyline([(1.0, -0.0), (1.0, 0.0)]), _polyline([(0.5, 0.0)])])
+@settings(max_examples=150, deadline=None)
+def test_table_wide_sector_proof_matches_each_verify_sector(specs):
+    """One pass over the whole coupling table gives every edge the range and
+    verdict of its own one-edge check, bit for bit."""
+    passed, ratio_min, ratio_max = prove_sectors(tuple(specs))
+    for k, spec in enumerate(specs):
+        check = verify_sector(spec)
+        assert bool(passed[k]) is check.passed
+        assert float(ratio_min[k]).hex() == check.ratio_min.hex()
+        assert float(ratio_max[k]).hex() == check.ratio_max.hex()
 
 
 def _interp_reference(spec, x):
