@@ -23,7 +23,6 @@ from .config import (
 from .goodwin import (
     CertParams,
     GoodwinParams,
-    InadmissibleParams,
     SearchResult,
     admissible_theta3_interval,
     certify_network,
@@ -37,12 +36,10 @@ from .noise import edge_seed_sequence, normals, uniforms
 from .simulation import (
     CouplingSpec,
     DisturbanceSpec,
-    SectorCheck,
     SimulationDiverged,
     SimulationTrace,
     run,
     run_batch,
-    verify_sector,
 )
 
 # The one source of the package version; pyproject.toml reads it from here.
@@ -59,12 +56,10 @@ __all__ = [
     "GainBound",
     "GoodwinParams",
     "Graph",
-    "InadmissibleParams",
     "NetworkCertificate",
     "NetworkConfig",
     "SearchResult",
     "SectorBound",
-    "SectorCheck",
     "SimulationDiverged",
     "SimulationTrace",
     "UncertifiedBoundError",
@@ -86,5 +81,4 @@ __all__ = [
     "search_params",
     "symmetric_eigenvalues",
     "uniforms",
-    "verify_sector",
 ]

@@ -31,7 +31,6 @@ from .config import (
 )
 from .goodwin import (
     CERTIFICATION_MODES,
-    InadmissibleParams,
     hill_slope,
     hill_slope_max,
     search_params,
@@ -83,10 +82,6 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             code = fn(*args, **kwargs)
-        except InadmissibleParams as exc:
-            click.echo(f"error: inadmissible certification parameters: {exc}",
-                       err=True)
-            sys.exit(2)
         except SimulationDiverged as exc:
             click.echo(f"error: simulation diverged at t = {exc.time:.6g}", err=True)
             sys.exit(3)
@@ -344,10 +339,8 @@ def search(config_file: Path, theta_spec: str, theta3_spec: str,
            output: Path | None) -> int:
     """Grid-search the free certificate parameters for the best margin."""
     cfg = parse_config(config_file)
-    result = search_params(cfg.agents, cfg.graph, cfg.sectors,
-                           _parse_grid_spec(theta_spec, "--theta"),
-                           _parse_grid_spec(theta3_spec, "--theta3"),
-                           mode=cfg.mode)
+    result = search_params(cfg, _parse_grid_spec(theta_spec, "--theta"),
+                           _parse_grid_spec(theta3_spec, "--theta3"))
     feasible = sum(1 for r in result.rows if r[3])
     click.echo(f"grid points: {len(result.rows)}, admissible: {feasible}")
     click.echo(

@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificates import NetworkCertificate, SectorBound, sector_arrays
+from .certificates import NetworkCertificate, SectorBound
 from .goodwin import (
     CERTIFICATION_MODES,
     CertParams,
@@ -224,18 +224,12 @@ class NetworkConfig:
                               f"mode must be one of {CERTIFICATION_MODES}, got {self.mode!r}")
         _as_int(self.seed, "/seed")
 
-    @property
-    def sectors(self) -> tuple[SectorBound, ...]:
-        return tuple(c.sector for c in self.couplings)
-
     def certificate(self) -> NetworkCertificate:
         """Certify every edge with the configured parameters."""
         if self.certification is None:
             raise ConfigError("/certification",
                               "certification block required for this command")
-        return certify_network(self.agents, self.graph, self.certification,
-                               *sector_arrays(self.sectors),
-                               initial_states=self.initial_states, mode=self.mode)
+        return certify_network(self)
 
     def with_seed(self, seed: int | None) -> "NetworkConfig":
         """Replace the master seed, unless it is None, and re-derive every

@@ -24,16 +24,19 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .certificates import NetworkCertificate, sector_arrays
 from .graphs import Graph, edge_slacks, node_sums
 
+if TYPE_CHECKING:
+    from .config import NetworkConfig
+
 __all__ = [
-    "InadmissibleParams",
     "GoodwinParams",
     "CertParams",
     "check_hill",
@@ -41,15 +44,10 @@ __all__ = [
     "hill_slope",
     "hill_slope_max",
     "admissible_theta3_interval",
-    "resolve_weights",
     "CERTIFICATION_MODES",
     "certify_network",
     "search_params",
 ]
-
-
-class InadmissibleParams(ValueError):
-    """Free certificate parameters outside their admissible region."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,24 +162,6 @@ def admissible_theta3_interval(params: GoodwinParams) -> tuple[float, float]:
     return params.b3 ** 2 / (2.0 * params.a3), 2.0 * params.a2
 
 
-def resolve_weights(cp: CertParams, params: GoodwinParams) -> tuple[float, float]:
-    """Derived certificate weights ``(theta1, theta2)``.
-
-    Raises :class:`InadmissibleParams` naming the violated bound when
-    ``theta3`` leaves the admissible interval.
-    """
-    lo, hi = admissible_theta3_interval(params)
-    if cp.theta3 <= lo:
-        raise InadmissibleParams(
-            f"theta3 = {cp.theta3:.6g} must exceed b3^2/(2*a3) = {lo:.6g}"
-        )
-    if cp.theta3 >= hi:
-        raise InadmissibleParams(
-            f"theta3 = {cp.theta3:.6g} must stay below 2*a2 = {hi:.6g}"
-        )
-    return _weights(params, cp.theta3)
-
-
 def _weights(params: GoodwinParams, theta3):
     """``(theta1, theta2)`` at admissible ``theta3`` of any shape, unchecked."""
     delta = _certificate_slope(params.hill)
@@ -210,12 +190,12 @@ def _input_weights(agents: GoodwinParams, g: Graph, theta, mode: str) -> np.ndar
     return nu
 
 
-def certify_network(agents: GoodwinParams, g: Graph, cp: CertParams,
-                    alpha_lo, alpha_hi, initial_states=None,
-                    mode: str = "uniform") -> NetworkCertificate:
-    """Build the closed-form pairwise certificates of every edge at once.
+def certify_network(config: NetworkConfig) -> NetworkCertificate:
+    """Build the closed-form pairwise certificates of every edge of a
+    validated network description at once, with its ``certification``
+    parameters, which must be set.
 
-    ``agents`` is the one :class:`GoodwinParams` of the network, whose
+    The description's ``agents`` are one :class:`GoodwinParams`, whose
     ``input_gains`` hold one gain ``b`` per node.  Over the endpoint arrays
     ``(lower, upper)`` of :attr:`Graph.endpoints`::
 
@@ -223,29 +203,18 @@ def certify_network(agents: GoodwinParams, g: Graph, cp: CertParams,
         gamma = a1 - theta - theta1/2 - theta2/2     (one scalar, every edge)
         beta  = -1/2 * sum((x0[lower] - x0[upper])**2, axis=1)
 
-    with ``theta1, theta2`` from :func:`resolve_weights`.  ``mode="uniform"``
-    gives every edge the least ``nu``; ``mode="per_edge"`` keeps each edge's
-    own, which can only enlarge the margins.  ``alpha_lo`` and ``alpha_hi``
-    are the sector arrays of :func:`~syncert.certificates.sector_arrays`;
-    ``initial_states`` is ``(n, 3)`` and defaults to zeros.
+    with ``theta1, theta2`` from ``theta3``, which the description has
+    checked to be admissible.  The ``"uniform"`` mode gives every edge the
+    least ``nu``; the ``"per_edge"`` mode keeps each edge's own, which can
+    only enlarge the margins.  Each edge's sector is its coupling's.
     """
-    if agents.input_gains.size != g.n:
-        raise ValueError(f"{agents.input_gains.size} agents for {g.n} nodes")
-    if mode not in CERTIFICATION_MODES:
-        raise ValueError(f"mode must be {' or '.join(map(repr, CERTIFICATION_MODES))}, "
-                         f"got {mode!r}")
-    if initial_states is None:
-        x0 = np.zeros((g.n, 3))
-    else:
-        x0 = np.asarray(initial_states, dtype=float)
-        if x0.shape != (g.n, 3):
-            raise ValueError(
-                f"initial states have shape {x0.shape}, expected ({g.n}, 3)"
-            )
-    gamma = _output_weight(agents, cp.theta, *resolve_weights(cp, agents))
-    nu = _input_weights(agents, g, cp.theta, mode)
+    agents, g, cp = config.agents, config.graph, config.certification
+    gamma = _output_weight(agents, cp.theta, *_weights(agents, cp.theta3))
+    nu = _input_weights(agents, g, cp.theta, config.mode)
     lower, upper = g.endpoints
+    x0 = config.initial_states
     beta = -0.5 * np.sum((x0[lower] - x0[upper]) ** 2, axis=1)
+    alpha_lo, alpha_hi = sector_arrays(c.sector for c in config.couplings)
     return NetworkCertificate(graph=g, alpha_lo=alpha_lo, alpha_hi=alpha_hi, nu=nu,
                               gamma_raw=np.full(nu.shape, gamma), beta=beta)
 
@@ -276,32 +245,32 @@ def _parse_range(rng, name: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def search_params(agents: GoodwinParams, g: Graph, sectors, theta_range,
-                  theta3_range, mode: str = "uniform") -> SearchResult:
-    """Grid-maximise the worst edge margin over ``(theta, theta3)``.
+def search_params(config: NetworkConfig, theta_range, theta3_range) -> SearchResult:
+    """Grid-maximise the worst edge margin of a network description over
+    ``(theta, theta3)``, in its certification mode.
 
     Ranges are ``(lo, hi, count)`` with ``count >= 1``; the best point is
     the first maximum in grid order (ties prefer smaller ``theta``, then
     smaller ``theta3``).  Each point's slack is the ``min_slack`` of its
     :func:`certify_network` certificate, bit for bit, from the same
     expressions, evaluated per ``theta`` row over every admissible
-    ``theta3`` at once.  Raises :class:`InadmissibleParams` when no grid
-    point is admissible.
+    ``theta3`` at once.  Raises ``ValueError`` when no grid point is
+    admissible.
     """
+    agents, g, mode = config.agents, config.graph, config.mode
     thetas = _parse_range(theta_range, "theta")
     theta3s = _parse_range(theta3_range, "theta3")
     lo, hi = admissible_theta3_interval(agents)
     admissible = (lo < theta3s) & (theta3s < hi)
     if not admissible.any():
-        raise InadmissibleParams(
-            f"no admissible theta3 in the grid; need "
-            f"b3^2/(2*a3) = {lo:.6g} < theta3 < 2*a2 = {hi:.6g}"
+        raise ValueError(
+            f"inadmissible certification parameters: no admissible theta3 in the "
+            f"grid; need b3^2/(2*a3) = {lo:.6g} < theta3 < 2*a2 = {hi:.6g}"
         )
-    # the first admissible point's certificate checks the network once, as
-    # certify does; its margin weights serve every point
-    first = certify_network(agents, g, CertParams(float(thetas[0]),
-                                                  float(theta3s[admissible][0])),
-                            *sector_arrays(sectors), mode=mode)
+    # the first admissible point's certificate, of a description checked like
+    # any other; its margin weights serve every point
+    first = certify_network(replace(config, certification=CertParams(
+        float(thetas[0]), float(theta3s[admissible][0]))))
     theta1, theta2 = _weights(agents, theta3s[admissible])
     nu_nodes = node_sums(g, _input_weights(agents, g, thetas, mode))
     slacks = np.full((thetas.size, theta3s.size), math.nan)

@@ -37,10 +37,8 @@ __all__ = [
     "DISTURBANCE_KINDS",
     "CouplingSpec",
     "CouplingGroup",
-    "SectorCheck",
     "DisturbanceSpec",
     "SimulationTrace",
-    "verify_sector",
     "prove_sectors",
     "group_couplings",
     "evaluate_couplings",
@@ -178,7 +176,8 @@ def _kind_params(kind: str, specs) -> tuple[np.ndarray, ...]:
 class DisturbanceSpec:
     """Per-edge link disturbance: seeded white Gaussian (held per step),
     a constant, or zero.  ``scale`` is the standard deviation for the
-    Gaussian kind and the value itself for the constant kind."""
+    Gaussian kind and the value itself for the constant kind; the zero kind
+    reads none, and only the Gaussian kind reads a seed."""
 
     kind: str = "zero"
     scale: float = 0.0
@@ -190,6 +189,8 @@ class DisturbanceSpec:
         if isinstance(self.scale, bool) or not (
                 math.isfinite(self.scale) and self.scale >= 0.0):
             raise ValueError(f"scale must be nonnegative, got {self.scale}")
+        if self.kind == "zero" and self.scale != 0.0:
+            raise ValueError(f"zero disturbance reads no scale, got {self.scale!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.kind != "gaussian" and self.seed != 0:
@@ -241,16 +242,6 @@ def evaluate_couplings(table: tuple[CouplingGroup, ...], x: np.ndarray,
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class SectorCheck:
-    """Exact extremes of the slope ratio ``spec(x)/x`` over ``x != 0``,
-    against the declared sector."""
-
-    passed: bool
-    ratio_min: float
-    ratio_max: float
-
-
 # min of sin(x)/x, reached at the first positive root x* of tan(x) = x
 SINC_MIN = math.sin(4.493409457909064) / 4.493409457909064
 # absolute slack of the sector check on either end of the declared sector
@@ -281,12 +272,6 @@ def prove_sectors(couplings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     alpha_lo, alpha_hi = sector_arrays(c.sector for c in couplings)
     passed = (ratio_min >= alpha_lo - SECTOR_TOL) & (ratio_max <= alpha_hi + SECTOR_TOL)
     return passed, ratio_min, ratio_max
-
-
-def verify_sector(spec: CouplingSpec) -> SectorCheck:
-    """The one-edge case of :func:`prove_sectors`."""
-    [passed], [ratio_min], [ratio_max] = prove_sectors((spec,))
-    return SectorCheck(bool(passed), float(ratio_min), float(ratio_max))
 
 
 # steps integrated between two finiteness checks of the new states

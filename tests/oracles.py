@@ -6,7 +6,8 @@ here shares its input check but nothing else, so the tests can cross-check
 the spectra, and :func:`pd_oracle` the per-edge slack verdict, along a
 second route.  The textbook :func:`rk4_step` is the reference that the
 in-place integration loop of :func:`syncert.simulation.run_batch` must match
-bit for bit.  The graph builders make seeded fixtures.
+bit for bit.  The graph builders make seeded fixtures, and
+:func:`linear_network` the network description of a certifier test.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ import math
 
 import numpy as np
 
+from syncert.certificates import SectorBound
+from syncert.config import NetworkConfig
 from syncert.graphs import Graph, assemble_pd_matrix, build_graph
 from syncert.linalg import _checked_symmetric
+from syncert.simulation import CouplingSpec, DisturbanceSpec
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -125,3 +129,19 @@ def erdos_renyi_graph(n: int, edge_prob: float, rng: np.random.Generator,
     raise RuntimeError(
         f"no connected sample in {max_tries} tries (n={n}, edge_prob={edge_prob})"
     )
+
+
+def linear_network(agents, g: Graph, alpha_lo, alpha_hi, cp=None, initial_states=None,
+                   mode: str = "uniform") -> NetworkConfig:
+    """The description of ``agents`` on ``g`` with a linear coupling of gain
+    ``alpha_lo`` on each edge that declares the sector ``[alpha_lo,
+    alpha_hi]`` (scalars or per-edge arrays), zero disturbances, the
+    certification parameters ``cp`` and zero initial states by default."""
+    lo, hi = (np.broadcast_to(np.asarray(a, dtype=float), (g.edge_count,)).tolist()
+              for a in (alpha_lo, alpha_hi))
+    couplings = tuple(CouplingSpec(kind="linear", gain=a, sector=SectorBound(a, b))
+                      for a, b in zip(lo, hi))
+    x0 = np.zeros((g.n, 3)) if initial_states is None else initial_states
+    return NetworkConfig(graph=g, agents=agents, initial_states=x0, couplings=couplings,
+                         disturbances=(DisturbanceSpec(),) * g.edge_count,
+                         certification=cp, mode=mode)

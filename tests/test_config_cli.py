@@ -71,7 +71,7 @@ def test_bundled_config_values():
     assert cfg.mode == "uniform"
     assert (cfg.dt, cfg.horizon, cfg.stride) == (1e-3, 100.0, 100)
     assert cfg.seed == 20260815
-    assert all(s.alpha_lo == s.alpha_hi == 5.0 for s in cfg.sectors)
+    assert all(c.sector.alpha_lo == c.sector.alpha_hi == 5.0 for c in cfg.couplings)
     assert all(d.kind == "gaussian" for d in cfg.disturbances)
     expected = bundled_expected()
     assert expected["sync_horizon"] <= cfg.horizon
@@ -393,8 +393,7 @@ def test_search_computes_edge_stats_once_for_the_grid(tmp_path, monkeypatch):
     assert len(rows) == 12 and all(r["feasible"] == "true" for r in rows)
     for row in rows:
         cp = CertParams(theta=float(row["theta"]), theta3=float(row["theta3"]))
-        cert = certify_network(cfg.agents, cfg.graph, cp,
-                               *certificates.sector_arrays(cfg.sectors), mode=cfg.mode)
+        cert = certify_network(dataclasses.replace(cfg, certification=cp))
         assert float(row["min_slack"]) == cert.min_slack
 
 
@@ -402,11 +401,15 @@ def test_search_reproduces_golden_grid_csv(tmp_path):
     # the K5 golden was written on the bundled network by the per-edge
     # certificate build that the array build replaced; the mixed one covers
     # all three coupling kinds, so the default linear point sectors and the
-    # declared sectors of the other kinds reach the margin.  Both grids
-    # include theta3 points outside the admissible (1.125, 2), which carry nan
+    # declared sectors of the other kinds reach the margin, and its per-edge
+    # twin differs only in the config's mode, which search reads from there.
+    # Every grid includes theta3 points outside the admissible (1.125, 2),
+    # which carry nan
     data = Path(__file__).parent / "data"
     cases = [(_bundled_path(tmp_path), "search_k5_golden.csv", "0.18475"),
-             (data / "mixed_couplings.json", "search_mixed_golden.csv", "-8.35222")]
+             (data / "mixed_couplings.json", "search_mixed_golden.csv", "-8.35222"),
+             (data / "mixed_couplings_per_edge.json", "search_mixed_per_edge_golden.csv",
+              "-8.09722")]
     for config, golden, best in cases:
         out = tmp_path / golden
         result = CliRunner().invoke(main, ["search", str(config),

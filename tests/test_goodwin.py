@@ -3,6 +3,7 @@ the free-parameter grid search."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -11,19 +12,18 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from oracles import complete_graph, erdos_renyi_graph
-from syncert.certificates import NetworkCertificate, SectorBound, sector_arrays
+from oracles import complete_graph, erdos_renyi_graph, linear_network
+from syncert.certificates import NetworkCertificate
 from syncert.goodwin import (
     CERTIFICATION_MODES,
     CertParams,
     GoodwinParams,
-    InadmissibleParams,
     _certificate_slope,
+    _weights,
     admissible_theta3_interval,
     certify_network,
     hill_slope,
     hill_slope_max,
-    resolve_weights,
     search_params,
 )
 from syncert.graphs import build_graph
@@ -44,11 +44,10 @@ def _agents(*gains, **chain_overrides):
     return GoodwinParams(input_gains=gains, **{**_CHAIN, **chain_overrides})
 
 
-def _k5_setup():
-    g = complete_graph(5)
-    agents = _agents(0.8, 0.9, 1.0, 1.1, 1.2)
-    sectors = (SectorBound(5.0, 5.0),) * g.edge_count
-    return g, agents, sectors
+def _k5_network(cp=None, mode="uniform"):
+    """K5 with input gains 0.8 to 1.2 and linear couplings of gain 5."""
+    return linear_network(_agents(0.8, 0.9, 1.0, 1.1, 1.2), complete_graph(5), 5.0, 5.0,
+                          cp, mode=mode)
 
 
 def test_closed_form_slope_small_hill():
@@ -183,24 +182,15 @@ def test_admissible_interval():
 
 def test_resolve_weights_reference_point():
     # theta3 = 1.5: theta1 = delta^2 * 1.5 / (3 - 2.25), theta2 = 2.25 / 0.5
-    theta1, theta2 = resolve_weights(CertParams(theta=2.0, theta3=1.5), _agents(1.0))
+    theta1, theta2 = _weights(_agents(1.0), 1.5)
     assert theta1 == pytest.approx(2.0 * HILL14_SLOPE**2, rel=1e-12)
     assert theta2 == pytest.approx(4.5, rel=EXACT_RTOL)
-
-
-def test_resolve_weights_rejects_out_of_interval():
-    with pytest.raises(InadmissibleParams, match="must exceed"):
-        resolve_weights(CertParams(theta=2.0, theta3=1.1), _agents(1.0))
-    with pytest.raises(InadmissibleParams, match="must stay below"):
-        resolve_weights(CertParams(theta=2.0, theta3=2.0), _agents(1.0))
-    assert issubclass(InadmissibleParams, ValueError)
 
 
 @given(theta3=st.floats(min_value=1.125, max_value=2.0,
                         exclude_min=True, exclude_max=True))
 def test_derived_weights_positive_on_admissible_interval(theta3):
-    theta1, theta2 = resolve_weights(CertParams(theta=1.0, theta3=theta3),
-                                     _agents(1.0))
+    theta1, theta2 = _weights(_agents(1.0), theta3)
     assert theta1 > 0.0 and math.isfinite(theta1)
     assert theta2 > 0.0 and math.isfinite(theta2)
 
@@ -208,21 +198,21 @@ def test_derived_weights_positive_on_admissible_interval(theta3):
 def test_slope_constant_warns_when_far_from_maximum():
     _certificate_slope.cache_clear()
     with pytest.warns(UserWarning, match="more than 1%"):
-        resolve_weights(CertParams(theta=2.0, theta3=1.5), _agents(1.0, hill=2))
+        _weights(_agents(1.0, hill=2), 1.5)
 
 
 def test_slope_constant_silent_near_maximum():
     _certificate_slope.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        resolve_weights(CertParams(theta=2.0, theta3=1.5), _agents(1.0))
+        _weights(_agents(1.0), 1.5)
 
 
 def _certify_pair(gain_i, gain_j, cp, x0_i, x0_j):
     """The certificate of the two-node network ``1 - 2``: one edge, index 0."""
     g = build_graph(2, [(1, 2)])
-    return certify_network(_agents(gain_i, gain_j), g, cp, [5.0], [5.0],
-                           initial_states=[x0_i, x0_j])
+    return certify_network(linear_network(_agents(gain_i, gain_j), g, 5.0, 5.0, cp,
+                                          initial_states=[x0_i, x0_j]))
 
 
 def test_certify_edge_values():
@@ -232,7 +222,7 @@ def test_certify_edge_values():
     # worst gain deviation is 0.2, so nu = -0.04 / (2 * 2)
     assert cert.nu[0] == pytest.approx(-0.01, rel=EXACT_RTOL)
     assert cert.beta[0] == pytest.approx(-7.0, rel=EXACT_RTOL)
-    theta1, theta2 = resolve_weights(cp, _agents(0.8))
+    theta1, theta2 = _weights(_agents(0.8), cp.theta3)
     assert cert.gamma_raw[0] == pytest.approx(0.5 - 2.0 - 0.5 * (theta1 + theta2),
                                        rel=1e-12)
     # symmetric in the pair
@@ -241,17 +231,11 @@ def test_certify_edge_values():
     assert swapped.nu[0] == cert.nu[0] and swapped.beta[0] == cert.beta[0]
 
 
-def test_certify_edge_validation():
-    cp = CertParams(theta=2.0, theta3=1.5)
-    with pytest.raises(ValueError, match=r"shape \(2, 2\), expected \(2, 3\)"):
-        _certify_pair(1.0, 1.0, cp, np.zeros(2), np.zeros(2))
-
-
 def test_certify_network_uniform_versus_per_edge():
-    g, agents, sectors = _k5_setup()
     cp = CertParams(theta=2.0, theta3=1.5)
-    uniform = certify_network(agents, g, cp, *sector_arrays(sectors), mode="uniform")
-    per_edge = certify_network(agents, g, cp, *sector_arrays(sectors), mode="per_edge")
+    uniform = certify_network(_k5_network(cp, "uniform"))
+    per_edge = certify_network(_k5_network(cp, "per_edge"))
+    g = uniform.graph
     assert all(nu == pytest.approx(-0.01, rel=EXACT_RTOL) for nu in uniform.nu)
     # canonical edge order puts (3, 4) at index 7; gains 1.0 and 1.1
     assert g.edges[7] == (3, 4)
@@ -262,30 +246,14 @@ def test_certify_network_uniform_versus_per_edge():
 
 
 def test_certify_network_default_states_zero_bias():
-    g, agents, sectors = _k5_setup()
-    cert = certify_network(agents, g, CertParams(theta=2.0, theta3=1.5),
-                           *sector_arrays(sectors))
+    cert = certify_network(_k5_network(CertParams(theta=2.0, theta3=1.5)))
     assert all(beta == 0.0 for beta in cert.beta)
     assert cert.bias_total == 0.0
 
 
-def test_certify_network_validation():
-    g, agents, sectors = _k5_setup()
-    cp = CertParams(theta=2.0, theta3=1.5)
-    with pytest.raises(ValueError, match="agents for"):
-        certify_network(_agents(0.8, 0.9, 1.0, 1.1), g, cp, *sector_arrays(sectors))
-    with pytest.raises(ValueError,
-                       match="^mode must be 'uniform' or 'per_edge', got 'per-edge'$"):
-        certify_network(agents, g, cp, *sector_arrays(sectors), mode="per-edge")
-    with pytest.raises(ValueError, match="initial states"):
-        certify_network(agents, g, cp, *sector_arrays(sectors),
-                        initial_states=np.zeros((4, 3)))
-
-
 def _slacks_by_label(agents, g, mode):
-    cert = certify_network(agents, g, CertParams(theta=2.0, theta3=1.5),
-                           np.full(g.edge_count, 4.0), np.full(g.edge_count, 5.0),
-                           mode=mode)
+    cert = certify_network(linear_network(agents, g, 4.0, 5.0,
+                                          CertParams(theta=2.0, theta3=1.5), mode=mode))
     return {edge: float(slack).hex() for edge, slack in zip(g.edges, cert.slacks)}
 
 
@@ -340,7 +308,7 @@ def _reference_certificate(agents, g, cp, alpha_lo, alpha_hi, x0, mode):
         nus.append(-deviation * deviation / (2.0 * cp.theta))
     if mode == "uniform":
         nus = [min(nus)] * len(nus)
-    theta1, theta2 = resolve_weights(cp, agents)
+    theta1, theta2 = _weights(agents, cp.theta3)
     gamma = agents.a1 - cp.theta - 0.5 * theta1 - 0.5 * theta2
     betas = [-0.5 * float(np.sum((x0[i - 1] - x0[j - 1]) ** 2)) for i, j in g.edges]
     return NetworkCertificate(graph=g, alpha_lo=alpha_lo, alpha_hi=alpha_hi,
@@ -362,7 +330,7 @@ def test_array_certificate_matches_per_edge_reference_bit_for_bit():
         lo = rng.uniform(0.5, 6.0, size=g.edge_count)
         hi = lo * rng.uniform(1.0, 1.5, size=g.edge_count)
         for mode in ("uniform", "per_edge"):
-            cert = certify_network(agents, g, cp, lo, hi, initial_states=x0, mode=mode)
+            cert = certify_network(linear_network(agents, g, lo, hi, cp, x0, mode))
             ref = _reference_certificate(agents, g, cp, lo, hi, x0, mode)
             for name in ("nu", "gamma_raw", "beta", "nu_node"):
                 assert np.array_equal(getattr(cert, name), getattr(ref, name)), name
@@ -371,10 +339,8 @@ def test_array_certificate_matches_per_edge_reference_bit_for_bit():
 
 
 def test_search_single_point_matches_direct_certification():
-    g, agents, sectors = _k5_setup()
-    result = search_params(agents, g, sectors, (2.0, 2.0, 1), (1.5, 1.5, 1))
-    cert = certify_network(agents, g, CertParams(theta=2.0, theta3=1.5),
-                           *sector_arrays(sectors))
+    result = search_params(_k5_network(), (2.0, 2.0, 1), (1.5, 1.5, 1))
+    cert = certify_network(_k5_network(CertParams(theta=2.0, theta3=1.5)))
     assert result.best_theta == 2.0
     assert result.best_theta3 == 1.5
     assert result.best_min_slack == pytest.approx(cert.min_slack, rel=1e-12)
@@ -382,8 +348,7 @@ def test_search_single_point_matches_direct_certification():
 
 
 def test_search_marks_inadmissible_points():
-    g, agents, sectors = _k5_setup()
-    result = search_params(agents, g, sectors, (2.0, 2.0, 1), (1.0, 1.5, 2))
+    result = search_params(_k5_network(), (2.0, 2.0, 1), (1.0, 1.5, 2))
     assert len(result.rows) == 2
     theta, theta3, slack, feasible = result.rows[0]
     assert (theta3, feasible) == (1.0, False) and math.isnan(slack)
@@ -392,8 +357,7 @@ def test_search_marks_inadmissible_points():
 
 
 def test_search_best_is_first_feasible_maximum():
-    g, agents, sectors = _k5_setup()
-    result = search_params(agents, g, sectors, (0.5, 3.0, 3), (1.2, 1.9, 3))
+    result = search_params(_k5_network(), (0.5, 3.0, 3), (1.2, 1.9, 3))
     assert len(result.rows) == 9
     # grid order: theta outer, theta3 inner
     assert [r[0] for r in result.rows[:3]] == [0.5] * 3
@@ -417,7 +381,6 @@ def test_search_rows_match_certificates_bit_for_bit():
         agents = _agents(*rng.uniform(0.6, 1.4, size=n))
         lo = rng.uniform(0.5, 6.0, size=g.edge_count)
         hi = lo * rng.uniform(1.05, 1.5, size=g.edge_count)
-        sectors = tuple(SectorBound(a, b) for a, b in zip(lo, hi))
         theta_range = (float(rng.uniform(0.05, 1.0)), float(rng.uniform(1.0, 5.0)),
                        int(rng.integers(1, 6)))
         inside = admissible_theta3_interval(agents)
@@ -426,15 +389,16 @@ def test_search_rows_match_certificates_bit_for_bit():
         if trial % 2:
             theta3_range = (*inside, theta3_range[2])
         for mode in CERTIFICATION_MODES:
-            result = search_params(agents, g, sectors, theta_range, theta3_range, mode)
+            config = linear_network(agents, g, lo, hi, mode=mode)
+            result = search_params(config, theta_range, theta3_range)
             assert not result.rows[0][3] and not result.rows[-1][3]
             for theta, theta3, slack, feasible in result.rows:
                 assert feasible is (inside[0] < theta3 < inside[1])
                 if not feasible:
                     assert math.isnan(slack)
                     continue
-                cert = certify_network(agents, g, CertParams(theta, theta3),
-                                       lo, hi, mode=mode)
+                cert = certify_network(dataclasses.replace(
+                    config, certification=CertParams(theta, theta3)))
                 assert slack.hex() == cert.min_slack.hex()
             best = max(r[2] for r in result.rows if r[3])
             first = next(r for r in result.rows if r[3] and r[2] == best)
@@ -445,11 +409,10 @@ def test_search_rows_match_certificates_bit_for_bit():
 def test_search_tie_picks_the_first_admissible_point():
     # unit gains give nu = 0 and a large a1 clamps every gamma to 0, so no
     # slack depends on (theta, theta3): the first admissible point wins
-    g = complete_graph(5)
-    sectors = (SectorBound(4.0, 6.0),) * g.edge_count
     agents = _agents(*[1.0] * 5, a1=1000.0)
     for mode in CERTIFICATION_MODES:
-        result = search_params(agents, g, sectors, (0.5, 4.0, 4), (1.0, 1.9, 10), mode)
+        config = linear_network(agents, complete_graph(5), 4.0, 6.0, mode=mode)
+        result = search_params(config, (0.5, 4.0, 4), (1.0, 1.9, 10))
         feasible = [r for r in result.rows if r[3]]
         assert len({r[2] for r in feasible}) == 1
         assert (result.best_theta, result.best_theta3) == (0.5, 1.2)
@@ -457,16 +420,16 @@ def test_search_tie_picks_the_first_admissible_point():
 
 
 def test_search_raises_when_nothing_admissible():
-    g, agents, sectors = _k5_setup()
-    with pytest.raises(InadmissibleParams, match="no admissible theta3"):
-        search_params(agents, g, sectors, (2.0, 2.0, 1), (1.0, 1.1, 2))
+    with pytest.raises(ValueError, match="^inadmissible certification parameters: "
+                                         "no admissible theta3 in the grid"):
+        search_params(_k5_network(), (2.0, 2.0, 1), (1.0, 1.1, 2))
 
 
 def test_search_range_validation():
-    g, agents, sectors = _k5_setup()
+    config = _k5_network()
     with pytest.raises(ValueError, match="at least one point"):
-        search_params(agents, g, sectors, (2.0, 2.0, 0), (1.5, 1.5, 1))
+        search_params(config, (2.0, 2.0, 0), (1.5, 1.5, 1))
     with pytest.raises(ValueError, match="lo <= hi"):
-        search_params(agents, g, sectors, (3.0, 2.0, 2), (1.5, 1.5, 1))
+        search_params(config, (3.0, 2.0, 2), (1.5, 1.5, 1))
     with pytest.raises(ValueError, match="must be positive"):
-        search_params(agents, g, sectors, (0.0, 2.0, 2), (1.5, 1.5, 1))
+        search_params(config, (0.0, 2.0, 2), (1.5, 1.5, 1))

@@ -36,7 +36,6 @@ from syncert.simulation import (
     prove_sectors,
     run,
     run_batch,
-    verify_sector,
 )
 
 # single RK4 step of x' = -x at dt = 0.1 agrees with exp to its dt^5 term
@@ -89,7 +88,7 @@ def test_affine_sinusoid_values():
                         sector=SectorBound(4.5, 5.5))
     xs = np.array([-2.0, 0.3, 10.0])
     assert np.allclose(spec(xs), 5.0 * xs + 0.5 * np.sin(xs), rtol=1e-15)
-    assert verify_sector(spec).passed
+    assert prove_sectors((spec,))[0].all()
 
 
 def test_piecewise_linear_interpolation_and_extrapolation():
@@ -101,7 +100,7 @@ def test_piecewise_linear_interpolation_and_extrapolation():
     # beyond the last knot the final slope continues instead of clamping
     assert spec(4.0) == pytest.approx(5.0)
     assert spec(-4.0) == pytest.approx(-5.0)
-    assert verify_sector(spec).passed
+    assert prove_sectors((spec,))[0].all()
     # the knots are stored as float pairs, however they were given
     ints = CouplingSpec(kind="piecewise_linear", knots=[[1, 2], (np.int64(2), 3)],
                         sector=SectorBound(1.0, 2.0))
@@ -173,28 +172,28 @@ def test_coupling_rejects_fields_its_kind_never_reads():
 
 def test_verify_sector_refutes_wrong_declaration():
     spec = CouplingSpec(kind="linear", sector=SectorBound(5.5, 6.0), gain=5.0)
-    check = verify_sector(spec)
-    assert not check.passed
-    assert check.ratio_min == check.ratio_max == 5.0
+    [passed], [ratio_min], [ratio_max] = prove_sectors((spec,))
+    assert not passed
+    assert ratio_min == ratio_max == 5.0
 
 
 def test_verify_sector_reports_extremes():
     spec = CouplingSpec(kind="affine_sinusoid", gain=5.0, amplitude=0.5,
                         sector=SectorBound(4.5, 5.5))
-    check = verify_sector(spec)
+    [passed], [ratio_min], [ratio_max] = prove_sectors((spec,))
     # ratio is 5 + sin(x)/(2x): supremum 5.5 as x -> 0, minimum at tan x = x
-    assert check.passed
-    assert check.ratio_max == 5.5
-    assert check.ratio_min == pytest.approx(5.0 - 0.5 * 0.21723362821122166,
-                                            rel=1e-15)
-    flipped = verify_sector(CouplingSpec(kind="affine_sinusoid", gain=5.0, amplitude=-0.5,
-                                         sector=SectorBound(4.5, 5.5)))
-    assert (flipped.ratio_min, flipped.ratio_max) == (4.5, 5.0 - 0.5 * SINC_MIN)
-    polyline = verify_sector(CouplingSpec(
+    assert passed
+    assert ratio_max == 5.5
+    assert ratio_min == pytest.approx(5.0 - 0.5 * 0.21723362821122166, rel=1e-15)
+    flipped = CouplingSpec(kind="affine_sinusoid", gain=5.0, amplitude=-0.5,
+                           sector=SectorBound(4.5, 5.5))
+    polyline = CouplingSpec(
         kind="piecewise_linear", knots=[(1.0, 3.0), (2.0, 4.0), (3.0, 7.5)],
-        sector=SectorBound(1.0, 3.5)))
+        sector=SectorBound(1.0, 3.5))
+    _, ratio_min, ratio_max = prove_sectors((flipped, polyline))
+    assert (ratio_min[0], ratio_max[0]) == (4.5, 5.0 - 0.5 * SINC_MIN)
     # first slope 3, knot ratios 3, 2 and 2.5, last slope 3.5 at infinity
-    assert (polyline.ratio_min, polyline.ratio_max) == (2.0, 3.5)
+    assert (ratio_min[1], ratio_max[1]) == (2.0, 3.5)
 
 
 def _log_grid_ratios(spec, samples, extra=()):
@@ -212,12 +211,12 @@ def test_verify_sector_rejects_overstatement_the_grid_missed():
     spec = CouplingSpec(kind="affine_sinusoid", gain=1.0, amplitude=2.0,
                         sector=SectorBound(lo, 3.0))
     assert _log_grid_ratios(spec, 512).min() >= lo - 1e-9
-    check = verify_sector(spec)
-    assert not check.passed
-    assert check.ratio_min == pytest.approx(0.565533, abs=1e-6)
+    [passed], [ratio_min], _ = prove_sectors((spec,))
+    assert not passed
+    assert ratio_min == pytest.approx(0.565533, abs=1e-6)
 
 
-_SPECS = st.one_of(
+_SAMPLED_SPECS = st.one_of(
     st.builds(CouplingSpec, kind=st.just("linear"), gain=st.floats(0.01, 100.0)),
     st.builds(CouplingSpec, kind=st.just("affine_sinusoid"), gain=st.floats(0.01, 100.0),
               amplitude=st.floats(-50.0, 50.0), sector=st.just(SectorBound(1.0, 1.0))),
@@ -231,18 +230,18 @@ _SPECS = st.one_of(
 )
 
 
-@given(spec=_SPECS)
+@given(spec=_SAMPLED_SPECS)
 def test_verify_sector_range_contains_sampled_ratios(spec):
     """The sampler survives as a falsifier: no sampled ratio may leave the
     exact range, and with the knots added the sampled extremes reach it."""
-    check = verify_sector(spec)
-    scale = 1.0 + max(abs(check.ratio_min), abs(check.ratio_max))
+    _, [ratio_min], [ratio_max] = prove_sectors((spec,))
+    scale = 1.0 + max(abs(ratio_min), abs(ratio_max))
     knots = [x for x, _ in spec.knots]
     ratios = _log_grid_ratios(spec, 4000, knots)
-    assert ratios.min() >= check.ratio_min - 1e-9 * scale
-    assert ratios.max() <= check.ratio_max + 1e-9 * scale
-    assert ratios.min() <= check.ratio_min + 1e-3 * scale
-    assert ratios.max() >= check.ratio_max - 1e-3 * scale
+    assert ratios.min() >= ratio_min - 1e-9 * scale
+    assert ratios.max() <= ratio_max + 1e-9 * scale
+    assert ratios.min() <= ratio_min + 1e-3 * scale
+    assert ratios.max() >= ratio_max - 1e-3 * scale
 
 
 def test_disturbance_held_values():
@@ -264,6 +263,9 @@ def test_disturbance_validation():
             DisturbanceSpec(kind=kind, scale=True)
     with pytest.raises(ValueError, match="seed must be an integer"):
         DisturbanceSpec(kind="gaussian", scale=1.0, seed=True)
+    # a scale on zero would hold zeros yet compare unequal to the plain kind
+    with pytest.raises(ValueError, match=r"^zero disturbance reads no scale, got 0\.3$"):
+        DisturbanceSpec(kind="zero", scale=0.3)
 
 
 def test_only_gaussian_disturbances_carry_a_seed():
@@ -282,7 +284,7 @@ def test_model_validation():
     fields = dict(graph=g, agents=agents, initial_states=x0,
                   couplings=coupling, disturbances=dist)
     cfg = NetworkConfig(**fields)
-    assert cfg.sectors == (SectorBound(1.0, 1.0),)
+    assert cfg.couplings[0].sector == SectorBound(1.0, 1.0)
     # the fields after the disturbances default to the parser's defaults
     assert (cfg.certification, cfg.mode, cfg.dt, cfg.horizon, cfg.stride,
             cfg.seed) == (None, "uniform", 1e-3, 100.0, 100, 0)
@@ -296,6 +298,8 @@ def test_model_validation():
                 ("mode must be one of", "/certification/mode", dict(mode="bogus")),
                 ("admissible interval", "/certification/theta3",
                  dict(certification=CertParams(theta=2.0, theta3=50.0))),
+                ("admissible interval", "/certification/theta3",
+                 dict(certification=CertParams(theta=2.0, theta3=1.0))),
                 ("expected an integer", "/seed", dict(seed="x"))]
     for match, pointer, change in rejected:
         # built directly or replaced, the description is checked the same way
@@ -399,7 +403,7 @@ def _polyline(steps):
     return CouplingSpec(kind="piecewise_linear", sector=_ANY_SECTOR, knots=tuple(knots))
 
 
-_SPECS = st.one_of(
+_KERNEL_SPECS = st.one_of(
     st.builds(lambda g: CouplingSpec(kind="linear", sector=_ANY_SECTOR, gain=g),
               _POSITIVE),
     st.builds(lambda g, a: CouplingSpec(kind="affine_sinusoid", sector=_ANY_SECTOR,
@@ -412,20 +416,20 @@ _SPECS = st.one_of(
 )
 
 
-@given(specs=st.lists(_SPECS, min_size=1, max_size=8))
+@given(specs=st.lists(_KERNEL_SPECS, min_size=1, max_size=8))
 @example(specs=list(parse_config(
     Path(__file__).parent / "data" / "mixed_couplings.json").couplings))
 @example(specs=[_polyline([(1.0, -0.0), (1.0, 0.0)]), _polyline([(0.5, 0.0)])])
 @settings(max_examples=150, deadline=None)
-def test_table_wide_sector_proof_matches_each_verify_sector(specs):
+def test_table_wide_sector_proof_matches_each_one_edge_proof(specs):
     """One pass over the whole coupling table gives every edge the range and
-    verdict of its own one-edge check, bit for bit."""
+    verdict of its own one-edge table, bit for bit."""
     passed, ratio_min, ratio_max = prove_sectors(tuple(specs))
     for k, spec in enumerate(specs):
-        check = verify_sector(spec)
-        assert bool(passed[k]) is check.passed
-        assert float(ratio_min[k]).hex() == check.ratio_min.hex()
-        assert float(ratio_max[k]).hex() == check.ratio_max.hex()
+        [one_passed], [one_min], [one_max] = prove_sectors((spec,))
+        assert bool(passed[k]) is bool(one_passed)
+        assert float(ratio_min[k]).hex() == float(one_min).hex()
+        assert float(ratio_max[k]).hex() == float(one_max).hex()
 
 
 def _interp_reference(spec, x):
@@ -450,7 +454,7 @@ def _same_bits(a, b):
             and np.array_equal(np.signbit(a[finite]), np.signbit(b[finite])))
 
 
-@given(couplings=st.lists(_SPECS, min_size=1, max_size=8),
+@given(couplings=st.lists(_KERNEL_SPECS, min_size=1, max_size=8),
        extra=st.lists(st.floats(min_value=-20.0, max_value=20.0), min_size=1,
                       max_size=4))
 @example(couplings=[_polyline([(1.0, -0.0), (1.0, 0.0)])], extra=[0.5])
@@ -740,7 +744,7 @@ def test_disagreement_is_output_spread():
 
 def test_pair_residual_starts_at_minus_bias():
     model = _triangle()
-    lo, hi = sector_arrays(model.sectors)
+    lo, hi = sector_arrays(c.sector for c in model.couplings)
     cert = NetworkCertificate(graph=model.graph, alpha_lo=lo, alpha_hi=hi,
                               nu=[-0.01] * 3, gamma_raw=[-16.0] * 3,
                               beta=[-2.5, -0.5, -0.25])
@@ -776,7 +780,7 @@ def test_pair_residual_rejects_certificate_of_other_graph():
 
 def test_dissipation_residual_starts_at_minus_total_bias():
     model = _triangle()
-    lo, hi = sector_arrays(model.sectors)
+    lo, hi = sector_arrays(c.sector for c in model.couplings)
     network_cert = NetworkCertificate(graph=model.graph, alpha_lo=lo, alpha_hi=hi,
                                       nu=[-0.01] * 3, gamma_raw=[-1.0] * 3,
                                       beta=[-0.5, -0.25, -0.25])
@@ -804,7 +808,7 @@ def test_dissipation_curves_match_dense_forms():
         initial_states=np.array([[1.0, 0.0, 0.5], [-0.5, 0.2, 0.0],
                                  [0.3, -0.1, 0.4], [0.8, 0.1, 0.2]]),
     )
-    lo, hi = sector_arrays(model.sectors)
+    lo, hi = sector_arrays(c.sector for c in model.couplings)
     cert = NetworkCertificate(graph=g, alpha_lo=lo, alpha_hi=hi,
                               nu=[-0.01, -0.02, -0.03, -0.04],
                               gamma_raw=[-2.0, 1.0, -1.5, -0.5], beta=[-0.25] * 4)
