@@ -19,6 +19,7 @@ import numpy as np
 
 from .graphs import Graph, assemble_pd_matrix, edge_slacks, node_sums
 from .linalg import symmetric_eigenvalues
+from .values import ConfigError, finite
 
 __all__ = [
     "POSITIVITY_TOL",
@@ -46,17 +47,19 @@ class UncertifiedBoundError(ValueError):
 @dataclass(frozen=True)
 class SectorBound:
     """Slope sector ``[alpha_lo, alpha_hi]`` of a scalar coupling
-    nonlinearity, with ``0 < alpha_lo <= alpha_hi < inf``."""
+    nonlinearity, with ``0 < alpha_lo <= alpha_hi < inf``, stored as
+    floats."""
 
     alpha_lo: float
     alpha_hi: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha_lo <= self.alpha_hi < math.inf):
-            raise ValueError(
-                "sector must satisfy 0 < alpha_lo <= alpha_hi < inf, "
-                f"got ({self.alpha_lo}, {self.alpha_hi})"
-            )
+        lo, hi = finite(self.alpha_lo, "/alpha_lo"), finite(self.alpha_hi, "/alpha_hi")
+        if not 0.0 < lo <= hi:
+            raise ConfigError("", f"sector must satisfy 0 < alpha_lo <= alpha_hi < inf, "
+                                  f"got ({lo}, {hi})")
+        object.__setattr__(self, "alpha_lo", lo)
+        object.__setattr__(self, "alpha_hi", hi)
 
 
 def sector_arrays(sectors) -> tuple[np.ndarray, np.ndarray]:
@@ -318,15 +321,22 @@ def gain_bound_from_forms(coupling_form: np.ndarray, output_shift: np.ndarray,
     if not np.all((0.0 < lo) & (lo <= hi)):
         raise ValueError("slope box must satisfy 0 < alpha_lo <= alpha_hi")
     point = bool(np.array_equal(lo, hi))
-    centre = coupling_form * np.outer(lo, lo)
-    if not point:
-        corners = [centre] + [coupling_form * np.outer(a, b)
-                              for a, b in ((lo, hi), (hi, lo), (hi, hi))]
-        lower = np.minimum.reduce(corners)
-        upper = np.maximum.reduce(corners)
-        centre = 0.5 * (lower + upper)
-        radius = 0.5 * (upper - lower)
-    n_eigs = symmetric_eigenvalues(centre + output_shift)
+    estimate = "exact" if point else "interval"
+    # a form beyond double precision leaves the bound uncertified
+    with np.errstate(over="ignore", invalid="ignore"):
+        centre = coupling_form * np.outer(lo, lo)
+        radius = np.zeros_like(centre)
+        if not point:
+            corners = [centre] + [coupling_form * np.outer(a, b)
+                                  for a, b in ((lo, hi), (hi, lo), (hi, hi))]
+            lower = np.minimum.reduce(corners)
+            upper = np.maximum.reduce(corners)
+            centre = 0.5 * (lower + upper)
+            radius = 0.5 * (upper - lower)
+        response = centre + output_shift
+    if not all(np.isfinite(form).all() for form in (centre, radius, response)):
+        return GainBound(math.nan, math.nan, False, math.nan, math.nan, estimate)
+    n_eigs = symmetric_eigenvalues(response)
     m_eigs = symmetric_eigenvalues(centre)
     n_min = float(n_eigs[0])
     m_max = float(m_eigs[-1])
@@ -339,9 +349,9 @@ def gain_bound_from_forms(coupling_form: np.ndarray, output_shift: np.ndarray,
     certified = n_min > 0.0
     gain = offset = math.nan
     if certified:
-        gain = math.sqrt(0.5 + (4.0 * slope_max ** 2 * weight_max ** 2
-                                + 8.0 * m_max ** 2) / n_min ** 2)
+        gain = math.sqrt(0.5 + (4.0 * slope_max * slope_max * weight_max * weight_max
+                                + 8.0 * m_max * m_max) / (n_min * n_min))
         offset = math.sqrt(2.0 * abs(bias_total) / n_min)
     return GainBound(gain=gain, offset=offset, certified=certified, n_min=n_min,
-                     m_max=m_max, estimate="exact" if point else "interval")
+                     m_max=m_max, estimate=estimate)
 

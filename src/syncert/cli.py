@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__
 from .certificates import NetworkCertificate, UncertifiedBoundError
 from .config import (
-    ConfigError,
     NetworkConfig,
     bundled_config,
     bundled_expected,
@@ -185,7 +184,7 @@ def _trace_table(trace: SimulationTrace, stride: int, margin_col,
     families = (("X", trace.coupling_arguments), ("V", trace.coupling_outputs),
                 ("W", trace.held_disturbance)) if full else ()
     header += [f"{name}_{k + 1}" for name, _ in families for k in range(g.edge_count)]
-    idx = np.append(np.arange(0, trace.steps, stride), trace.steps)
+    idx = np.array([*range(0, trace.steps, stride), trace.steps])
     rel = np.sqrt(trace.norm_rel_sq[idx])
     dist = np.sqrt(trace.norm_dist_sq[idx])
 
@@ -278,15 +277,11 @@ def simulate(config_file: Path, output_dir: Path, full: bool, check_bound: bool,
     """Integrate the configured network and write its trace CSV."""
     cfg = parse_config(config_file).with_seed(seed_override(seed))
     cfg = cfg.with_simulation(dt=dt, horizon=horizon)
-    if (check_bound or check_lemma1) and cfg.certification is None:
-        raise ConfigError("/certification",
-                          "certification block required for trace checks")
-
     cert = bound = None
-    if cfg.certification is not None:
-        # certify before integrating: an invalid certificate, or an
-        # uncertified bound that --check-bound needs, exits 2 without
-        # spending the integration
+    if check_bound or check_lemma1 or cfg.certification is not None:
+        # certify before integrating: a missing certification block that a
+        # check needs, an invalid certificate, or an uncertified bound that
+        # --check-bound needs, exits 2 without spending the integration
         cert = cfg.certificate()
         bound = cert.bound
         if check_bound and not bound.certified:

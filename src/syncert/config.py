@@ -29,15 +29,15 @@ thins trace CSV rows), zero second and third initial state components,
 uniform certification mode, zero disturbance, seed 0.  Only Gaussian
 disturbances carry a seed: unless given in the per-edge list form, it
 derives from the master seed by edge index, so one integer pins the whole
-realisation.  Every construction, parsed, direct or replaced, is checked
-and proves every declared coupling sector; an error carries the JSON
-pointer of the offending value.
+realisation.  The parser reads only the JSON structure; it hands each value
+as written to the dataclass that owns it and places the owner's rejection at
+the value's JSON pointer.  Every construction, parsed, direct or replaced, is
+checked the same way and proves every declared coupling sector.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -52,7 +52,6 @@ from .goodwin import (
     GoodwinParams,
     admissible_theta3_interval,
     certify_network,
-    check_hill,
 )
 from .graphs import Graph, build_graph
 from .noise import edge_seed_sequence
@@ -62,6 +61,7 @@ from .simulation import (
     grid_steps,
     prove_sectors,
 )
+from .values import ConfigError, finite, integer, to_float
 
 __all__ = [
     "ConfigError",
@@ -83,14 +83,6 @@ DEFAULT_MODE = "uniform"
 DEFAULT_SEED = 0
 
 
-class ConfigError(ValueError):
-    """Configuration rejection; ``pointer`` locates the offending value."""
-
-    def __init__(self, pointer: str, message: str) -> None:
-        self.pointer = pointer or "/"
-        super().__init__(f"{self.pointer}: {message}")
-
-
 def _child(pointer: str, key) -> str:
     return f"{pointer}/{key}"
 
@@ -101,47 +93,39 @@ def _expect_list(value, pointer: str) -> list:
     return value
 
 
-def _fields(value, pointer: str, readers: dict, optional=()) -> dict:
-    """Read a JSON object whose keys are those of ``readers``: reject a
-    non-object, a missing required key and an unknown one, then read each
-    given key's value by ``readers[key](value, pointer_of_key)``."""
+def _fields(value, pointer: str, keys, optional=(), read=None) -> dict:
+    """Read a JSON object whose keys are ``keys``: reject a non-object, a
+    missing required key and an unknown one, then take each given key's
+    value as written, or as ``read[key](value, pointer_of_key)`` reads it."""
     if not isinstance(value, dict):
         raise ConfigError(pointer, f"expected an object, got {type(value).__name__}")
-    for key in readers:
+    for key in keys:
         if key not in value and key not in optional:
             raise ConfigError(pointer, f"missing required key {key!r}")
     for key in value:
-        if key not in readers:
+        if key not in keys:
             raise ConfigError(_child(pointer, key), "unknown key")
-    return {key: read(value[key], _child(pointer, key))
-            for key, read in readers.items() if key in value}
+    read = read or {}
+    return {key: read[key](value[key], _child(pointer, key)) if key in read else value[key]
+            for key in keys if key in value}
 
 
-def _given(value, pointer: str):
-    """A value taken as written, for a reader or a check further on."""
+def _tuples(value, pointer: str, size: int, what: str) -> list:
+    """A list of ``size``-element lists, taken as written."""
+    for k, entry in enumerate(_expect_list(value, pointer)):
+        entry_ptr = _child(pointer, k)
+        if len(_expect_list(entry, entry_ptr)) != size:
+            raise ConfigError(entry_ptr, f"expected {what}, got {entry!r}")
     return value
 
 
-def _as_float(value, pointer: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(pointer, f"expected a number, got {value!r}")
-    out = float(value)
-    if not math.isfinite(out):
-        raise ConfigError(pointer, f"expected a finite number, got {value!r}")
-    return out
-
-
-def _as_positive(value, pointer: str) -> float:
-    out = _as_float(value, pointer)
-    if out <= 0.0:
-        raise ConfigError(pointer, f"must be positive, got {value!r}")
-    return out
-
-
-def _as_int(value, pointer: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(pointer, f"expected an integer, got {value!r}")
-    return value
+def _build(owner, pointer: str, **fields):
+    """``owner(**fields)``, its rejection placed in the block at ``pointer``."""
+    try:
+        return owner(**fields)
+    except ConfigError as exc:
+        # the owner's root pointer is the block's
+        raise ConfigError(pointer + exc.pointer.rstrip("/"), exc.message) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,15 +136,17 @@ class NetworkConfig:
     settings.  It is what :meth:`certificate` certifies and what
     :func:`~syncert.simulation.run` integrates over ``horizon`` at ``dt``.
 
-    Every construction is checked, replacements included; an error names
-    the JSON pointer of the offending block.  It caches nothing derived:
-    the graph owns its incidence matrix, and
+    ``initial_states`` holds ``(n, 3)`` states, ``n`` initial outputs (the
+    other components zero) or None (all zero), and is stored as ``(n, 3)``
+    floats.  Every construction is checked, replacements included; an error
+    names the JSON pointer of the offending value.  It caches nothing
+    derived: the graph owns its incidence matrix, and
     :func:`~syncert.simulation.group_couplings` builds coupling tables.
     """
 
     graph: Graph
     agents: GoodwinParams
-    initial_states: np.ndarray
+    initial_states: np.ndarray | None
     couplings: tuple[CouplingSpec, ...]
     disturbances: tuple[DisturbanceSpec, ...]
     certification: CertParams | None = None
@@ -174,7 +160,7 @@ class NetworkConfig:
         n, p = self.graph.n, self.graph.edge_count
         if self.agents.input_gains.size != n:
             raise ConfigError("/agents/input_gains",
-                              f"{self.agents.input_gains.size} agents for {n} nodes")
+                              f"{self.agents.input_gains.size} input gains for {n} nodes")
         if len(self.couplings) != p:
             raise ConfigError("/couplings", f"{len(self.couplings)} couplings for {p} edges")
         passed, ratio_min, ratio_max = prove_sectors(self.couplings)
@@ -190,25 +176,31 @@ class NetworkConfig:
         if len(self.disturbances) != p:
             raise ConfigError("/disturbances",
                               f"{len(self.disturbances)} disturbances for {p} edges")
-        x0 = np.array(self.initial_states, dtype=float)
-        if x0.shape != (n, 3):
-            raise ConfigError("/agents/initial_states",
-                              f"initial states have shape {x0.shape}, expected ({n}, 3)")
+        x0 = np.zeros((n, 3))
+        if self.initial_states is not None:
+            given = np.asarray(self.initial_states, dtype=object)
+            key = "initial_outputs" if given.ndim == 1 else "initial_states"
+            at = f"/agents/{key}"
+            if given.ndim == 0 or given.shape[1:] not in ((), (3,)):
+                raise ConfigError(at, f"initial states have shape {given.shape}, "
+                                      f"expected ({n}, 3)")
+            if len(given) != n:
+                raise ConfigError(at, f"{len(given)} {key.replace('_', ' ')} for {n} nodes")
+            for i, row in enumerate(given.reshape(n, -1)):
+                x0[i, :row.size] = [finite(v, _child(at, i)) for v in row]
         object.__setattr__(self, "initial_states", x0)
-        dt = _as_float(self.dt, "/simulation/dt")
+        dt = finite(self.dt, "/simulation/dt")
         if dt <= 0.0:
             raise ConfigError("/simulation/dt", f"dt must be positive, got {self.dt}")
-        if isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, float)):
-            raise ConfigError("/simulation/horizon", f"expected a number, got {self.horizon!r}")
         # an infinite or nan horizon has no step count: the grid check rejects it
-        horizon = float(self.horizon)
+        horizon = to_float(self.horizon, "/simulation/horizon")
         try:
             grid_steps(horizon, dt)
         except ValueError as exc:
             raise ConfigError("/simulation/horizon", str(exc)) from None
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "horizon", horizon)
-        if _as_int(self.stride, "/simulation/stride") < 1:
+        if integer(self.stride, "/simulation/stride") < 1:
             raise ConfigError("/simulation/stride",
                               f"must be a positive integer, got {self.stride}")
         if self.certification is not None:
@@ -222,13 +214,10 @@ class NetworkConfig:
         if self.mode not in CERTIFICATION_MODES:
             raise ConfigError("/certification/mode",
                               f"mode must be one of {CERTIFICATION_MODES}, got {self.mode!r}")
-        _as_int(self.seed, "/seed")
+        integer(self.seed, "/seed")
 
     def certificate(self) -> NetworkCertificate:
         """Certify every edge with the configured parameters."""
-        if self.certification is None:
-            raise ConfigError("/certification",
-                              "certification block required for this command")
         return certify_network(self)
 
     def with_seed(self, seed: int | None) -> "NetworkConfig":
@@ -252,113 +241,57 @@ class NetworkConfig:
         return replace(self, **changes) if changes else self
 
 
-def _as_hill(value, pointer: str) -> int:
-    hill = _as_int(value, pointer)
-    try:
-        check_hill(hill)
-    except ValueError as exc:
-        raise ConfigError(pointer, str(exc)) from None
-    return hill
-
-
-def _as_scale(value, pointer: str) -> float:
-    scale = _as_float(value, pointer)
-    if scale < 0.0:
-        raise ConfigError(pointer, f"must be nonnegative, got {scale!r}")
-    return scale
-
-
-def _tuples(value, pointer: str, read, size: int, what: str) -> tuple:
-    """A list of ``size``-element lists, each element read at its entry's
-    pointer."""
-    out = []
-    for k, entry in enumerate(_expect_list(value, pointer)):
-        entry_ptr = _child(pointer, k)
-        if len(_expect_list(entry, entry_ptr)) != size:
-            raise ConfigError(entry_ptr, f"expected {what}, got {entry!r}")
-        out.append(tuple(read(v, entry_ptr) for v in entry))
-    return tuple(out)
-
-
-def _per_node(value, pointer: str, n: int, noun: str) -> list:
-    items = _expect_list(value, pointer)
-    if len(items) != n:
-        raise ConfigError(pointer, f"{len(items)} {noun} for {n} nodes")
-    return items
-
-
 def _parse_graph(value, pointer: str) -> Graph:
-    fields = _fields(value, pointer, {
-        "n": _as_int,
-        "edges": lambda v, at: _tuples(v, at, _as_int, 2, "a pair of nodes")})
-    try:
-        return build_graph(fields["n"], fields["edges"])
-    except ValueError as exc:
-        raise ConfigError(_child(pointer, "edges"), str(exc)) from exc
+    fields = _fields(value, pointer, ("n", "edges"),
+                     read={"edges": lambda v, at: _tuples(v, at, 2, "a pair of nodes")})
+    return _build(build_graph, pointer, n=fields["n"], edge_list=fields["edges"])
 
 
-def _parse_agents(value, pointer: str, n: int):
-    def node_values(read, noun):
-        return lambda v, at: [read(x, _child(at, i))
-                              for i, x in enumerate(_per_node(v, at, n, noun))]
-
-    fields = _fields(value, pointer, {
-        **dict.fromkeys(("a1", "a2", "a3", "b2", "b3"), _as_positive),
-        "hill": _as_hill,
-        "input_gains": node_values(_as_positive, "input gains"),
-        "initial_outputs": node_values(_as_float, "initial outputs"),
-        "initial_states": lambda v, at: _tuples(_per_node(v, at, n, "initial states"),
-                                                at, _as_float, 3, "3 components"),
-    }, optional=("initial_outputs", "initial_states"))
+def _parse_agents(value, pointer: str):
+    """The agents, and their initial outputs or states as an object array."""
+    fields = _fields(value, pointer, ("a1", "a2", "a3", "b2", "b3", "hill", "input_gains",
+                                      "initial_outputs", "initial_states"),
+                     optional=("initial_outputs", "initial_states"),
+                     read={"input_gains": _expect_list, "initial_outputs": _expect_list,
+                           "initial_states": lambda v, at: _tuples(v, at, 3, "3 components")})
     outputs = fields.pop("initial_outputs", None)
     states = fields.pop("initial_states", None)
     if outputs is not None and states is not None:
         raise ConfigError(pointer,
                           "give either initial_outputs or initial_states, not both")
-    x0 = np.zeros((n, 3))
-    if outputs is not None:
-        x0[:, 0] = outputs
-    elif states is not None:
-        x0[:] = states
-    return GoodwinParams(**fields), x0
+    x0 = None if outputs is None else np.fromiter(outputs, object, len(outputs))
+    if states is not None:
+        x0 = np.fromiter((v for row in states for v in row), object,
+                         3 * len(states)).reshape(-1, 3)
+    return _build(GoodwinParams, pointer, **fields), x0
 
 
 def _parse_sector(value, pointer: str) -> SectorBound:
-    fields = _fields(value, pointer, dict.fromkeys(("alpha_lo", "alpha_hi"), _as_float))
-    try:
-        return SectorBound(**fields)
-    except ValueError as exc:
-        raise ConfigError(pointer, str(exc)) from exc
+    fields = _fields(value, pointer, ("alpha_lo", "alpha_hi"))
+    return _build(SectorBound, pointer, **fields)
 
 
-def _kinded(value, pointer: str, table: dict, noun: str) -> dict:
-    """Read a JSON object whose ``kind`` key names an entry of ``table``,
-    that kind's readers of its other keys and the optional ones among them."""
-    readers, optional = {}, ()
+def _kinded(value, pointer: str, table: dict, owner, read=None) -> dict:
+    """Read a JSON object whose ``kind`` names an entry of ``table``, that
+    kind's keys and optional keys; ``owner`` rejects any other kind."""
+    keys, optional = (), ()
     if isinstance(value, dict) and "kind" in value:
         kind = value["kind"]
-        if not isinstance(kind, str) or kind not in table:
-            raise ConfigError(_child(pointer, "kind"), f"unknown {noun} kind {kind!r}")
-        readers, optional = table[kind]
-    return _fields(value, pointer, {"kind": _given, **readers}, optional)
+        if not (isinstance(kind, str) and kind in table):
+            _build(owner, pointer, kind=kind)
+        keys, optional = table[kind]
+    return _fields(value, pointer, ("kind", *keys), optional, read)
 
 
-_COUPLING_FIELDS = {
-    "linear": ({"gain": _as_positive, "sector": _parse_sector}, ("sector",)),
-    "affine_sinusoid": ({"gain": _as_positive, "amplitude": _as_float,
-                         "sector": _parse_sector}, ()),
-    "piecewise_linear": ({"knots": lambda v, at: _tuples(v, at, _as_float, 2, "[x, y]"),
-                          "sector": _parse_sector}, ()),
-}
+_COUPLING_FIELDS = {"linear": (("gain", "sector"), ("sector",)),
+                    "affine_sinusoid": (("gain", "amplitude", "sector"), ()),
+                    "piecewise_linear": (("knots", "sector"), ())}
 
 
 def _parse_coupling_entry(value, pointer: str) -> CouplingSpec:
-    fields = _kinded(value, pointer, _COUPLING_FIELDS, "coupling")
-    try:
-        return CouplingSpec(**fields)
-    except ValueError as exc:
-        # the readers have checked every gain and amplitude: the knots failed
-        raise ConfigError(_child(pointer, "knots"), str(exc)) from exc
+    return _build(CouplingSpec, pointer, **_kinded(
+        value, pointer, _COUPLING_FIELDS, CouplingSpec,
+        {"sector": _parse_sector, "knots": lambda v, at: _tuples(v, at, 2, "[x, y]")}))
 
 
 def _parse_couplings(value, pointer: str, p: int) -> tuple[CouplingSpec, ...]:
@@ -368,11 +301,8 @@ def _parse_couplings(value, pointer: str, p: int) -> tuple[CouplingSpec, ...]:
                  for k, entry in enumerate(_expect_list(value, pointer)))
 
 
-_DISTURBANCE_FIELDS = {
-    "zero": ({}, ()),
-    "constant": ({"scale": _as_scale}, ()),
-    "gaussian": ({"scale": _as_scale, "seed": _as_int}, ("seed",)),
-}
+_DISTURBANCE_FIELDS = {"zero": ((), ()), "constant": (("scale",), ()),
+                       "gaussian": (("scale", "seed"), ("seed",))}
 
 
 def _parse_disturbances(value, pointer: str, p: int,
@@ -388,7 +318,7 @@ def _parse_disturbances(value, pointer: str, p: int,
     for k, (entry, seed) in enumerate(
             zip(entries, edge_seed_sequence(master_seed, len(entries)))):
         at = pointer if single else _child(pointer, k)
-        fields = _kinded(entry, at, _DISTURBANCE_FIELDS, "disturbance")
+        fields = _kinded(entry, at, _DISTURBANCE_FIELDS, DisturbanceSpec)
         if single and "seed" in fields:
             raise ConfigError(
                 _child(at, "seed"),
@@ -396,17 +326,16 @@ def _parse_disturbances(value, pointer: str, p: int,
                 "use the per-edge list form to pin seeds explicitly")
         if fields["kind"] == "gaussian":
             fields.setdefault("seed", seed)
-        specs.append(DisturbanceSpec(**fields))
+        specs.append(_build(DisturbanceSpec, at, **fields))
     return tuple(specs)
 
 
 def _parse_certification(value, pointer: str):
     if value is None:
         return None, DEFAULT_MODE
-    fields = _fields(value, pointer, {"theta": _as_positive, "theta3": _as_positive,
-                                      "mode": _given}, optional=("mode",))
+    fields = _fields(value, pointer, ("theta", "theta3", "mode"), optional=("mode",))
     mode = fields.pop("mode", DEFAULT_MODE)
-    return CertParams(**fields), mode
+    return _build(CertParams, pointer, **fields), mode
 
 
 def _parse_simulation(value, pointer: str) -> dict:
@@ -415,7 +344,7 @@ def _parse_simulation(value, pointer: str) -> dict:
     if value is None:
         return {}
     keys = ("dt", "horizon", "stride")
-    return _fields(value, pointer, dict.fromkeys(keys, _given), optional=keys)
+    return _fields(value, pointer, keys, optional=keys)
 
 
 def config_from_dict(payload) -> NetworkConfig:
@@ -423,15 +352,14 @@ def config_from_dict(payload) -> NetworkConfig:
     # the other blocks are read below: agents, couplings and disturbances
     # need the graph, and a null disturbances, certification or simulation
     # block stands for an absent one
-    data = _fields(payload, "", {
-        "graph": _parse_graph,
-        # checked before the description exists: the edge seeds derive from it
-        "seed": _as_int,
-        **dict.fromkeys(("agents", "couplings", "disturbances", "certification",
-                         "simulation"), _given),
-    }, optional=("seed", "disturbances", "certification", "simulation"))
+    data = _fields(payload, "", ("graph", "seed", "agents", "couplings", "disturbances",
+                                 "certification", "simulation"),
+                   optional=("seed", "disturbances", "certification", "simulation"),
+                   # the seed is checked before the description exists: the
+                   # edge seeds derive from it
+                   read={"graph": _parse_graph, "seed": integer})
     graph, seed = data["graph"], data.get("seed", DEFAULT_SEED)
-    agents, x0 = _parse_agents(data["agents"], "/agents", graph.n)
+    agents, x0 = _parse_agents(data["agents"], "/agents")
     couplings = _parse_couplings(data["couplings"], "/couplings", graph.edge_count)
     disturbances = _parse_disturbances(data.get("disturbances"), "/disturbances",
                                        graph.edge_count, seed)

@@ -32,6 +32,7 @@ import numpy as np
 
 from .certificates import NetworkCertificate, sector_arrays
 from .graphs import Graph, edge_slacks, node_sums
+from .values import ConfigError, integer, positive
 
 if TYPE_CHECKING:
     from .config import NetworkConfig
@@ -67,35 +68,29 @@ class GoodwinParams:
 
     def __post_init__(self) -> None:
         for name in ("a1", "a2", "a3", "b2", "b3"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (
-                    isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+            value = positive(getattr(self, name), f"/{name}")
+            # the certificate weights square the chain gains
+            if name in ("b2", "b3") and not math.isfinite(value * value):
+                raise ConfigError(f"/{name}", f"must have a finite square, got {value!r}")
+            object.__setattr__(self, name, value)
         check_hill(self.hill)
-        gains = np.array(self.input_gains, dtype=float)
-        if gains.ndim != 1 or gains.size == 0:
-            raise ValueError("input gains must be a non-empty 1-D array, "
-                             f"got shape {gains.shape}")
-        is_bool = np.array([isinstance(v, (bool, np.bool_)) for v in self.input_gains],
-                           dtype=bool)
-        ok = np.isfinite(gains) & (gains > 0.0) & ~is_bool
-        if not ok.all():
-            k = int(np.argmin(ok))
-            got = bool(gains[k]) if is_bool[k] else float(gains[k])
-            raise ValueError(f"node {k + 1}: input_gain must be a positive finite "
-                             f"number, got {got!r}")
+        try:
+            gains = np.array([positive(v, f"/input_gains/{i}")
+                              for i, v in enumerate(self.input_gains)])
+        except TypeError:
+            raise ConfigError("/input_gains",
+                              f"expected a list, got {self.input_gains!r}") from None
         gains.flags.writeable = False
         object.__setattr__(self, "input_gains", gains)
 
 
 def check_hill(hill, even: bool = True) -> None:
-    """Reject a Hill coefficient that is not an integer >= 2 and, with
-    ``even``, an odd one."""
-    if isinstance(hill, bool) or not isinstance(hill, (int, np.integer)) or hill < 2:
-        raise ValueError(f"hill coefficient must be an integer >= 2, got {hill!r}")
+    """Reject at ``/hill`` a Hill coefficient that is no integer >= 2, or odd if ``even``."""
+    if integer(hill, "/hill") < 2:
+        raise ConfigError("/hill", f"hill coefficient must be an integer >= 2, got {hill!r}")
     if even and hill % 2:
-        raise ValueError(f"hill coefficient must be even, got {hill}: for odd hill "
-                         "the repression -1/(x3**hill + 1) has a pole at x3 = -1")
+        raise ConfigError("/hill", f"hill coefficient must be even, got {hill}: for odd hill "
+                                   "the repression -1/(x3**hill + 1) has a pole at x3 = -1")
 
 
 def hill_slope(hill: int) -> float:
@@ -151,22 +146,20 @@ class CertParams:
 
     def __post_init__(self) -> None:
         for name in ("theta", "theta3"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive, got {value}")
+            object.__setattr__(self, name, positive(getattr(self, name), f"/{name}"))
 
 
 def admissible_theta3_interval(params: GoodwinParams) -> tuple[float, float]:
     """Open interval of ``theta3`` for which both derived weights are
     positive: ``(b3**2 / (2 a3), 2 a2)``."""
-    return params.b3 ** 2 / (2.0 * params.a3), 2.0 * params.a2
+    return params.b3 * params.b3 / (2.0 * params.a3), 2.0 * params.a2
 
 
 def _weights(params: GoodwinParams, theta3):
     """``(theta1, theta2)`` at admissible ``theta3`` of any shape, unchecked."""
     delta = _certificate_slope(params.hill)
-    theta1 = delta * delta * theta3 / (2.0 * params.a3 * theta3 - params.b3 ** 2)
-    theta2 = params.b2 ** 2 / (2.0 * params.a2 - theta3)
+    theta1 = delta * delta * theta3 / (2.0 * params.a3 * theta3 - params.b3 * params.b3)
+    theta2 = params.b2 * params.b2 / (2.0 * params.a2 - theta3)
     return theta1, theta2
 
 
@@ -209,14 +202,24 @@ def certify_network(config: NetworkConfig) -> NetworkCertificate:
     only enlarge the margins.  Each edge's sector is its coupling's.
     """
     agents, g, cp = config.agents, config.graph, config.certification
-    gamma = _output_weight(agents, cp.theta, *_weights(agents, cp.theta3))
-    nu = _input_weights(agents, g, cp.theta, config.mode)
+    if cp is None:
+        raise ConfigError("/certification", "certification block required for this command")
     lower, upper = g.endpoints
     x0 = config.initial_states
-    beta = -0.5 * np.sum((x0[lower] - x0[upper]) ** 2, axis=1)
     alpha_lo, alpha_hi = sector_arrays(c.sector for c in config.couplings)
-    return NetworkCertificate(graph=g, alpha_lo=alpha_lo, alpha_hi=alpha_hi, nu=nu,
-                              gamma_raw=np.full(nu.shape, gamma), beta=beta)
+    # a weight or slack beyond double precision leaves nothing to certify
+    with np.errstate(all="ignore"):
+        gamma = _output_weight(agents, cp.theta, *_weights(agents, cp.theta3))
+        nu = _input_weights(agents, g, cp.theta, config.mode)
+        beta = -0.5 * np.sum((x0[lower] - x0[upper]) ** 2, axis=1)
+        for name, values in (("gamma", gamma), ("nu", nu), ("beta", beta)):
+            if not np.isfinite(values).all():
+                raise ConfigError("/certification", f"{name} overflows double precision")
+        cert = NetworkCertificate(graph=g, alpha_lo=alpha_lo, alpha_hi=alpha_hi, nu=nu,
+                                  gamma_raw=np.full(nu.shape, gamma), beta=beta)
+        if not np.isfinite(cert.slacks).all():
+            raise ConfigError("/certification", "slacks overflow double precision")
+    return cert
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,6 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .values import ConfigError, integer
+
 __all__ = [
     "Graph",
     "build_graph",
@@ -132,29 +134,27 @@ def build_graph(n: int, edge_list) -> Graph:
     ``(min, max)`` pairs sorted lexicographically, which pins down the edge
     indexing used by every per-edge quantity downstream.  Self-loops,
     duplicates and out-of-range nodes are rejected with the offending pair in
-    the message.
+    the message, as a :class:`~syncert.values.ConfigError` at ``/n``,
+    ``/edges/<k>`` or ``/edges``.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"node count must be a positive integer, got {n!r}")
+    integer(n, "/n")
+    if n < 1:
+        raise ConfigError("/n", f"node count must be a positive integer, got {n!r}")
     canon: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for pair in edge_list:
+    for k, pair in enumerate(edge_list):
         try:
             i, j = pair
         except (TypeError, ValueError):
-            raise ValueError(f"edge {pair!r} is not a node pair") from None
-        if isinstance(i, bool) or isinstance(j, bool) \
-                or not isinstance(i, (int, np.integer)) \
-                or not isinstance(j, (int, np.integer)):
-            raise ValueError(f"edge ({i!r}, {j!r}) must contain integer node indices")
-        i, j = int(i), int(j)
+            raise ConfigError(f"/edges/{k}", f"edge {pair!r} is not a node pair") from None
+        i, j = int(integer(i, f"/edges/{k}")), int(integer(j, f"/edges/{k}"))
         if not (1 <= i <= n and 1 <= j <= n):
-            raise ValueError(f"edge ({i}, {j}): node out of range 1..{n}")
+            raise ConfigError("/edges", f"edge ({i}, {j}): node out of range 1..{n}")
         if i == j:
-            raise ValueError(f"edge ({i}, {j}) is a self-loop")
+            raise ConfigError("/edges", f"edge ({i}, {j}) is a self-loop")
         key = (min(i, j), max(i, j))
         if key in seen:
-            raise ValueError(f"duplicate edge ({key[0]}, {key[1]})")
+            raise ConfigError("/edges", f"duplicate edge ({key[0]}, {key[1]})")
         seen.add(key)
         canon.append(key)
     canon.sort()

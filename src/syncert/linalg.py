@@ -16,7 +16,7 @@ __all__ = ["symmetric_eigenvalues"]
 def _checked_symmetric(matrix) -> np.ndarray:
     """``matrix`` as a float array, checked to be finite, non-empty, square
     and symmetric to ``1e-12`` of its largest entry, then folded to exact
-    symmetry with ``0.5 * (a + a.T)``."""
+    symmetry with ``0.5 * a + 0.5 * a.T``, which cannot overflow."""
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -30,7 +30,7 @@ def _checked_symmetric(matrix) -> np.ndarray:
     # of its cost on small forms
     if float(np.abs(a - a.T).max()) > 1e-12 * span:
         raise ValueError("matrix is not symmetric")
-    return 0.5 * (a + a.T)
+    return 0.5 * a + 0.5 * a.T
 
 
 def symmetric_eigenvalues(matrix) -> np.ndarray:

@@ -27,6 +27,7 @@ from .certificates import (
     sector_arrays,
 )
 from .noise import normals
+from .values import ConfigError, finite, integer, positive
 
 if TYPE_CHECKING:
     from .config import NetworkConfig
@@ -47,8 +48,9 @@ __all__ = [
     "run_batch",
 ]
 
-# the disturbance kinds, each interpreted by DisturbanceSpec.held_values
-DISTURBANCE_KINDS = ("gaussian", "zero", "constant")
+# each disturbance kind, interpreted by DisturbanceSpec.held_values, and the
+# fields it reads
+DISTURBANCE_KINDS = {"gaussian": ("scale", "seed"), "zero": (), "constant": ("scale",)}
 
 
 class SimulationDiverged(RuntimeError):
@@ -69,7 +71,7 @@ class CouplingSpec:
     :func:`prove_sectors` checks on every network description; a linear
     coupling's defaults to the point of its gain, and every other kind must
     declare one.  A field the kind does not read must keep its default.  The
-    knots are stored as float pairs.
+    gain, amplitude and knots are stored as floats.
     """
 
     kind: str
@@ -79,31 +81,30 @@ class CouplingSpec:
     knots: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in _KERNELS:
-            raise ValueError(f"unknown coupling kind {self.kind!r}")
+        if not isinstance(self.kind, str) or self.kind not in _KERNELS:
+            raise ConfigError("/kind", f"unknown coupling kind {self.kind!r}")
         reads = _KERNELS[self.kind][1]
         for name, default in (("gain", 0.0), ("amplitude", 0.0), ("knots", ())):
             value = getattr(self, name)
             if name not in reads and value != default:
-                raise ValueError(f"{self.kind} coupling reads no {name}, got {value!r}")
-        if "gain" in reads and (isinstance(self.gain, bool) or not (
-                math.isfinite(self.gain) and self.gain > 0.0)):
-            raise ValueError(f"coupling gain must be positive, got {self.gain}")
-        if "amplitude" in reads and (
-                isinstance(self.amplitude, bool) or not math.isfinite(self.amplitude)):
-            raise ValueError(f"sinusoid amplitude must be finite, got {self.amplitude}")
+                raise ConfigError(f"/{name}",
+                                  f"{self.kind} coupling reads no {name}, got {value!r}")
+        for name, rule in (("gain", positive), ("amplitude", finite)):
+            if name in reads:
+                object.__setattr__(self, name, rule(getattr(self, name), f"/{name}"))
         if "knots" in reads:
-            if not self.knots:
-                raise ValueError("piecewise_linear coupling needs at least one knot")
-            knots = tuple((float(x), float(y)) for x, y in self.knots)
+            knots = tuple((finite(x, f"/knots/{k}"), finite(y, f"/knots/{k}"))
+                          for k, (x, y) in enumerate(self.knots))
+            if not knots:
+                raise ConfigError("/knots", "piecewise_linear coupling needs at least one knot")
             xs = [0.0, *(x for x, _ in knots)]
-            if not (np.isfinite(knots).all() and all(a < b for a, b in zip(xs, xs[1:]))):
-                raise ValueError("knot abscissae must be finite, positive and strictly "
-                                 f"increasing, got {self.knots!r}")
+            if not all(a < b for a, b in zip(xs, xs[1:])):
+                raise ConfigError("/knots", "knot abscissae must be finite, positive and "
+                                            f"strictly increasing, got {knots!r}")
             object.__setattr__(self, "knots", knots)
         if self.sector is None:
             if self.kind != "linear":
-                raise ValueError(f"{self.kind} coupling needs a declared sector")
+                raise ConfigError("/sector", f"{self.kind} coupling needs a declared sector")
             object.__setattr__(self, "sector", SectorBound(self.gain, self.gain))
 
     def __call__(self, x):
@@ -184,22 +185,25 @@ class DisturbanceSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in DISTURBANCE_KINDS:
-            raise ValueError(f"unknown disturbance kind {self.kind!r}")
-        if isinstance(self.scale, bool) or not (
-                math.isfinite(self.scale) and self.scale >= 0.0):
-            raise ValueError(f"scale must be nonnegative, got {self.scale}")
-        if self.kind == "zero" and self.scale != 0.0:
-            raise ValueError(f"zero disturbance reads no scale, got {self.scale!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if self.kind != "gaussian" and self.seed != 0:
-            raise ValueError(f"{self.kind} disturbance reads no seed, got {self.seed!r}")
+        if not isinstance(self.kind, str) or self.kind not in DISTURBANCE_KINDS:
+            raise ConfigError("/kind", f"unknown disturbance kind {self.kind!r}")
+        scale = finite(self.scale, "/scale")
+        if scale < 0.0:
+            raise ConfigError("/scale", f"must be nonnegative, got {scale!r}")
+        integer(self.seed, "/seed")
+        for name in ("scale", "seed"):
+            value = getattr(self, name)
+            if name not in DISTURBANCE_KINDS[self.kind] and value != 0:
+                raise ConfigError(f"/{name}",
+                                  f"{self.kind} disturbance reads no {name}, got {value!r}")
+        object.__setattr__(self, "scale", scale)
 
     def held_values(self, count: int) -> np.ndarray:
         """The sequence of values held over successive integration steps."""
         if self.kind == "gaussian":
-            return self.scale * normals(self.seed, count)
+            # a sample beyond double precision is infinite: the run diverges
+            with np.errstate(over="ignore"):
+                return self.scale * normals(self.seed, count)
         if self.kind == "constant":
             return np.full(count, self.scale)
         return np.zeros(count)
@@ -248,6 +252,8 @@ SINC_MIN = math.sin(4.493409457909064) / 4.493409457909064
 SECTOR_TOL = 1e-9
 
 
+# a ratio beyond double precision is infinite and fails the check
+@np.errstate(over="ignore")
 def prove_sectors(couplings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per coupling: whether the exact range ``[ratio_min, ratio_max]`` of
     its slope ratio ``theta(x)/x`` over ``x != 0`` lies within its declared
@@ -430,6 +436,8 @@ class _StepPlan:
                     raise SimulationDiverged(m * dt + dt)
 
 
+# an integral beyond double precision is inf or nan, which fails every check
+@np.errstate(over="ignore", invalid="ignore")
 def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
     """Running trapezoidal integral of sampled signals along the first axis.
 

@@ -141,7 +141,7 @@ def linear_network(agents, g: Graph, alpha_lo, alpha_hi, cp=None, initial_states
               for a in (alpha_lo, alpha_hi))
     couplings = tuple(CouplingSpec(kind="linear", gain=a, sector=SectorBound(a, b))
                       for a, b in zip(lo, hi))
-    x0 = np.zeros((g.n, 3)) if initial_states is None else initial_states
-    return NetworkConfig(graph=g, agents=agents, initial_states=x0, couplings=couplings,
+    return NetworkConfig(graph=g, agents=agents, initial_states=initial_states,
+                         couplings=couplings,
                          disturbances=(DisturbanceSpec(),) * g.edge_count,
                          certification=cp, mode=mode)

@@ -8,6 +8,7 @@ import dataclasses
 import functools
 import json
 import math
+import warnings
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,6 +16,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from syncert import __version__, certificates, graphs
 from syncert.cli import _trace_check, _trace_checks, main
@@ -27,9 +30,11 @@ from syncert.config import (
     parse_config,
     seed_override,
 )
+from syncert.certificates import SectorBound
 from syncert.goodwin import CertParams, certify_network
+from syncert.graphs import build_graph
 from syncert.noise import edge_seed_sequence
-from syncert.simulation import run
+from syncert.simulation import CouplingSpec, run
 
 TRIANGLE = {
     "graph": {"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]},
@@ -178,6 +183,199 @@ def test_rejections_carry_pointers(mutate, pointer, fragment):
     with pytest.raises(ConfigError, match=fragment) as err:
         config_from_dict(payload)
     assert err.value.pointer == pointer
+
+
+_DATA = Path(__file__).parent / "data"
+# the two descriptions that the fuzzers mutate, one of each coupling form
+_FUZZ_BASES = {
+    "paper_k5": json.loads(
+        (resources.files("syncert") / "fixtures" / "paper_k5.json").read_text(
+            encoding="utf-8")),
+    "mixed": json.loads((_DATA / "mixed_couplings_per_edge.json").read_text(
+        encoding="utf-8")),
+}
+_FUZZ_VALUES = [None, True, False, 0, 1, -1, 0.5, 2, 1e308, -1e308, 1e200, 1e-300,
+                math.nan, math.inf, -math.inf, 10**30, -10**30, "x", "", "1", [], [1.0],
+                [1.0, 2.0], {}, {"kind": "zero"}]
+
+
+def _json_paths(node, prefix=()):
+    """Every path below ``node``, with whether its value is a leaf, that is
+    neither an object nor a list."""
+    for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield prefix + (key,), not isinstance(child, (dict, list))
+        if isinstance(child, (dict, list)):
+            yield from _json_paths(child, prefix + (key,))
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+_LEAVES = [(name, path) for name, base in _FUZZ_BASES.items()
+           for path, leaf in _json_paths(base) if leaf]
+
+
+def _direct_pointer(payload, path, value):
+    """The pointer at which direct construction rejects the value at JSON
+    ``path`` of ``payload``: its owner built with that value (by
+    ``dataclasses.replace`` of the parsed one, or afresh for a graph or a
+    coupling), its rejection placed in the owner's block as the parser
+    places it, then ``dataclasses.replace`` of the description, whose
+    pointers are absolute.  None when accepted."""
+    rep = dataclasses.replace
+    cfg = config_from_dict(payload)
+    edited = copy.deepcopy(payload)
+    _set(edited, path, value)
+    head, *rest = path
+    node = edited[head]
+    if head == "graph":
+        stages = [("/graph", lambda _: build_graph(node["n"], node["edges"])),
+                  ("", lambda g: rep(cfg, graph=g))]
+    elif head == "agents" and rest[0] == "initial_outputs":
+        stages = [("", lambda _: rep(cfg, initial_states=node["initial_outputs"]))]
+    elif head == "agents":
+        stages = [("/agents", lambda _: rep(cfg.agents, **{rest[0]: node[rest[0]]})),
+                  ("", lambda agents: rep(cfg, agents=agents))]
+    elif head == "couplings":
+        # built afresh from the entry: a replaced gain would keep the sector
+        # that the old gain defaulted to
+        single = isinstance(node, dict)
+        k = 0 if single else rest[0]
+        block, entry = ("/couplings", node) if single else (f"/couplings/{k}", node[k])
+        couplings = lambda new: tuple(new if single or j == k else c
+                                      for j, c in enumerate(cfg.couplings))
+        stages = [(block + "/sector", lambda _: SectorBound(**entry["sector"])
+                   if "sector" in entry else None),
+                  (block, lambda sector: CouplingSpec(**{**entry, "sector": sector})),
+                  ("", lambda new: rep(cfg, couplings=couplings(new)))]
+    elif head == "disturbances":
+        stages = [("/disturbances", lambda _: tuple(rep(d, **{rest[0]: value})
+                                                   for d in cfg.disturbances)),
+                  ("", lambda ds: rep(cfg, disturbances=ds))]
+    elif head == "certification" and rest[0] != "mode":
+        stages = [("/certification", lambda _: rep(cfg.certification, **{rest[0]: value})),
+                  ("", lambda cp: rep(cfg, certification=cp))]
+    else:
+        stages = [("", lambda _: rep(cfg, **{rest[-1] if rest else head: value}))]
+    built = None
+    for block, build in stages:
+        try:
+            built = build(built)
+        except ConfigError as exc:
+            return block + exc.pointer.rstrip("/")
+    return None
+
+
+# the five parser/constructor disagreements that one owner per rule removed
+@example(leaf=("paper_k5", ("agents", "initial_outputs", 0)), value=math.nan)
+@example(leaf=("mixed", ("couplings", 1, "sector", "alpha_lo")), value=True)
+@example(leaf=("mixed", ("couplings", 2, "knots", 0, 0)), value=True)
+@example(leaf=("mixed", ("couplings", 1, "sector", "alpha_lo")), value="1")
+@example(leaf=("paper_k5", ("certification", "theta")), value="a")
+# an integer beyond the float range raised OverflowError in the parser
+@example(leaf=("paper_k5", ("agents", "a1")), value=10**400)
+@given(leaf=st.sampled_from(_LEAVES), value=st.sampled_from(_FUZZ_VALUES))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_parser_and_direct_construction_reject_alike(leaf, value):
+    # one value of one field, parsed from the file or set by direct
+    # construction: rejected at the same pointer, or accepted by both
+    name, path = leaf
+    payload = _FUZZ_BASES[name]
+    mutated = copy.deepcopy(payload)
+    _set(mutated, path, value)
+    try:
+        config_from_dict(mutated)
+        parsed = None
+    except ConfigError as exc:
+        parsed = exc.pointer
+    assert _direct_pointer(payload, path, value) == parsed
+
+
+# exit-2 rejections that name no file value: a graph without edges has no
+# certificate, and a search grid comes from the command line
+_POINTERLESS = ("error: graph has no edges, nothing to certify\n",
+                "error: inadmissible certification parameters: no admissible theta3")
+
+
+def _at(name, path, value):
+    """The mutation that sets ``path`` of an unmutated base to ``value``."""
+    return [path for path, _ in _json_paths(_FUZZ_BASES[name])].index(path), value
+
+
+# one per class of fault that single mutations reached: each exited 1 with a
+# traceback, by a RuntimeWarning, an OverflowError or an IndexError
+@example(name="mixed", mutations=[_at("mixed", ("agents", "initial_outputs", 0), -1e308)])
+@example(name="mixed", mutations=[_at("mixed", ("agents", "input_gains", 0), 1e200)])
+@example(name="paper_k5", mutations=[_at("paper_k5", ("agents", "b3"), 1e308)])
+@example(name="paper_k5", mutations=[_at("paper_k5", ("agents", "b2"), 1e200)])
+@example(name="mixed", mutations=[_at("mixed", ("couplings", 0, "gain"), 1e-300)])
+@example(name="paper_k5", mutations=[_at("paper_k5", ("couplings", "gain"), 1e-300)])
+@example(name="mixed", mutations=[_at("mixed", ("couplings", 0, "gain"), 1e200)])
+@example(name="mixed",
+         mutations=[_at("mixed", ("couplings", 1, "sector", "alpha_hi"), 1e200)])
+@example(name="mixed", mutations=[_at("mixed", ("couplings", 2, "knots", 0, 1), -1e308)])
+@example(name="mixed", mutations=[_at("mixed", ("disturbances", "scale"), 1e308)])
+@example(name="mixed", mutations=[_at("mixed", ("disturbances", "scale"), 1e200)])
+@example(name="mixed", mutations=[_at("mixed", ("simulation", "stride"), 10**30)])
+@given(name=st.sampled_from(sorted(_FUZZ_BASES)),
+       mutations=st.lists(st.tuples(st.integers(0, 10**6),
+                                    st.sampled_from([*_FUZZ_VALUES, "delete"])),
+                          min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_mutated_configs_exit_by_the_contract(tmp_path_factory, name, mutations):
+    # 1-3 keys deleted or set to hostile values: every command exits 0, 1,
+    # 2 or 3 without a traceback, with RuntimeWarning as an error, and a
+    # rejected file value is named by its JSON pointer
+    doc = copy.deepcopy(_FUZZ_BASES[name])
+    for index, value in mutations:
+        paths = [path for path, _ in _json_paths(doc)]
+        if not paths:
+            break
+        path = paths[index % len(paths)]
+        if value == "delete":
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            del parent[path[-1]]
+        else:
+            _set(doc, path, copy.deepcopy(value))
+    out = tmp_path_factory.mktemp("fuzz")
+    path = _write(out, doc)
+    for command in (["certify", str(path)],
+                    ["search", str(path), "--theta", "1:3:3", "--theta3", "1.2:1.9:3"],
+                    ["simulate", str(path), "-o", str(out / "sim"), "--dt", "0.001",
+                     "-T", "0.005"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = CliRunner().invoke(main, command)
+        assert result.exception is None or isinstance(result.exception, SystemExit), \
+            (command[0], doc, result.exception)
+        assert result.exit_code in (0, 1, 2, 3)
+        if result.exit_code == 2:
+            assert result.output.startswith(("error: /", *_POINTERLESS)), \
+                (command[0], doc, result.output)
+
+
+@pytest.mark.parametrize("name, value", [("b3", 1e308), ("b2", 1e200)])
+def test_overflowing_chain_gain_exits_2_at_its_pointer(tmp_path, name, value):
+    # b3 * b3 and b2 * b2 enter the admissible interval and the certificate
+    # weights; an infinite square raised OverflowError and exited 1, which
+    # reads as a false verdict
+    path = _DATA / "overflow_b3_k5.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    bundled = copy.deepcopy(_FUZZ_BASES["paper_k5"])
+    bundled["agents"]["b3"] = 1e308
+    assert payload == bundled
+    if name == "b2":
+        bundled["agents"].update(b2=value, b3=1.5)
+        path = _write(tmp_path, bundled)
+    result = CliRunner().invoke(main, ["certify", str(path)])
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.output == f"error: /agents/{name}: must have a finite square, got {value!r}\n"
 
 
 def test_overstated_sinusoid_sector_exits_2_with_pointer(tmp_path):

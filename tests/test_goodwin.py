@@ -27,6 +27,7 @@ from syncert.goodwin import (
     search_params,
 )
 from syncert.graphs import build_graph
+from syncert.values import ConfigError
 
 # closed-form slope constant and numerical maximum at hill = 14, frozen
 HILL14_SLOPE = 3.5178120744028827
@@ -102,31 +103,39 @@ def test_closed_form_slope_is_exceeded_by_a_secant():
 
 @pytest.mark.parametrize("bad", [1, 0, -3, 2.5, True])
 def test_slope_rejects_bad_hill(bad):
-    with pytest.raises(ValueError, match="hill coefficient"):
+    rule = "hill coefficient must be an integer >= 2" if type(bad) is int \
+        else "expected an integer"
+    with pytest.raises(ConfigError, match=f"^/hill: {rule}, got {bad}$"):
         hill_slope(bad)
-    with pytest.raises(ValueError, match="hill coefficient"):
+    with pytest.raises(ConfigError, match=f"^/hill: {rule}, got {bad}$"):
         hill_slope_max(bad)
 
 
 def test_params_validation():
-    with pytest.raises(ValueError, match="a1 must be a positive"):
+    with pytest.raises(ConfigError, match=r"^/a1: must be positive, got -0\.5$"):
         _agents(1.0, a1=-0.5)
-    with pytest.raises(ValueError, match="input_gain must be a positive"):
+    with pytest.raises(ConfigError, match=r"^/input_gains/0: must be positive, got 0\.0$"):
         _agents(0.0)
-    with pytest.raises(ValueError, match="hill coefficient"):
+    with pytest.raises(ConfigError, match="^/hill: hill coefficient must be an integer >= 2"):
         _agents(1.0, hill=1)
-    with pytest.raises(ValueError, match="b2 must be a positive"):
+    with pytest.raises(ConfigError, match="^/b2: expected a finite number, got inf$"):
         _agents(1.0, b2=math.inf)
-    with pytest.raises(ValueError, match="a1 must be a positive"):
+    with pytest.raises(ConfigError, match="^/a1: expected a number, got True$"):
         _agents(1.0, a1=True)
+    # a chain gain whose square overflows would overflow the certificate weights
+    for name, value in (("b2", 1e200), ("b3", 1e308)):
+        with pytest.raises(ConfigError, match=f"^/{name}: must have a finite square, got "):
+            _agents(1.0, **{name: value})
+    # the chain parameters are stored as floats
+    assert type(_agents(1.0, a1=1).a1) is float
 
 
 @pytest.mark.parametrize("hill", [3, 7, 15])
 def test_params_reject_odd_hill_naming_the_pole(hill):
     # delta is a global Lipschitz constant of the repression only for even
     # hill; for odd hill it has a pole at x3 = -1
-    with pytest.raises(ValueError, match=rf"^hill coefficient must be even, got {hill}: "
-                                         r".*pole at x3 = -1$"):
+    with pytest.raises(ConfigError, match=rf"^/hill: hill coefficient must be even, "
+                                          rf"got {hill}: .*pole at x3 = -1$"):
         _agents(1.0, hill=hill)
     # the slope constants themselves take any integer >= 2
     assert hill_slope(hill) <= hill_slope_max(hill)
@@ -134,25 +143,31 @@ def test_params_reject_odd_hill_naming_the_pole(hill):
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
 def test_params_reject_bad_gain_naming_the_node(bad):
-    with pytest.raises(ValueError, match="node 2: input_gain must be a positive"):
+    rule = "must be positive" if math.isfinite(bad) else "expected a finite number"
+    with pytest.raises(ConfigError, match=f"^/input_gains/1: {rule}, got {bad}$"):
         _agents(1.0, bad, 1.1)
 
 
 def test_params_reject_bool_gains():
     # a bool converts to 1.0 or 0.0 without complaint, but it is no gain
-    with pytest.raises(ValueError, match=r"^node 1: input_gain must be a positive "
-                                         r"finite number, got True$"):
+    with pytest.raises(ConfigError, match=r"^/input_gains/0: expected a number, "
+                                          r"got True$"):
         GoodwinParams(input_gains=[True, 1.0], **_CHAIN)
-    with pytest.raises(ValueError, match="node 2: input_gain .* got True$"):
+    with pytest.raises(ConfigError, match=r"^/input_gains/1: .* got np\.True_$"):
         GoodwinParams(input_gains=[1.0, np.True_], **_CHAIN)
-    with pytest.raises(ValueError, match="node 1: input_gain .* got True$"):
+    with pytest.raises(ConfigError, match=r"^/input_gains/0: .* got np\.True_$"):
         GoodwinParams(input_gains=np.array([True, True]), **_CHAIN)
 
 
 @pytest.mark.parametrize("gains", [[], [[0.9, 1.1]]])
 def test_params_reject_empty_or_nested_gains(gains):
-    with pytest.raises(ValueError, match="non-empty 1-D"):
-        GoodwinParams(input_gains=gains, **_CHAIN)
+    # a nested entry is no gain; an empty array is no network, so the
+    # description's per-node count rejects it
+    with pytest.raises(ConfigError) as err:
+        linear_network(GoodwinParams(input_gains=gains, **_CHAIN),
+                       build_graph(2, [(1, 2)]), 5.0, 5.0)
+    assert str(err.value) == ("/agents/input_gains: 0 input gains for 2 nodes" if not gains
+                              else "/input_gains/0: expected a number, got [0.9, 1.1]")
 
 
 def test_params_store_read_only_copy_of_gains():
@@ -166,12 +181,20 @@ def test_params_store_read_only_copy_of_gains():
 
 
 def test_cert_params_validation():
-    with pytest.raises(ValueError, match="theta must be positive"):
+    with pytest.raises(ConfigError, match=r"^/theta: must be positive, got 0\.0$"):
         CertParams(theta=0.0, theta3=1.5)
-    with pytest.raises(ValueError, match="theta3 must be positive"):
+    with pytest.raises(ConfigError, match=r"^/theta3: must be positive, got -1\.0$"):
         CertParams(theta=2.0, theta3=-1.0)
-    with pytest.raises(ValueError, match="theta must be positive"):
+    with pytest.raises(ConfigError, match="^/theta: expected a number, got True$"):
         CertParams(theta=True, theta3=1.5)
+    # a string was a TypeError, which the command line maps to no exit code
+    with pytest.raises(ConfigError, match="^/theta: expected a number, got 'a'$"):
+        CertParams("a", 1.0)
+
+
+def test_certify_network_requires_certification_parameters(paper_config):
+    with pytest.raises(ConfigError, match="^/certification: certification block required"):
+        certify_network(dataclasses.replace(paper_config, certification=None))
 
 
 def test_admissible_interval():

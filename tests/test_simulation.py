@@ -124,21 +124,25 @@ def test_couplings_are_odd(x):
 def test_coupling_validation():
     with pytest.raises(ValueError, match="unknown coupling kind"):
         CouplingSpec(kind="cubic", sector=SectorBound(1.0, 1.0))
-    with pytest.raises(ValueError, match="gain must be positive"):
+    with pytest.raises(ConfigError, match=r"^/gain: must be positive, got 0\.0$"):
         CouplingSpec(kind="linear", sector=SectorBound(1.0, 1.0), gain=0.0)
     # the gain is checked before it becomes the default point sector
-    with pytest.raises(ValueError, match="gain must be positive"):
+    with pytest.raises(ConfigError, match=r"^/gain: must be positive, got 0\.0$"):
         CouplingSpec(kind="linear", gain=0.0)
     # a bool is not a number, though it compares as one
     for kind in ("linear", "affine_sinusoid"):
-        with pytest.raises(ValueError, match="gain must be positive, got True"):
+        with pytest.raises(ConfigError, match="^/gain: expected a number, got True$"):
             CouplingSpec(kind=kind, gain=True, sector=SectorBound(1.0, 1.0))
-    with pytest.raises(ValueError, match="amplitude must be finite, got True"):
+    with pytest.raises(ConfigError, match="^/amplitude: expected a number, got True$"):
         CouplingSpec(kind="affine_sinusoid", gain=1.0, amplitude=True,
                      sector=SectorBound(0.5, 2.0))
-    with pytest.raises(ValueError, match="amplitude must be finite"):
+    with pytest.raises(ConfigError, match="^/amplitude: expected a finite number, got inf$"):
         CouplingSpec(kind="affine_sinusoid", gain=1.0, amplitude=math.inf,
                      sector=SectorBound(0.5, 1.5))
+    # a knot that is not two numbers, a bool included
+    with pytest.raises(ConfigError, match="^/knots/1: expected a number, got True$"):
+        CouplingSpec(kind="piecewise_linear", knots=((1.0, 1.0), (True, 2.0)),
+                     sector=SectorBound(1.0, 1.0))
     # only a linear coupling has a default sector
     with pytest.raises(ValueError, match="affine_sinusoid coupling needs a declared sector"):
         CouplingSpec(kind="affine_sinusoid", gain=1.0, amplitude=0.5)
@@ -163,7 +167,8 @@ def test_coupling_rejects_fields_its_kind_never_reads():
             ("piecewise_linear", "gain", 2.0, dict(knots=[(1.0, 1.5)], sector=sector)),
             ("piecewise_linear", "amplitude", 0.5,
              dict(knots=[(1.0, 1.5)], sector=sector))):
-        with pytest.raises(ValueError, match=f"^{kind} coupling reads no {name}, got "):
+        with pytest.raises(ConfigError, match=f"^/{name}: {kind} coupling reads no {name}, "
+                                              "got "):
             CouplingSpec(kind=kind, **given, **{name: value})
         # at its default the field is not there
         assert CouplingSpec(kind=kind, **given) == CouplingSpec(
@@ -259,18 +264,20 @@ def test_disturbance_validation():
     with pytest.raises(ValueError, match="nonnegative"):
         DisturbanceSpec(kind="gaussian", scale=-1.0)
     for kind in ("gaussian", "constant"):
-        with pytest.raises(ValueError, match="nonnegative, got True"):
+        with pytest.raises(ConfigError, match="^/scale: expected a number, got True$"):
             DisturbanceSpec(kind=kind, scale=True)
-    with pytest.raises(ValueError, match="seed must be an integer"):
+    with pytest.raises(ConfigError, match="^/seed: expected an integer, got True$"):
         DisturbanceSpec(kind="gaussian", scale=1.0, seed=True)
     # a scale on zero would hold zeros yet compare unequal to the plain kind
-    with pytest.raises(ValueError, match=r"^zero disturbance reads no scale, got 0\.3$"):
+    with pytest.raises(ConfigError, match=r"^/scale: zero disturbance reads no scale, "
+                                          r"got 0\.3$"):
         DisturbanceSpec(kind="zero", scale=0.3)
 
 
 def test_only_gaussian_disturbances_carry_a_seed():
     for kind in ("zero", "constant"):
-        with pytest.raises(ValueError, match=f"^{kind} disturbance reads no seed, got 5$"):
+        with pytest.raises(ConfigError, match=f"^/seed: {kind} disturbance reads no seed, "
+                                              "got 5$"):
             DisturbanceSpec(kind=kind, seed=5)
         assert DisturbanceSpec(kind=kind, seed=0).seed == 0
 
@@ -288,11 +295,26 @@ def test_model_validation():
     # the fields after the disturbances default to the parser's defaults
     assert (cfg.certification, cfg.mode, cfg.dt, cfg.horizon, cfg.stride,
             cfg.seed) == (None, "uniform", 1e-3, 100.0, 100, 0)
-    rejected = [("agents for", "/agents/input_gains", dict(agents=_agents(1.0))),
+    # initial outputs fill the first state component, and None is all zeros
+    outputs = dataclasses.replace(cfg, initial_states=[1, -0.5]).initial_states
+    assert outputs.dtype == np.float64
+    assert np.array_equal(outputs, [[1.0, 0.0, 0.0], [-0.5, 0.0, 0.0]])
+    assert np.array_equal(dataclasses.replace(cfg, initial_states=None).initial_states, x0)
+    rejected = [("1 input gains for 2 nodes", "/agents/input_gains",
+                 dict(agents=_agents(1.0))),
                 ("couplings for", "/couplings", dict(couplings=coupling * 2)),
                 ("disturbances for", "/disturbances", dict(disturbances=dist * 2)),
-                ("initial states", "/agents/initial_states",
+                ("3 initial states for 2 nodes", "/agents/initial_states",
                  dict(initial_states=np.zeros((3, 3)))),
+                # a state was checked for its shape only, so a nan reached
+                # the certificate
+                ("expected a finite number, got nan", "/agents/initial_states/1",
+                 dict(initial_states=np.array([[0.0] * 3, [0.0, math.nan, 0.0]]))),
+                # n initial outputs stand for states whose other components are 0
+                ("3 initial outputs for 2 nodes", "/agents/initial_outputs",
+                 dict(initial_states=[1.0, 2.0, 3.0])),
+                ("expected a number, got 'x'", "/agents/initial_outputs/0",
+                 dict(initial_states=["x", 2.0])),
                 ("must be a positive integer", "/simulation/stride", dict(stride=0)),
                 ("expected an integer", "/simulation/stride", dict(stride=2.5)),
                 ("mode must be one of", "/certification/mode", dict(mode="bogus")),
