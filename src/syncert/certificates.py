@@ -41,7 +41,7 @@ POSITIVITY_TOL = 1e-12
 
 
 class UncertifiedBoundError(ValueError):
-    """A gain bound with nonpositive ``n_min`` cannot be evaluated."""
+    """A gain bound that is not certified cannot be evaluated."""
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,11 @@ class SectorBound:
         object.__setattr__(self, "alpha_hi", hi)
 
 
-def sector_arrays(sectors) -> tuple[np.ndarray, np.ndarray]:
-    """``alpha_lo`` and ``alpha_hi`` of a sequence of :class:`SectorBound`,
-    as float arrays in the same order."""
-    lo, hi = np.array([(s.alpha_lo, s.alpha_hi) for s in sectors],
-                      dtype=float).reshape(-1, 2).T
+def sector_arrays(couplings) -> tuple[np.ndarray, np.ndarray]:
+    """``alpha_lo`` and ``alpha_hi`` of each coupling's sector as float arrays:
+    the declared one, or the point ``[gain, gain]`` when it declares none."""
+    lo, hi = np.array([(c.sector.alpha_lo, c.sector.alpha_hi) if c.sector else (c.gain,) * 2
+                       for c in couplings], dtype=float).reshape(-1, 2).T
     return lo, hi
 
 
@@ -267,6 +267,12 @@ class GainBound:
     n_min: float
     m_max: float
     estimate: str
+
+
+def _why_uncertified(bound: GainBound) -> str:
+    """Why ``bound`` is not certified; ``n_min`` is nan when a form overflows."""
+    return ("the response forms overflow double precision" if math.isnan(bound.n_min)
+            else f"n_min = {bound.n_min:.6g} <= 0")
 
 
 # Multiple of p * eps * ||.|| by which an interval bound is widened; see

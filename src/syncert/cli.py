@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .certificates import NetworkCertificate, UncertifiedBoundError
+from .certificates import NetworkCertificate, UncertifiedBoundError, _why_uncertified
 from .config import (
     NetworkConfig,
     bundled_config,
@@ -145,7 +145,7 @@ def _echo_certificate(cfg: NetworkConfig, cert: NetworkCertificate) -> None:
             f"n_min {bound.n_min:.6g}, m_max {bound.m_max:.6g}"
         )
     else:
-        click.echo(f"gain bound: not certified (n_min = {bound.n_min:.6g} <= 0)")
+        click.echo(f"gain bound: not certified ({_why_uncertified(bound)})")
     if cert.satisfied:
         click.echo("verdict: certified")
     elif not g.is_connected:
@@ -286,7 +286,7 @@ def simulate(config_file: Path, output_dir: Path, full: bool, check_bound: bool,
         bound = cert.bound
         if check_bound and not bound.certified:
             raise UncertifiedBoundError(
-                "gain bound is not certified (n_min <= 0); nothing to check")
+                f"gain bound is not certified ({_why_uncertified(bound)}); nothing to check")
 
     trace = run(cfg)
     click.echo(f"integrated {trace.steps} steps of dt = {cfg.dt:g} "

@@ -167,7 +167,8 @@ class NetworkConfig:
         if not passed.all():
             k = int(np.argmin(passed))
             spec = self.couplings[k]
-            # one spec on every edge reads as the single mapping
+            # one spec on every edge reads as the single mapping; the point
+            # sector of an undeclared linear coupling holds, so this one is declared
             raise ConfigError(
                 "/couplings" if self.couplings.count(spec) == p else f"/couplings/{k}",
                 "declared sector [{:g}, {:g}] is violated: slope ratios span "

@@ -206,7 +206,7 @@ def certify_network(config: NetworkConfig) -> NetworkCertificate:
         raise ConfigError("/certification", "certification block required for this command")
     lower, upper = g.endpoints
     x0 = config.initial_states
-    alpha_lo, alpha_hi = sector_arrays(c.sector for c in config.couplings)
+    alpha_lo, alpha_hi = sector_arrays(config.couplings)
     # a weight or slack beyond double precision leaves nothing to certify
     with np.errstate(all="ignore"):
         gamma = _output_weight(agents, cp.theta, *_weights(agents, cp.theta3))

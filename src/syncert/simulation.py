@@ -24,6 +24,7 @@ from .certificates import (
     NetworkCertificate,
     SectorBound,
     UncertifiedBoundError,
+    _why_uncertified,
     sector_arrays,
 )
 from .noise import normals
@@ -69,9 +70,9 @@ class CouplingSpec:
     sine, odd extension of a half-line polyline), so only ``x >= 0`` shapes
     are ever specified.  The declared sector is a claim that
     :func:`prove_sectors` checks on every network description; a linear
-    coupling's defaults to the point of its gain, and every other kind must
-    declare one.  A field the kind does not read must keep its default.  The
-    gain, amplitude and knots are stored as floats.
+    coupling may declare none (None), which reads as the point of its current
+    gain.  A field the kind does not read must keep its default.  The gain,
+    amplitude and knots are stored as floats.
     """
 
     kind: str
@@ -102,10 +103,8 @@ class CouplingSpec:
                 raise ConfigError("/knots", "knot abscissae must be finite, positive and "
                                             f"strictly increasing, got {knots!r}")
             object.__setattr__(self, "knots", knots)
-        if self.sector is None:
-            if self.kind != "linear":
-                raise ConfigError("/sector", f"{self.kind} coupling needs a declared sector")
-            object.__setattr__(self, "sector", SectorBound(self.gain, self.gain))
+        if self.sector is None and self.kind != "linear":
+            raise ConfigError("/sector", f"{self.kind} coupling needs a declared sector")
 
     def __call__(self, x):
         """Evaluate elementwise on scalars or arrays, through the one-edge
@@ -275,7 +274,7 @@ def prove_sectors(couplings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             xs, ys, slopes, _ = params
             ratios = np.vstack((ys[1:] / xs[1:], slopes[-1:]))
         ratio_min[edges], ratio_max[edges] = ratios.min(axis=0), ratios.max(axis=0)
-    alpha_lo, alpha_hi = sector_arrays(c.sector for c in couplings)
+    alpha_lo, alpha_hi = sector_arrays(couplings)
     passed = (ratio_min >= alpha_lo - SECTOR_TOL) & (ratio_max <= alpha_hi + SECTOR_TOL)
     return passed, ratio_min, ratio_max
 
@@ -373,12 +372,12 @@ class _StepPlan:
             add(repression, ones, repression)
             divide(minus_ones, repression, repression)
             # each incidence column holds one +1 and one -1, so this gather
-            # equals x1 @ D bit for bit
+            # equals x1 @ D bit for bit (test_trace_rows_hold_what_the_stage_applied)
             subtract(x1[lower], x1[upper], arg)
             add(arg, w_row, arg)
             couple()
-            # one gemv per copy, the same reduction as D @ v on a single
-            # copy; the physical input is -u
+            # one gemv per copy, the reduction SimulationTrace.inputs makes per
+            # row (test_trace_rows_hold_what_the_stage_applied); the physical input is -u
             matmul(incidence, v_cols, u_cols)
             multiply(neg_a1, x1, lead)
             multiply(chain_gains, x12, lead_chain)
@@ -480,6 +479,7 @@ class SimulationTrace:
 
     @cached_property
     def relative_outputs(self) -> np.ndarray:
+        # one +1 and one -1 per incidence column: any sum order rounds y_i - y_j once
         return self.outputs @ self.config.graph.incidence
 
     @cached_property
@@ -493,7 +493,8 @@ class SimulationTrace:
 
     @cached_property
     def inputs(self) -> np.ndarray:
-        return -(self.coupling_outputs @ self.config.graph.incidence.T)
+        # the stage's gemv, one row at a time: each row holds the bits it applied
+        return -np.matmul(self.config.graph.incidence, self.coupling_outputs[..., None])[..., 0]
 
     @cached_property
     def norm_rel_sq(self) -> np.ndarray:
@@ -525,15 +526,14 @@ class SimulationTrace:
         """
         if cert.graph != self.config.graph:
             raise ValueError("certificate was assembled over a different graph")
-        v = self.coupling_outputs
-        rel = self.relative_outputs
-        u = self.inputs
+        v, rel, u = self.coupling_outputs, self.relative_outputs, self.inputs
         dt = self.config.dt
-        lhs = -_cumtrapz((v * rel) @ cert.pair_weight, dt)
+        # einsum keeps each row's sum order; a gemv's depends on how many rows it gets
+        lhs = -_cumtrapz(np.einsum("ti,i->t", v * rel, cert.pair_weight), dt)
         rhs = (
-            _cumtrapz((rel * rel) @ cert.output_quadratic, dt)
-            + _cumtrapz((u * u) @ cert.nu_node
-                        - (v * v) @ (0.5 * cert.graph.exclusive), dt)
+            _cumtrapz(np.einsum("ti,i->t", rel * rel, cert.output_quadratic), dt)
+            + _cumtrapz(np.einsum("ti,i->t", u * u, cert.nu_node)
+                        - np.einsum("ti,i->t", v * v, 0.5 * cert.graph.exclusive), dt)
             + cert.bias_total
         )
         return lhs - rhs, rhs
@@ -548,7 +548,7 @@ class SimulationTrace:
             raise ValueError("certificate was assembled over a different graph")
         i, j = self.config.graph.edges[k]
         du = self.inputs[:, i - 1] - self.inputs[:, j - 1]
-        dy = self.outputs[:, i - 1] - self.outputs[:, j - 1]
+        dy = self.relative_outputs[:, k]
         lhs = _cumtrapz(du * dy, self.config.dt)
         energy = self.input_energies[:, i - 1] + self.input_energies[:, j - 1]
         rhs = (cert.nu[k] * energy
@@ -560,9 +560,8 @@ class SimulationTrace:
         """``gain * ||W||_T + offset - ||relative outputs||_T`` at every grid
         time."""
         if not bound.certified:
-            raise UncertifiedBoundError(
-                "gain bound is not certified (n_min <= 0); no margin to evaluate"
-            )
+            raise UncertifiedBoundError("gain bound is not certified "
+                                        f"({_why_uncertified(bound)}); no margin to evaluate")
         return (bound.gain * np.sqrt(self.norm_dist_sq) + bound.offset
                 - np.sqrt(self.norm_rel_sq))
 
@@ -621,7 +620,8 @@ def run_batch(configs) -> tuple[SimulationTrace, ...]:
     states = np.empty((steps + 1, 3, len(configs) * n))
     states[0] = np.concatenate([config.initial_states for config in configs]).T
     _StepPlan(first, len(configs)).integrate(states, held, first.dt)
-    # node-major contiguous copies, so every derived array takes the solo path
+    # C-contiguous node-major copies: einsum's sum order follows the memory
+    # layout, so every derived (T, .) array must be C-contiguous as a solo run's is
     return tuple(
         SimulationTrace(config=config,
                         states=states[:, :, s * n:(s + 1) * n].transpose(0, 2, 1).copy(),

@@ -30,11 +30,11 @@ from syncert.config import (
     parse_config,
     seed_override,
 )
-from syncert.certificates import SectorBound
+from syncert.certificates import SectorBound, sector_arrays
 from syncert.goodwin import CertParams, certify_network
 from syncert.graphs import build_graph
 from syncert.noise import edge_seed_sequence
-from syncert.simulation import CouplingSpec, run
+from syncert.simulation import run
 
 TRIANGLE = {
     "graph": {"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]},
@@ -76,7 +76,7 @@ def test_bundled_config_values():
     assert cfg.mode == "uniform"
     assert (cfg.dt, cfg.horizon, cfg.stride) == (1e-3, 100.0, 100)
     assert cfg.seed == 20260815
-    assert all(c.sector.alpha_lo == c.sector.alpha_hi == 5.0 for c in cfg.couplings)
+    assert all((a == 5.0).all() for a in sector_arrays(cfg.couplings))
     assert all(d.kind == "gaussian" for d in cfg.disturbances)
     expected = bundled_expected()
     assert expected["sync_horizon"] <= cfg.horizon
@@ -221,9 +221,9 @@ _LEAVES = [(name, path) for name, base in _FUZZ_BASES.items()
 def _direct_pointer(payload, path, value):
     """The pointer at which direct construction rejects the value at JSON
     ``path`` of ``payload``: its owner built with that value (by
-    ``dataclasses.replace`` of the parsed one, or afresh for a graph or a
-    coupling), its rejection placed in the owner's block as the parser
-    places it, then ``dataclasses.replace`` of the description, whose
+    ``dataclasses.replace`` of the parsed one, after its edited sector, or
+    afresh for a graph), its rejection placed in the owner's block as the
+    parser places it, then ``dataclasses.replace`` of the description, whose
     pointers are absolute.  None when accepted."""
     rep = dataclasses.replace
     cfg = config_from_dict(payload)
@@ -240,16 +240,14 @@ def _direct_pointer(payload, path, value):
         stages = [("/agents", lambda _: rep(cfg.agents, **{rest[0]: node[rest[0]]})),
                   ("", lambda agents: rep(cfg, agents=agents))]
     elif head == "couplings":
-        # built afresh from the entry: a replaced gain would keep the sector
-        # that the old gain defaulted to
         single = isinstance(node, dict)
-        k = 0 if single else rest[0]
+        k, key = (0, rest[0]) if single else rest[:2]
         block, entry = ("/couplings", node) if single else (f"/couplings/{k}", node[k])
         couplings = lambda new: tuple(new if single or j == k else c
                                       for j, c in enumerate(cfg.couplings))
-        stages = [(block + "/sector", lambda _: SectorBound(**entry["sector"])
-                   if "sector" in entry else None),
-                  (block, lambda sector: CouplingSpec(**{**entry, "sector": sector})),
+        stages = [(f"{block}/{key}", lambda _: SectorBound(**entry[key])
+                   if key == "sector" else entry[key]),
+                  (block, lambda field: rep(cfg.couplings[k], **{key: field})),
                   ("", lambda new: rep(cfg, couplings=couplings(new)))]
     elif head == "disturbances":
         stages = [("/disturbances", lambda _: tuple(rep(d, **{rest[0]: value})
@@ -305,6 +303,31 @@ def _at(name, path, value):
     return [path for path, _ in _json_paths(_FUZZ_BASES[name])].index(path), value
 
 
+def _mutated(name, mutations):
+    """A copy of base ``name`` with each ``(index, value)`` mutation applied
+    in turn: the key at ``index`` (modulo the number of keys) deleted for
+    ``"delete"``, else set to ``value``."""
+    doc = copy.deepcopy(_FUZZ_BASES[name])
+    for index, value in mutations:
+        paths = [path for path, _ in _json_paths(doc)]
+        if not paths:
+            break
+        path = paths[index % len(paths)]
+        if value == "delete":
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            del parent[path[-1]]
+        else:
+            _set(doc, path, copy.deepcopy(value))
+    return doc
+
+
+_MUTATIONS = st.lists(st.tuples(st.integers(0, 10**6),
+                                st.sampled_from([*_FUZZ_VALUES, "delete"])),
+                      min_size=1, max_size=3)
+
+
 # one per class of fault that single mutations reached: each exited 1 with a
 # traceback, by a RuntimeWarning, an OverflowError or an IndexError
 @example(name="mixed", mutations=[_at("mixed", ("agents", "initial_outputs", 0), -1e308)])
@@ -320,28 +343,13 @@ def _at(name, path, value):
 @example(name="mixed", mutations=[_at("mixed", ("disturbances", "scale"), 1e308)])
 @example(name="mixed", mutations=[_at("mixed", ("disturbances", "scale"), 1e200)])
 @example(name="mixed", mutations=[_at("mixed", ("simulation", "stride"), 10**30)])
-@given(name=st.sampled_from(sorted(_FUZZ_BASES)),
-       mutations=st.lists(st.tuples(st.integers(0, 10**6),
-                                    st.sampled_from([*_FUZZ_VALUES, "delete"])),
-                          min_size=1, max_size=3))
+@given(name=st.sampled_from(sorted(_FUZZ_BASES)), mutations=_MUTATIONS)
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 def test_mutated_configs_exit_by_the_contract(tmp_path_factory, name, mutations):
     # 1-3 keys deleted or set to hostile values: every command exits 0, 1,
     # 2 or 3 without a traceback, with RuntimeWarning as an error, and a
     # rejected file value is named by its JSON pointer
-    doc = copy.deepcopy(_FUZZ_BASES[name])
-    for index, value in mutations:
-        paths = [path for path, _ in _json_paths(doc)]
-        if not paths:
-            break
-        path = paths[index % len(paths)]
-        if value == "delete":
-            parent = doc
-            for key in path[:-1]:
-                parent = parent[key]
-            del parent[path[-1]]
-        else:
-            _set(doc, path, copy.deepcopy(value))
+    doc = _mutated(name, mutations)
     out = tmp_path_factory.mktemp("fuzz")
     path = _write(out, doc)
     for command in (["certify", str(path)],
@@ -357,6 +365,55 @@ def test_mutated_configs_exit_by_the_contract(tmp_path_factory, name, mutations)
         if result.exit_code == 2:
             assert result.output.startswith(("error: /", *_POINTERLESS)), \
                 (command[0], doc, result.output)
+
+
+# an overflowing response form left n_min nan, and certify printed
+# "n_min = nan <= 0"
+@example(name="mixed",
+         mutations=[_at("mixed", ("couplings", 1, "sector", "alpha_hi"), 1e308)])
+@given(name=st.sampled_from(sorted(_FUZZ_BASES)), mutations=_MUTATIONS)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_accepted_mutated_configs_certify_to_finite_numbers(name, mutations):
+    # a description that parses either raises ValueError when certified, or
+    # gives finite per-edge numbers, forms and margin eigenvalue, and a bound
+    # that is finite when certified and says why when it is not
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cert = config_from_dict(_mutated(name, mutations)).certificate()
+            forms, bound = cert.forms, cert.bound
+            margin_min_eig = forms.margin_min_eig
+    except ValueError:
+        return
+    for values in (cert.nu, cert.gamma, cert.beta, cert.sigma, cert.slacks, cert.nu_node,
+                   forms.margin_form, margin_min_eig):
+        assert np.isfinite(values).all(), (name, mutations)
+    if bound.certified:
+        assert np.isfinite([bound.gain, bound.offset, bound.n_min, bound.m_max]).all()
+    else:
+        assert "nan" not in certificates._why_uncertified(bound), (name, mutations)
+
+
+def test_an_overflowing_response_form_says_why_the_bound_is_uncertified(tmp_path):
+    # a declared alpha_hi of 1e308 overflows the response forms: n_min is
+    # nan, which no "n_min <= 0" message describes
+    payload = copy.deepcopy(_FUZZ_BASES["mixed"])
+    payload["couplings"][1]["sector"]["alpha_hi"] = 1e308
+    path = _write(tmp_path, payload)
+    why = "(the response forms overflow double precision)"
+    result = CliRunner().invoke(main, ["certify", str(path)])
+    assert result.exit_code == 1
+    assert f"gain bound: not certified {why}\n" in result.output
+    result = CliRunner().invoke(main, ["simulate", str(path), "-o", str(tmp_path / "sim"),
+                                       "--check-bound"])
+    assert result.exit_code == 2
+    assert result.output == f"error: gain bound is not certified {why}; nothing to check\n"
+    cfg = dataclasses.replace(config_from_dict(payload), horizon=0.01)
+    bound = cfg.certificate().bound
+    assert math.isnan(bound.n_min)
+    with pytest.raises(certificates.UncertifiedBoundError) as err:
+        run(cfg).margin_curve(bound)
+    assert str(err.value) == f"gain bound is not certified {why}; no margin to evaluate"
 
 
 @pytest.mark.parametrize("name, value", [("b3", 1e308), ("b2", 1e200)])

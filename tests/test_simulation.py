@@ -29,6 +29,7 @@ from syncert.simulation import (
     CouplingSpec,
     DisturbanceSpec,
     SimulationDiverged,
+    SimulationTrace,
     _CHECK_BLOCK,
     _StepPlan,
     evaluate_couplings,
@@ -79,8 +80,9 @@ def test_linear_coupling_is_pure_gain():
     assert spec(2.0) == 10.0
     assert np.array_equal(spec(np.array([-1.0, 0.0, 3.0])),
                           np.array([-5.0, 0.0, 15.0]))
-    assert spec.sector == SectorBound(5.0, 5.0)
-    assert spec.sector.alpha_lo == spec.sector.alpha_hi
+    # an undeclared sector is read as the point of the current gain
+    assert spec.sector is None
+    assert [a.tolist() for a in sector_arrays((spec,))] == [[5.0], [5.0]]
 
 
 def test_affine_sinusoid_values():
@@ -291,7 +293,7 @@ def test_model_validation():
     fields = dict(graph=g, agents=agents, initial_states=x0,
                   couplings=coupling, disturbances=dist)
     cfg = NetworkConfig(**fields)
-    assert cfg.couplings[0].sector == SectorBound(1.0, 1.0)
+    assert [a.tolist() for a in sector_arrays(cfg.couplings)] == [[1.0], [1.0]]
     # the fields after the disturbances default to the parser's defaults
     assert (cfg.certification, cfg.mode, cfg.dt, cfg.horizon, cfg.stride,
             cfg.seed) == (None, "uniform", 1e-3, 100.0, 100, 0)
@@ -353,6 +355,22 @@ def test_every_construction_proves_the_declared_sectors():
     with pytest.raises(ConfigError, match=r"^/couplings/4: declared sector \[5, 5\]"):
         dataclasses.replace(cfg, couplings=mixed)
     assert dataclasses.replace(cfg, couplings=(true,) * p).couplings == (true,) * p
+
+
+def test_a_replaced_linear_gain_moves_its_undeclared_sector():
+    # the undeclared sector was stored as the point of the gain at
+    # construction, so a replaced gain kept it and the description was
+    # rejected for a sector that nothing declared
+    cfg = parse_config(Path(__file__).parent / "data" / "mixed_couplings_per_edge.json")
+    old = cfg.couplings[3]
+    assert (old.kind, old.gain, old.sector) == ("linear", 1.75, None)
+    new = dataclasses.replace(old, gain=1.0)
+    replaced = dataclasses.replace(
+        cfg, couplings=(*cfg.couplings[:3], new, *cfg.couplings[4:]))
+    assert new.sector is None and prove_sectors((new,))[0].all()
+    cert = replaced.certificate()
+    assert cert.alpha_lo[3] == cert.alpha_hi[3] == 1.0
+    assert np.array_equal(np.delete(cert.alpha_hi, 3), np.delete(cfg.certificate().alpha_hi, 3))
 
 
 def _per_edge(couplings, x):
@@ -574,6 +592,68 @@ def test_run_batch_matches_textbook_rk4_bit_for_bit(case):
                               expected[:, :, s * n:(s + 1) * n].transpose(0, 2, 1))
 
 
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_trace_rows_hold_what_the_stage_applied(case):
+    # every grid row carries the edge arguments, coupling outputs and node
+    # inputs that stage 1 of its step applied, so the checks integrate the
+    # signals the integrator used
+    dt, steps = 1e-3, 50
+    models = [_grid(m, steps * dt, dt) for m in _ORACLE_CASES[case]()]
+    traces = run_batch(models)
+    plan = _StepPlan(models[0], len(models))
+    stage_input = np.empty((4, len(models) * models[0].graph.n))
+    rhs = plan.stage(stage_input, np.empty_like(stage_input[:3]))
+    for m in range(steps + 1):
+        stage_input[:3] = np.concatenate([trace.states[m] for trace in traces]).T
+        rhs(np.concatenate([trace.held_disturbance[m] for trace in traces]))
+        for name, applied in (("coupling_arguments", plan.arg),
+                              ("coupling_outputs", plan.v),
+                              ("inputs", -stage_input[3])):
+            recorded = np.concatenate([getattr(trace, name)[m] for trace in traces])
+            assert np.array_equal(recorded, applied), (name, m)
+
+
+def _wide_mixed():
+    """A connected G(50, 100) whose three coupling kinds interleave, with
+    Gaussian noise on every edge, over 300 steps."""
+    rng = np.random.default_rng(5)
+    pairs = [(i, j) for i in range(1, 51) for j in range(i + 1, 51)]
+    graph = build_graph(50, [])
+    while not graph.is_connected:
+        graph = build_graph(50, [pairs[k] for k in rng.choice(len(pairs), 100, replace=False)])
+    return NetworkConfig(
+        graph=graph, agents=_agents(*rng.uniform(0.9, 1.1, 50)),
+        initial_states=rng.uniform(-1.0, 1.0, (50, 3)),
+        couplings=tuple((_SIN, _PWL, _LIN)[k] for k in rng.permutation(np.arange(100) % 3)),
+        disturbances=tuple(DisturbanceSpec(kind="gaussian", scale=0.2, seed=k)
+                           for k in range(100)),
+        horizon=0.3)
+
+
+def test_any_block_of_rows_derives_the_rows_of_the_whole_trace():
+    # a streamed consumer evaluates a trace block by block: every derived row
+    # must not depend on which rows are evaluated with it, so a block also
+    # integrates to the first values of the integrals over all later rows
+    full = run(_wide_mixed())
+    cfg, p = full.config, full.config.graph.edge_count
+    # no bias, whose size would absorb the last bits of the integrals
+    cert = NetworkCertificate(graph=cfg.graph, alpha_lo=[4.0] * p, alpha_hi=[6.0] * p,
+                              nu=[-0.01] * p, gamma_raw=[-1.0] * p, beta=[0.0] * p)
+    bound = GainBound(gain=2.0, offset=1.0, certified=True, n_min=1.0, m_max=1.0,
+                      estimate="exact")
+    for size in (1, 7, 10, 97):
+        for a in range(0, full.steps + 1, size):
+            block, rest = (SimulationTrace(cfg, full.states[a:b], full.held_disturbance[a:b])
+                           for b in (a + size, None))
+            for name in ("relative_outputs", "coupling_arguments", "coupling_outputs",
+                         "inputs"):
+                assert np.array_equal(getattr(block, name),
+                                      getattr(full, name)[a:a + size]), (name, size, a)
+            for short, long in zip((*block.dissipation_curves(cert), block.margin_curve(bound)),
+                                   (*rest.dissipation_curves(cert), rest.margin_curve(bound))):
+                assert np.array_equal(short, long[:size]), (size, a)
+
+
 def test_run_validation():
     cfg = _triangle()
     with pytest.raises(ValueError, match="integer multiple"):
@@ -730,8 +810,9 @@ def test_trace_signal_identities():
                           trace.relative_outputs + trace.held_disturbance)
     assert np.allclose(trace.coupling_outputs, 2.0 * trace.coupling_arguments,
                        rtol=1e-15)
-    assert np.allclose(trace.inputs, -(trace.coupling_outputs @ d.T),
-                       rtol=1e-15)
+    # the row-wise gemv of the integrator's stage
+    assert np.array_equal(trace.inputs,
+                          -np.matmul(d, trace.coupling_outputs[..., None])[..., 0])
     # diffusive inputs redistribute, never inject: they sum to zero
     assert np.max(np.abs(trace.inputs.sum(axis=1))) < ZERO_SUM_ATOL
     # held rows replay the per-edge streams
@@ -766,7 +847,7 @@ def test_disagreement_is_output_spread():
 
 def test_pair_residual_starts_at_minus_bias():
     model = _triangle()
-    lo, hi = sector_arrays(c.sector for c in model.couplings)
+    lo, hi = sector_arrays(model.couplings)
     cert = NetworkCertificate(graph=model.graph, alpha_lo=lo, alpha_hi=hi,
                               nu=[-0.01] * 3, gamma_raw=[-16.0] * 3,
                               beta=[-2.5, -0.5, -0.25])
@@ -802,7 +883,7 @@ def test_pair_residual_rejects_certificate_of_other_graph():
 
 def test_dissipation_residual_starts_at_minus_total_bias():
     model = _triangle()
-    lo, hi = sector_arrays(c.sector for c in model.couplings)
+    lo, hi = sector_arrays(model.couplings)
     network_cert = NetworkCertificate(graph=model.graph, alpha_lo=lo, alpha_hi=hi,
                                       nu=[-0.01] * 3, gamma_raw=[-1.0] * 3,
                                       beta=[-0.5, -0.25, -0.25])
@@ -830,7 +911,7 @@ def test_dissipation_curves_match_dense_forms():
         initial_states=np.array([[1.0, 0.0, 0.5], [-0.5, 0.2, 0.0],
                                  [0.3, -0.1, 0.4], [0.8, 0.1, 0.2]]),
     )
-    lo, hi = sector_arrays(c.sector for c in model.couplings)
+    lo, hi = sector_arrays(model.couplings)
     cert = NetworkCertificate(graph=g, alpha_lo=lo, alpha_hi=hi,
                               nu=[-0.01, -0.02, -0.03, -0.04],
                               gamma_raw=[-2.0, 1.0, -1.5, -0.5], beta=[-0.25] * 4)
