@@ -2,9 +2,9 @@
 
 Exit codes are a stable contract: 0 all requested checks pass, 1 a
 certificate verdict or trace check is false, 2 invalid or inadmissible or
-uncertified input, 3 numerical blow-up.  Console tables round to four
-decimals for reading; CSV files carry 17 significant digits and are the
-machine interface.
+uncertified input or an unwritable output file, 3 numerical blow-up.
+Console tables round to four decimals for reading; CSV files carry 17
+significant digits and are the machine interface.
 """
 
 from __future__ import annotations
@@ -84,9 +84,9 @@ def _guarded(fn):
         except SimulationDiverged as exc:
             click.echo(f"error: simulation diverged at t = {exc.time:.6g}", err=True)
             sys.exit(3)
-        except ValueError as exc:
-            # every validation rejection, ConfigError and
-            # UncertifiedBoundError included
+        except (ValueError, OSError) as exc:
+            # every validation rejection (ConfigError and UncertifiedBoundError
+            # included) and an unwritable output file: config reads raise ConfigError
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         sys.exit(int(code))
@@ -119,7 +119,7 @@ _MARGIN_CSV_HEADER = ["edge", "node_i", "node_j", "nu", "gamma", "beta",
 def _echo_certificate(cfg: NetworkConfig, cert: NetworkCertificate) -> None:
     g = cfg.graph
     hill = cfg.agents.hill
-    click.echo(f"nodes: {g.n}, edges: {g.edge_count}, mode: {cfg.mode}")
+    click.echo(f"nodes: {g.n}, edges: {g.edge_count}, mode: {cfg.certification.mode}")
     click.echo(
         f"repression slope bound: closed form {hill_slope(hill):.6g}, "
         f"exact maximum {hill_slope_max(hill):.6g}"
@@ -404,9 +404,10 @@ def reproduce_paper(output_dir: Path | None, mode: str | None, dt: float | None,
     cfg = bundled_config()
     expected = bundled_expected()
     if mode is not None:
-        cfg = dataclasses.replace(cfg, mode=mode)
+        cfg = dataclasses.replace(
+            cfg, certification=dataclasses.replace(cfg.certification, mode=mode))
     cfg = cfg.with_seed(seed_override(seed)).with_simulation(dt=dt, horizon=horizon)
-    uniform = cfg.mode == "uniform"
+    uniform = cfg.certification.mode == "uniform"
 
     cert = cfg.certificate()
     _echo_certificate(cfg, cert)

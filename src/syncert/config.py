@@ -46,16 +46,12 @@ from pathlib import Path
 import numpy as np
 
 from .certificates import NetworkCertificate, SectorBound
-from .goodwin import (
-    CERTIFICATION_MODES,
-    CertParams,
-    GoodwinParams,
-    admissible_theta3_interval,
-    certify_network,
-)
+from .goodwin import CertParams, GoodwinParams, admissible_theta3_interval, certify_network
 from .graphs import Graph, build_graph
 from .noise import edge_seed_sequence
 from .simulation import (
+    _KERNELS,
+    DISTURBANCE_KINDS,
     CouplingSpec,
     DisturbanceSpec,
     grid_steps,
@@ -79,7 +75,6 @@ SEED_ENV_VAR = "SYNC_CERT_SEED"
 DEFAULT_DT = 1e-3
 DEFAULT_HORIZON = 100.0
 DEFAULT_STRIDE = 100
-DEFAULT_MODE = "uniform"
 DEFAULT_SEED = 0
 
 
@@ -150,7 +145,6 @@ class NetworkConfig:
     couplings: tuple[CouplingSpec, ...]
     disturbances: tuple[DisturbanceSpec, ...]
     certification: CertParams | None = None
-    mode: str = DEFAULT_MODE
     dt: float = DEFAULT_DT
     horizon: float = DEFAULT_HORIZON
     stride: int = DEFAULT_STRIDE
@@ -212,9 +206,6 @@ class NetworkConfig:
                     "/certification/theta3",
                     f"must lie in the admissible interval (b3^2/(2*a3), 2*a2) "
                     f"= ({lo:.6g}, {hi:.6g}), got {theta3!r}")
-        if self.mode not in CERTIFICATION_MODES:
-            raise ConfigError("/certification/mode",
-                              f"mode must be one of {CERTIFICATION_MODES}, got {self.mode!r}")
         integer(self.seed, "/seed")
 
     def certificate(self) -> NetworkCertificate:
@@ -272,26 +263,27 @@ def _parse_sector(value, pointer: str) -> SectorBound:
     return _build(SectorBound, pointer, **fields)
 
 
-def _kinded(value, pointer: str, table: dict, owner, read=None) -> dict:
-    """Read a JSON object whose ``kind`` names an entry of ``table``, that
-    kind's keys and optional keys; ``owner`` rejects any other kind."""
+def _kinded(value, pointer: str, kinds, keys_of, owner, read=None) -> dict:
+    """Read a JSON object whose ``kind`` is in ``kinds``, with the keys and
+    optional keys ``keys_of(kind)`` gives; ``owner`` rejects any other kind."""
     keys, optional = (), ()
     if isinstance(value, dict) and "kind" in value:
         kind = value["kind"]
-        if not (isinstance(kind, str) and kind in table):
+        if not (isinstance(kind, str) and kind in kinds):
             _build(owner, pointer, kind=kind)
-        keys, optional = table[kind]
+        keys, optional = keys_of(kind)
     return _fields(value, pointer, ("kind", *keys), optional, read)
 
 
-_COUPLING_FIELDS = {"linear": (("gain", "sector"), ("sector",)),
-                    "affine_sinusoid": (("gain", "amplitude", "sector"), ()),
-                    "piecewise_linear": (("knots", "sector"), ())}
+def _coupling_keys(kind: str):
+    """The fields the kernel reads, then the sector, optional where it may."""
+    _, reads, point_sector = _KERNELS[kind]
+    return (*reads, "sector"), ("sector",) if point_sector else ()
 
 
 def _parse_coupling_entry(value, pointer: str) -> CouplingSpec:
     return _build(CouplingSpec, pointer, **_kinded(
-        value, pointer, _COUPLING_FIELDS, CouplingSpec,
+        value, pointer, _KERNELS, _coupling_keys, CouplingSpec,
         {"sector": _parse_sector, "knots": lambda v, at: _tuples(v, at, 2, "[x, y]")}))
 
 
@@ -302,8 +294,9 @@ def _parse_couplings(value, pointer: str, p: int) -> tuple[CouplingSpec, ...]:
                  for k, entry in enumerate(_expect_list(value, pointer)))
 
 
-_DISTURBANCE_FIELDS = {"zero": ((), ()), "constant": (("scale",), ()),
-                       "gaussian": (("scale", "seed"), ("seed",))}
+def _disturbance_keys(kind: str):
+    """The fields the kind reads; a Gaussian seed left out is derived here."""
+    return DISTURBANCE_KINDS[kind], ("seed",) if kind == "gaussian" else ()
 
 
 def _parse_disturbances(value, pointer: str, p: int,
@@ -319,7 +312,7 @@ def _parse_disturbances(value, pointer: str, p: int,
     for k, (entry, seed) in enumerate(
             zip(entries, edge_seed_sequence(master_seed, len(entries)))):
         at = pointer if single else _child(pointer, k)
-        fields = _kinded(entry, at, _DISTURBANCE_FIELDS, DisturbanceSpec)
+        fields = _kinded(entry, at, DISTURBANCE_KINDS, _disturbance_keys, DisturbanceSpec)
         if single and "seed" in fields:
             raise ConfigError(
                 _child(at, "seed"),
@@ -331,12 +324,9 @@ def _parse_disturbances(value, pointer: str, p: int,
     return tuple(specs)
 
 
-def _parse_certification(value, pointer: str):
-    if value is None:
-        return None, DEFAULT_MODE
-    fields = _fields(value, pointer, ("theta", "theta3", "mode"), optional=("mode",))
-    mode = fields.pop("mode", DEFAULT_MODE)
-    return _build(CertParams, pointer, **fields), mode
+def _parse_certification(value, pointer: str) -> CertParams | None:
+    return None if value is None else _build(CertParams, pointer, **_fields(
+        value, pointer, ("theta", "theta3", "mode"), optional=("mode",)))
 
 
 def _parse_simulation(value, pointer: str) -> dict:
@@ -364,12 +354,11 @@ def config_from_dict(payload) -> NetworkConfig:
     couplings = _parse_couplings(data["couplings"], "/couplings", graph.edge_count)
     disturbances = _parse_disturbances(data.get("disturbances"), "/disturbances",
                                        graph.edge_count, seed)
-    certification, mode = _parse_certification(data.get("certification"),
-                                               "/certification")
+    certification = _parse_certification(data.get("certification"), "/certification")
     settings = _parse_simulation(data.get("simulation"), "/simulation")
     return NetworkConfig(graph=graph, agents=agents, initial_states=x0,
                          couplings=couplings, disturbances=disturbances,
-                         certification=certification, mode=mode, seed=seed,
+                         certification=certification, seed=seed,
                          **settings)
 
 

@@ -137,16 +137,25 @@ def _certificate_slope(hill: int) -> float:
     return closed
 
 
+# how certify_network assigns nu: the least over all edges, or each edge's own
+CERTIFICATION_MODES = ("uniform", "per_edge")
+
+
 @dataclass(frozen=True)
 class CertParams:
-    """The two free parameters of the pairwise certificate construction."""
+    """The certification block: the two free parameters of the pairwise
+    certificates and the mode, one of :data:`CERTIFICATION_MODES`."""
 
     theta: float
     theta3: float
+    mode: str = "uniform"
 
     def __post_init__(self) -> None:
         for name in ("theta", "theta3"):
             object.__setattr__(self, name, positive(getattr(self, name), f"/{name}"))
+        if self.mode not in CERTIFICATION_MODES:
+            raise ConfigError("/mode",
+                              f"mode must be one of {CERTIFICATION_MODES}, got {self.mode!r}")
 
 
 def admissible_theta3_interval(params: GoodwinParams) -> tuple[float, float]:
@@ -165,10 +174,6 @@ def _weights(params: GoodwinParams, theta3):
 
 def _output_weight(params: GoodwinParams, theta, theta1, theta2):
     return params.a1 - theta - 0.5 * theta1 - 0.5 * theta2
-
-
-# how certify_network assigns nu: the least over all edges, or each edge's own
-CERTIFICATION_MODES = ("uniform", "per_edge")
 
 
 def _input_weights(agents: GoodwinParams, g: Graph, theta, mode: str) -> np.ndarray:
@@ -210,7 +215,7 @@ def certify_network(config: NetworkConfig) -> NetworkCertificate:
     # a weight or slack beyond double precision leaves nothing to certify
     with np.errstate(all="ignore"):
         gamma = _output_weight(agents, cp.theta, *_weights(agents, cp.theta3))
-        nu = _input_weights(agents, g, cp.theta, config.mode)
+        nu = _input_weights(agents, g, cp.theta, cp.mode)
         beta = -0.5 * np.sum((x0[lower] - x0[upper]) ** 2, axis=1)
         for name, values in (("gamma", gamma), ("nu", nu), ("beta", beta)):
             if not np.isfinite(values).all():
@@ -250,7 +255,8 @@ def _parse_range(rng, name: str) -> np.ndarray:
 
 def search_params(config: NetworkConfig, theta_range, theta3_range) -> SearchResult:
     """Grid-maximise the worst edge margin of a network description over
-    ``(theta, theta3)``, in its certification mode.
+    ``(theta, theta3)``, in the mode of its certification block (uniform
+    without one).
 
     Ranges are ``(lo, hi, count)`` with ``count >= 1``; the best point is
     the first maximum in grid order (ties prefer smaller ``theta``, then
@@ -260,7 +266,7 @@ def search_params(config: NetworkConfig, theta_range, theta3_range) -> SearchRes
     ``theta3`` at once.  Raises ``ValueError`` when no grid point is
     admissible.
     """
-    agents, g, mode = config.agents, config.graph, config.mode
+    agents, g = config.agents, config.graph
     thetas = _parse_range(theta_range, "theta")
     theta3s = _parse_range(theta3_range, "theta3")
     lo, hi = admissible_theta3_interval(agents)
@@ -272,10 +278,12 @@ def search_params(config: NetworkConfig, theta_range, theta3_range) -> SearchRes
         )
     # the first admissible point's certificate, of a description checked like
     # any other; its margin weights serve every point
-    first = certify_network(replace(config, certification=CertParams(
-        float(thetas[0]), float(theta3s[admissible][0]))))
+    theta, theta3 = float(thetas[0]), float(theta3s[admissible][0])
+    cp = replace(config.certification or CertParams(theta, theta3),
+                 theta=theta, theta3=theta3)
+    first = certify_network(replace(config, certification=cp))
     theta1, theta2 = _weights(agents, theta3s[admissible])
-    nu_nodes = node_sums(g, _input_weights(agents, g, thetas, mode))
+    nu_nodes = node_sums(g, _input_weights(agents, g, thetas, cp.mode))
     slacks = np.full((thetas.size, theta3s.size), math.nan)
     for row, theta, nu_node in zip(slacks, thetas, nu_nodes):
         # one row of edge weights per admissible theta3

@@ -84,7 +84,7 @@ class CouplingSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, str) or self.kind not in _KERNELS:
             raise ConfigError("/kind", f"unknown coupling kind {self.kind!r}")
-        reads = _KERNELS[self.kind][1]
+        _, reads, point_sector = _KERNELS[self.kind]
         for name, default in (("gain", 0.0), ("amplitude", 0.0), ("knots", ())):
             value = getattr(self, name)
             if name not in reads and value != default:
@@ -103,7 +103,7 @@ class CouplingSpec:
                 raise ConfigError("/knots", "knot abscissae must be finite, positive and "
                                             f"strictly increasing, got {knots!r}")
             object.__setattr__(self, "knots", knots)
-        if self.sector is None and self.kind != "linear":
+        if self.sector is None and not point_sector:
             raise ConfigError("/sector", f"{self.kind} coupling needs a declared sector")
 
     def __call__(self, x):
@@ -147,10 +147,11 @@ def _piecewise_linear(xs, ys, slopes, columns, x, out):
                        np.where(offset == 0.0, y, slopes.take(pick) * offset + y), out)
 
 
-# each coupling kind's kernel and the CouplingSpec fields it reads
-_KERNELS = {"linear": (np.multiply, ("gain",)),
-            "affine_sinusoid": (_affine_sinusoid, ("gain", "amplitude")),
-            "piecewise_linear": (_piecewise_linear, ("knots",))}
+# each coupling kind's kernel, the CouplingSpec fields it reads, and whether
+# it may leave its sector undeclared (None reads as the point of its gain)
+_KERNELS = {"linear": (np.multiply, ("gain",), True),
+            "affine_sinusoid": (_affine_sinusoid, ("gain", "amplitude"), False),
+            "piecewise_linear": (_piecewise_linear, ("knots",), False)}
 
 
 def _kind_params(kind: str, specs) -> tuple[np.ndarray, ...]:

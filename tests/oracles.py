@@ -131,12 +131,13 @@ def erdos_renyi_graph(n: int, edge_prob: float, rng: np.random.Generator,
     )
 
 
-def linear_network(agents, g: Graph, alpha_lo, alpha_hi, cp=None, initial_states=None,
-                   mode: str = "uniform") -> NetworkConfig:
+def linear_network(agents, g: Graph, alpha_lo, alpha_hi, cp=None,
+                   initial_states=None) -> NetworkConfig:
     """The description of ``agents`` on ``g`` with a linear coupling of gain
     ``alpha_lo`` on each edge that declares the sector ``[alpha_lo,
     alpha_hi]`` (scalars or per-edge arrays), zero disturbances, the
-    certification parameters ``cp`` and zero initial states by default."""
+    certification block ``cp`` (its mode included) and zero initial states
+    by default."""
     lo, hi = (np.broadcast_to(np.asarray(a, dtype=float), (g.edge_count,)).tolist()
               for a in (alpha_lo, alpha_hi))
     couplings = tuple(CouplingSpec(kind="linear", gain=a, sector=SectorBound(a, b))
@@ -144,4 +145,4 @@ def linear_network(agents, g: Graph, alpha_lo, alpha_hi, cp=None, initial_states
     return NetworkConfig(graph=g, agents=agents, initial_states=initial_states,
                          couplings=couplings,
                          disturbances=(DisturbanceSpec(),) * g.edge_count,
-                         certification=cp, mode=mode)
+                         certification=cp)

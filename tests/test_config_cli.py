@@ -72,8 +72,7 @@ def _bundled_path(tmp_path):
 def test_bundled_config_values():
     cfg = bundled_config()
     assert cfg.graph.n == 5 and cfg.graph.edge_count == 10
-    assert cfg.certification == CertParams(theta=2.0, theta3=1.5)
-    assert cfg.mode == "uniform"
+    assert cfg.certification == CertParams(theta=2.0, theta3=1.5, mode="uniform")
     assert (cfg.dt, cfg.horizon, cfg.stride) == (1e-3, 100.0, 100)
     assert cfg.seed == 20260815
     assert all((a == 5.0).all() for a in sector_arrays(cfg.couplings))
@@ -90,7 +89,7 @@ def test_defaults_fill():
         "couplings": {"kind": "linear", "gain": 5.0},
     })
     assert (cfg.dt, cfg.horizon, cfg.stride) == (1e-3, 100.0, 100)
-    assert cfg.seed == 0 and cfg.mode == "uniform"
+    assert cfg.seed == 0
     assert cfg.certification is None
     assert all(d.kind == "zero" for d in cfg.disturbances)
     assert np.array_equal(cfg.initial_states, np.zeros((2, 3)))
@@ -253,7 +252,7 @@ def _direct_pointer(payload, path, value):
         stages = [("/disturbances", lambda _: tuple(rep(d, **{rest[0]: value})
                                                    for d in cfg.disturbances)),
                   ("", lambda ds: rep(cfg, disturbances=ds))]
-    elif head == "certification" and rest[0] != "mode":
+    elif head == "certification":
         stages = [("/certification", lambda _: rep(cfg.certification, **{rest[0]: value})),
                   ("", lambda cp: rep(cfg, certification=cp))]
     else:
@@ -275,6 +274,8 @@ def _direct_pointer(payload, path, value):
 @example(leaf=("paper_k5", ("certification", "theta")), value="a")
 # an integer beyond the float range raised OverflowError in the parser
 @example(leaf=("paper_k5", ("agents", "a1")), value=10**400)
+# the mode is the block's, like theta: CertParams rejects it in either path
+@example(leaf=("paper_k5", ("certification", "mode")), value="bogus")
 @given(leaf=st.sampled_from(_LEAVES), value=st.sampled_from(_FUZZ_VALUES))
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_parser_and_direct_construction_reject_alike(leaf, value):
@@ -657,12 +658,22 @@ def test_search_reproduces_golden_grid_csv(tmp_path):
     # certificate build that the array build replaced; the mixed one covers
     # all three coupling kinds, so the default linear point sectors and the
     # declared sectors of the other kinds reach the margin, and its per-edge
-    # twin differs only in the config's mode, which search reads from there.
-    # Every grid includes theta3 points outside the admissible (1.125, 2),
-    # which carry nan
+    # twin differs only in the certification block's mode, which search keeps.
+    # Without a block the mode is uniform, as in a block that says so. Every
+    # grid includes theta3 points outside the admissible (1.125, 2), which
+    # carry nan
     data = Path(__file__).parent / "data"
+    mixed, uniform = (json.loads((data / name).read_text(encoding="utf-8"))
+                      for name in ("mixed_couplings.json", "mixed_couplings_per_edge.json"))
+    assert mixed == {key: value for key, value in uniform.items() if key != "certification"}
+    uniform["certification"]["mode"] = "uniform"
+    uniform_path = tmp_path / "mixed_uniform.json"
+    uniform_path.write_text(json.dumps(uniform), encoding="utf-8")
+    assert ((data / "search_mixed_golden.csv").read_bytes()
+            != (data / "search_mixed_per_edge_golden.csv").read_bytes())
     cases = [(_bundled_path(tmp_path), "search_k5_golden.csv", "0.18475"),
              (data / "mixed_couplings.json", "search_mixed_golden.csv", "-8.35222"),
+             (uniform_path, "search_mixed_golden.csv", "-8.35222"),
              (data / "mixed_couplings_per_edge.json", "search_mixed_per_edge_golden.csv",
               "-8.09722")]
     for config, golden, best in cases:
@@ -1043,6 +1054,25 @@ def test_odd_hill_exits_2_at_the_hill_pointer(tmp_path, command):
     assert result.output.startswith("error: /agents/hill: hill coefficient must be "
                                     "even, got 3")
     assert "pole at x3 = -1" in result.output
+
+
+@pytest.mark.parametrize("command", [
+    ["certify", "{config}", "-o", "{out}/m.csv"],
+    ["reproduce-paper", "-T", "0.01", "-o", "{out}/repro"],
+    ["search", "{config}", "--theta", "2:2:1", "--theta3", "1.5:1.5:1", "-o", "{out}/g.csv"],
+    ["graph-stats", "{config}", "--incidence", "{out}/i.csv"],
+], ids=lambda command: command[0])
+def test_unwritable_output_exits_2_naming_the_path(tmp_path, command):
+    # an output path under a regular file is an input the command cannot
+    # honour, not a false verdict: exit 2 with the OS error, no traceback
+    blocker = tmp_path / "afile"
+    blocker.write_text("", encoding="utf-8")
+    args = [arg.format(config=_bundled_path(tmp_path), out=blocker) for arg in command]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "\nerror: " in "\n" + result.output
+    assert str(blocker) in result.output.rsplit("error: ", 1)[1]
 
 
 def test_pair_dissipation_catches_what_the_network_checks_miss():

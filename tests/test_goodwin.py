@@ -45,10 +45,10 @@ def _agents(*gains, **chain_overrides):
     return GoodwinParams(input_gains=gains, **{**_CHAIN, **chain_overrides})
 
 
-def _k5_network(cp=None, mode="uniform"):
+def _k5_network(cp=None):
     """K5 with input gains 0.8 to 1.2 and linear couplings of gain 5."""
     return linear_network(_agents(0.8, 0.9, 1.0, 1.1, 1.2), complete_graph(5), 5.0, 5.0,
-                          cp, mode=mode)
+                          cp)
 
 
 def test_closed_form_slope_small_hill():
@@ -190,6 +190,13 @@ def test_cert_params_validation():
     # a string was a TypeError, which the command line maps to no exit code
     with pytest.raises(ConfigError, match="^/theta: expected a number, got 'a'$"):
         CertParams("a", 1.0)
+    with pytest.raises(ConfigError, match=r"^/mode: mode must be one of \('uniform', "
+                                          r"'per_edge'\), got 'bogus'$"):
+        CertParams(theta=2.0, theta3=1.5, mode="bogus")
+    # theta and theta3 are checked first
+    with pytest.raises(ConfigError, match="^/theta3: "):
+        CertParams(theta=2.0, theta3=0.0, mode="bogus")
+    assert CertParams(2.0, 1.5).mode == "uniform"
 
 
 def test_certify_network_requires_certification_parameters(paper_config):
@@ -255,9 +262,9 @@ def test_certify_edge_values():
 
 
 def test_certify_network_uniform_versus_per_edge():
-    cp = CertParams(theta=2.0, theta3=1.5)
-    uniform = certify_network(_k5_network(cp, "uniform"))
-    per_edge = certify_network(_k5_network(cp, "per_edge"))
+    uniform = certify_network(_k5_network(CertParams(theta=2.0, theta3=1.5)))
+    per_edge = certify_network(_k5_network(CertParams(theta=2.0, theta3=1.5,
+                                                      mode="per_edge")))
     g = uniform.graph
     assert all(nu == pytest.approx(-0.01, rel=EXACT_RTOL) for nu in uniform.nu)
     # canonical edge order puts (3, 4) at index 7; gains 1.0 and 1.1
@@ -276,7 +283,7 @@ def test_certify_network_default_states_zero_bias():
 
 def _slacks_by_label(agents, g, mode):
     cert = certify_network(linear_network(agents, g, 4.0, 5.0,
-                                          CertParams(theta=2.0, theta3=1.5), mode=mode))
+                                          CertParams(theta=2.0, theta3=1.5, mode=mode)))
     return {edge: float(slack).hex() for edge, slack in zip(g.edges, cert.slacks)}
 
 
@@ -353,7 +360,8 @@ def test_array_certificate_matches_per_edge_reference_bit_for_bit():
         lo = rng.uniform(0.5, 6.0, size=g.edge_count)
         hi = lo * rng.uniform(1.0, 1.5, size=g.edge_count)
         for mode in ("uniform", "per_edge"):
-            cert = certify_network(linear_network(agents, g, lo, hi, cp, x0, mode))
+            cert = certify_network(linear_network(
+                agents, g, lo, hi, dataclasses.replace(cp, mode=mode), x0))
             ref = _reference_certificate(agents, g, cp, lo, hi, x0, mode)
             for name in ("nu", "gamma_raw", "beta", "nu_node"):
                 assert np.array_equal(getattr(cert, name), getattr(ref, name)), name
@@ -412,7 +420,7 @@ def test_search_rows_match_certificates_bit_for_bit():
         if trial % 2:
             theta3_range = (*inside, theta3_range[2])
         for mode in CERTIFICATION_MODES:
-            config = linear_network(agents, g, lo, hi, mode=mode)
+            config = linear_network(agents, g, lo, hi, CertParams(1.0, 1.5, mode))
             result = search_params(config, theta_range, theta3_range)
             assert not result.rows[0][3] and not result.rows[-1][3]
             for theta, theta3, slack, feasible in result.rows:
@@ -421,7 +429,7 @@ def test_search_rows_match_certificates_bit_for_bit():
                     assert math.isnan(slack)
                     continue
                 cert = certify_network(dataclasses.replace(
-                    config, certification=CertParams(theta, theta3)))
+                    config, certification=CertParams(theta, theta3, mode)))
                 assert slack.hex() == cert.min_slack.hex()
             best = max(r[2] for r in result.rows if r[3])
             first = next(r for r in result.rows if r[3] and r[2] == best)
@@ -434,7 +442,8 @@ def test_search_tie_picks_the_first_admissible_point():
     # slack depends on (theta, theta3): the first admissible point wins
     agents = _agents(*[1.0] * 5, a1=1000.0)
     for mode in CERTIFICATION_MODES:
-        config = linear_network(agents, complete_graph(5), 4.0, 6.0, mode=mode)
+        config = linear_network(agents, complete_graph(5), 4.0, 6.0,
+                                CertParams(1.0, 1.5, mode))
         result = search_params(config, (0.5, 4.0, 4), (1.0, 1.9, 10))
         feasible = [r for r in result.rows if r[3]]
         assert len({r[2] for r in feasible}) == 1

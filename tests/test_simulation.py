@@ -295,8 +295,8 @@ def test_model_validation():
     cfg = NetworkConfig(**fields)
     assert [a.tolist() for a in sector_arrays(cfg.couplings)] == [[1.0], [1.0]]
     # the fields after the disturbances default to the parser's defaults
-    assert (cfg.certification, cfg.mode, cfg.dt, cfg.horizon, cfg.stride,
-            cfg.seed) == (None, "uniform", 1e-3, 100.0, 100, 0)
+    assert (cfg.certification, cfg.dt, cfg.horizon, cfg.stride,
+            cfg.seed) == (None, 1e-3, 100.0, 100, 0)
     # initial outputs fill the first state component, and None is all zeros
     outputs = dataclasses.replace(cfg, initial_states=[1, -0.5]).initial_states
     assert outputs.dtype == np.float64
@@ -319,7 +319,6 @@ def test_model_validation():
                  dict(initial_states=["x", 2.0])),
                 ("must be a positive integer", "/simulation/stride", dict(stride=0)),
                 ("expected an integer", "/simulation/stride", dict(stride=2.5)),
-                ("mode must be one of", "/certification/mode", dict(mode="bogus")),
                 ("admissible interval", "/certification/theta3",
                  dict(certification=CertParams(theta=2.0, theta3=50.0))),
                 ("admissible interval", "/certification/theta3",
