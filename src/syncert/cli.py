@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 all requested checks pass, 1 a
 certificate verdict or trace check is false, 2 invalid or inadmissible or
-uncertified input or an unwritable output file, 3 numerical blow-up.
+uncertified input, an unwritable output file or a run too large to
+allocate, 3 numerical blow-up.
 Console tables round to four decimals for reading; CSV files carry 17
 significant digits and are the machine interface.
 """
@@ -34,13 +35,7 @@ from .goodwin import (
     hill_slope_max,
     search_params,
 )
-from .simulation import (
-    DisturbanceSpec,
-    SimulationDiverged,
-    SimulationTrace,
-    run,
-    run_batch,
-)
+from .simulation import SimulationDiverged, SimulationTrace, run, run_batch
 
 # Integral inequalities are checked with this relative tolerance against the
 # magnitude of their right-hand side.
@@ -88,6 +83,10 @@ def _guarded(fn):
             # every validation rejection (ConfigError and UncertifiedBoundError
             # included) and an unwritable output file: config reads raise ConfigError
             click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+        except MemoryError as exc:
+            # a run too large to allocate; a bare MemoryError has no message
+            click.echo(f"error: {str(exc) or 'not enough memory for this run'}", err=True)
             sys.exit(2)
         sys.exit(int(code))
 
@@ -448,8 +447,7 @@ def reproduce_paper(output_dir: Path | None, mode: str | None, dt: float | None,
         ]
 
     # the noiseless and the noisy realisation in one RK4 pass
-    zero = dataclasses.replace(
-        cfg, disturbances=(DisturbanceSpec(kind="zero"),) * cfg.graph.edge_count)
+    zero = dataclasses.replace(cfg, disturbances=None)
     trace_zero, trace_noisy = run_batch((zero, cfg))
     start = trace_zero.disagreement(0)
     end = trace_zero.disagreement(-1)

@@ -24,15 +24,16 @@ Top-level keys::
 
 Each object takes exactly the keys shown for it (a kind's own keys for a
 coupling or disturbance); any other key is rejected.  Defaults: a linear
-coupling's sector [gain, gain], dt 1e-3, horizon 100, stride 100 (it only
-thins trace CSV rows), zero second and third initial state components,
-uniform certification mode, zero disturbance, seed 0.  Only Gaussian
-disturbances carry a seed: unless given in the per-edge list form, it
-derives from the master seed by edge index, so one integer pins the whole
-realisation.  The parser reads only the JSON structure; it hands each value
-as written to the dataclass that owns it and places the owner's rejection at
-the value's JSON pointer.  Every construction, parsed, direct or replaced, is
-checked the same way and proves every declared coupling sector.
+coupling's sector [gain, gain], uniform certification mode, and in
+:class:`NetworkConfig` dt 1e-3, horizon 100, stride 100 (it only thins trace
+CSV rows), zero second and third initial state components, zero disturbances
+and seed 0.  Only Gaussian disturbances carry a seed: unless pinned in the
+per-edge list form, the description derives it from the master seed by edge
+index, so one integer pins the whole realisation.  The parser reads only the
+JSON structure; it hands each value as written to the dataclass that owns it
+and places the owner's rejection at the value's JSON pointer.  Every
+construction, parsed, direct or replaced, is checked the same way and proves
+every declared coupling sector.
 """
 
 from __future__ import annotations
@@ -133,9 +134,11 @@ class NetworkConfig:
 
     ``initial_states`` holds ``(n, 3)`` states, ``n`` initial outputs (the
     other components zero) or None (all zero), and is stored as ``(n, 3)``
-    floats.  Every construction is checked, replacements included; an error
-    names the JSON pointer of the offending value.  It caches nothing
-    derived: the graph owns its incidence matrix, and
+    floats.  ``disturbances`` holds one spec per edge or None (all zero); a
+    Gaussian spec whose seed is None takes its edge's seed, derived here and
+    only here from ``seed``.  Every construction is checked, replacements
+    included; an error names the JSON pointer of the offending value.  It
+    caches nothing derived: the graph owns its incidence matrix, and
     :func:`~syncert.simulation.group_couplings` builds coupling tables.
     """
 
@@ -143,7 +146,7 @@ class NetworkConfig:
     agents: GoodwinParams
     initial_states: np.ndarray | None
     couplings: tuple[CouplingSpec, ...]
-    disturbances: tuple[DisturbanceSpec, ...]
+    disturbances: tuple[DisturbanceSpec, ...] | None
     certification: CertParams | None = None
     dt: float = DEFAULT_DT
     horizon: float = DEFAULT_HORIZON
@@ -168,9 +171,9 @@ class NetworkConfig:
                 "declared sector [{:g}, {:g}] is violated: slope ratios span "
                 "[{:.6g}, {:.6g}]".format(spec.sector.alpha_lo, spec.sector.alpha_hi,
                                           ratio_min[k], ratio_max[k]))
-        if len(self.disturbances) != p:
-            raise ConfigError("/disturbances",
-                              f"{len(self.disturbances)} disturbances for {p} edges")
+        specs = (DisturbanceSpec(),) * p if self.disturbances is None else self.disturbances
+        if len(specs) != p:
+            raise ConfigError("/disturbances", f"{len(specs)} disturbances for {p} edges")
         x0 = np.zeros((n, 3))
         if self.initial_states is not None:
             given = np.asarray(self.initial_states, dtype=object)
@@ -207,6 +210,10 @@ class NetworkConfig:
                     f"must lie in the admissible interval (b3^2/(2*a3), 2*a2) "
                     f"= ({lo:.6g}, {hi:.6g}), got {theta3!r}")
         integer(self.seed, "/seed")
+        derived = edge_seed_sequence(self.seed, p)
+        object.__setattr__(self, "disturbances", tuple(
+            replace(spec, seed=derived[k]) if spec.seed is None else spec
+            for k, spec in enumerate(specs)))
 
     def certificate(self) -> NetworkCertificate:
         """Certify every edge with the configured parameters."""
@@ -217,12 +224,9 @@ class NetworkConfig:
         Gaussian edge seed, including ones that were given explicitly."""
         if seed is None:
             return self
-        derived = edge_seed_sequence(seed, self.graph.edge_count)
-        disturbances = tuple(
-            replace(spec, seed=int(derived[k])) if spec.kind == "gaussian" else spec
-            for k, spec in enumerate(self.disturbances)
-        )
-        return replace(self, seed=int(seed), disturbances=disturbances)
+        return replace(self, seed=int(seed), disturbances=tuple(
+            replace(spec, seed=None) if spec.kind == "gaussian" else spec
+            for spec in self.disturbances))
 
     def with_simulation(self, dt: float | None = None,
                         horizon: float | None = None) -> "NetworkConfig":
@@ -287,41 +291,40 @@ def _parse_coupling_entry(value, pointer: str) -> CouplingSpec:
         {"sector": _parse_sector, "knots": lambda v, at: _tuples(v, at, 2, "[x, y]")}))
 
 
-def _parse_couplings(value, pointer: str, p: int) -> tuple[CouplingSpec, ...]:
+def _per_edge(value, pointer: str, p: int, entry) -> tuple:
+    """A block's per-edge specs: a single mapping read once by ``entry`` for
+    all ``p`` edges, or a list read entry by entry."""
     if isinstance(value, dict):
-        return (_parse_coupling_entry(value, pointer),) * p
-    return tuple(_parse_coupling_entry(entry, _child(pointer, k))
-                 for k, entry in enumerate(_expect_list(value, pointer)))
+        return (entry(value, pointer),) * p
+    return tuple(entry(item, _child(pointer, k))
+                 for k, item in enumerate(_expect_list(value, pointer)))
 
 
 def _disturbance_keys(kind: str):
-    """The fields the kind reads; a Gaussian seed left out is derived here."""
+    """The fields the kind reads; a Gaussian seed may be left out."""
     return DISTURBANCE_KINDS[kind], ("seed",) if kind == "gaussian" else ()
 
 
-def _parse_disturbances(value, pointer: str, p: int,
-                        master_seed: int) -> tuple[DisturbanceSpec, ...]:
-    """The per-edge disturbances.  A Gaussian entry without a seed takes its
-    edge's derived one, counted per list entry so that a miscount reaches
-    the count check; the single mapping may not pin a seed."""
+def _parse_disturbance_entry(value, pointer: str) -> DisturbanceSpec:
+    fields = _kinded(value, pointer, DISTURBANCE_KINDS, _disturbance_keys, DisturbanceSpec)
+    if fields["kind"] == "gaussian":
+        fields.setdefault("seed", None)
+    return _build(DisturbanceSpec, pointer, **fields)
+
+
+def _parse_disturbances(value, pointer: str, p: int) -> tuple[DisturbanceSpec, ...] | None:
+    """The per-edge disturbances, or None for an absent block.  A Gaussian
+    seed left out reads as None, which the description derives; the single
+    mapping may not pin one."""
     if value is None:
-        return (DisturbanceSpec(kind="zero"),) * p
-    single = isinstance(value, dict)
-    entries = [value] * p if single else _expect_list(value, pointer)
-    specs = []
-    for k, (entry, seed) in enumerate(
-            zip(entries, edge_seed_sequence(master_seed, len(entries)))):
-        at = pointer if single else _child(pointer, k)
-        fields = _kinded(entry, at, DISTURBANCE_KINDS, _disturbance_keys, DisturbanceSpec)
-        if single and "seed" in fields:
-            raise ConfigError(
-                _child(at, "seed"),
-                "per-edge seeds are derived from the top-level seed here; "
-                "use the per-edge list form to pin seeds explicitly")
-        if fields["kind"] == "gaussian":
-            fields.setdefault("seed", seed)
-        specs.append(_build(DisturbanceSpec, at, **fields))
-    return tuple(specs)
+        return None
+    specs = _per_edge(value, pointer, p, _parse_disturbance_entry)
+    if isinstance(value, dict) and "seed" in value:
+        raise ConfigError(
+            _child(pointer, "seed"),
+            "per-edge seeds are derived from the top-level seed here; "
+            "use the per-edge list form to pin seeds explicitly")
+    return specs
 
 
 def _parse_certification(value, pointer: str) -> CertParams | None:
@@ -346,20 +349,19 @@ def config_from_dict(payload) -> NetworkConfig:
     data = _fields(payload, "", ("graph", "seed", "agents", "couplings", "disturbances",
                                  "certification", "simulation"),
                    optional=("seed", "disturbances", "certification", "simulation"),
-                   # the seed is checked before the description exists: the
-                   # edge seeds derive from it
-                   read={"graph": _parse_graph, "seed": integer})
-    graph, seed = data["graph"], data.get("seed", DEFAULT_SEED)
+                   read={"graph": _parse_graph})
+    graph = data["graph"]
     agents, x0 = _parse_agents(data["agents"], "/agents")
-    couplings = _parse_couplings(data["couplings"], "/couplings", graph.edge_count)
+    couplings = _per_edge(data["couplings"], "/couplings", graph.edge_count,
+                          _parse_coupling_entry)
     disturbances = _parse_disturbances(data.get("disturbances"), "/disturbances",
-                                       graph.edge_count, seed)
+                                       graph.edge_count)
     certification = _parse_certification(data.get("certification"), "/certification")
     settings = _parse_simulation(data.get("simulation"), "/simulation")
     return NetworkConfig(graph=graph, agents=agents, initial_states=x0,
                          couplings=couplings, disturbances=disturbances,
-                         certification=certification, seed=seed,
-                         **settings)
+                         certification=certification,
+                         seed=data.get("seed", DEFAULT_SEED), **settings)
 
 
 def parse_config(path) -> NetworkConfig:

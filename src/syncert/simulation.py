@@ -178,11 +178,13 @@ class DisturbanceSpec:
     """Per-edge link disturbance: seeded white Gaussian (held per step),
     a constant, or zero.  ``scale`` is the standard deviation for the
     Gaussian kind and the value itself for the constant kind; the zero kind
-    reads none, and only the Gaussian kind reads a seed."""
+    reads none, and only the Gaussian kind reads a seed.  A Gaussian seed of
+    None is derived by the :class:`~syncert.config.NetworkConfig` that holds
+    the spec; until then the spec has no stream."""
 
     kind: str = "zero"
     scale: float = 0.0
-    seed: int = 0
+    seed: int | None = 0
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, str) or self.kind not in DISTURBANCE_KINDS:
@@ -190,7 +192,8 @@ class DisturbanceSpec:
         scale = finite(self.scale, "/scale")
         if scale < 0.0:
             raise ConfigError("/scale", f"must be nonnegative, got {scale!r}")
-        integer(self.seed, "/seed")
+        if self.seed is not None:
+            integer(self.seed, "/seed")
         for name in ("scale", "seed"):
             value = getattr(self, name)
             if name not in DISTURBANCE_KINDS[self.kind] and value != 0:
@@ -201,12 +204,12 @@ class DisturbanceSpec:
     def held_values(self, count: int) -> np.ndarray:
         """The sequence of values held over successive integration steps."""
         if self.kind == "gaussian":
+            if self.seed is None:
+                raise ValueError("a Gaussian disturbance without a seed has no stream")
             # a sample beyond double precision is infinite: the run diverges
             with np.errstate(over="ignore"):
                 return self.scale * normals(self.seed, count)
-        if self.kind == "constant":
-            return np.full(count, self.scale)
-        return np.zeros(count)
+        return np.full(count, self.scale)
 
 
 class CouplingGroup(NamedTuple):
@@ -612,11 +615,9 @@ def run_batch(configs) -> tuple[SimulationTrace, ...]:
                 raise ValueError(f"model {s} has a different {name} from model 0")
     steps = grid_steps(first.horizon, first.dt)
     n, p = first.graph.n, first.graph.edge_count
-    if p:
-        held = np.column_stack([spec.held_values(steps + 1)
-                                for config in configs for spec in config.disturbances])
-    else:
-        held = np.zeros((steps + 1, 0))
+    held = np.empty((steps + 1, len(configs) * p))
+    for col, spec in enumerate(spec for config in configs for spec in config.disturbances):
+        held[:, col] = spec.held_values(steps + 1)
     # component-major history: row c of states[m] is x_(c+1) of every node
     states = np.empty((steps + 1, 3, len(configs) * n))
     states[0] = np.concatenate([config.initial_states for config in configs]).T

@@ -13,7 +13,6 @@ import dataclasses
 import pytest
 
 from syncert import bundled_config, bundled_expected, run_batch
-from syncert.simulation import DisturbanceSpec
 
 # first entry is the master seed committed in the bundled configuration
 BOUND_SEEDS = (20260815, 1, 2, 3, 4)
@@ -41,8 +40,7 @@ def paper_traces(paper_config):
     """The noiseless trace, then one noisy trace per ``BOUND_SEEDS`` entry,
     integrated together in one batched RK4 pass."""
     cfg = paper_config
-    noiseless = dataclasses.replace(
-        cfg, disturbances=(DisturbanceSpec(kind="zero"),) * cfg.graph.edge_count)
+    noiseless = dataclasses.replace(cfg, disturbances=None)
     noisy = [cfg.with_seed(seed) for seed in BOUND_SEEDS]
     return run_batch([noiseless, *noisy])
 

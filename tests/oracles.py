@@ -20,7 +20,7 @@ from syncert.certificates import SectorBound
 from syncert.config import NetworkConfig
 from syncert.graphs import Graph, assemble_pd_matrix, build_graph
 from syncert.linalg import _checked_symmetric
-from syncert.simulation import CouplingSpec, DisturbanceSpec
+from syncert.simulation import CouplingSpec
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -143,6 +143,4 @@ def linear_network(agents, g: Graph, alpha_lo, alpha_hi, cp=None,
     couplings = tuple(CouplingSpec(kind="linear", gain=a, sector=SectorBound(a, b))
                       for a, b in zip(lo, hi))
     return NetworkConfig(graph=g, agents=agents, initial_states=initial_states,
-                         couplings=couplings,
-                         disturbances=(DisturbanceSpec(),) * g.edge_count,
-                         certification=cp)
+                         couplings=couplings, disturbances=None, certification=cp)

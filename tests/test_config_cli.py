@@ -506,6 +506,31 @@ def test_with_seed_rederives_every_gaussian_stream():
     assert cfg.seed == 4242
 
 
+# seeds below zero, small ones and ones of a word or more, which wrap
+_SEEDS = st.one_of(st.integers(max_value=-1), st.integers(0, 1000),
+                   st.integers(min_value=2**64))
+# one Gaussian mapping; a kind mix; a pinned seed, which re-seeding re-derives
+_SEEDED_FORMS = (
+    {"kind": "gaussian", "scale": 0.2},
+    [{"kind": "gaussian", "scale": 0.2}, {"kind": "zero"}, {"kind": "constant", "scale": 0.1}],
+    [{"kind": "gaussian", "scale": 0.2, "seed": 7}, {"kind": "gaussian", "scale": 0.2},
+     {"kind": "zero"}],
+)
+
+
+@given(form=st.sampled_from(_SEEDED_FORMS), s=_SEEDS, t=_SEEDS)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_parsed_and_reseeded_descriptions_derive_alike(form, s, t):
+    # one seed rule: a description parsed with seed s has the disturbances
+    # of the one parsed with seed t and re-seeded with s, pins left out
+    unpinned = form if isinstance(form, dict) else [
+        {key: v for key, v in entry.items() if key != "seed"} for entry in form]
+    parsed = config_from_dict(_payload(disturbances=unpinned, seed=s))
+    reseeded = config_from_dict(_payload(disturbances=form, seed=t)).with_seed(s)
+    assert reseeded.seed == s
+    assert reseeded.disturbances == parsed.disturbances
+
+
 def test_with_simulation_overrides():
     cfg = config_from_dict(_payload())
     tuned = cfg.with_simulation(dt=2e-3, horizon=1.0)
@@ -872,6 +897,39 @@ def test_certify_interval_bound_takes_one_more_solve(tmp_path, monkeypatch):
     result = CliRunner().invoke(main, ["certify", str(_write(tmp_path, _K6_SINUSOID))])
     assert result.exit_code == 0, result.output
     assert calls == {"eigvalsh": 4, "common": 1}
+
+
+def test_single_disturbance_mapping_is_checked_on_an_edgeless_graph(tmp_path):
+    # the mapping is read once whatever the edge count, as a coupling is
+    payload = _payload(graph={"n": 2, "edges": []},
+                       agents={**TRIANGLE["agents"], "input_gains": [1.0, 1.2],
+                               "initial_outputs": [1.0, -1.0]},
+                       disturbances={"kind": "brownian", "volatility": "high"})
+    del payload["certification"]
+    result = CliRunner().invoke(main, ["simulate", str(_write(tmp_path, payload)),
+                                       "-o", str(tmp_path / "sim")])
+    assert result.exit_code == 2
+    assert result.output == "error: /disturbances/kind: unknown disturbance kind 'brownian'\n"
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 745. GiB for an array"),
+     "Unable to allocate 745. GiB for an array"),
+    (MemoryError(), "not enough memory for this run"),
+])
+def test_a_run_too_large_to_allocate_exits_2(tmp_path, monkeypatch, exc, message):
+    # exit 1 would read as a false verdict; nothing is really allocated
+    def refuse(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("syncert.cli.run", refuse)
+    monkeypatch.setattr("syncert.cli.search_params", refuse)
+    path = _write(tmp_path, _payload())
+    for command in (["simulate", str(path), "-o", str(tmp_path / "sim")],
+                    ["search", str(path), "--theta", "1:3:3", "--theta3", "1.2:1.9:3"]):
+        result = CliRunner().invoke(main, command)
+        assert result.exit_code == 2, (command[0], result.exception)
+        assert result.output == f"error: {message}\n"
 
 
 def test_simulate_blowup_exit_code(tmp_path):

@@ -23,7 +23,7 @@ from syncert.certificates import (
 from syncert.config import ConfigError, NetworkConfig, bundled_config, parse_config
 from syncert.goodwin import CertParams, GoodwinParams
 from syncert.graphs import build_graph
-from syncert.noise import normals
+from syncert.noise import edge_seed_sequence, normals
 from syncert.simulation import (
     SINC_MIN,
     CouplingSpec,
@@ -177,14 +177,14 @@ def test_coupling_rejects_fields_its_kind_never_reads():
             kind=kind, **given, **{name: type(value)()})
 
 
-def test_verify_sector_refutes_wrong_declaration():
+def test_prove_sectors_refutes_wrong_declaration():
     spec = CouplingSpec(kind="linear", sector=SectorBound(5.5, 6.0), gain=5.0)
     [passed], [ratio_min], [ratio_max] = prove_sectors((spec,))
     assert not passed
     assert ratio_min == ratio_max == 5.0
 
 
-def test_verify_sector_reports_extremes():
+def test_prove_sectors_reports_extremes():
     spec = CouplingSpec(kind="affine_sinusoid", gain=5.0, amplitude=0.5,
                         sector=SectorBound(4.5, 5.5))
     [passed], [ratio_min], [ratio_max] = prove_sectors((spec,))
@@ -211,7 +211,7 @@ def _log_grid_ratios(spec, samples, extra=()):
     return np.asarray(spec(args)) / args
 
 
-def test_verify_sector_rejects_overstatement_the_grid_missed():
+def test_prove_sectors_rejects_overstatement_the_grid_missed():
     # true infimum 1 + 2 * SINC_MIN = 0.565533; 0.0068 above it slips
     # through the old 512-point grid but not the exact range
     lo = 1.0 + 2.0 * SINC_MIN + 0.0068
@@ -238,7 +238,7 @@ _SAMPLED_SPECS = st.one_of(
 
 
 @given(spec=_SAMPLED_SPECS)
-def test_verify_sector_range_contains_sampled_ratios(spec):
+def test_prove_sectors_range_contains_sampled_ratios(spec):
     """The sampler survives as a falsifier: no sampled ratio may leave the
     exact range, and with the knots added the sampled extremes reach it."""
     _, [ratio_min], [ratio_max] = prove_sectors((spec,))
@@ -282,6 +282,24 @@ def test_only_gaussian_disturbances_carry_a_seed():
                                               "got 5$"):
             DisturbanceSpec(kind=kind, seed=5)
         assert DisturbanceSpec(kind=kind, seed=0).seed == 0
+
+
+def test_the_description_fills_zero_disturbances_and_derives_gaussian_seeds():
+    # a seed of None is the Gaussian kind's only: it has no stream until the
+    # description holding it derives its edge's seed; pinned seeds stay
+    unseeded = DisturbanceSpec(kind="gaussian", scale=0.2, seed=None)
+    with pytest.raises(ValueError, match="no stream"):
+        unseeded.held_values(4)
+    with pytest.raises(ConfigError, match="^/seed: zero disturbance reads no seed, got None$"):
+        DisturbanceSpec(kind="zero", seed=None)
+    fields = dict(graph=build_graph(3, [(1, 2), (1, 3), (2, 3)]),
+                  agents=_agents(1.0, 1.1, 0.9), initial_states=None,
+                  couplings=(CouplingSpec(kind="linear", gain=1.0),) * 3, seed=7)
+    assert NetworkConfig(disturbances=None, **fields).disturbances == (DisturbanceSpec(),) * 3
+    pinned = DisturbanceSpec(kind="gaussian", scale=0.2, seed=5)
+    cfg = NetworkConfig(disturbances=(unseeded, pinned, unseeded), **fields)
+    derived = edge_seed_sequence(7, 3)
+    assert [d.seed for d in cfg.disturbances] == [derived[0], 5, derived[2]]
 
 
 def test_model_validation():
