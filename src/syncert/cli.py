@@ -35,11 +35,7 @@ from .goodwin import (
     hill_slope_max,
     search_params,
 )
-from .simulation import SimulationDiverged, SimulationTrace, run, run_batch
-
-# Integral inequalities are checked with this relative tolerance against the
-# magnitude of their right-hand side.
-RESIDUAL_RTOL = 1e-6
+from .simulation import SimulationDiverged, SimulationTrace, run, run_batch, trace_checks
 
 
 def _fmt(value) -> str:
@@ -200,52 +196,6 @@ def _trace_table(trace: SimulationTrace, stride: int, margin_col,
     return header, rows()
 
 
-def _residual_slack(residual: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """How far an integral inequality's residual clears its floor
-    ``-RESIDUAL_RTOL * (1 + |rhs|)``, at every grid point."""
-    return residual + RESIDUAL_RTOL * (1.0 + np.abs(rhs))
-
-
-def _trace_check(name: str, trace: SimulationTrace, slacks, what: str,
-                 edge_labels=None) -> tuple[str, bool, str]:
-    """Check that no slack curve in ``slacks`` (one per edge when
-    ``edge_labels`` is given; each is dropped once its minimum is read) is
-    negative at any grid point of ``trace``.  The detail names the worst
-    value, its time and its edge; a nan slack is the worst value."""
-    lows = []
-    for slack in slacks:
-        m = int(np.argmin(slack))
-        lows.append((float(slack[m]), m))
-    k = int(np.argmin([value for value, _ in lows]))
-    worst, m = lows[k]
-    detail = f"worst {what} {worst:.6g} at t = {trace.times[m]:.6g}"
-    if edge_labels is not None:
-        detail += f", edge {edge_labels[k]}"
-    return name, worst >= 0.0, detail
-
-
-def _trace_checks(trace: SimulationTrace, cert: NetworkCertificate, margin_col,
-                  check_bound: bool = True, check_lemma1: bool = True):
-    """The checks of one trace and the network residual curve (``None``
-    unless ``check_lemma1``): the certified disagreement bound on
-    ``margin_col``, then Lemma 1's network dissipation inequality and every
-    pair inequality it rests on."""
-    checks, residual = [], None
-    if check_bound:
-        checks.append(_trace_check("bound-margins", trace, [margin_col], "margin"))
-    if check_lemma1:
-        residual, rhs = trace.dissipation_curves(cert)
-        checks.append(_trace_check("dissipation-residual", trace,
-                                   [_residual_slack(residual, rhs)], "residual slack"))
-        g = trace.config.graph
-        checks.append(_trace_check(
-            "pair-dissipation", trace,
-            (_residual_slack(*trace.pair_residual_curves(cert, k))
-             for k in range(g.edge_count)),
-            "pair residual slack", g.edge_labels()))
-    return checks, residual
-
-
 def _echo_checks(checks) -> None:
     for name, ok, detail in checks:
         click.echo(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
@@ -276,28 +226,25 @@ def simulate(config_file: Path, output_dir: Path, full: bool, check_bound: bool,
     """Integrate the configured network and write its trace CSV."""
     cfg = parse_config(config_file).with_seed(seed_override(seed))
     cfg = cfg.with_simulation(dt=dt, horizon=horizon)
-    cert = bound = None
+    cert = None
     if check_bound or check_lemma1 or cfg.certification is not None:
         # certify before integrating: a missing certification block that a
         # check needs, an invalid certificate, or an uncertified bound that
         # --check-bound needs, exits 2 without spending the integration
         cert = cfg.certificate()
-        bound = cert.bound
-        if check_bound and not bound.certified:
-            raise UncertifiedBoundError(
-                f"gain bound is not certified ({_why_uncertified(bound)}); nothing to check")
+        if check_bound and not cert.bound.certified:
+            raise UncertifiedBoundError("gain bound is not certified "
+                                        f"({_why_uncertified(cert.bound)}); nothing to check")
 
     trace = run(cfg)
     click.echo(f"integrated {trace.steps} steps of dt = {cfg.dt:g} "
                f"(horizon {cfg.horizon:g}, seed {cfg.seed})")
 
-    if bound is not None and bound.certified:
-        margin_col = trace.margin_curve(bound)
-    else:
-        margin_col = np.full(trace.steps + 1, math.nan)
+    margin_col = (trace.margin_curve(cert.bound) if cert is not None and cert.bound.certified
+                  else np.full(trace.steps + 1, math.nan))
 
-    checks, residual_col = _trace_checks(trace, cert, margin_col,
-                                         check_bound, check_lemma1)
+    checks, residual_col = trace_checks(trace, cert if check_lemma1 else None,
+                                        margin_col if check_bound else None)
     _echo_checks(checks)
 
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -449,9 +396,7 @@ def reproduce_paper(output_dir: Path | None, mode: str | None, dt: float | None,
     # the noiseless and the noisy realisation in one RK4 pass
     zero = dataclasses.replace(cfg, disturbances=None)
     trace_zero, trace_noisy = run_batch((zero, cfg))
-    start = trace_zero.disagreement(0)
-    end = trace_zero.disagreement(-1)
-    ratio = end / start
+    ratio = trace_zero.disagreement(-1) / trace_zero.disagreement(0)
     if cfg.horizon + 1e-9 >= expected["sync_horizon"]:
         checks.append((
             "noiseless-sync", ratio <= expected["sync_threshold"],
@@ -463,7 +408,7 @@ def reproduce_paper(output_dir: Path | None, mode: str | None, dt: float | None,
                    f"{expected['sync_horizon']:g}), disagreement ratio {ratio:.3g}")
 
     margin_noisy = trace_noisy.margin_curve(bound)
-    checks += _trace_checks(trace_noisy, cert, margin_noisy)[0]
+    checks += trace_checks(trace_noisy, cert, margin_noisy)[0]
 
     click.echo("")
     _echo_checks(checks)

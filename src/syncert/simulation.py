@@ -41,6 +41,9 @@ __all__ = [
     "CouplingGroup",
     "DisturbanceSpec",
     "SimulationTrace",
+    "residual_slack",
+    "trace_check",
+    "trace_checks",
     "prove_sectors",
     "group_couplings",
     "evaluate_couplings",
@@ -483,8 +486,13 @@ class SimulationTrace:
 
     @cached_property
     def relative_outputs(self) -> np.ndarray:
-        # one +1 and one -1 per incidence column: any sum order rounds y_i - y_j once
-        return self.outputs @ self.config.graph.incidence
+        # the stage's endpoint gather off the (T, 3n) state rows (y_i at 3i), temporary-free
+        rows = self.states.reshape(len(self.states), -1)
+        lower, upper = self.config.graph.endpoints
+        rel = rows.take(3 * lower, axis=1)
+        for k, j in enumerate(upper):
+            rel[:, k] -= rows[:, 3 * j]
+        return rel
 
     @cached_property
     def coupling_arguments(self) -> np.ndarray:
@@ -568,6 +576,53 @@ class SimulationTrace:
                                         f"({_why_uncertified(bound)}); no margin to evaluate")
         return (bound.gain * np.sqrt(self.norm_dist_sq) + bound.offset
                 - np.sqrt(self.norm_rel_sq))
+
+
+# the tolerance of an integral inequality, relative to its right-hand side
+RESIDUAL_RTOL = 1e-6
+
+
+def residual_slack(residual: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """How far a residual clears its floor ``-RESIDUAL_RTOL * (1 + |rhs|)``."""
+    return residual + RESIDUAL_RTOL * (1.0 + np.abs(rhs))
+
+
+def trace_check(name: str, trace: SimulationTrace, slacks, what: str,
+                edge_labels=None) -> tuple[str, bool, str]:
+    """The verdict ``(name, ok, detail)`` that no curve in ``slacks`` (one
+    per edge when ``edge_labels`` is given, each dropped once its minimum is
+    read) is negative on ``trace``'s grid.  The detail names the worst point:
+    each curve's first minimum, then the first least edge; a nan is least."""
+    lows = []
+    for slack in slacks:
+        m = int(np.argmin(slack))
+        lows.append((float(slack[m]), m))
+    k = int(np.argmin([value for value, _ in lows]))
+    worst, m = lows[k]
+    detail = f"worst {what} {worst:.6g} at t = {trace.times[m]:.6g}"
+    if edge_labels is not None:
+        detail += f", edge {edge_labels[k]}"
+    return name, worst >= 0.0, detail
+
+
+def trace_checks(trace: SimulationTrace, cert: NetworkCertificate | None = None,
+                 margin: np.ndarray | None = None):
+    """The verdicts of one trace and its network residual curve (None without
+    ``cert``): the certified bound on the ``margin`` column when one is given,
+    then with ``cert`` Lemma 1's network inequality and every pair inequality."""
+    checks, residual = [], None
+    if margin is not None:
+        checks.append(trace_check("bound-margins", trace, [margin], "margin"))
+    if cert is not None:
+        residual, rhs = trace.dissipation_curves(cert)
+        checks.append(trace_check("dissipation-residual", trace,
+                                  [residual_slack(residual, rhs)], "residual slack"))
+        labels = trace.config.graph.edge_labels()
+        pairs = (residual_slack(*trace.pair_residual_curves(cert, k))
+                 for k in range(len(labels)))
+        checks.append(trace_check("pair-dissipation", trace, pairs,
+                                  "pair residual slack", labels))
+    return checks, residual
 
 
 def grid_steps(horizon: float, dt: float) -> int:

@@ -10,6 +10,7 @@ import math
 from importlib import resources
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from oracles import erdos_renyi_graph, pd_oracle
@@ -17,6 +18,7 @@ from syncert.certificates import POSITIVITY_TOL
 from syncert.cli import main
 from syncert.goodwin import hill_slope
 from syncert.graphs import edge_slacks
+from syncert.simulation import trace_checks
 
 # frozen targets and tolerances for the bundled case study
 NU_TARGET = -0.01
@@ -34,9 +36,6 @@ SLOPE_GAP_RANGE_SMALL_HILL = (0.105, 0.115)
 # dominance-check soundness scan
 SOUNDNESS_GRAPHS = 1000
 PD_EIG_FLOOR = 1e-10
-
-# integral inequalities along simulated traces, checked at every grid point
-RESIDUAL_RTOL = 1e-6
 
 # synchronisation of the undisturbed network
 SYNC_RATIO_MAX = 0.05
@@ -98,39 +97,39 @@ def test_edge_dominance_check_is_sound_on_random_graphs():
     assert passes > 0, "scan never exercised the passing branch"
 
 
-def _assert_residual_clears_floor(trace, curves, where: str) -> None:
-    residual, rhs = curves
-    floor = -RESIDUAL_RTOL * (1.0 + np.abs(rhs))
-    m = int(np.argmin(residual - floor))
-    assert residual[m] >= floor[m], (
-        f"{where}, t = {trace.times[m]:.6g}: residual {residual[m]:.6g} "
-        f"below floor {floor[m]:.6g}")
-
-
-def test_certified_bound_holds_on_noisy_traces(noisy_traces, paper_certification):
+@pytest.fixture(scope="module")
+def noisy_verdicts(noisy_traces, paper_certification):
+    """The library's trace verdicts on each noisy trace, by seed and check
+    name: the bound, the network inequality and every pair inequality,
+    each at every grid point."""
+    cert = paper_certification
+    verdicts = {}
     for seed, trace in noisy_traces.items():
+        checks, _ = trace_checks(trace, cert, trace.margin_curve(cert.bound))
+        verdicts[seed] = {name: (ok, detail) for name, ok, detail in checks}
+    return verdicts
+
+
+def _assert_verdicts(noisy_verdicts, name: str) -> None:
+    for seed, verdicts in noisy_verdicts.items():
+        ok, detail = verdicts[name]
+        assert ok, f"seed {seed}, {name}: {detail}"
+
+
+def test_certified_bound_holds_on_noisy_traces(noisy_traces, noisy_verdicts,
+                                               paper_certification):
+    for trace in noisy_traces.values():
         margins = trace.margin_curve(paper_certification.bound)
         assert margins.shape == trace.times.shape and trace.times[-1] == 100.0
-        m = int(np.argmin(margins))
-        assert margins[m] >= 0.0, (
-            f"seed {seed}: margin {margins[m]:.6g} at t = {trace.times[m]:.6g}")
+    _assert_verdicts(noisy_verdicts, "bound-margins")
 
 
-def test_network_dissipation_inequality_on_noisy_traces(noisy_traces,
-                                                        paper_certification):
-    for seed, trace in noisy_traces.items():
-        _assert_residual_clears_floor(
-            trace, trace.dissipation_curves(paper_certification), f"seed {seed}")
+def test_network_dissipation_inequality_on_noisy_traces(noisy_verdicts):
+    _assert_verdicts(noisy_verdicts, "dissipation-residual")
 
 
-def test_pairwise_dissipation_inequality_on_noisy_traces(noisy_traces,
-                                                         paper_certification):
-    edges = paper_certification.graph.edges
-    for seed, trace in noisy_traces.items():
-        for k, edge in enumerate(edges):
-            _assert_residual_clears_floor(
-                trace, trace.pair_residual_curves(paper_certification, k),
-                f"seed {seed}, edge {edge}")
+def test_pairwise_dissipation_inequality_on_noisy_traces(noisy_verdicts):
+    _assert_verdicts(noisy_verdicts, "pair-dissipation")
 
 
 def test_noiseless_network_synchronises(noiseless_trace, paper_expected):

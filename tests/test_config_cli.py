@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syncert import __version__, certificates, graphs
-from syncert.cli import _trace_check, _trace_checks, main
+from syncert.cli import main
 from syncert.config import (
     SEED_ENV_VAR,
     ConfigError,
@@ -34,7 +34,7 @@ from syncert.certificates import SectorBound, sector_arrays
 from syncert.goodwin import CertParams, certify_network
 from syncert.graphs import build_graph
 from syncert.noise import edge_seed_sequence
-from syncert.simulation import run
+from syncert.simulation import residual_slack, run, trace_check, trace_checks
 
 TRIANGLE = {
     "graph": {"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]},
@@ -831,8 +831,7 @@ def test_simulate_checks_pass_and_annotate_csv(tmp_path):
     # its time, not over the CSV's every-50th rows
     cfg = parse_config(path)
     trace = run(cfg)
-    residual, rhs = trace.dissipation_curves(cfg.certificate())
-    slack = residual + 1e-6 * (1.0 + np.abs(rhs))
+    slack = residual_slack(*trace.dissipation_curves(cfg.certificate()))
     m = int(np.argmin(slack))
     assert m % cfg.stride != 0
     assert (f"PASS  dissipation-residual: worst residual slack {slack[m]:.6g} "
@@ -1075,16 +1074,20 @@ def test_reproduce_short_horizon_smoke(tmp_path):
 
 def test_trace_check_reports_the_least_slack_with_its_time_and_edge():
     trace = SimpleNamespace(times=np.array([0.0, 0.5, 1.0]))
-    assert _trace_check("c", trace, [np.array([1.0, 2.0, 0.0])], "margin") == (
+    assert trace_check("c", trace, [np.array([1.0, 2.0, 0.0])], "margin") == (
         "c", True, "worst margin 0 at t = 1")
     curves = [np.array([1.0, 2.0, 3.0]), np.array([0.0, -1.0, -0.5]),
               np.array([4.0, 0.5, -0.1])]
-    assert _trace_check("c", trace, iter(curves), "slack", ["a", "b", "c"]) == (
+    assert trace_check("c", trace, iter(curves), "slack", ["a", "b", "c"]) == (
         "c", False, "worst slack -1 at t = 0.5, edge b")
     # a nan slack fails the check wherever it sits
     curves[0][1] = math.nan
-    assert _trace_check("c", trace, iter(curves), "slack", ["a", "b", "c"]) == (
+    assert trace_check("c", trace, iter(curves), "slack", ["a", "b", "c"]) == (
         "c", False, "worst slack nan at t = 0.5, edge a")
+    # a tie goes to the lower edge, even when a later edge reaches it earlier
+    ties = [np.array([1.0, 0.0, 2.0]), np.array([0.0, 3.0, 3.0])]
+    assert trace_check("c", trace, iter(ties), "slack", ["a", "b"]) == (
+        "c", True, "worst slack 0 at t = 0.5, edge a")
 
 
 def test_reproduce_names_the_worst_pair_instant_and_edge():
@@ -1145,7 +1148,7 @@ def test_pair_dissipation_catches_what_the_network_checks_miss():
     with pytest.warns(UserWarning, match="closed-form slope constant"):
         cert = cfg.certificate()
     trace = run(cfg)
-    checks, _ = _trace_checks(trace, cert, trace.margin_curve(cert.bound))
+    checks, _ = trace_checks(trace, cert, trace.margin_curve(cert.bound))
     verdicts = {name: (ok, detail) for name, ok, detail in checks}
     assert verdicts["bound-margins"][0] and verdicts["dissipation-residual"][0]
     assert verdicts["pair-dissipation"] == (

@@ -767,6 +767,12 @@ def _assert_batch_matches_solo(models):
         assert np.array_equal(member.held_disturbance, solo.held_disturbance)
         assert member.states.flags.c_contiguous
         assert member.held_disturbance.flags.c_contiguous
+        # einsum's sum order follows the layout: every derived (T, .) array
+        # an einsum reads must be C-contiguous, in a member as in a solo run
+        for trace in (member, solo):
+            for name in ("relative_outputs", "coupling_arguments", "coupling_outputs",
+                         "inputs", "input_energies"):
+                assert getattr(trace, name).flags.c_contiguous, name
 
 
 def test_run_batch_members_equal_solo_runs_on_the_paper_network(paper_config):
