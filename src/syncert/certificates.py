@@ -19,7 +19,7 @@ import numpy as np
 
 from .graphs import Graph, assemble_pd_matrix, edge_slacks, node_sums
 from .linalg import symmetric_eigenvalues
-from .values import ConfigError, finite
+from .values import ConfigError, finite, read_only
 
 __all__ = [
     "POSITIVITY_TOL",
@@ -99,8 +99,7 @@ class NetworkCertificate:
             values = np.array(getattr(self, name), dtype=float)
             if values.shape != (p,):
                 raise ValueError(f"{name} has shape {values.shape}, expected ({p},)")
-            values.flags.writeable = False
-            object.__setattr__(self, name, values)
+            object.__setattr__(self, name, read_only(values))
         lo, hi, nu = self.alpha_lo, self.alpha_hi, self.nu
         for ok, rule in (
                 ((0.0 < lo) & (lo <= hi) & (hi < math.inf),
@@ -268,11 +267,20 @@ class GainBound:
     m_max: float
     estimate: str
 
+    @property
+    def why_uncertified(self) -> str | None:
+        """Why the bound is not certified, None when it is; ``n_min`` is nan
+        when a response form overflows."""
+        return None if self.certified else (
+            "the response forms overflow double precision" if math.isnan(self.n_min)
+            else f"n_min = {self.n_min:.6g} <= 0")
 
-def _why_uncertified(bound: GainBound) -> str:
-    """Why ``bound`` is not certified; ``n_min`` is nan when a form overflows."""
-    return ("the response forms overflow double precision" if math.isnan(bound.n_min)
-            else f"n_min = {bound.n_min:.6g} <= 0")
+    def require_certified(self, consequence: str) -> None:
+        """Unless the bound is certified, raise :class:`UncertifiedBoundError`
+        with why it is not and then ``consequence``."""
+        if not self.certified:
+            raise UncertifiedBoundError(
+                f"gain bound is not certified ({self.why_uncertified}); {consequence}")
 
 
 # Multiple of p * eps * ||.|| by which an interval bound is widened; see

@@ -21,12 +21,13 @@ import click
 import numpy as np
 
 from . import __version__
-from .certificates import NetworkCertificate, UncertifiedBoundError, _why_uncertified
+from .certificates import NetworkCertificate
 from .config import (
     NetworkConfig,
     bundled_config,
     bundled_expected,
     parse_config,
+    reproduction_checks,
     seed_override,
 )
 from .goodwin import (
@@ -115,10 +116,8 @@ def _echo_certificate(cfg: NetworkConfig, cert: NetworkCertificate) -> None:
     g = cfg.graph
     hill = cfg.agents.hill
     click.echo(f"nodes: {g.n}, edges: {g.edge_count}, mode: {cfg.certification.mode}")
-    click.echo(
-        f"repression slope bound: closed form {hill_slope(hill):.6g}, "
-        f"exact maximum {hill_slope_max(hill):.6g}"
-    )
+    click.echo(f"repression slope bound: closed form {hill_slope(hill):.6g}, "
+               f"exact maximum {hill_slope_max(hill):.6g}")
     table = [
         (g.edge_label(k), _fmt4(cert.nu[k]), _fmt4(cert.gamma[k]),
          _fmt4(cert.beta[k]), _fmt4(cert.slacks[k]),
@@ -134,13 +133,11 @@ def _echo_certificate(cfg: NetworkConfig, cert: NetworkCertificate) -> None:
     if bound.certified:
         # a point box is one slope sample; an interval bound covers the box
         box = "1 slope sample(s)" if bound.estimate == "exact" else "whole slope box"
-        click.echo(
-            f"gain bound ({bound.estimate}, {box}): "
-            f"gain {bound.gain:.6g}, offset {bound.offset:.6g}, "
-            f"n_min {bound.n_min:.6g}, m_max {bound.m_max:.6g}"
-        )
+        click.echo(f"gain bound ({bound.estimate}, {box}): "
+                   f"gain {bound.gain:.6g}, offset {bound.offset:.6g}, "
+                   f"n_min {bound.n_min:.6g}, m_max {bound.m_max:.6g}")
     else:
-        click.echo(f"gain bound: not certified ({_why_uncertified(bound)})")
+        click.echo(f"gain bound: not certified ({bound.why_uncertified})")
     if cert.satisfied:
         click.echo("verdict: certified")
     elif not g.is_connected:
@@ -232,9 +229,8 @@ def simulate(config_file: Path, output_dir: Path, full: bool, check_bound: bool,
         # check needs, an invalid certificate, or an uncertified bound that
         # --check-bound needs, exits 2 without spending the integration
         cert = cfg.certificate()
-        if check_bound and not cert.bound.certified:
-            raise UncertifiedBoundError("gain bound is not certified "
-                                        f"({_why_uncertified(cert.bound)}); nothing to check")
+        if check_bound:
+            cert.bound.require_certified("nothing to check")
 
     trace = run(cfg)
     click.echo(f"integrated {trace.steps} steps of dt = {cfg.dt:g} "
@@ -353,61 +349,18 @@ def reproduce_paper(output_dir: Path | None, mode: str | None, dt: float | None,
         cfg = dataclasses.replace(
             cfg, certification=dataclasses.replace(cfg.certification, mode=mode))
     cfg = cfg.with_seed(seed_override(seed)).with_simulation(dt=dt, horizon=horizon)
-    uniform = cfg.certification.mode == "uniform"
 
     cert = cfg.certificate()
     _echo_certificate(cfg, cert)
-    forms, bound = cert.forms, cert.bound
-
-    # frozen-value checks (check name, computed values, fixture keys,
-    # tolerance key, precondition): each passes when its precondition holds
-    # and its largest deviation is within tolerance; a nan deviation fails
-    frozen = [("output-weights", cert.gamma, ("gamma_target",), "gamma_tol", True)]
-    if uniform:
-        frozen += [
-            ("input-weights", cert.nu, ("nu",), "nu_tol", True),
-            ("node-weight-sums", cert.nu_node, ("nu_node",), "nu_tol", True),
-            ("margin-slacks", cert.slacks, ("slack_target",), "slack_tol",
-             cert.satisfied),
-            ("margin-matrix", forms.margin_min_eig, ("margin_min_eig",), "bound_tol",
-             True),
-            ("gain-bound", [bound.n_min, bound.m_max, bound.gain, bound.offset],
-             ("n_min", "m_max", "gain", "offset"), "bound_tol", bound.certified),
-        ]
-    checks: list[tuple[str, bool, str]] = []
-    for name, computed, keys, tol_key, precondition in frozen:
-        dev = float(np.max(np.abs(np.subtract(computed, [expected[k] for k in keys]))))
-        tol = expected[tol_key]
-        checks.append((name, precondition and dev <= tol,
-                       f"max |{name} - frozen| = {dev:.3g} (tol {tol:g})"))
-    if not uniform:
-        # per-edge weights can only improve on the uniform margins; an edge
-        # whose both endpoints carry the worst gain deviation still lands
-        # exactly on the uniform slack, hence the shared tolerance
-        floor = expected["slack_target"] - expected["slack_tol"]
-        checks += [
-            ("margin-slacks", cert.satisfied and cert.min_slack >= floor,
-             f"min slack {cert.min_slack:.6g} >= {floor:g}"),
-            ("margin-matrix", forms.margin_min_eig > 0.0,
-             f"min eigenvalue {forms.margin_min_eig:.9g} > 0"),
-            ("gain-bound", bound.certified, f"certified = {bound.certified}"),
-        ]
 
     # the noiseless and the noisy realisation in one RK4 pass
     zero = dataclasses.replace(cfg, disturbances=None)
     trace_zero, trace_noisy = run_batch((zero, cfg))
-    ratio = trace_zero.disagreement(-1) / trace_zero.disagreement(0)
-    if cfg.horizon + 1e-9 >= expected["sync_horizon"]:
-        checks.append((
-            "noiseless-sync", ratio <= expected["sync_threshold"],
-            f"end/initial disagreement = {ratio:.3g} "
-            f"(threshold {expected['sync_threshold']:g})",
-        ))
-    else:
-        click.echo(f"noiseless-sync: skipped (horizon {cfg.horizon:g} < "
-                   f"{expected['sync_horizon']:g}), disagreement ratio {ratio:.3g}")
+    checks, note = reproduction_checks(cert, trace_zero, expected)
+    if note is not None:
+        click.echo(note)
 
-    margin_noisy = trace_noisy.margin_curve(bound)
+    margin_noisy = trace_noisy.margin_curve(cert.bound)
     checks += trace_checks(trace_noisy, cert, margin_noisy)[0]
 
     click.echo("")
@@ -418,7 +371,7 @@ def reproduce_paper(output_dir: Path | None, mode: str | None, dt: float | None,
         _write_csv(output_dir / "margins.csv", _MARGIN_CSV_HEADER,
                    _margin_csv_rows(cfg, cert))
         for label, trace, margin_col in (
-                ("noiseless", trace_zero, trace_zero.margin_curve(bound)),
+                ("noiseless", trace_zero, trace_zero.margin_curve(cert.bound)),
                 ("noisy", trace_noisy, margin_noisy)):
             header, rows = _trace_table(trace, cfg.stride, margin_col)
             _write_csv(output_dir / f"trace_{label}.csv", header, rows)

@@ -51,10 +51,11 @@ from .goodwin import CertParams, GoodwinParams, admissible_theta3_interval, cert
 from .graphs import Graph, build_graph
 from .noise import edge_seed_sequence
 from .simulation import (
-    _KERNELS,
+    COUPLING_KINDS,
     DISTURBANCE_KINDS,
     CouplingSpec,
     DisturbanceSpec,
+    SimulationTrace,
     grid_steps,
     prove_sectors,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "config_from_dict",
     "bundled_config",
     "bundled_expected",
+    "reproduction_checks",
     "seed_override",
     "SEED_ENV_VAR",
 ]
@@ -281,13 +283,13 @@ def _kinded(value, pointer: str, kinds, keys_of, owner, read=None) -> dict:
 
 def _coupling_keys(kind: str):
     """The fields the kernel reads, then the sector, optional where it may."""
-    _, reads, point_sector = _KERNELS[kind]
+    _, reads, point_sector = COUPLING_KINDS[kind]
     return (*reads, "sector"), ("sector",) if point_sector else ()
 
 
 def _parse_coupling_entry(value, pointer: str) -> CouplingSpec:
     return _build(CouplingSpec, pointer, **_kinded(
-        value, pointer, _KERNELS, _coupling_keys, CouplingSpec,
+        value, pointer, COUPLING_KINDS, _coupling_keys, CouplingSpec,
         {"sector": _parse_sector, "knots": lambda v, at: _tuples(v, at, 2, "[x, y]")}))
 
 
@@ -390,6 +392,56 @@ def bundled_config(name: str = "paper_k5") -> NetworkConfig:
 def bundled_expected(name: str = "paper_k5_expected") -> dict:
     """Frozen reference values for the bundled five-oscillator case study."""
     return json.loads(_fixture_text(f"{name}.json"))
+
+
+def reproduction_checks(cert: NetworkCertificate, noiseless: SimulationTrace,
+                        expected: dict) -> tuple[list[tuple[str, bool, str]], str | None]:
+    """The case study's verdicts ``(name, ok, detail)`` that no trace check
+    decides, in print order: ``cert`` against the frozen ``expected``
+    values, then the synchronisation of ``noiseless``, the undisturbed run
+    of the description ``cert`` certifies, whose mode and horizon they read;
+    and the note printed instead of that last check on a short horizon."""
+    config = noiseless.config
+
+    def frozen(name, computed, keys, tol_key, precondition=True):
+        # a nan deviation fails
+        dev = float(np.max(np.abs(np.subtract(computed, [expected[k] for k in keys]))))
+        tol = expected[tol_key]
+        return (name, precondition and dev <= tol,
+                f"max |{name} - frozen| = {dev:.3g} (tol {tol:g})")
+
+    forms, bound = cert.forms, cert.bound
+    checks = [frozen("output-weights", cert.gamma, ("gamma_target",), "gamma_tol")]
+    if config.certification.mode == "uniform":
+        checks += [
+            frozen("input-weights", cert.nu, ("nu",), "nu_tol"),
+            frozen("node-weight-sums", cert.nu_node, ("nu_node",), "nu_tol"),
+            frozen("margin-slacks", cert.slacks, ("slack_target",), "slack_tol",
+                   cert.satisfied),
+            frozen("margin-matrix", forms.margin_min_eig, ("margin_min_eig",), "bound_tol"),
+            frozen("gain-bound", [bound.n_min, bound.m_max, bound.gain, bound.offset],
+                   ("n_min", "m_max", "gain", "offset"), "bound_tol", bound.certified),
+        ]
+    else:
+        # per-edge weights can only improve on the uniform margins; an edge
+        # whose both endpoints carry the worst gain deviation still lands
+        # exactly on the uniform slack, hence the shared tolerance
+        floor = expected["slack_target"] - expected["slack_tol"]
+        checks += [
+            ("margin-slacks", cert.satisfied and cert.min_slack >= floor,
+             f"min slack {cert.min_slack:.6g} >= {floor:g}"),
+            ("margin-matrix", forms.margin_min_eig > 0.0,
+             f"min eigenvalue {forms.margin_min_eig:.9g} > 0"),
+            ("gain-bound", bound.certified, f"certified = {bound.certified}"),
+        ]
+    ratio = noiseless.disagreement(-1) / noiseless.disagreement(0)
+    if config.horizon + 1e-9 < expected["sync_horizon"]:
+        return checks, (f"noiseless-sync: skipped (horizon {config.horizon:g} < "
+                        f"{expected['sync_horizon']:g}), disagreement ratio {ratio:.3g}")
+    checks.append(("noiseless-sync", ratio <= expected["sync_threshold"],
+                   f"end/initial disagreement = {ratio:.3g} "
+                   f"(threshold {expected['sync_threshold']:g})"))
+    return checks, None
 
 
 def seed_override(explicit: int | None) -> int | None:

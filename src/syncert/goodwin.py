@@ -32,7 +32,7 @@ import numpy as np
 
 from .certificates import NetworkCertificate, sector_arrays
 from .graphs import Graph, edge_slacks, node_sums
-from .values import ConfigError, integer, positive
+from .values import ConfigError, integer, positive, read_only
 
 if TYPE_CHECKING:
     from .config import NetworkConfig
@@ -80,8 +80,7 @@ class GoodwinParams:
         except TypeError:
             raise ConfigError("/input_gains",
                               f"expected a list, got {self.input_gains!r}") from None
-        gains.flags.writeable = False
-        object.__setattr__(self, "input_gains", gains)
+        object.__setattr__(self, "input_gains", read_only(gains))
 
 
 def check_hill(hill, even: bool = True) -> None:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .values import ConfigError, integer
+from .values import ConfigError, integer, read_only
 
 __all__ = [
     "Graph",
@@ -72,10 +72,7 @@ class Graph:
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """Zero-based lower and upper endpoint index per edge."""
         ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2) - 1
-        lower, upper = ends[:, 0].copy(), ends[:, 1].copy()
-        lower.flags.writeable = False
-        upper.flags.writeable = False
-        return lower, upper
+        return read_only(ends[:, 0].copy()), read_only(ends[:, 1].copy())
 
     @cached_property
     def incidence(self) -> np.ndarray:
@@ -90,24 +87,19 @@ class Graph:
         columns = np.arange(self.edge_count)
         d[lower, columns] = 1.0
         d[upper, columns] = -1.0
-        d.flags.writeable = False
-        return d
+        return read_only(d)
 
     @cached_property
     def degrees(self) -> np.ndarray:
         """Node degrees; index 0 holds node 1."""
-        deg = np.array([len(s) for s in self.neighbours], dtype=np.int64)
-        deg.flags.writeable = False
-        return deg
+        return read_only(np.array([len(s) for s in self.neighbours], dtype=np.int64))
 
     @cached_property
     def common(self) -> np.ndarray:
         """Per-edge count of the nodes adjacent to both endpoints."""
         nbrs = self.neighbours
-        common = np.array([len(nbrs[i - 1] & nbrs[j - 1]) for i, j in self.edges],
-                          dtype=np.int64)
-        common.flags.writeable = False
-        return common
+        return read_only(np.array([len(nbrs[i - 1] & nbrs[j - 1]) for i, j in self.edges],
+                                  dtype=np.int64))
 
     @cached_property
     def exclusive(self) -> np.ndarray:
@@ -115,9 +107,7 @@ class Graph:
         endpoints themselves excluded: the closed form ``r_i + r_j -
         2*common - 2``, which holds on simple graphs."""
         lower, upper = self.endpoints
-        exclusive = self.degrees[lower] + self.degrees[upper] - 2 * self.common - 2
-        exclusive.flags.writeable = False
-        return exclusive
+        return read_only(self.degrees[lower] + self.degrees[upper] - 2 * self.common - 2)
 
     def edge_label(self, k: int) -> str:
         i, j = self.edges[k]

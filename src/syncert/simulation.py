@@ -23,8 +23,6 @@ from .certificates import (
     GainBound,
     NetworkCertificate,
     SectorBound,
-    UncertifiedBoundError,
-    _why_uncertified,
     sector_arrays,
 )
 from .noise import normals
@@ -35,7 +33,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SimulationDiverged",
-    "UncertifiedBoundError",
+    "COUPLING_KINDS",
     "DISTURBANCE_KINDS",
     "CouplingSpec",
     "CouplingGroup",
@@ -85,9 +83,9 @@ class CouplingSpec:
     knots: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, str) or self.kind not in _KERNELS:
+        if not isinstance(self.kind, str) or self.kind not in COUPLING_KINDS:
             raise ConfigError("/kind", f"unknown coupling kind {self.kind!r}")
-        _, reads, point_sector = _KERNELS[self.kind]
+        _, reads, point_sector = COUPLING_KINDS[self.kind]
         for name, default in (("gain", 0.0), ("amplitude", 0.0), ("knots", ())):
             value = getattr(self, name)
             if name not in reads and value != default:
@@ -152,9 +150,9 @@ def _piecewise_linear(xs, ys, slopes, columns, x, out):
 
 # each coupling kind's kernel, the CouplingSpec fields it reads, and whether
 # it may leave its sector undeclared (None reads as the point of its gain)
-_KERNELS = {"linear": (np.multiply, ("gain",), True),
-            "affine_sinusoid": (_affine_sinusoid, ("gain", "amplitude"), False),
-            "piecewise_linear": (_piecewise_linear, ("knots",), False)}
+COUPLING_KINDS = {"linear": (np.multiply, ("gain",), True),
+                  "affine_sinusoid": (_affine_sinusoid, ("gain", "amplitude"), False),
+                  "piecewise_linear": (_piecewise_linear, ("knots",), False)}
 
 
 def _kind_params(kind: str, specs) -> tuple[np.ndarray, ...]:
@@ -163,7 +161,7 @@ def _kind_params(kind: str, specs) -> tuple[np.ndarray, ...]:
     index included)."""
     if kind != "piecewise_linear":
         return tuple(np.array([getattr(s, name) for s in specs], dtype=float)
-                     for name in _KERNELS[kind][1])
+                     for name in COUPLING_KINDS[kind][1])
     rows = 1 + max(len(s.knots) for s in specs)
     columns = []
     for s in specs:
@@ -248,7 +246,7 @@ def evaluate_couplings(table: tuple[CouplingGroup, ...], x: np.ndarray,
     if out is None:
         out = np.empty_like(x, dtype=float)
     for kind, edges, params in table:
-        out[..., edges] = _KERNELS[kind][0](*params, x[..., edges], None)
+        out[..., edges] = COUPLING_KINDS[kind][0](*params, x[..., edges], None)
     return out
 
 
@@ -335,7 +333,7 @@ class _StepPlan:
         table = group_couplings(config.couplings * count)
         if len(table) == 1:
             kind, _, params = table[0]
-            self.couple = partial(_KERNELS[kind][0], *params, self.arg, self.v)
+            self.couple = partial(COUPLING_KINDS[kind][0], *params, self.arg, self.v)
         else:
             self.couple = partial(evaluate_couplings, table, self.arg, self.v)
         self.cur, self.probe = np.empty((4, size)), np.empty((4, size))
@@ -571,9 +569,7 @@ class SimulationTrace:
     def margin_curve(self, bound: GainBound) -> np.ndarray:
         """``gain * ||W||_T + offset - ||relative outputs||_T`` at every grid
         time."""
-        if not bound.certified:
-            raise UncertifiedBoundError("gain bound is not certified "
-                                        f"({_why_uncertified(bound)}); no margin to evaluate")
+        bound.require_certified("no margin to evaluate")
         return (bound.gain * np.sqrt(self.norm_dist_sq) + bound.offset
                 - np.sqrt(self.norm_rel_sq))
 

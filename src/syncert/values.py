@@ -1,6 +1,7 @@
-"""The rejection of a network-description value and the number rules its
-fields share.  An owner names the pointer of its field (``/knots/0``); the
-parser places it in the owner's block (``/couplings/3/knots/0``)."""
+"""The rejection of a network-description value, the number rules its
+fields share, and the read-only marking of stored arrays.  An owner names
+the pointer of its field (``/knots/0``); the parser places it in the
+owner's block (``/couplings/3/knots/0``)."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import math
 
 import numpy as np
 
-__all__ = ["ConfigError", "to_float", "finite", "positive", "integer"]
+__all__ = ["ConfigError", "to_float", "finite", "positive", "integer", "read_only"]
 
 
 class ConfigError(ValueError):
@@ -51,3 +52,9 @@ def integer(value, pointer: str):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(pointer, f"expected an integer, got {value!r}")
     return value
+
+
+def read_only(values: np.ndarray) -> np.ndarray:
+    """``values``, marked read-only."""
+    values.flags.writeable = False
+    return values

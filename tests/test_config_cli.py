@@ -28,13 +28,20 @@ from syncert.config import (
     bundled_expected,
     config_from_dict,
     parse_config,
+    reproduction_checks,
     seed_override,
 )
 from syncert.certificates import SectorBound, sector_arrays
 from syncert.goodwin import CertParams, certify_network
 from syncert.graphs import build_graph
 from syncert.noise import edge_seed_sequence
-from syncert.simulation import residual_slack, run, trace_check, trace_checks
+from syncert.simulation import (
+    SimulationTrace,
+    residual_slack,
+    run,
+    trace_check,
+    trace_checks,
+)
 
 TRIANGLE = {
     "graph": {"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]},
@@ -392,7 +399,7 @@ def test_accepted_mutated_configs_certify_to_finite_numbers(name, mutations):
     if bound.certified:
         assert np.isfinite([bound.gain, bound.offset, bound.n_min, bound.m_max]).all()
     else:
-        assert "nan" not in certificates._why_uncertified(bound), (name, mutations)
+        assert "nan" not in bound.why_uncertified, (name, mutations)
 
 
 def test_an_overflowing_response_form_says_why_the_bound_is_uncertified(tmp_path):
@@ -1182,6 +1189,35 @@ def test_each_frozen_check_fails_alone(monkeypatch, mode, key, tol_key, shift, c
     # the frozen checks of the mode plus the three trace checks
     assert len(verdicts) == (9 if mode == "uniform" else 7)
     assert f"first failing check: {check}\n" in result.output
+
+
+def test_reproduction_checks_come_in_print_order(paper_config, paper_certification,
+                                                 noiseless_trace, paper_expected):
+    # reproduce-paper prints these before the trace checks, and its "first
+    # failing check" is the first in this order
+    frozen = ["output-weights", "input-weights", "node-weight-sums", "margin-slacks",
+              "margin-matrix", "gain-bound"]
+    checks, note = reproduction_checks(paper_certification, noiseless_trace, paper_expected)
+    assert [name for name, _, _ in checks] == [*frozen, "noiseless-sync"]
+    assert all(ok for _, ok, _ in checks) and note is None
+    # per_edge mode: the same undisturbed run, read under the per-edge description
+    mode = dataclasses.replace(paper_config.certification, mode="per_edge")
+    per_edge = dataclasses.replace(paper_config, disturbances=None, certification=mode)
+    trace = SimulationTrace(per_edge, noiseless_trace.states, noiseless_trace.held_disturbance)
+    checks, note = reproduction_checks(per_edge.certificate(), trace, paper_expected)
+    assert [name for name, _, _ in checks] == ["output-weights", "margin-slacks",
+                                               "margin-matrix", "gain-bound", "noiseless-sync"]
+    assert all(ok for _, ok, _ in checks) and note is None
+    # below the 100 s sync horizon, the first 50 s of the same run: a note
+    # with the ratio it reached takes the sync check's place
+    rows = 50_001
+    short = SimulationTrace(noiseless_trace.config.with_simulation(horizon=50.0),
+                            noiseless_trace.states[:rows],
+                            noiseless_trace.held_disturbance[:rows])
+    checks, note = reproduction_checks(paper_certification, short, paper_expected)
+    assert [name for name, _, _ in checks] == frozen
+    ratio = short.disagreement(-1) / short.disagreement(0)
+    assert note == f"noiseless-sync: skipped (horizon 50 < 100), disagreement ratio {ratio:.3g}"
 
 
 def test_vocabulary_rejections_keep_their_text():

@@ -965,8 +965,14 @@ def test_uncertified_bound_is_rejected():
     trace = run(_grid(_triangle(), 0.01))
     bad = GainBound(gain=math.nan, offset=math.nan, certified=False,
                     n_min=-1.0, m_max=2.0, estimate="exact")
-    with pytest.raises(UncertifiedBoundError):
+    with pytest.raises(UncertifiedBoundError) as err:
         trace.margin_curve(bad)
+    assert str(err.value) == ("gain bound is not certified (n_min = -1 <= 0); "
+                              "no margin to evaluate")
+    # a certified bound has no reason and raises nothing
+    good = dataclasses.replace(bad, gain=2.0, offset=1.0, certified=True, n_min=1.0)
+    assert good.why_uncertified is None
+    good.require_certified("unreachable")
 
 
 def test_margin_curve_on_quiet_network(noiseless_trace, paper_certification):
