@@ -25,7 +25,6 @@ __all__ = [
     "POSITIVITY_TOL",
     "SectorBound",
     "NetworkCertificate",
-    "sector_arrays",
     "CertificateForms",
     "GainBound",
     "UncertifiedBoundError",
@@ -60,14 +59,6 @@ class SectorBound:
                                   f"got ({lo}, {hi})")
         object.__setattr__(self, "alpha_lo", lo)
         object.__setattr__(self, "alpha_hi", hi)
-
-
-def sector_arrays(couplings) -> tuple[np.ndarray, np.ndarray]:
-    """``alpha_lo`` and ``alpha_hi`` of each coupling's sector as float arrays:
-    the declared one, or the point ``[gain, gain]`` when it declares none."""
-    lo, hi = np.array([(c.sector.alpha_lo, c.sector.alpha_hi) if c.sector else (c.gain,) * 2
-                       for c in couplings], dtype=float).reshape(-1, 2).T
-    return lo, hi
 
 
 _EDGE_ARRAYS = ("alpha_lo", "alpha_hi", "nu", "gamma_raw", "beta")
@@ -262,10 +253,14 @@ class GainBound:
 
     gain: float
     offset: float
-    certified: bool
     n_min: float
     m_max: float
     estimate: str
+
+    @property
+    def certified(self) -> bool:
+        """``n_min > 0``, which a nan ``n_min`` fails."""
+        return self.n_min > 0.0
 
     @property
     def why_uncertified(self) -> str | None:
@@ -349,7 +344,7 @@ def gain_bound_from_forms(coupling_form: np.ndarray, output_shift: np.ndarray,
             radius = 0.5 * (upper - lower)
         response = centre + output_shift
     if not all(np.isfinite(form).all() for form in (centre, radius, response)):
-        return GainBound(math.nan, math.nan, False, math.nan, math.nan, estimate)
+        return GainBound(math.nan, math.nan, math.nan, math.nan, estimate)
     n_eigs = symmetric_eigenvalues(response)
     m_eigs = symmetric_eigenvalues(centre)
     n_min = float(n_eigs[0])
@@ -360,12 +355,10 @@ def gain_bound_from_forms(coupling_form: np.ndarray, output_shift: np.ndarray,
         widen = float(spread + _EIG_ALLOWANCE * p * np.finfo(float).eps * scale)
         n_min -= widen
         m_max += widen
-    certified = n_min > 0.0
     gain = offset = math.nan
-    if certified:
+    if n_min > 0.0:
         gain = math.sqrt(0.5 + (4.0 * slope_max * slope_max * weight_max * weight_max
                                 + 8.0 * m_max * m_max) / (n_min * n_min))
         offset = math.sqrt(2.0 * abs(bias_total) / n_min)
-    return GainBound(gain=gain, offset=offset, certified=certified, n_min=n_min,
-                     m_max=m_max, estimate=estimate)
+    return GainBound(gain=gain, offset=offset, n_min=n_min, m_max=m_max, estimate=estimate)
 

@@ -22,18 +22,19 @@ Top-level keys::
     simulation     {"dt": .., "horizon": .., "stride": ..}
     seed           integer master seed
 
-Each object takes exactly the keys shown for it (a kind's own keys for a
-coupling or disturbance); any other key is rejected.  Defaults: a linear
-coupling's sector [gain, gain], uniform certification mode, and in
-:class:`NetworkConfig` dt 1e-3, horizon 100, stride 100 (it only thins trace
-CSV rows), zero second and third initial state components, zero disturbances
-and seed 0.  Only Gaussian disturbances carry a seed: unless pinned in the
-per-edge list form, the description derives it from the master seed by edge
-index, so one integer pins the whole realisation.  The parser reads only the
-JSON structure; it hands each value as written to the dataclass that owns it
-and places the owner's rejection at the value's JSON pointer.  Every
-construction, parsed, direct or replaced, is checked the same way and proves
-every declared coupling sector.
+Each object takes the keys shown for it (a kind's own keys for a coupling
+or disturbance); any other key is rejected.  The parser reads only the JSON
+structure: it hands each value as written to the dataclass that owns it,
+which decides what is required (a coupling or disturbance spec: the fields
+its kind reads) and what a value left out means, and it places the owner's
+rejection at the value's JSON pointer.  Left out, a linear coupling's
+sector is the point [gain, gain], the mode is uniform, and
+:class:`NetworkConfig` takes dt 1e-3, horizon 100, stride 100 (it only thins
+trace CSV rows), zero initial components, zero disturbances and seed 0; it
+derives each unpinned Gaussian seed from the master seed by edge index, so
+one integer pins the whole realisation.  Every construction, parsed, direct
+or replaced, is checked the same way and proves every declared coupling
+sector.
 """
 
 from __future__ import annotations
@@ -214,8 +215,8 @@ class NetworkConfig:
         integer(self.seed, "/seed")
         derived = edge_seed_sequence(self.seed, p)
         object.__setattr__(self, "disturbances", tuple(
-            replace(spec, seed=derived[k]) if spec.seed is None else spec
-            for k, spec in enumerate(specs)))
+            replace(spec, seed=derived[k]) if spec.kind == "gaussian" and spec.seed is None
+            else spec for k, spec in enumerate(specs)))
 
     def certificate(self) -> NetworkCertificate:
         """Certify every edge with the configured parameters."""
@@ -269,28 +270,24 @@ def _parse_sector(value, pointer: str) -> SectorBound:
     return _build(SectorBound, pointer, **fields)
 
 
-def _kinded(value, pointer: str, kinds, keys_of, owner, read=None) -> dict:
-    """Read a JSON object whose ``kind`` is in ``kinds``, with the keys and
-    optional keys ``keys_of(kind)`` gives; ``owner`` rejects any other kind."""
-    keys, optional = (), ()
+def _kinded(value, pointer: str, owner, kinds, keys_of, read=None):
+    """``owner`` built from a JSON object whose ``kind`` is in ``kinds``,
+    with any of the keys ``keys_of(kind)`` gives; ``owner`` rejects any
+    other kind and decides which of those keys its kind needs."""
+    keys = ()
     if isinstance(value, dict) and "kind" in value:
         kind = value["kind"]
         if not (isinstance(kind, str) and kind in kinds):
             _build(owner, pointer, kind=kind)
-        keys, optional = keys_of(kind)
-    return _fields(value, pointer, ("kind", *keys), optional, read)
-
-
-def _coupling_keys(kind: str):
-    """The fields the kernel reads, then the sector, optional where it may."""
-    _, reads, point_sector = COUPLING_KINDS[kind]
-    return (*reads, "sector"), ("sector",) if point_sector else ()
+        keys = keys_of(kind)
+    return _build(owner, pointer, **_fields(value, pointer, ("kind", *keys), keys, read))
 
 
 def _parse_coupling_entry(value, pointer: str) -> CouplingSpec:
-    return _build(CouplingSpec, pointer, **_kinded(
-        value, pointer, COUPLING_KINDS, _coupling_keys, CouplingSpec,
-        {"sector": _parse_sector, "knots": lambda v, at: _tuples(v, at, 2, "[x, y]")}))
+    # the fields the kernel reads, and the sector every kind may declare
+    return _kinded(value, pointer, CouplingSpec, COUPLING_KINDS,
+                   lambda kind: (*COUPLING_KINDS[kind][1], "sector"),
+                   {"sector": _parse_sector, "knots": lambda v, at: _tuples(v, at, 2, "[x, y]")})
 
 
 def _per_edge(value, pointer: str, p: int, entry) -> tuple:
@@ -302,22 +299,13 @@ def _per_edge(value, pointer: str, p: int, entry) -> tuple:
                  for k, item in enumerate(_expect_list(value, pointer)))
 
 
-def _disturbance_keys(kind: str):
-    """The fields the kind reads; a Gaussian seed may be left out."""
-    return DISTURBANCE_KINDS[kind], ("seed",) if kind == "gaussian" else ()
-
-
 def _parse_disturbance_entry(value, pointer: str) -> DisturbanceSpec:
-    fields = _kinded(value, pointer, DISTURBANCE_KINDS, _disturbance_keys, DisturbanceSpec)
-    if fields["kind"] == "gaussian":
-        fields.setdefault("seed", None)
-    return _build(DisturbanceSpec, pointer, **fields)
+    return _kinded(value, pointer, DisturbanceSpec, DISTURBANCE_KINDS, DISTURBANCE_KINDS.get)
 
 
 def _parse_disturbances(value, pointer: str, p: int) -> tuple[DisturbanceSpec, ...] | None:
-    """The per-edge disturbances, or None for an absent block.  A Gaussian
-    seed left out reads as None, which the description derives; the single
-    mapping may not pin one."""
+    """The per-edge disturbances, or None for an absent block; the single
+    mapping may not pin a seed."""
     if value is None:
         return None
     specs = _per_edge(value, pointer, p, _parse_disturbance_entry)
@@ -384,14 +372,14 @@ def _fixture_text(filename: str) -> str:
         encoding="utf-8")
 
 
-def bundled_config(name: str = "paper_k5") -> NetworkConfig:
-    """Load a configuration that ships with the package."""
-    return config_from_dict(json.loads(_fixture_text(f"{name}.json")))
+def bundled_config() -> NetworkConfig:
+    """The bundled five-oscillator case study."""
+    return config_from_dict(json.loads(_fixture_text("paper_k5.json")))
 
 
-def bundled_expected(name: str = "paper_k5_expected") -> dict:
+def bundled_expected() -> dict:
     """Frozen reference values for the bundled five-oscillator case study."""
-    return json.loads(_fixture_text(f"{name}.json"))
+    return json.loads(_fixture_text("paper_k5_expected.json"))
 
 
 def reproduction_checks(cert: NetworkCertificate, noiseless: SimulationTrace,

@@ -30,8 +30,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .certificates import NetworkCertificate, sector_arrays
+from .certificates import NetworkCertificate
 from .graphs import Graph, edge_slacks, node_sums
+from .simulation import sector_arrays
 from .values import ConfigError, integer, positive, read_only
 
 if TYPE_CHECKING:

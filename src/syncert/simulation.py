@@ -19,12 +19,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .certificates import (
-    GainBound,
-    NetworkCertificate,
-    SectorBound,
-    sector_arrays,
-)
+from .certificates import GainBound, NetworkCertificate, SectorBound
 from .noise import normals
 from .values import ConfigError, finite, integer, positive
 
@@ -36,6 +31,7 @@ __all__ = [
     "COUPLING_KINDS",
     "DISTURBANCE_KINDS",
     "CouplingSpec",
+    "sector_arrays",
     "CouplingGroup",
     "DisturbanceSpec",
     "SimulationTrace",
@@ -58,9 +54,23 @@ DISTURBANCE_KINDS = {"gaussian": ("scale", "seed"), "zero": (), "constant": ("sc
 class SimulationDiverged(RuntimeError):
     """The integrator produced a non-finite state."""
 
-    def __init__(self, time: float, message: str | None = None) -> None:
+    def __init__(self, time: float) -> None:
         self.time = time
-        super().__init__(message or f"non-finite state at t = {time:.6g}")
+        super().__init__(f"non-finite state at t = {time:.6g}")
+
+
+def _knots(value, pointer: str) -> tuple[tuple[float, float], ...]:
+    """A polyline's knots as float pairs, with finite, positive and strictly
+    increasing abscissae."""
+    knots = tuple((finite(x, f"{pointer}/{k}"), finite(y, f"{pointer}/{k}"))
+                  for k, (x, y) in enumerate(value))
+    if not knots:
+        raise ConfigError(pointer, "piecewise_linear coupling needs at least one knot")
+    xs = [0.0, *(x for x, _ in knots)]
+    if not all(a < b for a, b in zip(xs, xs[1:])):
+        raise ConfigError(pointer, "knot abscissae must be finite, positive and "
+                                   f"strictly increasing, got {knots!r}")
+    return knots
 
 
 @dataclass(frozen=True)
@@ -72,38 +82,28 @@ class CouplingSpec:
     are ever specified.  The declared sector is a claim that
     :func:`prove_sectors` checks on every network description; a linear
     coupling may declare none (None), which reads as the point of its current
-    gain.  A field the kind does not read must keep its default.  The gain,
-    amplitude and knots are stored as floats.
+    gain (:func:`sector_arrays`).  None is the only "not given": a field the
+    kind reads must be given, and one it does not read must not be, whatever
+    its value.  The gain, amplitude and knots are stored as floats.
     """
 
     kind: str
     sector: SectorBound | None = None
-    gain: float = 0.0
-    amplitude: float = 0.0
-    knots: tuple[tuple[float, float], ...] = ()
+    gain: float | None = None
+    amplitude: float | None = None
+    knots: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, str) or self.kind not in COUPLING_KINDS:
             raise ConfigError("/kind", f"unknown coupling kind {self.kind!r}")
         _, reads, point_sector = COUPLING_KINDS[self.kind]
-        for name, default in (("gain", 0.0), ("amplitude", 0.0), ("knots", ())):
+        for name, rule in (("gain", positive), ("amplitude", finite), ("knots", _knots)):
             value = getattr(self, name)
-            if name not in reads and value != default:
-                raise ConfigError(f"/{name}",
-                                  f"{self.kind} coupling reads no {name}, got {value!r}")
-        for name, rule in (("gain", positive), ("amplitude", finite)):
-            if name in reads:
-                object.__setattr__(self, name, rule(getattr(self, name), f"/{name}"))
-        if "knots" in reads:
-            knots = tuple((finite(x, f"/knots/{k}"), finite(y, f"/knots/{k}"))
-                          for k, (x, y) in enumerate(self.knots))
-            if not knots:
-                raise ConfigError("/knots", "piecewise_linear coupling needs at least one knot")
-            xs = [0.0, *(x for x, _ in knots)]
-            if not all(a < b for a, b in zip(xs, xs[1:])):
-                raise ConfigError("/knots", "knot abscissae must be finite, positive and "
-                                            f"strictly increasing, got {knots!r}")
-            object.__setattr__(self, "knots", knots)
+            if (value is None) == (name in reads):
+                raise ConfigError(f"/{name}", f"{self.kind} coupling needs {name}" if value is None
+                                  else f"{self.kind} coupling reads no {name}, got {value!r}")
+            if value is not None:
+                object.__setattr__(self, name, rule(value, f"/{name}"))
         if self.sector is None and not point_sector:
             raise ConfigError("/sector", f"{self.kind} coupling needs a declared sector")
 
@@ -113,6 +113,14 @@ class CouplingSpec:
         arg = np.asarray(x, dtype=float)
         out = evaluate_couplings(group_couplings((self,)), arg[..., None])[..., 0]
         return out if out.shape else float(out)
+
+
+def sector_arrays(couplings) -> tuple[np.ndarray, np.ndarray]:
+    """``alpha_lo`` and ``alpha_hi`` of each coupling's sector as float arrays:
+    the declared one, or the point ``[gain, gain]`` when it declares none."""
+    lo, hi = np.array([(c.sector.alpha_lo, c.sector.alpha_hi) if c.sector else (c.gain,) * 2
+                       for c in couplings], dtype=float).reshape(-1, 2).T
+    return lo, hi
 
 
 # Each kernel is called as kernel(*params, x, out): it writes into ``out`` (a
@@ -179,38 +187,46 @@ class DisturbanceSpec:
     """Per-edge link disturbance: seeded white Gaussian (held per step),
     a constant, or zero.  ``scale`` is the standard deviation for the
     Gaussian kind and the value itself for the constant kind; the zero kind
-    reads none, and only the Gaussian kind reads a seed.  A Gaussian seed of
-    None is derived by the :class:`~syncert.config.NetworkConfig` that holds
-    the spec; until then the spec has no stream."""
+    reads none, and only the Gaussian kind reads a seed.  None is the only
+    "not given": a field the kind does not read must be None, and the scale
+    must be given where it is read.  A Gaussian seed of None is derived by
+    the :class:`~syncert.config.NetworkConfig` that holds the spec; until
+    then the spec has no stream."""
 
     kind: str = "zero"
-    scale: float = 0.0
-    seed: int | None = 0
+    scale: float | None = None
+    seed: int | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, str) or self.kind not in DISTURBANCE_KINDS:
             raise ConfigError("/kind", f"unknown disturbance kind {self.kind!r}")
-        scale = finite(self.scale, "/scale")
-        if scale < 0.0:
-            raise ConfigError("/scale", f"must be nonnegative, got {scale!r}")
-        if self.seed is not None:
-            integer(self.seed, "/seed")
+        reads = DISTURBANCE_KINDS[self.kind]
         for name in ("scale", "seed"):
             value = getattr(self, name)
-            if name not in DISTURBANCE_KINDS[self.kind] and value != 0:
+            if value is not None and name not in reads:
                 raise ConfigError(f"/{name}",
                                   f"{self.kind} disturbance reads no {name}, got {value!r}")
-        object.__setattr__(self, "scale", scale)
+        if "scale" in reads:
+            if self.scale is None:
+                raise ConfigError("/scale", f"{self.kind} disturbance needs scale")
+            scale = finite(self.scale, "/scale")
+            if scale < 0.0:
+                raise ConfigError("/scale", f"must be nonnegative, got {scale!r}")
+            object.__setattr__(self, "scale", scale)
+        if self.seed is not None:
+            integer(self.seed, "/seed")
 
     def held_values(self, count: int) -> np.ndarray:
         """The sequence of values held over successive integration steps."""
-        if self.kind == "gaussian":
-            if self.seed is None:
-                raise ValueError("a Gaussian disturbance without a seed has no stream")
-            # a sample beyond double precision is infinite: the run diverges
-            with np.errstate(over="ignore"):
-                return self.scale * normals(self.seed, count)
-        return np.full(count, self.scale)
+        if self.kind == "zero":
+            return np.zeros(count)
+        if self.kind == "constant":
+            return np.full(count, self.scale)
+        if self.seed is None:
+            raise ValueError("a Gaussian disturbance without a seed has no stream")
+        # a sample beyond double precision is infinite: the run diverges
+        with np.errstate(over="ignore"):
+            return self.scale * normals(self.seed, count)
 
 
 class CouplingGroup(NamedTuple):

@@ -331,6 +331,14 @@ def test_gain_bound_point_box_is_the_single_solve():
                               slope_max=2.0, bias_total=0.0)
 
 
+def test_gain_bound_rejects_a_slope_box_of_the_wrong_length():
+    coupling = np.eye(3)
+    with pytest.raises(ValueError, match=r"^slope box has shapes \(2,\) and \(3,\), "
+                                         r"expected \(3,\)$"):
+        gain_bound_from_forms(coupling, np.zeros((3, 3)), [1.0, 1.0], [1.0, 1.0, 1.0],
+                              weight_max=2.0, slope_max=1.0, bias_total=0.0)
+
+
 def test_gain_bound_uncertified_yields_nan():
     g = build_graph(2, [(1, 2)])
     cert = _certificate(g, nus=(0.0,), gammas=(-100.0,), betas=(-1.0,),

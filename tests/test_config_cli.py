@@ -31,14 +31,19 @@ from syncert.config import (
     reproduction_checks,
     seed_override,
 )
-from syncert.certificates import SectorBound, sector_arrays
+from syncert.certificates import SectorBound
 from syncert.goodwin import CertParams, certify_network
 from syncert.graphs import build_graph
 from syncert.noise import edge_seed_sequence
 from syncert.simulation import (
+    COUPLING_KINDS,
+    DISTURBANCE_KINDS,
+    CouplingSpec,
+    DisturbanceSpec,
     SimulationTrace,
     residual_slack,
     run,
+    sector_arrays,
     trace_check,
     trace_checks,
 )
@@ -109,6 +114,17 @@ def test_initial_outputs_fill_first_component():
     cfg = config_from_dict(_payload())
     assert np.array_equal(cfg.initial_states[:, 0], [1.0, -0.5, 0.3])
     assert np.array_equal(cfg.initial_states[:, 1:], np.zeros((3, 2)))
+
+
+def test_initial_states_rows_are_parsed_as_whole_states():
+    rows = [[1.0, 0.5, -0.2], [-0.5, 0, 0.1], [0.3, -0.1, 2]]
+    agents = {key: v for key, v in TRIANGLE["agents"].items() if key != "initial_outputs"}
+    cfg = config_from_dict(_payload(agents={**agents, "initial_states": rows}))
+    assert cfg.initial_states.dtype == np.float64
+    assert cfg.initial_states.tolist() == rows
+    # the rows as written reach the description, which stores them as floats
+    direct = dataclasses.replace(cfg, initial_states=rows)
+    assert direct.initial_states.tobytes() == cfg.initial_states.tobytes()
 
 
 @pytest.mark.parametrize("mutate, pointer, fragment", [
@@ -298,6 +314,99 @@ def test_parser_and_direct_construction_reject_alike(leaf, value):
     except ConfigError as exc:
         parsed = exc.pointer
     assert _direct_pointer(payload, path, value) == parsed
+
+
+# every disturbance kind once per three edges, the Gaussian one pinned
+_EVERY_DISTURBANCE = ({"kind": "gaussian", "scale": 0.3, "seed": 7},
+                      {"kind": "constant", "scale": 0.1}, {"kind": "zero"})
+# each spec field's zero, which is a value given, not a field left out
+_ZEROS = {"couplings": {"gain": 0.0, "amplitude": 0.0, "knots": []},
+          "disturbances": {"scale": 0.0, "seed": 0}}
+
+
+def _entry_variants():
+    """``(payload, block, k, entry)``: each coupling or disturbance entry of
+    the twin test's bases (``k`` None for the single mapping), and of each
+    base with every disturbance kind listed, with one key but ``kind`` left
+    out, or with one field its kind does not read set to its zero."""
+    for base in _FUZZ_BASES.values():
+        listed = copy.deepcopy(base)
+        listed["disturbances"] = [_EVERY_DISTURBANCE[k % 3]
+                                  for k in range(len(base["graph"]["edges"]))]
+        for payload, block in ((base, "couplings"), (base, "disturbances"),
+                               (listed, "disturbances")):
+            node = payload[block]
+            for k, entry in [(None, node)] if isinstance(node, dict) else enumerate(node):
+                kind = entry["kind"]
+                reads = (COUPLING_KINDS[kind][1] if block == "couplings"
+                         else DISTURBANCE_KINDS[kind])
+                for key in entry:
+                    if key != "kind":
+                        yield payload, block, k, {f: v for f, v in entry.items() if f != key}
+                for key, zero in _ZEROS[block].items():
+                    if key not in reads:
+                        yield payload, block, k, {**entry, key: zero}
+
+
+def _parsed_entry(payload, block, k, entry):
+    """``payload`` parsed with ``entry`` at ``k`` of ``block``, or the
+    rejection's pointer."""
+    doc = copy.deepcopy(payload)
+    if k is None:
+        doc[block] = entry
+    else:
+        doc[block][k] = entry
+    try:
+        return config_from_dict(doc)
+    except ConfigError as exc:
+        return exc.pointer
+
+
+def _built_entry(payload, block, k, entry):
+    """The parsed ``payload`` with the spec built directly from ``entry``'s
+    keys at ``k`` of ``block`` (every edge for None), or the pointer of the
+    rejection, placed in the block as the parser places it."""
+    cfg = config_from_dict(payload)
+    try:
+        if block == "couplings":
+            sector = {"sector": SectorBound(**entry["sector"])} if "sector" in entry else {}
+            spec = CouplingSpec(**{**entry, **sector})
+        else:
+            spec = DisturbanceSpec(**entry)
+    except ConfigError as exc:
+        return f"/{block}" + ("" if k is None else f"/{k}") + exc.pointer.rstrip("/")
+    specs = tuple(spec if k in (None, j) else old for j, old in enumerate(getattr(cfg, block)))
+    try:
+        return dataclasses.replace(cfg, **{block: specs})
+    except ConfigError as exc:
+        return exc.pointer
+
+
+def test_a_left_out_or_unread_field_means_the_same_parsed_or_built():
+    # None is the one "not given" of a spec: a field its kind reads and that
+    # is left out, and one it does not read given as zero, are rejected at
+    # the field's pointer either way; an accepted entry builds equal specs,
+    # a Gaussian seed left out derived alike
+    cases = 0
+    for payload, block, k, entry in _entry_variants():
+        parsed = _parsed_entry(payload, block, k, entry)
+        built = _built_entry(payload, block, k, entry)
+        if isinstance(parsed, str) or isinstance(built, str):
+            assert parsed == built, (block, k, entry)
+        else:
+            assert (parsed.couplings, parsed.disturbances) == (
+                built.couplings, built.disturbances), (block, k, entry)
+        cases += 1
+    assert cases > 50
+    # a Gaussian spec built without a seed takes its edge's derived seed:
+    # all ten K5 links drew one stream of seed 0
+    cfg = bundled_config()
+    unseeded = dataclasses.replace(
+        cfg, disturbances=(DisturbanceSpec(kind="gaussian", scale=0.3),) * 10)
+    assert unseeded.disturbances == cfg.disturbances
+    one, other = (run(c.with_simulation(horizon=1.0)) for c in (unseeded, cfg))
+    assert one.states.tobytes() == other.states.tobytes()
+    assert one.held_disturbance.tobytes() == other.held_disturbance.tobytes()
 
 
 # exit-2 rejections that name no file value: a graph without edges has no
@@ -491,7 +600,7 @@ def test_only_gaussian_entries_store_a_derived_seed():
     for disturbances in ({"kind": "constant", "scale": 0.1}, {"kind": "zero"}, listed):
         cfg = config_from_dict(_payload(disturbances=disturbances))
         assert [d.seed for d in cfg.disturbances] == [
-            derived[k] if d.kind == "gaussian" else 0
+            derived[k] if d.kind == "gaussian" else None
             for k, d in enumerate(cfg.disturbances)]
     assert [d.kind for d in cfg.disturbances] == ["constant", "gaussian", "zero"]
     assert cfg.disturbances[1].seed == derived[1]

@@ -170,6 +170,11 @@ def test_params_reject_empty_or_nested_gains(gains):
                               else "/input_gains/0: expected a number, got [0.9, 1.1]")
 
 
+def test_params_reject_gains_that_are_no_list():
+    with pytest.raises(ConfigError, match=r"^/input_gains: expected a list, got 5$"):
+        GoodwinParams(input_gains=5, **_CHAIN)
+
+
 def test_params_store_read_only_copy_of_gains():
     gains = np.array([0.9, 1.0, 1.1])
     agents = GoodwinParams(input_gains=gains, **_CHAIN)

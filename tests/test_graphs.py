@@ -153,6 +153,15 @@ def test_edge_slacks_formula():
             assert rows[a, b].tolist() == edge_slacks(g, m, s).tolist()
 
 
+def test_edge_slacks_reject_weights_of_the_wrong_shape():
+    g = build_graph(3, [(1, 2), (2, 3)])
+    with pytest.raises(ValueError, match=r"^node weights have shape \(2,\), expected \(3,\)$"):
+        edge_slacks(g, np.ones(2), np.ones(2))
+    with pytest.raises(ValueError, match=r"^edge weights have shape \(2, 3\), "
+                                         r"expected \(2,\)$"):
+        edge_slacks(g, np.ones(3), np.ones((2, 3)))
+
+
 def test_edge_slacks_passing_imply_positive_definite():
     rng = np.random.default_rng(202)
     passes = 0

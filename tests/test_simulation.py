@@ -18,7 +18,6 @@ from syncert.certificates import (
     NetworkCertificate,
     SectorBound,
     UncertifiedBoundError,
-    sector_arrays,
 )
 from syncert.config import ConfigError, NetworkConfig, bundled_config, parse_config
 from syncert.goodwin import CertParams, GoodwinParams
@@ -37,6 +36,7 @@ from syncert.simulation import (
     prove_sectors,
     run,
     run_batch,
+    sector_arrays,
 )
 
 # single RK4 step of x' = -x at dt = 0.1 agrees with exp to its dt^5 term
@@ -172,9 +172,26 @@ def test_coupling_rejects_fields_its_kind_never_reads():
         with pytest.raises(ConfigError, match=f"^/{name}: {kind} coupling reads no {name}, "
                                               "got "):
             CouplingSpec(kind=kind, **given, **{name: value})
-        # at its default the field is not there
-        assert CouplingSpec(kind=kind, **given) == CouplingSpec(
-            kind=kind, **given, **{name: type(value)()})
+        # None is the only absent value: the type's zero is a value given
+        with pytest.raises(ConfigError, match=f"^/{name}: {kind} coupling reads no {name}, "
+                                              "got "):
+            CouplingSpec(kind=kind, **given, **{name: type(value)()})
+        assert CouplingSpec(kind=kind, **given) == CouplingSpec(kind=kind, **given,
+                                                                **{name: None})
+
+
+def test_specs_need_the_fields_their_kind_reads():
+    # a field left out is None, rejected at its own pointer, not read as zero
+    sector = SectorBound(1.0, 2.0)
+    for kind, name, given in (("linear", "gain", {}),
+                              ("affine_sinusoid", "gain", dict(amplitude=0.1, sector=sector)),
+                              ("affine_sinusoid", "amplitude", dict(gain=2.0, sector=sector)),
+                              ("piecewise_linear", "knots", dict(sector=sector))):
+        with pytest.raises(ConfigError, match=f"^/{name}: {kind} coupling needs {name}$"):
+            CouplingSpec(kind=kind, **given)
+    for kind in ("gaussian", "constant"):
+        with pytest.raises(ConfigError, match=f"^/scale: {kind} disturbance needs scale$"):
+            DisturbanceSpec(kind=kind)
 
 
 def test_prove_sectors_refutes_wrong_declaration():
@@ -243,7 +260,7 @@ def test_prove_sectors_range_contains_sampled_ratios(spec):
     exact range, and with the knots added the sampled extremes reach it."""
     _, [ratio_min], [ratio_max] = prove_sectors((spec,))
     scale = 1.0 + max(abs(ratio_min), abs(ratio_max))
-    knots = [x for x, _ in spec.knots]
+    knots = [x for x, _ in spec.knots or ()]
     ratios = _log_grid_ratios(spec, 4000, knots)
     assert ratios.min() >= ratio_min - 1e-9 * scale
     assert ratios.max() <= ratio_max + 1e-9 * scale
@@ -278,20 +295,20 @@ def test_disturbance_validation():
 
 def test_only_gaussian_disturbances_carry_a_seed():
     for kind in ("zero", "constant"):
-        with pytest.raises(ConfigError, match=f"^/seed: {kind} disturbance reads no seed, "
-                                              "got 5$"):
-            DisturbanceSpec(kind=kind, seed=5)
-        assert DisturbanceSpec(kind=kind, seed=0).seed == 0
+        # any seed, zero included: only None means none was given
+        for seed in (5, 0):
+            with pytest.raises(ConfigError, match=f"^/seed: {kind} disturbance reads no "
+                                                  f"seed, got {seed}$"):
+                DisturbanceSpec(kind=kind, scale=None if kind == "zero" else 0.1, seed=seed)
 
 
 def test_the_description_fills_zero_disturbances_and_derives_gaussian_seeds():
-    # a seed of None is the Gaussian kind's only: it has no stream until the
-    # description holding it derives its edge's seed; pinned seeds stay
+    # a Gaussian seed of None has no stream until the description holding it
+    # derives its edge's seed; another kind's seed is None; pinned seeds stay
     unseeded = DisturbanceSpec(kind="gaussian", scale=0.2, seed=None)
     with pytest.raises(ValueError, match="no stream"):
         unseeded.held_values(4)
-    with pytest.raises(ConfigError, match="^/seed: zero disturbance reads no seed, got None$"):
-        DisturbanceSpec(kind="zero", seed=None)
+    assert DisturbanceSpec(kind="zero", seed=None) == DisturbanceSpec()
     fields = dict(graph=build_graph(3, [(1, 2), (1, 3), (2, 3)]),
                   agents=_agents(1.0, 1.1, 0.9), initial_states=None,
                   couplings=(CouplingSpec(kind="linear", gain=1.0),) * 3, seed=7)
@@ -326,6 +343,9 @@ def test_model_validation():
                 ("disturbances for", "/disturbances", dict(disturbances=dist * 2)),
                 ("3 initial states for 2 nodes", "/agents/initial_states",
                  dict(initial_states=np.zeros((3, 3)))),
+                # a row is one output or a whole state, never two components
+                (r"initial states have shape \(2, 2\), expected \(2, 3\)",
+                 "/agents/initial_states", dict(initial_states=np.zeros((2, 2)))),
                 # a state was checked for its shape only, so a nan reached
                 # the certificate
                 ("expected a finite number, got nan", "/agents/initial_states/1",
@@ -521,7 +541,7 @@ def test_kind_kernels_match_per_edge_loop_bit_for_bit(couplings, extra):
     pools = []
     for spec in couplings:
         pool = [0.0, -0.0, math.inf, -math.inf, math.nan, *extra]
-        for x, _ in spec.knots:
+        for x, _ in spec.knots or ():
             pool += [x, -x, np.nextafter(x, 0.0), np.nextafter(x, math.inf)]
         if spec.knots:
             pool += [spec.knots[-1][0] + 1.5, -spec.knots[-1][0] - 1.5]
@@ -656,8 +676,7 @@ def test_any_block_of_rows_derives_the_rows_of_the_whole_trace():
     # no bias, whose size would absorb the last bits of the integrals
     cert = NetworkCertificate(graph=cfg.graph, alpha_lo=[4.0] * p, alpha_hi=[6.0] * p,
                               nu=[-0.01] * p, gamma_raw=[-1.0] * p, beta=[0.0] * p)
-    bound = GainBound(gain=2.0, offset=1.0, certified=True, n_min=1.0, m_max=1.0,
-                      estimate="exact")
+    bound = GainBound(gain=2.0, offset=1.0, n_min=1.0, m_max=1.0, estimate="exact")
     for size in (1, 7, 10, 97):
         for a in range(0, full.steps + 1, size):
             block, rest = (SimulationTrace(cfg, full.states[a:b], full.held_disturbance[a:b])
@@ -963,15 +982,16 @@ def test_dissipation_curves_match_dense_forms():
 
 def test_uncertified_bound_is_rejected():
     trace = run(_grid(_triangle(), 0.01))
-    bad = GainBound(gain=math.nan, offset=math.nan, certified=False,
-                    n_min=-1.0, m_max=2.0, estimate="exact")
+    bad = GainBound(gain=math.nan, offset=math.nan, n_min=-1.0, m_max=2.0, estimate="exact")
+    assert not bad.certified
     with pytest.raises(UncertifiedBoundError) as err:
         trace.margin_curve(bad)
     assert str(err.value) == ("gain bound is not certified (n_min = -1 <= 0); "
                               "no margin to evaluate")
     # a certified bound has no reason and raises nothing
-    good = dataclasses.replace(bad, gain=2.0, offset=1.0, certified=True, n_min=1.0)
-    assert good.why_uncertified is None
+    # certified is n_min > 0 itself, so no bound contradicts its own n_min
+    good = dataclasses.replace(bad, gain=2.0, offset=1.0, n_min=1.0)
+    assert good.certified and good.why_uncertified is None
     good.require_certified("unreachable")
 
 
