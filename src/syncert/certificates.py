@@ -112,8 +112,7 @@ class NetworkCertificate:
 
     @cached_property
     def nu_node(self) -> np.ndarray:
-        """Per-node sum of ``nu`` over incident edges, in edge order
-        (:func:`~syncert.graphs.node_sums`)."""
+        """Per-node sum of ``nu`` over incident edges (:func:`~syncert.graphs.node_sums`)."""
         return node_sums(self.graph, self.nu)
 
     # The certification pass: every quantity below is derived once, on first

@@ -287,7 +287,7 @@ def _parse_coupling_entry(value, pointer: str) -> CouplingSpec:
     # the fields the kernel reads, and the sector every kind may declare
     return _kinded(value, pointer, CouplingSpec, COUPLING_KINDS,
                    lambda kind: (*COUPLING_KINDS[kind][1], "sector"),
-                   {"sector": _parse_sector, "knots": lambda v, at: _tuples(v, at, 2, "[x, y]")})
+                   {"sector": _parse_sector})
 
 
 def _per_edge(value, pointer: str, p: int, entry) -> tuple:

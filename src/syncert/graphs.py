@@ -1,10 +1,10 @@
-"""Undirected simple graphs with a canonical edge orientation, their incidence
-matrices, and the per-edge neighbour statistics consumed by the
-synchronisation certificates.
+"""Undirected simple graphs with a canonical edge orientation, the one
+edge->node sum (:func:`node_sums`), and the per-edge neighbour statistics
+consumed by the synchronisation certificates.
 
 Degrees and neighbour counts are integer exact.  The incidence matrix is
-float64, since every consumer multiplies it with float signals or weights;
-its entries are 0 and +-1, so it is exact too.
+float64, since the edge-space matrix of :func:`assemble_pd_matrix` is built
+from it; its entries are 0 and +-1, so it is exact too.
 """
 
 from __future__ import annotations
@@ -151,14 +151,16 @@ def build_graph(n: int, edge_list) -> Graph:
     return Graph(n=n, edges=tuple(canon))
 
 
-def node_sums(g: Graph, edge_values) -> np.ndarray:
-    """Per-node sums over the incident edges along the last axis, in edge
-    order: in the lexicographic indexing every edge where a node is the
-    upper endpoint comes before every edge where it is the lower one."""
+def node_sums(g: Graph, edge_values, signed: bool = False) -> np.ndarray:
+    """Per-node sums of the edge values on the last axis, the one edge->node
+    reduction (``D @ values`` when ``signed`` negates upper-endpoint terms).
+    Each node's terms are added one at a time from 0: the edges where it is
+    the upper endpoint, then the lower, each group in edge order (plain edge
+    order in the lexicographic indexing), with no BLAS call."""
     values = np.asarray(edge_values, dtype=float)
     acc = np.zeros(values.shape[:-1] + (g.n,))
     lower, upper = g.endpoints
-    np.add.at(acc.T, upper, values.T)
+    (np.subtract if signed else np.add).at(acc.T, upper, values.T)
     np.add.at(acc.T, lower, values.T)
     return acc
 

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .certificates import GainBound, NetworkCertificate, SectorBound
+from .graphs import node_sums
 from .noise import normals
 from .values import ConfigError, finite, integer, positive
 
@@ -60,8 +61,13 @@ class SimulationDiverged(RuntimeError):
 
 
 def _knots(value, pointer: str) -> tuple[tuple[float, float], ...]:
-    """A polyline's knots as float pairs, with finite, positive and strictly
-    increasing abscissae."""
+    """A polyline's knots, a list of ``[x, y]`` pairs, as float pairs, with
+    finite, positive and strictly increasing abscissae."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(pointer, f"expected a list, got {type(value).__name__}")
+    for k, knot in enumerate(value):
+        if not isinstance(knot, (list, tuple)) or len(knot) != 2:
+            raise ConfigError(f"{pointer}/{k}", f"expected [x, y], got {knot!r}")
     knots = tuple((finite(x, f"{pointer}/{k}"), finite(y, f"{pointer}/{k}"))
                   for k, (x, y) in enumerate(value))
     if not knots:
@@ -106,6 +112,8 @@ class CouplingSpec:
                 object.__setattr__(self, name, rule(value, f"/{name}"))
         if self.sector is None and not point_sector:
             raise ConfigError("/sector", f"{self.kind} coupling needs a declared sector")
+        if not isinstance(self.sector, (SectorBound, type(None))):
+            raise ConfigError("/sector", f"expected a sector bound, got {self.sector!r}")
 
     def __call__(self, x):
         """Evaluate elementwise on scalars or arrays, through the one-edge
@@ -316,8 +324,9 @@ class _StepPlan:
     operand, since a ufunc call costs less with a same-shape operand than
     with a broadcast scalar, and every operand is one contiguous block,
     which a ufunc call walks as a single row.  A stage input carries a
-    fourth row, where the stage puts the node inputs ``u``, so that one
-    call multiplies ``x2``, ``x3`` and ``u`` by their coefficients.
+    fourth row, where the stage puts the node inputs ``u``, a bincount that
+    sums as :func:`~syncert.graphs.node_sums` does, so that one call
+    multiplies ``x2``, ``x3`` and ``u`` by their coefficients.
     """
 
     def __init__(self, config: NetworkConfig, count: int) -> None:
@@ -327,7 +336,7 @@ class _StepPlan:
         self.hill = agents.hill
         self.lower, self.upper = (
             (ends + n * np.arange(count)[:, None]).ravel() for ends in graph.endpoints)
-        self.incidence = graph.incidence
+        self.ends = np.concatenate([self.upper, self.lower])
         self.ones, self.minus_ones = np.full(size, 1.0), np.full(size, -1.0)
         # -a1 for x1, b2 and b3 for x1 and x2, and a2, a3 and the input
         # gains g for x2, x3 and u
@@ -337,12 +346,12 @@ class _StepPlan:
             [np.repeat([[agents.a2], [agents.a3]], size, axis=1),
              np.tile(agents.input_gains, count)[None]])
         # work buffers, which every stage overwrites before reading them:
-        # the edge arguments, the coupling outputs v (with the (count, p, 1)
-        # view the gemv takes) and the term rows -a1 x1, b2 x1, b3 x2 and
-        # f(x3), a2 x2, a3 x3, g u, so that rows 0-2 less rows 3-5 are the
-        # three derivative rows before the input term
-        self.arg, self.v = np.empty(count * p), np.empty(count * p)
-        self.v_cols = self.v.reshape(count, p, 1)
+        # the edge arguments, the weights [-v | v] of the bins in ends, whose
+        # back half is the coupling outputs v, and the term rows -a1 x1, b2 x1,
+        # b3 x2 and f(x3), a2 x2, a3 x3, g u, so that rows 0-2 less rows 3-5
+        # are the three derivative rows before the input term
+        self.arg, self.signed_v = np.empty(count * p), np.empty(2 * count * p)
+        self.front, self.v = np.split(self.signed_v, 2)
         self.terms = np.empty((7, size))
         # the couplings of every copy as one table, so a polyline's column
         # index spans all copies; a one-kind table binds its kernel directly
@@ -364,19 +373,17 @@ class _StepPlan:
         hold ``x1``, ``x2`` and ``x3`` and whose row 3 the call overwrites
         with the node inputs; ``out`` is a component-major ``(3, count*n)``
         array.  Every view the call uses is taken here, so the call itself
-        makes only ufunc calls and the two gathers of the edge arguments.
+        makes only ufunc calls, the edge-argument gathers and one bincount.
         Call it with non-finite intermediates silenced, as :meth:`integrate`
         does: the finiteness check of the states is what reports blow-up.
         """
         add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
-        matmul = np.matmul
-        x1, x12, x23u, head = state[0], state[:2], state[1:], out[0]
+        negative, bincount = np.negative, np.bincount
+        x1, x12, x23u, head, u = state[0], state[:2], state[1:], out[0], state[3]
         lower, upper, arg, couple = self.lower, self.upper, self.arg, self.couple
-        incidence, v_cols = self.incidence, self.v_cols
-        u_cols = state[3].reshape(v_cols.shape[0], -1, 1)
+        ends, signed_v, front, v = self.ends, self.signed_v, self.front, self.v
         ones, minus_ones = self.ones, self.minus_ones
-        neg_a1, chain_gains, decays = self.neg_a1, self.chain_gains, self.decays
-        terms = self.terms
+        neg_a1, chain_gains, decays, terms = self.neg_a1, self.chain_gains, self.decays, self.terms
         lead, lead_chain, minuend = terms[0], terms[1:3], terms[:3]
         repression, decay_terms, subtrahend, input_term = (
             terms[3], terms[4:], terms[3:6], terms[6])
@@ -392,14 +399,13 @@ class _StepPlan:
             repress()
             add(repression, ones, repression)
             divide(minus_ones, repression, repression)
-            # each incidence column holds one +1 and one -1, so this gather
-            # equals x1 @ D bit for bit (test_trace_rows_hold_what_the_stage_applied)
+            # y_lower - y_upper + w, gathered as SimulationTrace.relative_outputs does
             subtract(x1[lower], x1[upper], arg)
             add(arg, w_row, arg)
             couple()
-            # one gemv per copy, the reduction SimulationTrace.inputs makes per
-            # row (test_trace_rows_hold_what_the_stage_applied); the physical input is -u
-            matmul(incidence, v_cols, u_cols)
+            # u = D v, summed as graphs.node_sums sums; the physical input is -u
+            negative(v, front)
+            u[...] = bincount(ends, signed_v, len(u))
             multiply(neg_a1, x1, lead)
             multiply(chain_gains, x12, lead_chain)
             multiply(decays, x23u, decay_terms)
@@ -519,8 +525,7 @@ class SimulationTrace:
 
     @cached_property
     def inputs(self) -> np.ndarray:
-        # the stage's gemv, one row at a time: each row holds the bits it applied
-        return -np.matmul(self.config.graph.incidence, self.coupling_outputs[..., None])[..., 0]
+        return -node_sums(self.config.graph, self.coupling_outputs, signed=True)
 
     @cached_property
     def norm_rel_sq(self) -> np.ndarray:

@@ -6,7 +6,9 @@ here shares its input check but nothing else, so the tests can cross-check
 the spectra, and :func:`pd_oracle` the per-edge slack verdict, along a
 second route.  The textbook :func:`rk4_step` is the reference that the
 in-place integration loop of :func:`syncert.simulation.run_batch` must match
-bit for bit.  The graph builders make seeded fixtures, and
+bit for bit, and :func:`edge_order_sums` the loop that every edge->node sum
+(:func:`syncert.graphs.node_sums`, the stage's bincount) must match bit for
+bit.  The graph builders make seeded fixtures, and
 :func:`linear_network` the network description of a certifier test.
 """
 
@@ -105,6 +107,22 @@ def rk4_step(field, t: float, state, dt: float):
     k3 = field(t + 0.5 * dt, state + (0.5 * dt) * k2)
     k4 = field(t + dt, state + dt * k3)
     return state + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def edge_order_sums(g: Graph, edge_values, signed: bool = False) -> np.ndarray:
+    """Per-node sums of the edge values on the last axis by a plain loop over
+    the edges in edge order: ``acc[i] + v[k]`` at each edge's lower endpoint
+    and ``acc[j] + v[k]``, or ``acc[j] - v[k]`` when ``signed``, at its upper
+    one."""
+    values = np.asarray(edge_values, dtype=float)
+    out = np.zeros(values.shape[:-1] + (g.n,))
+    for index in np.ndindex(values.shape[:-1]):
+        row, acc = values[index].tolist(), [0.0] * g.n
+        for k, (i, j) in enumerate(g.edges):
+            acc[i - 1] += row[k]
+            acc[j - 1] = acc[j - 1] - row[k] if signed else acc[j - 1] + row[k]
+        out[index] = acc
+    return out
 
 
 def complete_graph(n: int) -> Graph:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import complete_graph, erdos_renyi_graph
+from oracles import complete_graph, edge_order_sums, erdos_renyi_graph
 from syncert.certificates import (
     POSITIVITY_TOL,
     NetworkCertificate,
@@ -92,14 +92,6 @@ def test_network_certificate_aggregates():
                      betas=(0.0, 0.0), sectors=((1.0, 2.0),))
 
 
-def _nu_node_loop(cert):
-    acc = [0.0] * cert.graph.n
-    for k, (i, j) in enumerate(cert.graph.edges):
-        acc[i - 1] += cert.nu[k]
-        acc[j - 1] += cert.nu[k]
-    return acc
-
-
 def test_nu_node_matches_edge_loop_bit_for_bit():
     # the scatter-add must keep the per-node summation order of a plain
     # loop over the edges, so that every downstream figure is unchanged
@@ -115,10 +107,10 @@ def test_nu_node_matches_edge_loop_bit_for_bit():
         cert = _certificate(g, nus=-rng.uniform(0.0, 1.0, size=p) ** 3,
                             gammas=np.zeros(p), betas=np.zeros(p),
                             sectors=((1.0, 1.0),) * p)
-        assert cert.nu_node.tolist() == _nu_node_loop(cert)
+        assert cert.nu_node.tolist() == edge_order_sums(g, cert.nu).tolist()
         # with a leading axis each row sums in the same order
         rows = node_sums(g, np.stack([cert.nu, 3.0 * cert.nu]))
-        assert rows[0].tolist() == _nu_node_loop(cert)
+        assert rows[0].tolist() == edge_order_sums(g, cert.nu).tolist()
         assert rows[1].tolist() == node_sums(g, 3.0 * cert.nu).tolist()
 
 

@@ -268,7 +268,7 @@ def _direct_pointer(payload, path, value):
         couplings = lambda new: tuple(new if single or j == k else c
                                       for j, c in enumerate(cfg.couplings))
         stages = [(f"{block}/{key}", lambda _: SectorBound(**entry[key])
-                   if key == "sector" else entry[key]),
+                   if key == "sector" and isinstance(entry[key], dict) else entry[key]),
                   (block, lambda field: rep(cfg.couplings[k], **{key: field})),
                   ("", lambda new: rep(cfg, couplings=couplings(new)))]
     elif head == "disturbances":
@@ -297,6 +297,11 @@ def _direct_pointer(payload, path, value):
 @example(leaf=("paper_k5", ("certification", "theta")), value="a")
 # an integer beyond the float range raised OverflowError in the parser
 @example(leaf=("paper_k5", ("agents", "a1")), value=10**400)
+# knots and a sector of the wrong shape: the spec rejects them at its field
+@example(leaf=("mixed", ("couplings", 2, "knots")), value=5)
+@example(leaf=("mixed", ("couplings", 2, "knots")), value=[[1.0, 2.0, 3.0]])
+@example(leaf=("mixed", ("couplings", 2, "knots")), value=[1.0])
+@example(leaf=("mixed", ("couplings", 1, "sector")), value=[1.0, 2.0])
 # the mode is the block's, like theta: CertParams rejects it in either path
 @example(leaf=("paper_k5", ("certification", "mode")), value="bogus")
 @given(leaf=st.sampled_from(_LEAVES), value=st.sampled_from(_FUZZ_VALUES))

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from oracles import complete_graph, erdos_renyi_graph, pd_oracle
+from oracles import complete_graph, edge_order_sums, erdos_renyi_graph, pd_oracle
 from syncert.certificates import POSITIVITY_TOL
 from syncert.graphs import (
     assemble_pd_matrix,
     build_graph,
     edge_slacks,
+    node_sums,
 )
 
 # the strict-positivity check must never best the eigenvalue oracle by more
@@ -118,6 +120,32 @@ def test_edge_stats_match_set_enumeration(seed, n, prob):
         nj = set(g.neighbours[j - 1])
         assert g.common[k] == len(ni & nj)
         assert g.exclusive[k] == len((ni | nj) - {i, j}) - len(ni & nj)
+
+
+@st.composite
+def _graph_and_edge_values(draw):
+    """A random simple graph and finite edge values with up to two leading
+    axes."""
+    n = draw(st.integers(1, 8))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    g = build_graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    lead = draw(st.lists(st.integers(0, 3), max_size=2))
+    values = draw(arrays(np.float64, (*lead, g.edge_count),
+                         elements=st.floats(-1e300, 1e300, allow_subnormal=True)))
+    return g, values
+
+
+@given(case=_graph_and_edge_values(), signed=st.booleans())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_node_sums_add_in_edge_order_bit_for_bit(case, signed):
+    g, values = case
+    sums = node_sums(g, values, signed=signed)
+    assert sums.shape == values.shape[:-1] + (g.n,)
+    assert sums.tobytes() == edge_order_sums(g, values, signed=signed).tobytes()
+    if signed and values.ndim == 1:
+        # the signed sum is the incidence product, here summed in edge order
+        assert np.allclose(sums, g.incidence @ values, rtol=1e-12,
+                           atol=1e-12 * np.abs(values).sum())
 
 
 def test_assemble_pd_matrix_matches_definition():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import complete_graph, rk4_step
+from oracles import complete_graph, edge_order_sums, rk4_step
 from syncert.certificates import (
     GainBound,
     NetworkCertificate,
@@ -145,6 +145,16 @@ def test_coupling_validation():
     with pytest.raises(ConfigError, match="^/knots/1: expected a number, got True$"):
         CouplingSpec(kind="piecewise_linear", knots=((1.0, 1.0), (True, 2.0)),
                      sector=SectorBound(1.0, 1.0))
+    # knots that are not a list of [x, y] pairs, and a sector that is not a
+    # SectorBound, are rejected at their field rather than deep in a kernel
+    for knots, pointer in ((5, "/knots"), ([(1.0, 2.0, 3.0)], "/knots/0"),
+                           ([(0.5, 1.0), 1.0], "/knots/1")):
+        with pytest.raises(ConfigError) as err:
+            CouplingSpec(kind="piecewise_linear", knots=knots, sector=SectorBound(1.0, 2.0))
+        assert err.value.pointer == pointer
+    for sector in ((1.0, 2.0), {"alpha_lo": 1.0, "alpha_hi": 2.0}):
+        with pytest.raises(ConfigError, match="^/sector: expected a sector bound, got "):
+            CouplingSpec(kind="linear", gain=1.5, sector=sector)
     # only a linear coupling has a default sector
     with pytest.raises(ValueError, match="affine_sinusoid coupling needs a declared sector"):
         CouplingSpec(kind="affine_sinusoid", gain=1.0, amplitude=0.5)
@@ -852,9 +862,13 @@ def test_trace_signal_identities():
                           trace.relative_outputs + trace.held_disturbance)
     assert np.allclose(trace.coupling_outputs, 2.0 * trace.coupling_arguments,
                        rtol=1e-15)
-    # the row-wise gemv of the integrator's stage
+    # -D v summed per node in edge order, as the integrator's stage sums it,
+    # here and on all three coupling kinds, whatever BLAS kernel the CPU selects
     assert np.array_equal(trace.inputs,
-                          -np.matmul(d, trace.coupling_outputs[..., None])[..., 0])
+                          -edge_order_sums(model.graph, trace.coupling_outputs, signed=True))
+    mixed = run(parse_config(Path(__file__).parent / "data" / "mixed_couplings.json"))
+    assert np.array_equal(mixed.inputs, -edge_order_sums(mixed.config.graph,
+                                                         mixed.coupling_outputs, signed=True))
     # diffusive inputs redistribute, never inject: they sum to zero
     assert np.max(np.abs(trace.inputs.sum(axis=1))) < ZERO_SUM_ATOL
     # held rows replay the per-edge streams
