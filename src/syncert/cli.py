@@ -318,7 +318,7 @@ def graph_stats(config_file: Path, output: Path | None,
                             "common", "exclusive"], rows)
         click.echo(f"wrote {output}")
     if incidence_out is not None:
-        rows = [[str(int(v)) for v in g.incidence[i]] for i in range(g.n)]
+        rows = [[str((v == i) - (v == j)) for i, j in g.edges] for v in range(1, g.n + 1)]
         _write_csv(incidence_out, g.edge_labels(), rows)
         click.echo(f"wrote {incidence_out}")
     return 0

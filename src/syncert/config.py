@@ -141,7 +141,7 @@ class NetworkConfig:
     Gaussian spec whose seed is None takes its edge's seed, derived here and
     only here from ``seed``.  Every construction is checked, replacements
     included; an error names the JSON pointer of the offending value.  It
-    caches nothing derived: the graph owns its incidence matrix, and
+    caches nothing derived: the graph owns its endpoint arrays, and
     :func:`~syncert.simulation.group_couplings` builds coupling tables.
     """
 
@@ -241,8 +241,7 @@ class NetworkConfig:
 
 
 def _parse_graph(value, pointer: str) -> Graph:
-    fields = _fields(value, pointer, ("n", "edges"),
-                     read={"edges": lambda v, at: _tuples(v, at, 2, "a pair of nodes")})
+    fields = _fields(value, pointer, ("n", "edges"))
     return _build(build_graph, pointer, n=fields["n"], edge_list=fields["edges"])
 
 

@@ -2,9 +2,10 @@
 edge->node sum (:func:`node_sums`), and the per-edge neighbour statistics
 consumed by the synchronisation certificates.
 
-Degrees and neighbour counts are integer exact.  The incidence matrix is
-float64, since the edge-space matrix of :func:`assemble_pd_matrix` is built
-from it; its entries are 0 and +-1, so it is exact too.
+A graph is its endpoint arrays: every sum, statistic and edge-space matrix
+here is built from them, with no BLAS call.  ``D`` in the docstrings is the
+oriented node-by-edge matrix (+1 at each lower endpoint, -1 at each upper
+one), which nothing builds.  Degrees and neighbour counts are integer exact.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .values import ConfigError, integer, read_only
 __all__ = [
     "Graph",
     "build_graph",
+    "copy_endpoints",
     "node_sums",
     "edge_slacks",
     "assemble_pd_matrix",
@@ -31,11 +33,10 @@ class Graph:
     indexed edges.
 
     Each edge is stored as ``(i, j)`` with ``i < j``; the lower endpoint is
-    the positive end of the canonical orientation used by :attr:`incidence`.
-    Per-edge quantities throughout the package follow this edge indexing.
-    The endpoint index arrays, the incidence matrix, the degree vector and
-    the per-edge neighbour counts are derived once per graph and shared by
-    every consumer.
+    the positive end of the canonical orientation.  Per-edge quantities
+    throughout the package follow this edge indexing.  The endpoint index
+    arrays, the degree vector and the per-edge neighbour counts are derived
+    once per graph and shared by every consumer.
     """
 
     n: int
@@ -75,21 +76,6 @@ class Graph:
         return read_only(ends[:, 0].copy()), read_only(ends[:, 1].copy())
 
     @cached_property
-    def incidence(self) -> np.ndarray:
-        """Read-only float64 node-by-edge incidence matrix ``D``, ``+1`` at
-        each edge's lower endpoint and ``-1`` at its upper one.
-
-        ``D @ D.T`` equals the graph Laplacian, and flipping the sign of any
-        column leaves every quadratic form built from it unchanged.
-        """
-        d = np.zeros((self.n, self.edge_count))
-        lower, upper = self.endpoints
-        columns = np.arange(self.edge_count)
-        d[lower, columns] = 1.0
-        d[upper, columns] = -1.0
-        return read_only(d)
-
-    @cached_property
     def degrees(self) -> np.ndarray:
         """Node degrees; index 0 holds node 1."""
         return read_only(np.array([len(s) for s in self.neighbours], dtype=np.int64))
@@ -123,21 +109,21 @@ def build_graph(n: int, edge_list) -> Graph:
     Edges may arrive in any order and orientation; they are stored as
     ``(min, max)`` pairs sorted lexicographically, which pins down the edge
     indexing used by every per-edge quantity downstream.  Self-loops,
-    duplicates and out-of-range nodes are rejected with the offending pair in
-    the message, as a :class:`~syncert.values.ConfigError` at ``/n``,
-    ``/edges/<k>`` or ``/edges``.
+    duplicates, out-of-range nodes and a non-list are rejected with the
+    offending value in the message, as a :class:`~syncert.values.ConfigError`
+    at ``/n``, ``/edges/<k>`` or ``/edges``.
     """
     integer(n, "/n")
     if n < 1:
         raise ConfigError("/n", f"node count must be a positive integer, got {n!r}")
+    if not isinstance(edge_list, (list, tuple)):
+        raise ConfigError("/edges", f"expected a list, got {type(edge_list).__name__}")
     canon: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for k, pair in enumerate(edge_list):
-        try:
-            i, j = pair
-        except (TypeError, ValueError):
-            raise ConfigError(f"/edges/{k}", f"edge {pair!r} is not a node pair") from None
-        i, j = int(integer(i, f"/edges/{k}")), int(integer(j, f"/edges/{k}"))
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ConfigError(f"/edges/{k}", f"edge {pair!r} is not a node pair")
+        i, j = int(integer(pair[0], f"/edges/{k}")), int(integer(pair[1], f"/edges/{k}"))
         if not (1 <= i <= n and 1 <= j <= n):
             raise ConfigError("/edges", f"edge ({i}, {j}): node out of range 1..{n}")
         if i == j:
@@ -151,18 +137,32 @@ def build_graph(n: int, edge_list) -> Graph:
     return Graph(n=n, edges=tuple(canon))
 
 
+def copy_endpoints(g: Graph, copies: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower and upper endpoints of ``copies`` disjoint copies of ``g`` (copy
+    ``s`` owns nodes ``s*n + i``, edges ``s*p + k``) and the edge->node bins
+    ``[upper | lower]``, weighted ``[+-v | v]``, which add in edge order."""
+    lower, upper = (ends + g.n * np.arange(copies)[:, None] for ends in g.endpoints)
+    return lower.ravel(), upper.ravel(), np.concatenate([upper, lower], axis=None)
+
+
+_SUM_BLOCK = 1 << 13  # edge values per bincount of node_sums
+
+
 def node_sums(g: Graph, edge_values, signed: bool = False) -> np.ndarray:
     """Per-node sums of the edge values on the last axis, the one edge->node
-    reduction (``D @ values`` when ``signed`` negates upper-endpoint terms).
-    Each node's terms are added one at a time from 0: the edges where it is
-    the upper endpoint, then the lower, each group in edge order (plain edge
-    order in the lexicographic indexing), with no BLAS call."""
+    reduction (``D v`` when ``signed`` negates the upper-endpoint terms):
+    the rows of a block are disjoint copies of ``g``, whose terms are added
+    from 0 one at a time over the :func:`copy_endpoints` bins, with no BLAS."""
     values = np.asarray(edge_values, dtype=float)
-    acc = np.zeros(values.shape[:-1] + (g.n,))
-    lower, upper = g.endpoints
-    (np.subtract if signed else np.add).at(acc.T, upper, values.T)
-    np.add.at(acc.T, lower, values.T)
-    return acc
+    rows = values.reshape(int(np.prod(values.shape[:-1])), g.edge_count)
+    sums = np.empty((len(rows), g.n))
+    block = max(1, _SUM_BLOCK // max(g.edge_count, 1))
+    for start in range(0, len(rows), block):
+        chunk = rows[start:start + block]
+        weights = np.concatenate([-chunk if signed else chunk, chunk], axis=None)
+        sums[start:start + block] = np.bincount(
+            copy_endpoints(g, len(chunk))[2], weights, len(chunk) * g.n).reshape(-1, g.n)
+    return sums.reshape(values.shape[:-1] + (g.n,))
 
 
 def _pd_weights(g: Graph, node_weights, edge_weights) -> tuple[np.ndarray, np.ndarray]:
@@ -197,9 +197,19 @@ def edge_slacks(g: Graph, node_weights, edge_weights) -> np.ndarray:
 
 
 def assemble_pd_matrix(g: Graph, node_weights, edge_weights) -> np.ndarray:
-    """The edge-space matrix ``D.T @ diag(mu) @ D + diag(sigma)``."""
+    """``D.T diag(mu) D + diag(sigma)`` from the endpoints: ``(mu_i +
+    mu_j) + sigma_k`` at ``(k, k)`` for edge ``k = (i, j)``, ``s_k s_l mu_i``
+    where edges ``k != l`` meet at ``i`` (``s`` is +1 at a lower endpoint, -1
+    at an upper), so each entry equals the product summed from +0.0."""
     mu, sigma = _pd_weights(g, node_weights, edge_weights)
     if mu.ndim != 1 or sigma.ndim != 1:
         raise ValueError("one weighting only: node and edge weights must be 1-D")
-    d = g.incidence
-    return d.T @ (mu[:, None] * d) + np.diag(sigma)
+    p, (lower, upper) = g.edge_count, g.endpoints
+    # per node, its positions in [lower | upper]; adding 0.0 makes each zero +0.0
+    order = np.argsort(np.concatenate([lower, upper]), kind="stable")
+    form = np.zeros((p, p))
+    for i, at in enumerate(np.split(order, np.cumsum(g.degrees)[:-1])):
+        edges, signs = at % max(p, 1), np.where(at < p, 1.0, -1.0)
+        form[np.ix_(edges, edges)] = np.outer(signs, signs * mu[i]) + 0.0
+    form[np.diag_indices(p)] = (mu[lower] + mu[upper]) + sigma + 0.0
+    return form

@@ -2,10 +2,10 @@
 nonlinear couplings with per-edge disturbances, fixed-step RK4 integration,
 and finite-horizon norms and inner products for the certificate checks.
 
-Per edge ``k = (i, j)`` the coupling argument is ``x_k = y_i - y_j + w_k``
-(the sign convention rides on the canonical incidence orientation), the
-coupling output is ``v_k = theta_k(x_k)``, and the stacked node inputs are
-``u = -D v``, which sums to zero across the network.  The disturbance is
+Per edge ``k = (i, j)``, ``i < j``, the coupling argument is ``x_k = y_i -
+y_j + w_k``, the coupling output is ``v_k = theta_k(x_k)``, and the stacked
+node inputs are ``u = -D v`` for the incidence ``D`` (``+1`` at each lower
+endpoint), which sums to zero across the network.  The disturbance is
 held constant over each integration step.  Several disturbance realisations
 of one network integrate in one pass as disjoint copies (:func:`run_batch`).
 """
@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .certificates import GainBound, NetworkCertificate, SectorBound
-from .graphs import node_sums
+from .graphs import copy_endpoints, node_sums
 from .noise import normals
 from .values import ConfigError, finite, integer, positive
 
@@ -318,15 +318,15 @@ class _StepPlan:
 
     Copy ``s`` owns node columns ``s*n + i`` of the component-major
     ``(3, count*n)`` state, so each of ``x1``, ``x2`` and ``x3`` is one
-    contiguous row, and edge columns ``s*p + k``; no term couples two
-    copies.  The plan owns every buffer the pass writes and every
-    coefficient it reads.  A coefficient is an array of the shape of its
-    operand, since a ufunc call costs less with a same-shape operand than
-    with a broadcast scalar, and every operand is one contiguous block,
-    which a ufunc call walks as a single row.  A stage input carries a
-    fourth row, where the stage puts the node inputs ``u``, a bincount that
-    sums as :func:`~syncert.graphs.node_sums` does, so that one call
-    multiplies ``x2``, ``x3`` and ``u`` by their coefficients.
+    contiguous row, and edge columns ``s*p + k``, the layout of
+    :func:`~syncert.graphs.copy_endpoints`; no term couples two copies.  The
+    plan owns every buffer the pass writes and every coefficient it reads.
+    A coefficient is an array of the shape of its operand, since a ufunc
+    call costs less with a same-shape operand than with a broadcast scalar,
+    and every operand is one contiguous block, which a ufunc call walks as
+    a single row.  A stage input carries a fourth row, where the stage puts
+    the node inputs ``u``, a bincount over the bins of those copies, so that
+    one call multiplies ``x2``, ``x3`` and ``u`` by their coefficients.
     """
 
     def __init__(self, config: NetworkConfig, count: int) -> None:
@@ -334,9 +334,7 @@ class _StepPlan:
         n, p = graph.n, graph.edge_count
         size = count * n
         self.hill = agents.hill
-        self.lower, self.upper = (
-            (ends + n * np.arange(count)[:, None]).ravel() for ends in graph.endpoints)
-        self.ends = np.concatenate([self.upper, self.lower])
+        self.lower, self.upper, self.ends = copy_endpoints(graph, count)
         self.ones, self.minus_ones = np.full(size, 1.0), np.full(size, -1.0)
         # -a1 for x1, b2 and b3 for x1 and x2, and a2, a3 and the input
         # gains g for x2, x3 and u
@@ -403,7 +401,7 @@ class _StepPlan:
             subtract(x1[lower], x1[upper], arg)
             add(arg, w_row, arg)
             couple()
-            # u = D v, summed as graphs.node_sums sums; the physical input is -u
+            # u = D v over the node_sums bins; the physical input is -u
             negative(v, front)
             u[...] = bincount(ends, signed_v, len(u))
             multiply(neg_a1, x1, lead)

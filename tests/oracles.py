@@ -8,8 +8,10 @@ second route.  The textbook :func:`rk4_step` is the reference that the
 in-place integration loop of :func:`syncert.simulation.run_batch` must match
 bit for bit, and :func:`edge_order_sums` the loop that every edge->node sum
 (:func:`syncert.graphs.node_sums`, the stage's bincount) must match bit for
-bit.  The graph builders make seeded fixtures, and
-:func:`linear_network` the network description of a certifier test.
+bit.  :func:`incidence` is the node-by-edge matrix ``D`` that the package
+never builds, the mathematical reference of every endpoint construction.
+The graph builders make seeded fixtures, and :func:`linear_network` the
+network description of a certifier test.
 """
 
 from __future__ import annotations
@@ -123,6 +125,15 @@ def edge_order_sums(g: Graph, edge_values, signed: bool = False) -> np.ndarray:
             acc[j - 1] = acc[j - 1] - row[k] if signed else acc[j - 1] + row[k]
         out[index] = acc
     return out
+
+
+def incidence(g: Graph) -> np.ndarray:
+    """The float64 node-by-edge incidence matrix ``D`` of ``g``: ``+1`` at
+    each edge's lower endpoint, ``-1`` at its upper one."""
+    d = np.zeros((g.n, g.edge_count))
+    for k, (i, j) in enumerate(g.edges):
+        d[i - 1, k], d[j - 1, k] = 1.0, -1.0
+    return d
 
 
 def complete_graph(n: int) -> Graph:

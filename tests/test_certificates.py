@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import complete_graph, edge_order_sums, erdos_renyi_graph
+from oracles import complete_graph, edge_order_sums, erdos_renyi_graph, incidence
 from syncert.certificates import (
     POSITIVITY_TOL,
     NetworkCertificate,
@@ -195,7 +195,7 @@ def test_quadratic_forms_match_direct_assembly():
     rng = np.random.default_rng(31)
     g = complete_graph(4)
     cert = _random_certificate(rng, g)
-    d = g.incidence
+    d = incidence(g)
 
     common = np.array(g.common, dtype=float)
     exclusive_half = 0.5 * np.diag(np.array(g.exclusive, dtype=float))

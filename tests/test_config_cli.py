@@ -302,6 +302,12 @@ def _direct_pointer(payload, path, value):
 @example(leaf=("mixed", ("couplings", 2, "knots")), value=[[1.0, 2.0, 3.0]])
 @example(leaf=("mixed", ("couplings", 2, "knots")), value=[1.0])
 @example(leaf=("mixed", ("couplings", 1, "sector")), value=[1.0, 2.0])
+# an edge list or edge of the wrong shape: build_graph rejects it at /edges
+# or /edges/<k> in either path
+@example(leaf=("paper_k5", ("graph", "edges")), value=5)
+@example(leaf=("paper_k5", ("graph", "edges")), value=None)
+@example(leaf=("paper_k5", ("graph", "edges")), value=[[1, 2, 3]])
+@example(leaf=("paper_k5", ("graph", "edges")), value=[5])
 # the mode is the block's, like theta: CertParams rejects it in either path
 @example(leaf=("paper_k5", ("certification", "mode")), value="bogus")
 @given(leaf=st.sampled_from(_LEAVES), value=st.sampled_from(_FUZZ_VALUES))

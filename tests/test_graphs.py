@@ -1,17 +1,19 @@
-"""Graph construction, incidence algebra, per-edge statistics, and the
-per-edge positive-definiteness slacks with their eigenvalue oracle."""
+"""Graph construction, the endpoint constructions against the incidence
+algebra, per-edge statistics, and the per-edge positive-definiteness slacks
+with their eigenvalue oracle."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import complete_graph, edge_order_sums, erdos_renyi_graph, pd_oracle
+from oracles import complete_graph, edge_order_sums, erdos_renyi_graph, incidence, pd_oracle
 from syncert.certificates import POSITIVITY_TOL
 from syncert.graphs import (
+    _SUM_BLOCK,
     assemble_pd_matrix,
     build_graph,
     edge_slacks,
@@ -48,6 +50,11 @@ def test_rejects_non_integer_nodes():
         build_graph(3, [(True, 2)])
     with pytest.raises(ValueError, match="node pair"):
         build_graph(3, [(1, 2, 3)])
+    with pytest.raises(ValueError, match="edge 'ab' is not a node pair"):
+        build_graph(3, ["ab"])
+    for edges in (5, None):
+        with pytest.raises(ValueError, match="expected a list, got"):
+            build_graph(3, edges)
 
 
 def test_rejects_bad_node_count():
@@ -61,18 +68,17 @@ def test_connectivity():
     assert build_graph(1, []).is_connected
 
 
-def test_incidence_gives_laplacian():
+def test_unit_node_weights_give_the_edge_laplacian():
     g = build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    d = g.incidence
-    assert d.dtype == np.float64 and not d.flags.writeable
-    assert g.incidence is g.incidence
-    assert np.all(d.sum(axis=0) == 0)
-    laplacian = d @ d.T
+    d = incidence(g)
+    # D D.T is the graph Laplacian and D.T D the form at unit node weights
     degrees = np.array([len(nb) for nb in g.neighbours])
-    assert np.all(np.diag(laplacian) == degrees)
-    adjacency = -(laplacian - np.diag(degrees))
+    adjacency = np.zeros((g.n, g.n))
     for i, j in g.edges:
-        assert adjacency[i - 1, j - 1] == 1
+        adjacency[i - 1, j - 1] = adjacency[j - 1, i - 1] = 1.0
+    assert np.array_equal(d @ d.T, np.diag(degrees) - adjacency)
+    assert np.array_equal(assemble_pd_matrix(g, np.ones(g.n), np.zeros(g.edge_count)),
+                          d.T @ d)
     # the cached endpoint and degree arrays agree with the edge list
     lower, upper = g.endpoints
     assert [(i + 1, j + 1) for i, j in zip(lower, upper)] == list(g.edges)
@@ -135,6 +141,13 @@ def _graph_and_edge_values(draw):
     return g, values
 
 
+# K5 edge values that fill two blocks of the sum and three rows of a third
+_K5 = complete_graph(5)
+_K5_ROWS = np.random.default_rng(5).standard_normal(
+    (2 * (_SUM_BLOCK // _K5.edge_count) + 3, _K5.edge_count))
+
+
+@example(case=(_K5, _K5_ROWS), signed=True)
 @given(case=_graph_and_edge_values(), signed=st.booleans())
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 def test_node_sums_add_in_edge_order_bit_for_bit(case, signed):
@@ -144,17 +157,41 @@ def test_node_sums_add_in_edge_order_bit_for_bit(case, signed):
     assert sums.tobytes() == edge_order_sums(g, values, signed=signed).tobytes()
     if signed and values.ndim == 1:
         # the signed sum is the incidence product, here summed in edge order
-        assert np.allclose(sums, g.incidence @ values, rtol=1e-12,
+        assert np.allclose(sums, incidence(g) @ values, rtol=1e-12,
                            atol=1e-12 * np.abs(values).sum())
 
 
-def test_assemble_pd_matrix_matches_definition():
-    g = build_graph(3, [(1, 2), (2, 3), (1, 3)])
-    mu = np.array([0.3, -0.1, 0.5])
-    sigma = np.array([1.0, 2.0, 0.5])
-    d = g.incidence
-    direct = d.T @ np.diag(mu) @ d + np.diag(sigma)
-    assert np.allclose(assemble_pd_matrix(g, mu, sigma), direct, atol=0.0)
+# +-0.0 or a magnitude from 1e-3 to 1e3 of either sign
+_NODE_WEIGHTS = st.sampled_from([0.0, -0.0]) | st.builds(
+    lambda sign, scale: sign * 10.0 ** scale, st.sampled_from([1.0, -1.0]),
+    st.floats(-3.0, 3.0))
+
+
+@st.composite
+def _weighted_graph(draw):
+    """A random simple graph whose last 0-3 nodes touch no edge, node
+    weights from ``_NODE_WEIGHTS`` and edge weights with either zero."""
+    n = draw(st.integers(1, 9))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    g = build_graph(n + draw(st.integers(0, 3)),
+                    draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    mu = np.array(draw(st.lists(_NODE_WEIGHTS, min_size=g.n, max_size=g.n)))
+    sigma = draw(arrays(np.float64, g.edge_count,
+                        elements=st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)))
+    return g, mu, sigma
+
+
+# a diagonal sum of -0.0 terms is +0.0 in the product
+@example(case=(build_graph(2, [(1, 2)]), np.array([-0.0, -0.0]), np.array([-0.0])))
+@given(case=_weighted_graph())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_assemble_pd_matrix_matches_definition(case):
+    g, mu, sigma = case
+    d = incidence(g)
+    direct = d.T @ (mu[:, None] * d) + np.diag(sigma)
+    # bit for bit, signed zeros included
+    assert np.array_equal(assemble_pd_matrix(g, mu, sigma).view(np.int64),
+                          direct.view(np.int64))
     with pytest.raises(ValueError, match="one weighting only"):
         assemble_pd_matrix(g, np.stack([mu, mu]), sigma)
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import complete_graph, edge_order_sums, rk4_step
+from oracles import complete_graph, edge_order_sums, incidence, rk4_step
 from syncert.certificates import (
     GainBound,
     NetworkCertificate,
@@ -855,7 +855,7 @@ def test_trace_signal_identities():
     trace = run(_grid(model, 2.0))
     assert trace.steps == 2000
     assert trace.held_disturbance.shape == (2001, 3)
-    d = model.graph.incidence
+    d = incidence(model.graph)
     assert np.array_equal(trace.outputs, trace.states[:, :, 0])
     assert np.array_equal(trace.relative_outputs, trace.outputs @ d)
     assert np.array_equal(trace.coupling_arguments,
@@ -973,7 +973,7 @@ def test_dissipation_curves_match_dense_forms():
                               gamma_raw=[-2.0, 1.0, -1.5, -0.5], beta=[-0.25] * 4)
     trace = run(_grid(model, 0.5))
 
-    d = g.incidence
+    d = incidence(g)
     exclusive_half = 0.5 * np.diag(np.array(g.exclusive, dtype=float))
     pair = 2.0 * np.eye(4) + np.diag(np.array(g.common, dtype=float))
     output_form = np.diag(cert.gamma) - exclusive_half
