@@ -291,12 +291,15 @@ def gain_bound_from_forms(coupling_form: np.ndarray, output_shift: np.ndarray,
     alpha_hi`` (``0 < alpha_lo``) the response forms are ``M(eta) =
     diag(eta) @ coupling_form @ diag(eta)`` and ``N(eta) = M(eta) +
     output_shift``.  Entry ``(k, l)`` of ``M`` is ``eta_k eta_l C_kl``,
-    which lies between the least and the greatest of its four corner
-    products; their midpoint ``M_c`` and half-width ``Delta >= 0`` contain
-    every ``M(eta)``.  By Weyl's inequality and Rohn's midpoint-radius bound
-    for interval matrices (SIAM J. Matrix Anal. Appl. 15(1), 1994; the
-    spectral radius of ``Delta`` bounds the 2-norm of every matrix
-    dominated by it entrywise)::
+    which lies between its corner products ``ll = lo_k lo_l C_kl`` and ``hh
+    = hi_k hi_l C_kl``; their midpoint ``M_c = (ll + hh)/2`` and half-width
+    ``Delta = |hh - ll|/2`` contain every ``M(eta)``.  They are those of all
+    four corners, bit for bit: ``lo_k lo_l <= lo_k hi_l <= hi_k hi_l``, and
+    rounding and the product with ``C_kl`` are monotone, so no rounded mixed
+    corner is the least or the greatest.  By Weyl's inequality and Rohn's
+    midpoint-radius bound for interval matrices (SIAM J. Matrix Anal. Appl.
+    15(1), 1994; the spectral radius of ``Delta`` bounds the 2-norm of
+    every matrix dominated by it entrywise)::
 
         n_min = lambda_min(M_c + output_shift) - lambda_max(Delta) - allowance
         m_max = lambda_max(M_c) + lambda_max(Delta) + allowance
@@ -335,12 +338,8 @@ def gain_bound_from_forms(coupling_form: np.ndarray, output_shift: np.ndarray,
         centre = coupling_form * np.outer(lo, lo)
         radius = np.zeros_like(centre)
         if not point:
-            corners = [centre] + [coupling_form * np.outer(a, b)
-                                  for a, b in ((lo, hi), (hi, lo), (hi, hi))]
-            lower = np.minimum.reduce(corners)
-            upper = np.maximum.reduce(corners)
-            centre = 0.5 * (lower + upper)
-            radius = 0.5 * (upper - lower)
+            far = coupling_form * np.outer(hi, hi)
+            centre, radius = 0.5 * (centre + far), 0.5 * np.abs(far - centre)
         response = centre + output_shift
     if not all(np.isfinite(form).all() for form in (centre, radius, response)):
         return GainBound(math.nan, math.nan, math.nan, math.nan, estimate)

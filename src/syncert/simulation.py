@@ -302,7 +302,8 @@ def prove_sectors(couplings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             # last slope, the limit at infinity
             xs, ys, slopes, _ = params
             ratios = np.vstack((ys[1:] / xs[1:], slopes[-1:]))
-        ratio_min[edges], ratio_max[edges] = ratios.min(axis=0), ratios.max(axis=0)
+        # +0.0 makes a zero +0.0, whichever zero the shape or SIMD path returned
+        ratio_min[edges], ratio_max[edges] = ratios.min(axis=0) + 0.0, ratios.max(axis=0) + 0.0
     alpha_lo, alpha_hi = sector_arrays(couplings)
     passed = (ratio_min >= alpha_lo - SECTOR_TOL) & (ratio_max <= alpha_hi + SECTOR_TOL)
     return passed, ratio_min, ratio_max
@@ -326,7 +327,7 @@ class _StepPlan:
     and every operand is one contiguous block, which a ufunc call walks as
     a single row.  A stage input carries a fourth row, where the stage puts
     the node inputs ``u``, a bincount over the bins of those copies, so that
-    one call multiplies ``x2``, ``x3`` and ``u`` by their coefficients.
+    one call multiplies ``[x1; x2; x3; u]`` by ``[a1; a2; a3; g]``.
     """
 
     def __init__(self, config: NetworkConfig, count: int) -> None:
@@ -335,19 +336,17 @@ class _StepPlan:
         size = count * n
         self.hill = agents.hill
         self.lower, self.upper, self.ends = copy_endpoints(graph, count)
-        self.ones, self.minus_ones = np.full(size, 1.0), np.full(size, -1.0)
-        # -a1 for x1, b2 and b3 for x1 and x2, and a2, a3 and the input
-        # gains g for x2, x3 and u
-        self.neg_a1 = np.full(size, -agents.a1)
+        self.ones = np.full(size, 1.0)
+        # b2 and b3 for x1 and x2, and a1, a2, a3 and the input gains g for
+        # x1, x2, x3 and u
         self.chain_gains = np.repeat([[agents.b2], [agents.b3]], size, axis=1)
         self.decays = np.concatenate(
-            [np.repeat([[agents.a2], [agents.a3]], size, axis=1),
+            [np.repeat([[agents.a1], [agents.a2], [agents.a3]], size, axis=1),
              np.tile(agents.input_gains, count)[None]])
         # work buffers, which every stage overwrites before reading them:
         # the edge arguments, the weights [-v | v] of the bins in ends, whose
-        # back half is the coupling outputs v, and the term rows -a1 x1, b2 x1,
-        # b3 x2 and f(x3), a2 x2, a3 x3, g u, so that rows 0-2 less rows 3-5
-        # are the three derivative rows before the input term
+        # back half is the coupling outputs v, and the term blocks [r; b2 x1;
+        # b3 x2] and [a1 x1; a2 x2; a3 x3; g u]
         self.arg, self.signed_v = np.empty(count * p), np.empty(2 * count * p)
         self.front, self.v = np.split(self.signed_v, 2)
         self.terms = np.empty((7, size))
@@ -374,17 +373,20 @@ class _StepPlan:
         makes only ufunc calls, the edge-argument gathers and one bincount.
         Call it with non-finite intermediates silenced, as :meth:`integrate`
         does: the finiteness check of the states is what reports blow-up.
+
+        The derivative is ``[r; b2 x1; b3 x2] - [a1 x1; a2 x2; a3 x3]``,
+        less ``g u`` in row 0, with ``r = 1/(x3**hill + 1) = -f(x3)``.  IEEE
+        rounding is sign-symmetric, so ``r - a1 x1`` has the bits of the
+        textbook ``-a1 x1 - f(x3)``, signed zeros included.
         """
         add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
         negative, bincount = np.negative, np.bincount
-        x1, x12, x23u, head, u = state[0], state[:2], state[1:], out[0], state[3]
+        x1, x12, head, u = state[0], state[:2], out[0], state[3]
         lower, upper, arg, couple = self.lower, self.upper, self.arg, self.couple
         ends, signed_v, front, v = self.ends, self.signed_v, self.front, self.v
-        ones, minus_ones = self.ones, self.minus_ones
-        neg_a1, chain_gains, decays, terms = self.neg_a1, self.chain_gains, self.decays, self.terms
-        lead, lead_chain, minuend = terms[0], terms[1:3], terms[:3]
-        repression, decay_terms, subtrahend, input_term = (
-            terms[3], terms[4:], terms[3:6], terms[6])
+        ones, chain_gains, decays, terms = self.ones, self.chain_gains, self.decays, self.terms
+        repression, chain_terms, minuend = terms[0], terms[1:3], terms[:3]
+        decay_terms, subtrahend, input_term = terms[3:], terms[3:6], terms[6]
         # x3 ** hill, written in place: numpy's ** calls square for the
         # Python int 2 and power otherwise, and the bits must not change
         if type(self.hill) is int and self.hill == 2:
@@ -393,10 +395,10 @@ class _StepPlan:
             repress = partial(np.power, state[2], self.hill, repression)
 
         def rhs(w_row):
-            # f(x3) = -1/(x3**hill + 1)
+            # r = 1/(x3**hill + 1)
             repress()
             add(repression, ones, repression)
-            divide(minus_ones, repression, repression)
+            divide(ones, repression, repression)
             # y_lower - y_upper + w, gathered as SimulationTrace.relative_outputs does
             subtract(x1[lower], x1[upper], arg)
             add(arg, w_row, arg)
@@ -404,10 +406,9 @@ class _StepPlan:
             # u = D v over the node_sums bins; the physical input is -u
             negative(v, front)
             u[...] = bincount(ends, signed_v, len(u))
-            multiply(neg_a1, x1, lead)
-            multiply(chain_gains, x12, lead_chain)
-            multiply(decays, x23u, decay_terms)
-            # -a1 x1 - f(x3), b2 x1 - a2 x2, b3 x2 - a3 x3, then less g u
+            multiply(chain_gains, x12, chain_terms)
+            multiply(decays, state, decay_terms)
+            # r - a1 x1, b2 x1 - a2 x2, b3 x2 - a3 x3, then less g u
             subtract(minuend, subtrahend, out)
             subtract(head, input_term, head)
 
@@ -428,8 +429,7 @@ class _StepPlan:
                                   self.stage(self.probe, k3), self.stage(self.probe, k4))
         # the state rows of the stage inputs
         cur, probe = self.cur[:3], self.probe[:3]
-        half, full, two, sixth = (np.full(cur.shape, c)
-                                  for c in (0.5 * dt, dt, 2.0, dt / 6.0))
+        half, full, sixth = (np.full(cur.shape, c) for c in (0.5 * dt, dt, dt / 6.0))
         steps = states.shape[0] - 1
         cur[...] = states[0]
         # non-finite intermediates must not warn; the isfinite check raises
@@ -448,7 +448,7 @@ class _StepPlan:
                     add(cur, multiply(full, k3, probe), probe)
                     rhs4(w_row)
                     add(k2, k3, k2)
-                    multiply(two, k2, k2)
+                    add(k2, k2, k2)  # 2 (k2 + k3), exactly
                     add(k1, k2, k1)
                     add(k1, k4, k1)
                     add(cur, multiply(sixth, k1, k1), cur)

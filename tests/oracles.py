@@ -4,12 +4,15 @@ The package solves every certificate spectrum with LAPACK's ``eigvalsh``
 (:func:`syncert.linalg.symmetric_eigenvalues`).  The cyclic Jacobi solver
 here shares its input check but nothing else, so the tests can cross-check
 the spectra, and :func:`pd_oracle` the per-edge slack verdict, along a
-second route.  The textbook :func:`rk4_step` is the reference that the
-in-place integration loop of :func:`syncert.simulation.run_batch` must match
-bit for bit, and :func:`edge_order_sums` the loop that every edge->node sum
+second route.  The textbook :func:`rk4_step` and :func:`goodwin_field` are
+the references that the in-place integration loop of
+:func:`syncert.simulation.run_batch` and its stage must match bit for bit,
+:func:`edge_order_sums` the loop that every edge->node sum
 (:func:`syncert.graphs.node_sums`, the stage's bincount) must match bit for
-bit.  :func:`incidence` is the node-by-edge matrix ``D`` that the package
-never builds, the mathematical reference of every endpoint construction.
+bit, and :func:`four_corner_gain_bound` the slope-box bound that
+:func:`syncert.certificates.gain_bound_from_forms` must match bit for bit.
+:func:`incidence` is the node-by-edge matrix ``D`` that the package never
+builds, the mathematical reference of every endpoint construction.
 The graph builders make seeded fixtures, and :func:`linear_network` the
 network description of a certifier test.
 """
@@ -20,10 +23,10 @@ import math
 
 import numpy as np
 
-from syncert.certificates import SectorBound
+from syncert.certificates import GainBound, SectorBound
 from syncert.config import NetworkConfig
 from syncert.graphs import Graph, assemble_pd_matrix, build_graph
-from syncert.linalg import _checked_symmetric
+from syncert.linalg import _checked_symmetric, symmetric_eigenvalues
 from syncert.simulation import CouplingSpec
 
 
@@ -125,6 +128,62 @@ def edge_order_sums(g: Graph, edge_values, signed: bool = False) -> np.ndarray:
             acc[j - 1] = acc[j - 1] - row[k] if signed else acc[j - 1] + row[k]
         out[index] = acc
     return out
+
+
+def goodwin_field(config: NetworkConfig, x, w) -> np.ndarray:
+    """The right-hand side of the network ``config`` at the node-major
+    ``(n, 3)`` state ``x`` under the edge disturbances ``w``, each agent as
+    :mod:`syncert.goodwin` writes it::
+
+        x1' = -a1 x1 - f(x3) + b1 u        f(x) = -1 / (x**hill + 1)
+        x2' = -a2 x2 + b2 x1
+        x3' = -a3 x3 + b3 x2
+
+    with ``u = -D v`` for ``v_k = theta_k(y_i - y_j + w_k)`` on edge ``k =
+    (i, j)``, each coupling called on its own argument and ``D v`` summed by
+    :func:`edge_order_sums`."""
+    g, agents = config.graph, config.agents
+    x1, x2, x3 = np.asarray(x, dtype=float).T
+    v = np.array([coupling(x1[i - 1] - x1[j - 1] + w_k)
+                  for coupling, (i, j), w_k in zip(config.couplings, g.edges, w)])
+    u = -edge_order_sums(g, v, signed=True)
+    f = -1.0 / (x3 ** agents.hill + 1.0)
+    return np.column_stack([-agents.a1 * x1 - f + agents.input_gains * u,
+                            -agents.a2 * x2 + agents.b2 * x1,
+                            -agents.a3 * x3 + agents.b3 * x2])
+
+
+def four_corner_gain_bound(coupling_form, output_shift, lo, hi, weight_max: float,
+                           slope_max: float, bias_total: float) -> GainBound:
+    """The gain bound of :func:`~syncert.certificates.gain_bound_from_forms`
+    with each response-form entry bounded by the least and the greatest of
+    all four corner products ``C_kl * a_k * b_l``, ``a, b`` in ``{lo, hi}``:
+    the midpoint and radius of that box, then the same three solves,
+    widening and gain formula."""
+    c, lo, hi = (np.asarray(a, dtype=float) for a in (coupling_form, lo, hi))
+    point = bool(np.array_equal(lo, hi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        corners = [c * np.outer(a, b) for a in (lo, hi) for b in (lo, hi)]
+        lower, upper = np.minimum.reduce(corners), np.maximum.reduce(corners)
+        centre = corners[0] if point else 0.5 * (lower + upper)
+        radius = 0.5 * (upper - lower)
+        response = centre + output_shift
+    estimate = "exact" if point else "interval"
+    if not all(np.isfinite(form).all() for form in (centre, radius, response)):
+        return GainBound(math.nan, math.nan, math.nan, math.nan, estimate)
+    n_eigs, m_eigs = symmetric_eigenvalues(response), symmetric_eigenvalues(centre)
+    n_min, m_max = float(n_eigs[0]), float(m_eigs[-1])
+    if not point:
+        spread = float(symmetric_eigenvalues(radius)[-1])
+        scale = max(-n_eigs[0], n_eigs[-1], -m_eigs[0], m_eigs[-1]) + spread
+        widen = float(spread + 4.0 * len(lo) * np.finfo(float).eps * scale)
+        n_min, m_max = n_min - widen, m_max + widen
+    gain = offset = math.nan
+    if n_min > 0.0:
+        gain = math.sqrt(0.5 + (4.0 * slope_max * slope_max * weight_max * weight_max
+                                + 8.0 * m_max * m_max) / (n_min * n_min))
+        offset = math.sqrt(2.0 * abs(bias_total) / n_min)
+    return GainBound(gain, offset, n_min, m_max, estimate)
 
 
 def incidence(g: Graph) -> np.ndarray:

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import complete_graph, edge_order_sums, erdos_renyi_graph, incidence
+from oracles import (
+    complete_graph,
+    edge_order_sums,
+    erdos_renyi_graph,
+    four_corner_gain_bound,
+    incidence,
+)
 from syncert.certificates import (
     POSITIVITY_TOL,
     NetworkCertificate,
@@ -305,6 +311,31 @@ def test_interval_gain_bound_holds_over_the_box(seed):
         m_form = coupling * np.outer(eta, eta)
         assert bound.n_min <= symmetric_eigenvalues(m_form + shift)[0]
         assert bound.m_max >= symmetric_eigenvalues(m_form)[-1]
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_two_corner_box_is_the_four_corner_reference_bit_for_bit(seed):
+    """The ``(lo, lo)`` and ``(hi, hi)`` corners give the bits of the bound
+    over all four, on forms with negative, +0.0 and -0.0 entries over boxes
+    in which some or all edges are points."""
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, 9))
+    a = rng.normal(size=(p, p)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    coupling = a + a.T
+    zero = rng.random((p, p)) < rng.uniform(0.0, 0.6)
+    coupling[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+    # mirror the upper triangle, signed zeros included
+    coupling = np.where(np.triu(np.ones((p, p), dtype=bool)), coupling, coupling.T)
+    b = rng.normal(size=(p, p))
+    shift = rng.uniform(0.0, 3.0) * (b + b.T) + rng.uniform(0.0, 30.0) * np.eye(p)
+    lo = rng.uniform(0.1, 3.0, size=p)
+    hi = lo + rng.uniform(0.0, 1.0, size=p) * (rng.random(p) < rng.uniform(0.0, 1.0))
+    args = (coupling, shift, lo, hi, 2.0, float(hi.max()), -1.5)
+    bound, reference = gain_bound_from_forms(*args), four_corner_gain_bound(*args)
+    for name in ("n_min", "m_max", "gain", "offset"):
+        assert getattr(bound, name).hex() == getattr(reference, name).hex(), name
+    assert bound.estimate == reference.estimate
 
 
 def test_gain_bound_point_box_is_the_single_solve():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import complete_graph, edge_order_sums, incidence, rk4_step
+from oracles import complete_graph, edge_order_sums, goodwin_field, incidence, rk4_step
 from syncert.certificates import (
     GainBound,
     NetworkCertificate,
@@ -507,6 +507,10 @@ _KERNEL_SPECS = st.one_of(
 @example(specs=list(parse_config(
     Path(__file__).parent / "data" / "mixed_couplings.json").couplings))
 @example(specs=[_polyline([(1.0, -0.0), (1.0, 0.0)]), _polyline([(0.5, 0.0)])])
+# a column of +0.0 and -0.0 ratios: without AVX512, numpy's min returns +0.0
+# over the one-edge table and -0.0 over the whole table
+@example(specs=[_polyline([(1.0, 1.0)]),
+                _polyline([(1.0, 0.0), (1.0, 0.0), (1.0, -0.0), (1.0, 1.0)])])
 @settings(max_examples=150, deadline=None)
 def test_table_wide_sector_proof_matches_each_one_edge_proof(specs):
     """One pass over the whole coupling table gives every edge the range and
@@ -658,6 +662,49 @@ def test_trace_rows_hold_what_the_stage_applied(case):
                               ("inputs", -stage_input[3])):
             recorded = np.concatenate([getattr(trace, name)[m] for trace in traces])
             assert np.array_equal(recorded, applied), (name, m)
+
+
+def _fold_states(model):
+    """Node-major states at which the first derivative row meets a signed
+    zero: ``x1 = +0.0`` and ``x1 = -0.0``, each with ``x3**hill = inf`` (so
+    ``r = 1/(x3**hill + 1)`` is +0.0), and ``x1`` with ``a1 x1 == r``."""
+    x, a1 = model.initial_states, model.agents.a1
+    with np.errstate(over="ignore"):
+        r = 1.0 / (x[:, 2] ** model.agents.hill + 1.0)
+    # exact for the power-of-two a1 of every oracle case
+    cancel = r / a1
+    assert np.array_equal(a1 * cancel, r)
+    return [np.column_stack([np.full(len(x), zero), x[:, 1], np.full(len(x), 1e200)])
+            for zero in (0.0, -0.0)] + [np.column_stack([cancel, x[:, 1:]])]
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_stage_is_the_textbook_goodwin_field_bit_for_bit(case):
+    """The stage's two term blocks give the bits of the textbook right-hand
+    side at every grid row of a run, with the disturbance that row held,
+    and at the signed-zero states of :func:`_fold_states` with zero and
+    with held disturbances."""
+    dt, steps = 1e-3, 50
+    models = [_grid(m, steps * dt, dt) for m in _ORACLE_CASES[case]()]
+    traces = run_batch(models)
+    p = models[0].graph.edge_count
+    plan = _StepPlan(models[0], len(models))
+    stage_input = np.empty((4, len(models) * models[0].graph.n))
+    out = np.empty_like(stage_input[:3])
+    rhs = plan.stage(stage_input, out)
+    cases = [([trace.states[m] for trace in traces],
+              np.concatenate([trace.held_disturbance[m] for trace in traces]))
+             for m in range(steps + 1)]
+    folds = zip(*(_fold_states(model) for model in models))
+    cases += [(list(states), w) for states in folds
+              for w in (np.zeros(len(models) * p), cases[0][1])]
+    for states, w_row in cases:
+        stage_input[:3] = np.concatenate(states).T
+        with np.errstate(over="ignore"):
+            rhs(w_row)
+            expected = np.concatenate([goodwin_field(model, x, w_row[s * p:(s + 1) * p])
+                                       for s, (model, x) in enumerate(zip(models, states))])
+        assert expected.T.tobytes() == out.tobytes()
 
 
 def _wide_mixed():
