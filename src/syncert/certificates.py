@@ -225,15 +225,16 @@ def quadratic_forms(g: Graph, cert: NetworkCertificate) -> CertificateForms:
     Both are ``D.T @ diag(nu_node) @ D + diag(w)``: the coupling form with
     ``w = (2 + common)/alpha_hi - exclusive/2``, the margin form with the
     margin weight ``sigma = w + (gamma - exclusive/2)/alpha_lo**2`` of
-    :meth:`NetworkCertificate.margin_weights`.
+    :meth:`NetworkCertificate.margin_weights`.  They differ only on the
+    diagonal, so one :func:`~syncert.graphs.assemble_pd_matrix` call builds
+    both.
     """
     if cert.graph != g:
         raise ValueError("certificate was assembled over a different graph")
     coupling_weights = cert.pair_weight / cert.alpha_hi - 0.5 * g.exclusive
-    return CertificateForms(
-        coupling_form=assemble_pd_matrix(g, cert.nu_node, coupling_weights),
-        margin_form=assemble_pd_matrix(g, cert.nu_node, cert.sigma),
-    )
+    coupling_form, margin_form = assemble_pd_matrix(
+        g, cert.nu_node, np.stack([coupling_weights, cert.sigma]))
+    return CertificateForms(coupling_form=coupling_form, margin_form=margin_form)
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,12 @@ certificate verdict or trace check is false, 2 invalid or inadmissible or
 uncertified input, an unwritable output file or a run too large to
 allocate, 3 numerical blow-up.
 Console tables round to four decimals for reading; CSV files carry 17
-significant digits and are the machine interface.
+significant digits and are the machine interface, written one ``%`` row
+template per table.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import math
@@ -39,31 +39,26 @@ from .goodwin import (
 from .simulation import SimulationDiverged, SimulationTrace, run, run_batch, trace_checks
 
 
-def _fmt(value) -> str:
-    return format(float(value), ".17g")
-
-
-def _fmt4(value) -> str:
-    return format(float(value), ".4f")
-
-
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, header, line: str, rows) -> None:
+    """Write the comma-joined header, then ``line % tuple(row)`` for each
+    row: ``line`` is the table's row template, ``%.17g`` for a float (the
+    digits of ``format(x, ".17g")``, ``-0``, ``nan`` and ``inf`` included)
+    and ``%d`` or ``%s`` for a count, an edge label or ``true``/``false``.
+    No field needs quoting: each is a number, an ``i-j`` label or a boolean."""
     path = Path(path)
     if str(path.parent) not in ("", "."):
         path.parent.mkdir(parents=True, exist_ok=True)
+    line += "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def _print_table(headers, rows) -> None:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    click.echo("  ".join(h.rjust(w) for h, w in zip(headers, widths)))
-    for row in rows:
-        click.echo("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+    table = [headers, *rows]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    click.echo("\n".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths))
+                         for row in table))
 
 
 def _guarded(fn):
@@ -101,15 +96,13 @@ def main() -> None:
     """Certify and simulate output synchronisation of oscillator networks."""
 
 
-def _margin_csv_rows(cfg: NetworkConfig, cert: NetworkCertificate):
-    return [[cfg.graph.edge_label(k), str(i), str(j),
-             _fmt(cert.nu[k]), _fmt(cert.gamma[k]), _fmt(cert.beta[k]),
-             _fmt(cert.slacks[k]), "true" if cert.edge_ok[k] else "false"]
-            for k, (i, j) in enumerate(cfg.graph.edges)]
-
-
-_MARGIN_CSV_HEADER = ["edge", "node_i", "node_j", "nu", "gamma", "beta",
-                      "slack", "ok"]
+def _write_margin_csv(path: Path, cfg: NetworkConfig, cert: NetworkCertificate) -> None:
+    g = cfg.graph
+    values = np.column_stack([cert.nu, cert.gamma, cert.beta, cert.slacks]).tolist()
+    _write_csv(path, ["edge", "node_i", "node_j", "nu", "gamma", "beta", "slack", "ok"],
+               "%s,%d,%d,%.17g,%.17g,%.17g,%.17g,%s",
+               ((label, i, j, *row, "true" if ok else "false") for label, (i, j), row, ok
+                in zip(g.edge_labels(), g.edges, values, cert.edge_ok.tolist())))
 
 
 def _echo_certificate(cfg: NetworkConfig, cert: NetworkCertificate) -> None:
@@ -118,15 +111,12 @@ def _echo_certificate(cfg: NetworkConfig, cert: NetworkCertificate) -> None:
     click.echo(f"nodes: {g.n}, edges: {g.edge_count}, mode: {cfg.certification.mode}")
     click.echo(f"repression slope bound: closed form {hill_slope(hill):.6g}, "
                f"exact maximum {hill_slope_max(hill):.6g}")
-    table = [
-        (g.edge_label(k), _fmt4(cert.nu[k]), _fmt4(cert.gamma[k]),
-         _fmt4(cert.beta[k]), _fmt4(cert.slacks[k]),
-         "yes" if cert.edge_ok[k] else "NO")
-        for k in range(g.edge_count)
-    ]
-    _print_table(("edge", "nu", "gamma", "beta", "slack", "ok"), table)
+    values = np.column_stack([cert.nu, cert.gamma, cert.beta, cert.slacks]).tolist()
+    _print_table(("edge", "nu", "gamma", "beta", "slack", "ok"),
+                 [(label, *(f"{v:.4f}" for v in row), "yes" if ok else "NO")
+                  for label, row, ok in zip(g.edge_labels(), values, cert.edge_ok.tolist())])
     click.echo("per-node input-weight sums: "
-               + ", ".join(_fmt4(v) for v in cert.nu_node))
+               + ", ".join(f"{v:.4f}" for v in cert.nu_node.tolist()))
     click.echo(f"min slack: {cert.min_slack:.6g}")
     click.echo(f"margin matrix min eigenvalue: {cert.forms.margin_min_eig:.6g}")
     bound = cert.bound
@@ -157,40 +147,35 @@ def certify(config_file: Path, output: Path | None) -> int:
     cert = cfg.certificate()
     _echo_certificate(cfg, cert)
     if output is not None:
-        _write_csv(output, _MARGIN_CSV_HEADER, _margin_csv_rows(cfg, cert))
+        _write_margin_csv(output, cfg, cert)
         click.echo(f"wrote {output}")
     return 0 if cert.satisfied else 1
 
 
 def _trace_table(trace: SimulationTrace, stride: int, margin_col,
                  residual_col=None, full: bool = False):
-    """Header and rows of a trace CSV: every ``stride``-th grid point plus
-    the last.  The rows are generated one at a time as the CSV writer takes
-    them, so no table of cell strings is ever held whole."""
+    """Header, row template and rows of a trace CSV: every ``stride``-th
+    grid point plus the last, one float column per header field.  Only the
+    sampled grid points are gathered, and each row becomes Python floats as
+    the writer takes it."""
     g = trace.config.graph
     header = ["t"] + [f"y_{i}" for i in range(1, g.n + 1)]
     header += ["normDTY", "normW", "bound_margin"]
+    idx = np.array([*range(0, trace.steps, stride), trace.steps])
+    columns = [trace.times[idx, None], trace.outputs[idx],
+               np.sqrt(trace.norm_rel_sq[idx, None]), np.sqrt(trace.norm_dist_sq[idx, None]),
+               margin_col[idx, None]]
     if residual_col is not None:
         header.append("dissipation_residual")
-    # the per-edge column families of a full table, in column order
-    families = (("X", trace.coupling_arguments), ("V", trace.coupling_outputs),
-                ("W", trace.held_disturbance)) if full else ()
-    header += [f"{name}_{k + 1}" for name, _ in families for k in range(g.edge_count)]
-    idx = np.array([*range(0, trace.steps, stride), trace.steps])
-    rel = np.sqrt(trace.norm_rel_sq[idx])
-    dist = np.sqrt(trace.norm_dist_sq[idx])
-
-    def rows():
-        for pos, m in enumerate(idx):
-            row = [_fmt(trace.times[m])]
-            row += [_fmt(v) for v in trace.outputs[m]]
-            row += [_fmt(rel[pos]), _fmt(dist[pos]), _fmt(margin_col[m])]
-            if residual_col is not None:
-                row.append(_fmt(residual_col[m]))
-            row += [_fmt(v) for _, values in families for v in values[m]]
-            yield row
-
-    return header, rows()
+        columns.append(residual_col[idx, None])
+    if full:
+        # the per-edge column families of a full table, in column order
+        for name, values in (("X", trace.coupling_arguments), ("V", trace.coupling_outputs),
+                             ("W", trace.held_disturbance)):
+            header += [f"{name}_{k + 1}" for k in range(g.edge_count)]
+            columns.append(values[idx])
+    table = np.concatenate(columns, axis=1)
+    return header, ",".join(["%.17g"] * len(header)), (row.tolist() for row in table)
 
 
 def _echo_checks(checks) -> None:
@@ -245,8 +230,7 @@ def simulate(config_file: Path, output_dir: Path, full: bool, check_bound: bool,
 
     output_dir.mkdir(parents=True, exist_ok=True)
     trace_path = output_dir / "trace.csv"
-    header, rows = _trace_table(trace, cfg.stride, margin_col, residual_col, full)
-    _write_csv(trace_path, header, rows)
+    _write_csv(trace_path, *_trace_table(trace, cfg.stride, margin_col, residual_col, full))
     click.echo(f"wrote {trace_path}")
     click.echo(f"final output disagreement: {trace.disagreement():.6g}")
     return 0 if all(ok for _, ok, _ in checks) else 1
@@ -285,9 +269,9 @@ def search(config_file: Path, theta_spec: str, theta3_spec: str,
         f"min slack = {result.best_min_slack:.6g}"
     )
     if output is not None:
-        rows = [[_fmt(t), _fmt(t3), _fmt(s), "true" if ok else "false"]
-                for t, t3, s, ok in result.rows]
-        _write_csv(output, ["theta", "theta3", "min_slack", "feasible"], rows)
+        _write_csv(output, ["theta", "theta3", "min_slack", "feasible"],
+                   "%.17g,%.17g,%.17g,%s",
+                   ((t, t3, s, "true" if ok else "false") for t, t3, s, ok in result.rows))
         click.echo(f"wrote {output}")
     return 0
 
@@ -308,18 +292,18 @@ def graph_stats(config_file: Path, output: Path | None,
     click.echo(f"nodes: {g.n}, edges: {g.edge_count}, "
                f"connected: {'yes' if g.is_connected else 'no'}")
     # label, endpoints, degrees, common and exclusive counts of each edge
-    rows = [(g.edge_label(k), str(i), str(j), str(g.degrees[i - 1]),
-             str(g.degrees[j - 1]), str(g.common[k]), str(g.exclusive[k]))
-            for k, (i, j) in enumerate(g.edges)]
+    degrees = g.degrees.tolist()
+    rows = [(label, i, j, degrees[i - 1], degrees[j - 1], c, e) for label, (i, j), c, e
+            in zip(g.edge_labels(), g.edges, g.common.tolist(), g.exclusive.tolist())]
     _print_table(("edge", "deg_i", "deg_j", "common", "exclusive"),
-                 [(row[0], *row[3:]) for row in rows])
+                 [(row[0], *map(str, row[3:])) for row in rows])
     if output is not None:
         _write_csv(output, ["edge", "node_i", "node_j", "degree_i", "degree_j",
-                            "common", "exclusive"], rows)
+                            "common", "exclusive"], "%s,%d,%d,%d,%d,%d,%d", rows)
         click.echo(f"wrote {output}")
     if incidence_out is not None:
-        rows = [[str((v == i) - (v == j)) for i, j in g.edges] for v in range(1, g.n + 1)]
-        _write_csv(incidence_out, g.edge_labels(), rows)
+        _write_csv(incidence_out, g.edge_labels(), ",".join(["%d"] * g.edge_count),
+                   [[(v == i) - (v == j) for i, j in g.edges] for v in range(1, g.n + 1)])
         click.echo(f"wrote {incidence_out}")
     return 0
 
@@ -368,13 +352,12 @@ def reproduce_paper(output_dir: Path | None, mode: str | None, dt: float | None,
 
     if output_dir is not None:
         output_dir.mkdir(parents=True, exist_ok=True)
-        _write_csv(output_dir / "margins.csv", _MARGIN_CSV_HEADER,
-                   _margin_csv_rows(cfg, cert))
+        _write_margin_csv(output_dir / "margins.csv", cfg, cert)
         for label, trace, margin_col in (
                 ("noiseless", trace_zero, trace_zero.margin_curve(cert.bound)),
                 ("noisy", trace_noisy, margin_noisy)):
-            header, rows = _trace_table(trace, cfg.stride, margin_col)
-            _write_csv(output_dir / f"trace_{label}.csv", header, rows)
+            _write_csv(output_dir / f"trace_{label}.csv",
+                       *_trace_table(trace, cfg.stride, margin_col))
         click.echo(f"wrote margin and trace CSVs to {output_dir}")
 
     failed = [name for name, ok, _ in checks if not ok]

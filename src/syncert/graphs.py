@@ -2,10 +2,12 @@
 edge->node sum (:func:`node_sums`), and the per-edge neighbour statistics
 consumed by the synchronisation certificates.
 
-A graph is its endpoint arrays: every sum, statistic and edge-space matrix
-here is built from them, with no BLAS call.  ``D`` in the docstrings is the
-oriented node-by-edge matrix (+1 at each lower endpoint, -1 at each upper
-one), which nothing builds.  Degrees and neighbour counts are integer exact.
+A graph is its edge list.  Every sum and edge-space matrix here is built
+from its endpoint arrays, with no BLAS call; the degrees, the common
+neighbour counts and connectivity come from its neighbour sets, and the
+exclusive counts from both.  ``D`` in the docstrings is the oriented
+node-by-edge matrix (+1 at each lower endpoint, -1 at each upper one),
+which nothing builds.  Degrees and neighbour counts are integer exact.
 """
 
 from __future__ import annotations
@@ -200,16 +202,22 @@ def assemble_pd_matrix(g: Graph, node_weights, edge_weights) -> np.ndarray:
     """``D.T diag(mu) D + diag(sigma)`` from the endpoints: ``(mu_i +
     mu_j) + sigma_k`` at ``(k, k)`` for edge ``k = (i, j)``, ``s_k s_l mu_i``
     where edges ``k != l`` meet at ``i`` (``s`` is +1 at a lower endpoint, -1
-    at an upper), so each entry equals the product summed from +0.0."""
+    at an upper), so each entry equals the product summed from +0.0.
+
+    Leading axes of the edge weights give one form per row, each equal bit
+    for bit to its 1-D build: the per-node blocks are built once and every
+    row gets its own diagonal.  The node weights are one vector."""
     mu, sigma = _pd_weights(g, node_weights, edge_weights)
-    if mu.ndim != 1 or sigma.ndim != 1:
-        raise ValueError("one weighting only: node and edge weights must be 1-D")
+    if mu.ndim != 1:
+        raise ValueError("one weighting only: node weights must be 1-D")
     p, (lower, upper) = g.edge_count, g.endpoints
     # per node, its positions in [lower | upper]; adding 0.0 makes each zero +0.0
     order = np.argsort(np.concatenate([lower, upper]), kind="stable")
-    form = np.zeros((p, p))
+    forms = np.zeros(sigma.shape[:-1] + (p, p))
     for i, at in enumerate(np.split(order, np.cumsum(g.degrees)[:-1])):
         edges, signs = at % max(p, 1), np.where(at < p, 1.0, -1.0)
-        form[np.ix_(edges, edges)] = np.outer(signs, signs * mu[i]) + 0.0
-    form[np.diag_indices(p)] = (mu[lower] + mu[upper]) + sigma + 0.0
-    return form
+        rows, cols = np.ix_(edges, edges)
+        forms[..., rows, cols] = np.outer(signs, signs * mu[i]) + 0.0
+    diagonal = np.arange(p)
+    forms[..., diagonal, diagonal] = (mu[lower] + mu[upper]) + sigma + 0.0
+    return forms

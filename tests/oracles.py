@@ -4,7 +4,8 @@ The package solves every certificate spectrum with LAPACK's ``eigvalsh``
 (:func:`syncert.linalg.symmetric_eigenvalues`).  The cyclic Jacobi solver
 here shares its input check but nothing else, so the tests can cross-check
 the spectra, and :func:`pd_oracle` the per-edge slack verdict, along a
-second route.  The textbook :func:`rk4_step` and :func:`goodwin_field` are
+second route; :func:`exact_pd` decides positive definiteness in exact
+arithmetic, with no rounding to share.  The textbook :func:`rk4_step` and :func:`goodwin_field` are
 the references that the in-place integration loop of
 :func:`syncert.simulation.run_batch` and its stage must match bit for bit,
 :func:`edge_order_sums` the loop that every edge->node sum
@@ -20,6 +21,7 @@ network description of a certifier test.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -89,6 +91,29 @@ def jacobi_eigenvalues(matrix, tol: float = 1e-10, max_sweeps: int = 50) -> np.n
         f"off-diagonal norm {off:.3e} still above {tol * scale:.3e} "
         f"after {max_sweeps} sweeps"
     )
+
+
+def exact_pd(a, c: float = 0.0) -> bool:
+    """Whether ``a - c I`` is positive definite, decided in exact rational
+    arithmetic: an LDL^T of the float entries as :class:`fractions.Fraction`
+    values, with no pivoting, whose pivots are all positive exactly when
+    every leading principal minor is (Sylvester's criterion).  ``a`` must
+    be symmetric bit for bit; ``c`` is taken as the float it is."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.array_equal(a, a.T):
+        raise ValueError("exact_pd needs a square matrix, symmetric bit for bit")
+    m = [[Fraction(x) for x in row] for row in a.tolist()]
+    for i, row in enumerate(m):
+        row[i] -= Fraction(c)
+    for k, row in enumerate(m):
+        if row[k] <= 0:
+            return False
+        # the Schur complement's lower triangle; column k is read, not written
+        for i in range(k + 1, len(m)):
+            ratio = m[i][k] / row[k]
+            for j in range(k + 1, i + 1):
+                m[i][j] -= ratio * m[j][k]
+    return True
 
 
 def pd_oracle(g: Graph, node_weights, edge_weights, tol: float = 1e-10) -> float:

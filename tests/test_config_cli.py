@@ -19,7 +19,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from syncert import __version__, certificates, graphs
+from syncert import __version__, certificates, cli, graphs
 from syncert.cli import main
 from syncert.config import (
     SEED_ENV_VAR,
@@ -1184,6 +1184,31 @@ def test_graph_stats_csv_outputs(tmp_path):
     golden = Path(__file__).parent / "data" / "graph_stats_k5"
     assert stats_out.read_bytes() == (golden / "stats.csv").read_bytes()
     assert inc_out.read_bytes() == (golden / "incidence.csv").read_bytes()
+
+
+def test_graph_stats_csvs_of_an_edgeless_graph(tmp_path):
+    # the header of the empty incidence table and each node's empty row are
+    # blank lines; the edge statistics are the header alone
+    path = _write(tmp_path, _payload(graph={"n": 3, "edges": []}))
+    result = CliRunner().invoke(main, ["graph-stats", str(path), "-o", str(tmp_path / "s.csv"),
+                                       "--incidence", str(tmp_path / "i.csv")])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "s.csv").read_bytes() == (
+        b"edge,node_i,node_j,degree_i,degree_j,common,exclusive\n")
+    assert (tmp_path / "i.csv").read_bytes() == b"\n" * 4
+
+
+def test_csv_floats_keep_every_special_value(tmp_path):
+    out = tmp_path / "t.csv"
+    cli._write_csv(out, ["a", "b", "c", "d"], "%.17g,%.17g,%.17g,%.17g",
+                   [[-0.0, math.nan, math.inf, -math.inf]])
+    assert out.read_bytes() == b"a,b,c,d\n-0,nan,inf,-inf\n"
+
+
+@given(x=st.floats())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_row_template_float_digits_are_format_g17(x):
+    assert "%.17g" % x == format(x, ".17g")
 
 
 def test_reproduce_short_horizon_smoke(tmp_path):

@@ -196,6 +196,21 @@ def test_assemble_pd_matrix_matches_definition(case):
         assemble_pd_matrix(g, np.stack([mu, mu]), sigma)
 
 
+@given(case=_weighted_graph(), data=st.data())
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_stacked_assembly_rows_are_the_one_weighting_builds(case, data):
+    g, mu, sigma = case
+    # a second and a third weighting, signed zeros included, on a 3 x 1 stack
+    others = data.draw(arrays(np.float64, (2, g.edge_count),
+                              elements=st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)))
+    stack = np.concatenate([sigma[None], others])[:, None]
+    forms = assemble_pd_matrix(g, mu, stack)
+    assert forms.shape == (3, 1, g.edge_count, g.edge_count)
+    for form, row in zip(forms[:, 0], stack[:, 0]):
+        assert np.array_equal(form.view(np.int64),
+                              assemble_pd_matrix(g, mu, row).view(np.int64))
+
+
 def test_edge_slacks_formula():
     g = build_graph(3, [(1, 2), (2, 3), (1, 3)])
     mu = np.array([0.5, -0.25, 1.0])

@@ -1,15 +1,17 @@
 """The Jacobi test oracle against known spectra and numpy's LAPACK route,
 and the LAPACK-backed certificate solver against the Jacobi oracle; both
-share the package's one input check."""
+share the package's one input check.  The exact positive-definiteness
+oracle brackets the solver's eigenvalues within its rounding allowance."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import JacobiConvergenceError, complete_graph, jacobi_eigenvalues
+from oracles import JacobiConvergenceError, complete_graph, exact_pd, jacobi_eigenvalues
+from syncert.config import config_from_dict
 from syncert.graphs import assemble_pd_matrix
 from syncert.linalg import symmetric_eigenvalues
 
@@ -133,3 +135,62 @@ def test_convergence_failure_reports_residual():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(JacobiConvergenceError, match="sweep"):
         jacobi_eigenvalues(a, max_sweeps=0)
+
+
+def _allowance(a: np.ndarray) -> float:
+    """``4 p eps ||a||_2``, the rounding allowance of a computed eigenvalue."""
+    return 4 * len(a) * np.finfo(float).eps * float(np.max(np.abs(np.linalg.eigvalsh(a))))
+
+
+# an affine-sinusoid K4 whose sectors are intervals, not points
+_K4_SINUSOID = {
+    "graph": {"n": 4, "edges": [[i, j] for i in range(1, 5) for j in range(i + 1, 5)]},
+    "agents": {"a1": 0.5, "a2": 1.0, "a3": 1.0, "b2": 1.5, "b3": 1.5, "hill": 14,
+               "input_gains": [0.95, 1.0, 1.02, 1.05],
+               "initial_outputs": [1.0, -0.5, 0.3, 0.0]},
+    "couplings": {"kind": "affine_sinusoid", "gain": 5.0, "amplitude": 0.3,
+                  "sector": {"alpha_lo": 4.7, "alpha_hi": 5.3}},
+    "certification": {"theta": 2.0, "theta3": 1.5},
+}
+
+
+def test_exact_pd_decides_the_last_bit():
+    # a zero pivot is not positive, one ulp of shift decides
+    assert not exact_pd(np.ones((2, 2)))
+    assert not exact_pd(np.eye(3), 1.0)
+    assert exact_pd(np.eye(3), 1.0 - 2.0**-53)
+    assert exact_pd([[2.0, -1.0], [-1.0, 2.0]], 1.0 - 2.0**-53)
+    assert not exact_pd([[2.0, -1.0], [-1.0, 2.0]], 1.0)
+    with pytest.raises(ValueError, match="symmetric bit for bit"):
+        exact_pd([[1.0, 0.5], [0.5 + 2.0**-53, 1.0]])
+
+
+@pytest.mark.parametrize("case", ["bundled_k5", "sinusoid_k4"])
+def test_exact_pd_brackets_the_margin_eigenvalue(case, paper_certification):
+    cert = (paper_certification if case == "bundled_k5"
+            else config_from_dict(_K4_SINUSOID).certificate())
+    a, lam = cert.forms.margin_form, cert.forms.margin_min_eig
+    assert exact_pd(a, lam - _allowance(a))
+    assert not exact_pd(a, lam + _allowance(a))
+
+
+@st.composite
+def _known_spectrum(draw):
+    """A symmetric ``Q diag(values) Q^T`` with p <= 8, a seeded orthogonal
+    ``Q`` and values that may repeat or crowd a shift, and a shift ``c``."""
+    p = draw(st.integers(1, 8))
+    values = draw(st.lists(st.floats(-10.0, 10.0), min_size=p, max_size=p))
+    q = np.linalg.qr(np.random.default_rng(draw(st.integers(0, 2**32))).normal(size=(p, p)))[0]
+    a = (q * values) @ q.T
+    c = draw(st.just(min(values)) | st.sampled_from(values) | st.floats(-11.0, 11.0))
+    return (a + a.T) / 2, c + draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-6, -1e-6]))
+
+
+@given(case=_known_spectrum())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_exact_pd_is_the_eigenvalue_verdict_away_from_the_shift(case):
+    a, c = case
+    least = float(np.linalg.eigvalsh(a)[0])
+    # only the least eigenvalue decides whether a - c I is positive definite
+    assume(abs(least - c) > _allowance(a))
+    assert exact_pd(a, c) == (least > c)
